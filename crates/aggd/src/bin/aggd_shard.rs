@@ -33,7 +33,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: aggd-shard <kind> <k> <shard> <seconds> --connect ADDR\n\
                      \x20                 [--id N] [--spool PATH] [--die-after FRAMES]\n\
-                     kinds: exact ss-hhh rhhh tdbf-hhh";
+                     kinds: exact ss-hhh rhhh tdbf-hhh mvpipe";
 
 /// Exit code of a `--die-after` simulated crash (distinct from 1 so
 /// harnesses can tell "died on cue" from "failed").
@@ -152,6 +152,23 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("aggd-shard: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_kind() {
+        let listed = USAGE.lines().last().expect("usage ends with the kinds line");
+        for kind in scenario::KINDS {
+            assert!(
+                listed.split_whitespace().any(|k| k == kind.label()),
+                "usage omits kind `{}`",
+                kind.label()
+            );
         }
     }
 }

@@ -7,7 +7,7 @@
 //! decode end-to-end.
 
 use hhh_aggd::{spawn_daemon, DaemonConfig, DaemonHandle};
-use std::io::{Read as _, Write as _};
+use hhh_window::http_get;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -18,19 +18,9 @@ fn daemon(http_max_inflight: usize) -> DaemonHandle {
 
 /// One full GET: returns `(status, body)`. Panics on transport errors
 /// — in these tests a refused or torn connection *is* the regression.
-fn http_get(addr: &str, path: &str) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-    write!(conn, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").expect("request");
-    let mut response = String::new();
-    conn.read_to_string(&mut response).expect("response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {response:?}"));
-    let body = response.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
+fn get(addr: &str, path: &str) -> (u16, String) {
+    let (status, body) = http_get(addr, path).unwrap_or_else(|e| panic!("{e}"));
+    (status, String::from_utf8(body).expect("UTF-8 body"))
 }
 
 /// Open `n` connections that never send a byte — each pins one handler
@@ -47,7 +37,7 @@ fn slow_loris_swarm_does_not_drop_metrics_scrapes() {
     // With 100 slots pinned (cap 128), every scrape must still land —
     // zero dropped scrapes is the acceptance bar.
     for i in 0..20 {
-        let (status, body) = http_get(&addr, "/metrics");
+        let (status, body) = get(&addr, "/metrics");
         assert_eq!(status, 200, "scrape {i} dropped under slow-loris load");
         assert!(
             body.contains("aggd_http_accept_errors_total"),
@@ -70,7 +60,7 @@ fn handler_cap_answers_503_and_counts_busy() {
     let deadline = Instant::now() + Duration::from_secs(4);
     let mut saw_503 = false;
     while Instant::now() < deadline {
-        let (status, _) = http_get(&addr, "/healthz");
+        let (status, _) = get(&addr, "/healthz");
         if status == 503 {
             saw_503 = true;
             break;
@@ -84,7 +74,7 @@ fn handler_cap_answers_503_and_counts_busy() {
     // then serves normally again.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let (status, _) = http_get(&addr, "/healthz");
+        let (status, _) = get(&addr, "/healthz");
         if status == 200 {
             break;
         }
@@ -111,7 +101,7 @@ fn accept_churn_storm_leaves_the_server_alive() {
     // that scrapes come back, not that the storm was free.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let (status, body) = http_get(&addr, "/metrics");
+        let (status, body) = get(&addr, "/metrics");
         if status == 200 {
             assert!(body.contains("aggd_http_accept_errors_total"));
             break;
@@ -120,7 +110,7 @@ fn accept_churn_storm_leaves_the_server_alive() {
         assert!(Instant::now() < deadline, "server never drained the churn backlog");
         std::thread::sleep(Duration::from_millis(50));
     }
-    let (status, body) = http_get(&addr, "/healthz");
+    let (status, body) = get(&addr, "/healthz");
     assert_eq!(status, 200);
     assert_eq!(body, "ok\n");
     handle.shutdown();
@@ -131,22 +121,22 @@ fn query_edge_cases_are_400_not_silently_ignored() {
     let handle = daemon(16);
     let addr = handle.http_addr.to_string();
     // `threshold=` with an empty value: not a number, must be refused.
-    let (status, body) = http_get(&addr, "/hhh?threshold=");
+    let (status, body) = get(&addr, "/hhh?threshold=");
     assert_eq!(status, 400, "empty threshold value must be a 400, got {body:?}");
     // Duplicate keys are ambiguous — last-wins would silently change
     // the answer, so the daemon refuses instead.
-    let (status, body) = http_get(&addr, "/hhh?kind=exact&kind=rhhh");
+    let (status, body) = get(&addr, "/hhh?kind=exact&kind=rhhh");
     assert_eq!(status, 400, "duplicate keys must be a 400");
     assert!(body.contains("duplicate"), "error should name the problem, got {body:?}");
-    let (status, _) = http_get(&addr, "/hhh?threshold=1&threshold=2");
+    let (status, _) = get(&addr, "/hhh?threshold=1&threshold=2");
     assert_eq!(status, 400, "duplicate thresholds must be a 400");
     // An over-long query string is a probe, not a query.
     let long = format!("/hhh?kind={}", "x".repeat(4096));
-    let (status, body) = http_get(&addr, &long);
+    let (status, body) = get(&addr, &long);
     assert_eq!(status, 400, "overlong query must be a 400");
     assert!(body.contains("longer than"), "error should say why, got {body:?}");
     // The legitimate forms still work.
-    let (status, _) = http_get(&addr, "/hhh?kind=exact&all=1&threshold=2.5");
+    let (status, _) = get(&addr, "/hhh?kind=exact&all=1&threshold=2.5");
     assert_eq!(status, 200);
     handle.shutdown();
 }
@@ -155,7 +145,7 @@ fn query_edge_cases_are_400_not_silently_ignored() {
 fn rules_endpoint_is_404_without_mitigation() {
     let handle = daemon(16);
     let addr = handle.http_addr.to_string();
-    let (status, body) = http_get(&addr, "/rules");
+    let (status, body) = get(&addr, "/rules");
     assert_eq!(status, 404, "no policy engine -> /rules must 404");
     assert!(body.contains("mitigation"), "the 404 should say why, got {body:?}");
     handle.shutdown();
@@ -176,19 +166,19 @@ fn rules_endpoint_serves_json_and_text_when_enabled() {
     .expect("daemon spawns");
     let addr = handle.http_addr.to_string();
     // Empty table, but the document must be well-formed either way.
-    let (status, body) = http_get(&addr, "/rules");
+    let (status, body) = get(&addr, "/rules");
     assert_eq!(status, 200);
     assert!(body.contains("\"rules\":[]"), "empty table renders an empty list, got {body:?}");
     assert!(body.contains("\"cap\":"), "document carries the cap");
-    let (status, body) = http_get(&addr, "/rules?text=1");
+    let (status, body) = get(&addr, "/rules?text=1");
     assert_eq!(status, 200);
     assert!(body.contains("0 rule(s)"), "text render, got {body:?}");
     // /rules has its own allow-list: /hhh keys are foreign here.
-    let (status, _) = http_get(&addr, "/rules?kind=exact");
+    let (status, _) = get(&addr, "/rules?kind=exact");
     assert_eq!(status, 400);
     // Mitigation metrics appear in /metrics, classed because truth is
     // attached.
-    let (status, body) = http_get(&addr, "/metrics");
+    let (status, body) = get(&addr, "/metrics");
     assert_eq!(status, 200);
     assert!(body.contains("mitigate_rules_active 0"));
     assert!(body.contains("mitigate_rule_churn_total 0"));
@@ -203,13 +193,13 @@ fn query_percent_escapes_decode_end_to_end() {
     let addr = handle.http_addr.to_string();
     // `threshold=2%2E5` is `threshold=2.5` — the doc contract's own
     // example. An empty fold still renders (zero report lines).
-    let (status, _) = http_get(&addr, "/hhh?threshold=2%2E5");
+    let (status, _) = get(&addr, "/hhh?threshold=2%2E5");
     assert_eq!(status, 200, "escaped threshold must decode, not 400");
-    let (status, _) = http_get(&addr, "/hhh?%6bind=exact");
+    let (status, _) = get(&addr, "/hhh?%6bind=exact");
     assert_eq!(status, 200, "escaped key must decode before key matching");
     // Malformed escapes are a 400, not a silent mismatch.
     for bad in ["/hhh?threshold=2%", "/hhh?threshold=2%zz", "/hhh?kind=%ff%fe"] {
-        let (status, _) = http_get(&addr, bad);
+        let (status, _) = get(&addr, bad);
         assert_eq!(status, 400, "{bad} must be rejected");
     }
     handle.shutdown();

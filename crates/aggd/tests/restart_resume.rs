@@ -14,8 +14,8 @@ use hhh_aggd::scenario::{self, Kind, KINDS};
 use hhh_core::WireFormat;
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::TimeSpan;
-use std::io::{BufRead, BufReader, Read as _, Write as _};
-use std::net::TcpStream;
+use hhh_window::http_get;
+use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -90,20 +90,10 @@ fn shard_cmd(kind: Kind, shard: usize, frames: &str, extra: &[&str]) -> Command 
     cmd
 }
 
-/// A one-shot HTTP/1.1 GET over a raw socket — the test's client is as
-/// hand-rolled as the daemon's server.
-fn http_get(addr: &str, path: &str) -> (u16, Vec<u8>) {
-    let mut conn = TcpStream::connect(addr).expect("connect to daemon http");
-    write!(conn, "GET {path} HTTP/1.1\r\nHost: aggd\r\nConnection: close\r\n\r\n")
-        .expect("request writes");
-    let mut buf = Vec::new();
-    conn.read_to_end(&mut buf).expect("response reads");
-    let head_end =
-        buf.windows(4).position(|w| w == b"\r\n\r\n").expect("response has a header block") + 4;
-    let head = std::str::from_utf8(&buf[..head_end]).expect("headers are ASCII");
-    let status: u16 =
-        head.split_whitespace().nth(1).expect("status line").parse().expect("numeric status");
-    (status, buf[head_end..].to_vec())
+/// One GET against the daemon; a refused or torn connection fails the
+/// test.
+fn get(addr: &str, path: &str) -> (u16, Vec<u8>) {
+    http_get(addr, path).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Poll `path` until its body equals `expected` (the fold loop applies
@@ -111,7 +101,7 @@ fn http_get(addr: &str, path: &str) -> (u16, Vec<u8>) {
 fn poll_until_equal(http: &str, path: &str, expected: &[u8]) -> Vec<u8> {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (status, body) = http_get(http, path);
+        let (status, body) = get(http, path);
         if status == 200 && body == expected {
             return body;
         }
@@ -186,7 +176,7 @@ fn killed_shard_resumes_byte_exactly() {
     }
 
     // Liveness while the fold is mid-flight.
-    let (status, body) = http_get(&daemon.http, "/healthz");
+    let (status, body) = get(&daemon.http, "/healthz");
     assert_eq!((status, body.as_slice()), (200, b"ok\n".as_slice()));
 
     // Restart the dead shard from its spool: it claims the spooled
@@ -206,14 +196,14 @@ fn killed_shard_resumes_byte_exactly() {
 
     // Per-kind filtering matches a filtered render of the same fold.
     let expected_exact = render(fold.points().filter(|p| p.kind == "exact"));
-    let (status, body) = http_get(&daemon.http, "/hhh?kind=exact&all=1&state=1");
+    let (status, body) = get(&daemon.http, "/hhh?kind=exact&all=1&state=1");
     assert_eq!(status, 200);
     assert_eq!(body, expected_exact, "kind filter must render the same bytes per kind");
 
     // /metrics tells the story: every stream has lag/delivered series,
     // the restarted stream shows two connects, and no resume was
     // refused.
-    let (status, body) = http_get(&daemon.http, "/metrics");
+    let (status, body) = get(&daemon.http, "/metrics");
     assert_eq!(status, 200);
     let text = String::from_utf8(body).expect("metrics are utf-8");
     for needle in [
@@ -247,14 +237,14 @@ fn killed_shard_resumes_byte_exactly() {
 #[test]
 fn http_surface_rejects_what_it_should() {
     let daemon = spawn_daemon();
-    let (status, _) = http_get(&daemon.http, "/nope");
+    let (status, _) = get(&daemon.http, "/nope");
     assert_eq!(status, 404);
-    let (status, body) = http_get(&daemon.http, "/hhh?bogus=1");
+    let (status, body) = get(&daemon.http, "/hhh?bogus=1");
     assert_eq!(status, 400);
     assert!(String::from_utf8_lossy(&body).contains("bogus"));
-    let (status, _) = http_get(&daemon.http, "/hhh?threshold=0");
+    let (status, _) = get(&daemon.http, "/hhh?threshold=0");
     assert_eq!(status, 400);
     // An empty daemon answers /hhh with an empty body, not an error.
-    let (status, body) = http_get(&daemon.http, "/hhh");
+    let (status, body) = get(&daemon.http, "/hhh");
     assert_eq!((status, body.len()), (200, 0));
 }

@@ -1,6 +1,6 @@
 //! Minimal CSV output (hand-rolled on purpose: the only serialization
 //! this workspace needs is flat numeric tables, which does not justify
-//! a serde dependency — see DESIGN.md §7).
+//! a serde dependency).
 
 use std::io::{self, Write};
 

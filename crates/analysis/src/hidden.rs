@@ -1,7 +1,7 @@
 //! Hidden HHH analysis — the computation behind the paper's Figure 2.
 //!
-//! Definitions (normative; DESIGN.md §6 discusses the poster's
-//! ambiguity):
+//! Definitions (normative; the poster's count of hidden HHHs admits
+//! two readings, and both are computed):
 //!
 //! * **Distinct-prefix hidden fraction** (primary, what we attribute to
 //!   the paper's "% of the total number of the HHH"): let `U_slide` be

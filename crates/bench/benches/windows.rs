@@ -57,36 +57,14 @@ fn bench_windows(c: &mut Criterion) {
 
     // The sliding-window pkts/s scoreboard (criterion leg of the
     // `scale -- sliding` experiment): per-position cost of the sharded
-    // sliding engine under both cost models — the forced slot-order
-    // ring merge (the pre-incremental baseline) vs the default
-    // incremental rolling state — plus the non-retractable fallback
-    // kind and the window-native detector that pays no merges at all.
+    // sliding engine on a retractable kind (rolling window state) and
+    // a non-retractable one (slot-order ring merge), plus the
+    // window-native detector that pays no merges at all.
     let step = TimeSpan::from_millis(500);
     let mut g = c.benchmark_group("sliding_scoreboard");
     g.sample_size(10);
     g.throughput(Throughput::Elements(pkts.len() as u64));
 
-    g.bench_function("exact_ring_k2", |b| {
-        b.iter(|| {
-            black_box(
-                Pipeline::new(pkts.iter().copied())
-                    .engine(
-                        ShardedSliding::new(
-                            2,
-                            |_| ExactHhh::new(h),
-                            horizon,
-                            window,
-                            step,
-                            &t,
-                            |p| p.src,
-                        )
-                        .force_ring_merge(),
-                    )
-                    .collect()
-                    .run(),
-            )
-        })
-    });
     g.bench_function("exact_incr_k2", |b| {
         b.iter(|| {
             black_box(

@@ -155,8 +155,8 @@ pub trait MergeableDetector {
 
 /// Forwarding impl: a mutable borrow of a windowed detector is itself a
 /// windowed detector. This is what lets the `hhh-window` pipeline
-/// engines own their detector *or* borrow one from the caller (the
-/// legacy `run_*` signatures) through the same generic parameter.
+/// engines own their detector *or* borrow one from the caller through
+/// the same generic parameter.
 impl<H: Hierarchy, D: HhhDetector<H>> HhhDetector<H> for &mut D {
     fn observe(&mut self, item: H::Item, weight: u64) {
         (**self).observe(item, weight);

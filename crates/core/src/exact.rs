@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn discount_hides_covered_ancestors() {
-        // The worked example from the module docs of DESIGN.md §6.
+        // A worked example: covered ancestors are discounted away.
         let d = detector_with(&[
             ("10.1.1.1", 40),
             ("10.1.1.2", 30),

@@ -11,9 +11,9 @@
 //!
 //! This is a faithful but *lite* rendition: candidate tables are exact
 //! top-k by current estimate (the paper uses a heap; same content), and
-//! the G-sum recursion is implemented exactly as in the paper. The
-//! omissions are documented in DESIGN.md (no sketch merging across
-//! switches, no per-5-tuple app-level metrics).
+//! the G-sum recursion is implemented exactly as in the paper. Left
+//! out: sketch merging across switches and per-5-tuple app-level
+//! metrics.
 
 use hhh_sketches::hash::{hash_of, mix64};
 use hhh_sketches::CountSketch;

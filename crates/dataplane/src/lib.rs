@@ -26,8 +26,8 @@
 //! unconstrained `hhh-core`/`hhh-sketches` counterparts, and both
 //! report a [`ResourceReport`] — the §3 resource-utilization numbers.
 //!
-//! Emitting actual P4 source from the model is out of scope (DESIGN.md
-//! §9), as it was for the paper.
+//! Emitting actual P4 source from the model is out of scope, as it was
+//! for the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -146,7 +146,7 @@ impl DpHashPipe {
 /// All arithmetic is integer. Decay `2^(−elapsed/half_life)` is
 /// computed as a per-tick 0.32 fixed-point factor raised by
 /// square-and-multiply (≤ 48 wide multiplies — the model idealization
-/// of the lookup-table cascade a real target would use; DESIGN.md).
+/// of the lookup-table cascade a real target would use).
 /// Time is quantized to ticks (default 1 ms); the 24-bit tick counter
 /// covers ~4.6 h of trace at that tick, plenty for any workload here
 /// (wraparound is unhandled, documented).

@@ -1,5 +1,5 @@
 //! Ablations: the design choices behind the TDBF-HHH detector and
-//! RHHH, swept one knob at a time (DESIGN.md §6b calls these out).
+//! RHHH, swept one knob at a time.
 //!
 //! * **Half-life** — the windowless detector's one time constant. Too
 //!   short and borderline traffic decays below threshold before it can

@@ -24,8 +24,8 @@ use hhh_aggd::scenario::{self, KINDS};
 use hhh_aggd::{spawn_daemon, DaemonConfig};
 use hhh_analysis::{fmt_f, Table};
 use hhh_core::WireFormat;
-use hhh_window::{hello_frame, read_frame_from};
-use std::io::{BufReader, Read as _, Write as _};
+use hhh_window::{hello_frame, http_get, read_frame_from};
+use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -56,20 +56,6 @@ pub struct AggdRow {
 
 /// Query samples taken for the latency quantiles.
 const QUERY_SAMPLES: usize = 200;
-
-fn http_get(addr: &str, path: &str) -> (u16, Vec<u8>) {
-    let mut conn = TcpStream::connect(addr).expect("connect to daemon http");
-    write!(conn, "GET {path} HTTP/1.1\r\nHost: aggd\r\nConnection: close\r\n\r\n")
-        .expect("request writes");
-    let mut buf = Vec::new();
-    conn.read_to_end(&mut buf).expect("response reads");
-    let head_end =
-        buf.windows(4).position(|w| w == b"\r\n\r\n").expect("response has a header block") + 4;
-    let head = std::str::from_utf8(&buf[..head_end]).expect("headers are ASCII");
-    let status: u16 =
-        head.split_whitespace().nth(1).expect("status line").parse().expect("numeric status");
-    (status, buf[head_end..].to_vec())
-}
 
 /// Run the daemon e2e benchmark: K shards of every kind at `scale`.
 pub fn run_aggd(scale: Scale, k: usize) -> AggdRow {
@@ -150,7 +136,7 @@ pub fn run_aggd_on(
     let converge_start = Instant::now();
     let deadline = converge_start + Duration::from_secs(600);
     loop {
-        let (status, body) = http_get(&http_addr, "/hhh?all=1&state=1");
+        let (status, body) = http_get(&http_addr, "/hhh?all=1&state=1").expect("GET /hhh");
         if status == 200 && body == expected {
             break;
         }
@@ -164,7 +150,7 @@ pub fn run_aggd_on(
     let mut samples: Vec<f64> = (0..QUERY_SAMPLES)
         .map(|_| {
             let t = Instant::now();
-            let (status, body) = http_get(&http_addr, "/hhh?kind=exact");
+            let (status, body) = http_get(&http_addr, "/hhh?kind=exact").expect("GET /hhh");
             assert_eq!(status, 200);
             assert!(!body.is_empty(), "steady-state query must see the fold");
             t.elapsed().as_secs_f64() * 1e3

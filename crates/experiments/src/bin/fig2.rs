@@ -28,6 +28,6 @@ fn main() {
     println!(
         "\npaper's finding at this point: up to 34% hidden overall; 24–34% at the 1% \
          threshold and 18–24% at 5% (CAIDA Tier-1 traces; shapes, not absolutes, are \
-         expected to transfer to synthetic traffic — see EXPERIMENTS.md)"
+         expected to transfer to synthetic traffic)"
     );
 }

@@ -527,8 +527,8 @@ mod tests {
         assert!(exact.aligned.precision() > 0.999);
         // …and staleness between boundaries can only hurt, never help.
         // (At smoke scale the HHH set can be stable enough that the
-        // stale answer still matches; the Quick/Paper runs in
-        // EXPERIMENTS.md show the actual recall gap.)
+        // stale answer still matches; the quick and paper scales show
+        // the actual recall gap.)
         assert!(
             exact.overall.recall() <= exact.aligned.recall() + 1e-9,
             "staleness helped recall?! {} > {}",

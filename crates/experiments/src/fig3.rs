@@ -53,8 +53,7 @@ pub fn run(scale: Scale) -> Fig3Results {
     // granularity-dependent — every heavy subtree has a "transition"
     // level whose discounted residual sits marginally at the threshold,
     // and those members are the ones ms-scale window changes flip.
-    // (The 5-level byte hierarchy is much more robust; EXPERIMENTS.md
-    // quantifies both.)
+    // (The 5-level byte hierarchy is much more robust.)
     let hierarchy = Ipv4Hierarchy::bits();
     let ds = deltas();
     // Series 0 is the baseline; series 1 + i is delta i.

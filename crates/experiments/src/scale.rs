@@ -370,19 +370,13 @@ impl SlidingScoreboardResults {
 ///
 /// * `sliding-exact` — the single-threaded rolling-count engine
 ///   ([`SlidingExact`]), also the fidelity reference;
-/// * `shard/1` for the exact kind — [`ShardedSliding`] at one shard
-///   (the worker-rolling path; identical under either cost model);
-/// * `ring/4` for the exact kind — [`ShardedSliding`] with
-///   [`force_ring_merge`](ShardedSliding::force_ring_merge): the
-///   pre-incremental per-position cost (`shards` window-sized clones
-///   plus `shards − 1` window-sized merges at the aggregator),
-///   measured as the baseline;
-/// * `incr/4` for the exact kind — the same engine on its default
-///   incremental path (`O(shards)` *epoch*-sized merges per position
-///   plus one window-sized clone). `incr/4` vs `ring/4` is the
-///   ring-re-merge elimination at equal shard count;
-/// * `ring/1` for `ss-hhh` — a non-retractable kind, which only has
-///   the slot-order ring-merge fallback (`window/step` summary merges
+/// * `shard/1` and `incr/4` for the exact kind — [`ShardedSliding`] at
+///   one and four shards. The engine takes each cross-shard epoch
+///   (`shards` *epoch*-sized clones, `shards − 1` merges), merges it
+///   into its rolling window state and retracts the epoch leaving:
+///   per-position cost independent of the window/step ratio;
+/// * `ring/1` for `ss-hhh` — a non-retractable kind, which merges the
+///   engine's epoch ring in slot order (`window/step` summary merges
 ///   per position);
 /// * `native` for `memento` — the window-native [`MementoHhh`], whose
 ///   per-position cost is a query: the detector maintains its own
@@ -428,11 +422,10 @@ pub fn sliding_scoreboard(scale: Scale) -> SlidingScoreboardResults {
         jaccard_vs_reference: 1.0,
     });
 
-    // Exact kind through the sharded sliding engine: the one-shard
-    // path, then both cost models at four shards.
-    for (mode, k, forced) in [("shard/1", 1usize, false), ("ring/4", 4, true), ("incr/4", 4, false)]
-    {
-        let mut engine = ShardedSliding::new(
+    // Exact kind through the sharded sliding engine at one and four
+    // shards.
+    for (mode, k) in [("shard/1", 1usize), ("incr/4", 4)] {
+        let engine = ShardedSliding::new(
             k,
             |_shard| ExactHhh::new(h),
             horizon,
@@ -441,9 +434,6 @@ pub fn sliding_scoreboard(scale: Scale) -> SlidingScoreboardResults {
             &thresholds,
             |p: &PacketRecord| p.src,
         );
-        if forced {
-            engine = engine.force_ring_merge();
-        }
         let start = Instant::now();
         let sharded = Pipeline::new(packets.iter().copied()).engine(engine).collect().run();
         let secs = start.elapsed().as_secs_f64();
@@ -458,7 +448,7 @@ pub fn sliding_scoreboard(scale: Scale) -> SlidingScoreboardResults {
         });
     }
 
-    // A non-retractable kind: only the fallback ring merge exists.
+    // A non-retractable kind: the slot-order ring merge.
     {
         let start = Instant::now();
         let sharded = Pipeline::new(packets.iter().copied())

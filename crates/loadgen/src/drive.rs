@@ -28,10 +28,8 @@ use hhh_aggd::scenario::{
 use hhh_aggd::{spawn_daemon, DaemonConfig, DaemonHandle};
 use hhh_nettypes::Ipv4Prefix;
 use hhh_window::source::bounded;
-use hhh_window::{TcpTransport, TransportSink};
+use hhh_window::{http_get, TcpTransport, TransportSink};
 use std::collections::BTreeSet;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -89,30 +87,6 @@ pub struct ScenarioRun {
     pub kinds: Vec<KindScore>,
     /// HTTP-plane health over the run.
     pub scrapes: ScrapeStats,
-}
-
-/// Plain-text HTTP GET against the daemon: returns `(status, body)`.
-/// Transport errors are `Err` — the caller decides whether a torn
-/// connection is fatal (scrapes) or retryable (convergence polls).
-pub(crate) fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
-    let conn = |e: std::io::Error| format!("GET {path}: {e}");
-    let mut stream = TcpStream::connect(addr).map_err(conn)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10))).map_err(conn)?;
-    stream.set_write_timeout(Some(Duration::from_secs(10))).map_err(conn)?;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: loadgen\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .map_err(conn)?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(conn)?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("GET {path}: malformed status line"))?;
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Ok((status, body))
 }
 
 /// Timestamped samples of the prefixes `/hhh` served — the
@@ -218,6 +192,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &DriveOptions) -> Result<Scenario
     if status != 200 {
         return Err(format!("final metrics scrape: HTTP {status}"));
     }
+    let body = String::from_utf8_lossy(&body);
     let accept_errors_total = metric_value(&body, "aggd_http_accept_errors_total")
         .ok_or("aggd_http_accept_errors_total missing from /metrics")?;
     let scrapes = ScrapeStats {
@@ -271,7 +246,7 @@ fn drive_kind(
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 if let Ok((200, body)) = http_get(&addr, &path) {
-                    if let Ok(windows) = parse_report_windows(&body) {
+                    if let Ok(windows) = parse_report_windows(&String::from_utf8_lossy(&body)) {
                         let at = t0.elapsed().as_secs_f64();
                         let served: BTreeSet<Ipv4Prefix> =
                             windows.iter().flat_map(|w| w.prefixes.iter().copied()).collect();
@@ -333,7 +308,7 @@ fn drive_kind(
     let deadline = Instant::now() + opts.converge_timeout;
     let observed = loop {
         if let Ok((200, body)) = http_get(http_addr, &all_query) {
-            if let Ok(windows) = parse_report_windows(&body) {
+            if let Ok(windows) = parse_report_windows(&String::from_utf8_lossy(&body)) {
                 if windows.len() >= reference.len() {
                     break windows;
                 }
@@ -349,7 +324,9 @@ fn drive_kind(
         std::thread::sleep(opts.poll_interval);
     };
     while metric_value(
-        &http_get(http_addr, "/metrics").map_err(|e| format!("{label}: {e}"))?.1,
+        &String::from_utf8_lossy(
+            &http_get(http_addr, "/metrics").map_err(|e| format!("{label}: {e}"))?.1,
+        ),
         "aggd_points_dirty",
     )
     .is_none_or(|v| v > 0.0)

@@ -23,7 +23,7 @@
 //! time-to-mitigate is trace time from the earliest planted onset to
 //! the first planted-covering rule fire.
 
-use crate::drive::{http_get, DriveOptions};
+use crate::drive::DriveOptions;
 use crate::scenario::Scenario;
 use crate::score::{metric_value, stream_metric_value, MitigateKindScore};
 use hhh_aggd::scenario::{
@@ -33,7 +33,7 @@ use hhh_aggd::{spawn_daemon, DaemonConfig, DaemonHandle, MitigateConfig};
 use hhh_mitigate::{parse_policy_windows, GateTotals, PolicyConfig, PolicyEngine, TableGate};
 use hhh_nettypes::{Ipv4Prefix, Nanos, PacketRecord};
 use hhh_window::source::{bounded, Source};
-use hhh_window::{RuleFilter, TcpTransport, TransportSink};
+use hhh_window::{http_get, RuleFilter, TcpTransport, TransportSink};
 use std::time::Instant;
 
 /// One scenario's mitigation run across the requested kinds.
@@ -198,6 +198,7 @@ fn drive_kind(
         let deadline = Instant::now() + opts.converge_timeout;
         loop {
             let (code, body) = http_get(&target.http_addr, "/metrics")?;
+            let body = String::from_utf8_lossy(&body);
             if code == 200 {
                 let delivered = (0..k).all(|shard| {
                     stream_metric_value(&body, "aggd_stream_delivered", stream_id(kind, k, shard))
@@ -221,7 +222,8 @@ fn drive_kind(
         if code != 200 {
             return Err(format!("{label}: GET {all_query} -> {code}"));
         }
-        let reports = parse_policy_windows(&body).map_err(|e| format!("{label}: {e}"))?;
+        let reports = parse_policy_windows(&String::from_utf8_lossy(&body))
+            .map_err(|e| format!("{label}: {e}"))?;
         let fired_before = engine.fired_log().len();
         let mark = ingested_through;
         for report in reports.iter().filter(|r| r.end > mark && r.end <= window_end) {
@@ -260,7 +262,8 @@ fn drive_kind(
         return Err(format!("{label}: GET /rules -> {code} on a mitigation-enabled daemon"));
     }
     let (_, metrics_body) = http_get(&target.http_addr, "/metrics")?;
-    let daemon_rule_churn = metric_value(&metrics_body, "mitigate_rule_churn_total");
+    let daemon_rule_churn =
+        metric_value(&String::from_utf8_lossy(&metrics_body), "mitigate_rule_churn_total");
     if let Some(handle) = target.spawned {
         handle.shutdown();
     }

@@ -4,8 +4,7 @@
 
 use hhh_mitigate::{parse_policy_windows, rules_text, PolicyConfig, PolicyEngine};
 use hhh_nettypes::{Nanos, TimeSpan};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use hhh_window::http_get;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -37,24 +36,6 @@ rules options:
 fn fail(msg: &str) -> ExitCode {
     eprintln!("hhh-mitigate: {msg}");
     ExitCode::FAILURE
-}
-
-/// Minimal HTTP/1.1 GET, std only — the same shape the daemon's own
-/// tests use.
-fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-    let req = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(req.as_bytes()).map_err(|e| format!("send: {e}"))?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(|e| format!("read: {e}"))?;
-    let (head, body) = raw.split_once("\r\n\r\n").ok_or("malformed HTTP response")?;
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or("malformed status line")?;
-    Ok((status, body.to_string()))
 }
 
 fn main() -> ExitCode {
@@ -127,10 +108,13 @@ fn main() -> ExitCode {
             let path = if json { "/rules" } else { "/rules?text=1" };
             match http_get(&addr, path) {
                 Ok((200, body)) => {
-                    print!("{body}");
+                    print!("{}", String::from_utf8_lossy(&body));
                     ExitCode::SUCCESS
                 }
-                Ok((status, body)) => fail(&format!("{path} -> {status}: {}", body.trim_end())),
+                Ok((status, body)) => fail(&format!(
+                    "{path} -> {status}: {}",
+                    String::from_utf8_lossy(&body).trim_end()
+                )),
                 Err(e) => fail(&e),
             }
         }
@@ -163,7 +147,7 @@ fn watch(
     let mut polls = 0u64;
     loop {
         match http_get(addr, &path) {
-            Ok((200, body)) => match parse_policy_windows(&body) {
+            Ok((200, body)) => match parse_policy_windows(&String::from_utf8_lossy(&body)) {
                 Ok(windows) => {
                     let fired_before = engine.stats().fired;
                     let expired_before = engine.stats().expired;
@@ -182,6 +166,7 @@ fn watch(
                 Err(e) => eprintln!("hhh-mitigate: {e}"),
             },
             Ok((status, body)) => {
+                let body = String::from_utf8_lossy(&body);
                 eprintln!("hhh-mitigate: {path} -> {status}: {}", body.trim_end())
             }
             Err(e) => eprintln!("hhh-mitigate: {e}"),

@@ -9,7 +9,7 @@
 //!
 //! * **Classic pcap** ([`PcapReader`], [`PcapWriter`]): both byte
 //!   orders, microsecond and nanosecond timestamp resolutions, Ethernet
-//!   link type. pcap-ng is deliberately not supported (see DESIGN.md).
+//!   link type. pcap-ng is deliberately not supported.
 //! * **Header parsing** ([`parse`]): zero-copy views over Ethernet
 //!   (with 802.1Q VLAN), IPv4, IPv6, TCP and UDP headers, condensing a
 //!   frame into the [`PacketRecord`](hhh_nettypes::PacketRecord) that

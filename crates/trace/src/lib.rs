@@ -1,8 +1,7 @@
 //! # hhh-trace
 //!
 //! Synthetic traffic generation: the workspace's stand-in for the CAIDA
-//! equinix-chicago traces the paper analysed (proprietary; see
-//! DESIGN.md §2 for the substitution argument).
+//! equinix-chicago traces the paper analysed (proprietary).
 //!
 //! The generator reproduces the traffic *properties* the paper's
 //! experiments actually measure:

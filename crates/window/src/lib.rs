@@ -23,11 +23,12 @@
 //!   windowless detector at arbitrary instants; and the multi-core
 //!   [`ShardedDisjoint`], [`ShardedSliding`] and [`ShardedContinuous`]
 //!   hash-partition the stream by key across worker threads and merge
-//!   shard states at report points ([`sharded`] holds the thread
-//!   pools); [`FoldSnapshots`] consumes *snapshots* instead of packets
-//!   and folds every report point's states with the round-trip codec —
-//!   cross-process aggregation as a pipeline stage (the `hhh-agg`
-//!   crate drives the same fold over many streams).
+//!   shard states at report points ([`sharded`] holds the one worker
+//!   pool all three share: one detector per worker); [`FoldSnapshots`]
+//!   consumes *snapshots* instead of packets and folds every report
+//!   point's states with the round-trip codec — cross-process
+//!   aggregation as a pipeline stage (the `hhh-agg` crate drives the
+//!   same fold over many streams).
 //! * **Sinks** ([`sink`]) — collect to `Vec`s ([`CollectSink`]),
 //!   stream into a closure ([`FnSink`]), or write the snapshot wire
 //!   stream — serialized merged-detector state for cross-process
@@ -42,10 +43,6 @@
 //!   Frames carry detectors' **native** encodes (`FrameEncode`) — no
 //!   JSON between a shard's state and the aggregator's fold.
 //!
-//! The pre-pipeline `run_*` drivers survive in [`driver`] as thin
-//! deprecated wrappers (the module docs there have the migration
-//! table).
-//!
 //! ## Exactness of the sliding engines
 //!
 //! When the step divides the window length, a sliding window is a union
@@ -53,16 +50,15 @@
 //! *exact* per-position HHH sets with one pass over the trace and
 //! O(window/step) rolling state — no approximation anywhere. The
 //! paper's 5/10/20 s windows with a 1 s step satisfy this; the engines
-//! assert it. [`ShardedSliding`] runs the same epoch decomposition as
-//! a ring of mergeable detectors per shard, which makes the sliding
-//! schedule multi-core for *any* mergeable detector — and
-//! report-for-report identical to [`SlidingExact`] when the detectors
-//! are exact.
+//! assert it. [`ShardedSliding`] runs the same epoch decomposition
+//! over one ring of cross-shard epoch states kept in the engine, which
+//! makes the sliding schedule multi-core for *any* mergeable detector —
+//! and report-for-report identical to [`SlidingExact`] when the
+//! detectors are exact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
 pub mod filter;
 pub mod geometry;
 pub mod pipeline;
@@ -78,10 +74,7 @@ pub use pipeline::{
     ShardedDisjoint, ShardedSliding, SlidingExact,
 };
 pub use report::{PrefixSet, WindowReport};
-pub use sharded::{
-    shard_of, with_continuous_shards, with_shards, with_sliding_shards, ContinuousShardPool,
-    ShardPool, SlidingShardPool, DEFAULT_BATCH,
-};
+pub use sharded::{shard_of, with_shards, Observation, ShardPool, DEFAULT_BATCH};
 pub use sink::{
     render_report_line, CollectSink, FnSink, JsonSnapshotSink, ReportSink, SnapshotSink,
 };
@@ -90,11 +83,8 @@ pub use source::{
     StreamRecord, DEFAULT_CHUNK,
 };
 pub use transport::{
-    ack_frame, hello_frame, mem_transport, parse_ack, read_frame_from, resume_hello_frame,
-    FileTransport, FrameHub, FrameRead, FrameSpool, FrameStream, FrameWrite, HubEvent, HubHandle,
-    MemFrameReader, MemFrameWriter, TcpFrameListener, TcpTransport, TransportError, TransportSink,
-    TransportSource, ACK_KIND, HELLO_KIND,
+    ack_frame, hello_frame, http_get, mem_transport, parse_ack, read_frame_from,
+    resume_hello_frame, FileTransport, FrameHub, FrameRead, FrameSpool, FrameStream, FrameWrite,
+    HubEvent, HubHandle, MemFrameReader, MemFrameWriter, TcpFrameListener, TcpTransport,
+    TransportError, TransportSink, TransportSource, ACK_KIND, HELLO_KIND,
 };
-
-#[allow(deprecated)]
-pub use sharded::run_sharded_disjoint;

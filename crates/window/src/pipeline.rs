@@ -1,7 +1,7 @@
 //! The unified pipeline: **source → engine → sink**.
 //!
-//! One composable abstraction replaces the five `run_*` driver
-//! functions. A [`Pipeline`] is built in three steps:
+//! One composable abstraction runs every window model. A [`Pipeline`]
+//! is built in three steps:
 //!
 //! ```
 //! use hhh_core::{ExactHhh, Threshold};
@@ -48,7 +48,7 @@
 //! zero buffering while the stream is still flowing.
 
 use crate::report::WindowReport;
-use crate::sharded::{with_continuous_shards, with_shards, with_sliding_shards, DEFAULT_BATCH};
+use crate::sharded::{with_shards, ShardPool, DEFAULT_BATCH};
 use crate::sink::{CollectSink, ReportSink};
 use crate::source::Source;
 use hhh_core::{
@@ -84,6 +84,30 @@ fn emit_state<P, D: MergeableDetector, K: ReportSink<P>>(
     if let Some(snap) = detector.snapshot() {
         sink.state(start, at, &snap);
     }
+}
+
+/// Deliver a merged windowed detector at a report point: one report per
+/// threshold (series order), then its state ([`emit_state`]). Shared
+/// by the windowed sharded engines.
+fn emit_window<H, D, K>(
+    sink: &mut K,
+    thresholds: &[Threshold],
+    detector: &D,
+    index: u64,
+    start: Nanos,
+    end: Nanos,
+) where
+    H: Hierarchy,
+    D: HhhDetector<H> + MergeableDetector,
+    K: ReportSink<H::Prefix>,
+{
+    for (ti, t) in thresholds.iter().enumerate() {
+        sink.accept(
+            ti,
+            WindowReport { index, start, end, total: detector.total(), hhhs: detector.report(*t) },
+        );
+    }
+    emit_state(sink, detector, start, end);
 }
 
 /// A fully described run: where packets come from, what computes on
@@ -833,39 +857,17 @@ where
         let n_windows = self.horizon / self.window;
         let window = self.window;
         let thresholds = &self.thresholds;
-        let batch = self.batch;
         let measure = self.measure;
         let key = &self.key;
 
-        with_shards(self.detectors, |pool| {
-            let mut pending: Vec<(H::Item, u64)> = Vec::with_capacity(batch);
+        with_shards(self.detectors, self.batch, |pool| {
             let mut cur: u64 = 0;
-
-            let flush_window = |cur: u64,
-                                pending: &mut Vec<(H::Item, u64)>,
-                                pool: &mut crate::sharded::ShardPool<H, D>,
-                                sink: &mut K| {
-                if !pending.is_empty() {
-                    pool.observe_batch(pending);
-                    pending.clear();
-                }
-                let merged = pool.merged_snapshot();
-                let end = Nanos::ZERO + window * (cur + 1);
-                for (ti, t) in thresholds.iter().enumerate() {
-                    sink.accept(
-                        ti,
-                        WindowReport {
-                            index: cur,
-                            start: Nanos::ZERO + window * cur,
-                            end,
-                            total: merged.total(),
-                            hhhs: merged.report(*t),
-                        },
-                    );
-                }
-                emit_state(sink, &merged, Nanos::ZERO + window * cur, end);
-                pool.reset();
-            };
+            let flush_window =
+                |cur: u64, pool: &mut ShardPool<'_, H, (H::Item, u64), D>, sink: &mut K| {
+                    let start = Nanos::ZERO + window * cur;
+                    emit_window(sink, thresholds, &pool.merged(), cur, start, start + window);
+                    pool.reset();
+                };
 
             for_each_item(source, |p| {
                 let w = p.ts.bin_index(window);
@@ -873,18 +875,14 @@ where
                     return false; // time-sorted stream; the rest is partial tail
                 }
                 while cur < w {
-                    flush_window(cur, &mut pending, pool, sink);
+                    flush_window(cur, pool, sink);
                     cur += 1;
                 }
-                pending.push((key(&p), measure.weight(&p)));
-                if pending.len() >= batch {
-                    pool.observe_batch(&pending);
-                    pending.clear();
-                }
+                pool.push((key(&p), measure.weight(&p)));
                 true
             });
             while cur < n_windows {
-                flush_window(cur, &mut pending, pool, sink);
+                flush_window(cur, pool, sink);
                 cur += 1;
             }
         });
@@ -897,9 +895,11 @@ where
 
 /// Sharded counterpart of [`SlidingExact`], generalized to **any
 /// mergeable windowed detector**: a sliding window whose step divides
-/// its length is a union of whole epochs, so each shard keeps a ring
-/// of `window/step` detectors (one per in-window epoch) and the state
-/// at any position is the merge of all rings across all shards.
+/// its length is a union of whole epochs. Each shard worker owns one
+/// detector; at every epoch boundary the engine takes the cross-shard
+/// epoch (the shard states merged, then reset) and keeps the last
+/// `window/step` of them in one ring, so the state at any position is
+/// the merge of the ring.
 ///
 /// With [`ExactHhh`](hhh_core::ExactHhh) shard detectors the output is
 /// report-for-report identical to [`SlidingExact`]; approximate
@@ -908,33 +908,27 @@ where
 ///
 /// ## Per-position cost
 ///
-/// The engine never re-merges the whole ring per position when the
-/// detector kind supports [`retract`](MergeableDetector::retract) (the
-/// exact kinds). It maintains one cross-shard **rolling** state — the
-/// merge of every closed in-window epoch — and each step touches only
-/// the epoch delta: workers hand back the *epoch that just closed*
-/// (epoch-sized, `step/window` of the window state), which is merged
-/// in; the epoch sliding out of the window is retracted. Per position
-/// that is `O(shards)` epoch-sized merges plus one window-sized clone
-/// for the report — down from the naive `shards × window/step`
-/// window-sized merges, and independent of the window/step ratio.
-///
-/// At one shard the engine skips the cross-shard state: the worker's
-/// own rolling detector already answers a window request in O(1)
-/// window-sized ops and the reply is moved, not merged.
+/// Taking an epoch costs `shards` epoch-sized clones and `shards − 1`
+/// epoch-sized merges (epoch-sized: `step/window` of the window state).
+/// When the detector kind supports
+/// [`retract`](MergeableDetector::retract) (the exact kinds), the
+/// engine also keeps one **rolling** window state: the new epoch is
+/// merged in, the rolling state reports, and the epoch sliding out of
+/// the window is retracted — two epoch-sized operations per position,
+/// independent of the window/step ratio.
 ///
 /// Detectors without `retract` (the lossy summaries, where merge order
-/// matters) keep the full slot-order ring merge per position,
-/// preserving their byte-for-byte report stability.
+/// matters) merge the ring in slot order per position (epoch `e` sits
+/// in slot `e mod window/step`), which keeps their reports
+/// byte-for-byte stable.
 pub struct ShardedSliding<H, D, F> {
-    rings: Vec<Vec<D>>,
+    detectors: Vec<D>,
     horizon: TimeSpan,
     window: TimeSpan,
     step: TimeSpan,
     thresholds: Vec<Threshold>,
     batch: usize,
     measure: Measure,
-    force_ring_merge: bool,
     key: F,
     _hierarchy: PhantomData<H>,
 }
@@ -945,9 +939,9 @@ where
     D: HhhDetector<H> + MergeableDetector + Clone + Send,
     F: Fn(&PacketRecord) -> H::Item,
 {
-    /// `shards` shard rings of `window/step` detectors each, every
-    /// detector built by `make(shard_index)` (identically configured —
-    /// per-shard seeds are fine, the merge contracts allow it).
+    /// `shards` shard detectors, each built by `make(shard_index)`
+    /// (identically configured — per-shard seeds are fine, the merge
+    /// contracts allow it).
     pub fn new(
         shards: usize,
         make: impl Fn(usize) -> D,
@@ -961,30 +955,17 @@ where
         assert!(!step.is_zero() && !window.is_zero(), "window and step must be non-zero");
         assert!(window % step == TimeSpan::ZERO, "step must divide the window length exactly");
         assert!(window <= horizon, "window longer than the horizon");
-        let epw = (window / step) as usize;
-        let rings = (0..shards).map(|s| (0..epw).map(|_| make(s)).collect()).collect();
         ShardedSliding {
-            rings,
+            detectors: (0..shards).map(make).collect(),
             horizon,
             window,
             step,
             thresholds: thresholds.to_vec(),
             batch: DEFAULT_BATCH,
             measure: Measure::Bytes,
-            force_ring_merge: false,
             key,
             _hierarchy: PhantomData,
         }
-    }
-
-    /// Take the full slot-order ring merge at every position even for
-    /// retractable kinds — the pre-incremental cost model. A
-    /// **measurement knob**: the reports are identical either way (the
-    /// parity tests pin both paths), this only exists so benchmarks can
-    /// quantify what the incremental rolling state saves.
-    pub fn force_ring_merge(mut self) -> Self {
-        self.force_ring_merge = true;
-        self
     }
 
     /// Packets per scatter batch (default
@@ -1025,90 +1006,59 @@ where
         let n_epochs = self.horizon / self.step;
         let (window, step) = (self.window, self.step);
         let thresholds = &self.thresholds;
-        let batch = self.batch;
         let measure = self.measure;
         let key = &self.key;
 
-        // Probe invertibility once, on an empty detector (kinds either
-        // always or never support retraction). When supported, `empty`
-        // seeds the engine's cross-shard rolling state. At one shard
-        // the worker's own rolling state already answers a window
-        // request in O(1) window-sized ops and the reply is moved, not
-        // merged — a cross-shard rolling state could only add work, so
-        // the engine maintains one only when there are shard states to
-        // fold.
-        let shards = self.rings.len();
-        let mut empty = self.rings[0][0].clone();
+        // Probe retract support once, on an empty detector (kinds
+        // either always or never support it). When supported, the empty
+        // detector seeds the rolling window state.
+        let mut empty = self.detectors[0].clone();
         empty.reset();
-        let incremental = shards > 1 && !self.force_ring_merge && {
-            let probe = empty.clone();
-            empty.retract(&probe)
-        };
+        let probe = empty.clone();
+        let mut rolling = empty.retract(&probe).then_some(empty);
 
-        with_sliding_shards(self.rings, |pool| {
-            let mut pending: Vec<(H::Item, u64)> = Vec::with_capacity(batch);
+        with_shards(self.detectors, self.batch, |pool| {
+            // The cross-shard epochs of the current window; epoch `e`
+            // sits in slot `e % epw`.
+            let mut ring: Vec<D> = Vec::with_capacity(epw as usize);
             let mut cur_epoch: u64 = 0;
-            // Incremental path state: `rolling` is the merge of every
-            // closed in-window epoch across all shards; `closed` holds
-            // those cross-shard epoch states so the one sliding out of
-            // the window can be retracted.
-            let mut rolling = empty;
-            let mut closed: VecDeque<D> = VecDeque::with_capacity(epw as usize);
 
-            let emit = |cur_epoch: u64, merged: &D, sink: &mut K| {
-                let position = cur_epoch + 1 - epw;
-                let end = Nanos::ZERO + step * position + window;
-                for (ti, t) in thresholds.iter().enumerate() {
-                    sink.accept(
-                        ti,
-                        WindowReport {
-                            index: position,
-                            start: Nanos::ZERO + step * position,
-                            end,
-                            total: merged.total(),
-                            hhhs: merged.report(*t),
-                        },
-                    );
-                }
-                emit_state(sink, merged, Nanos::ZERO + step * position, end);
-            };
-
-            let boundary = |cur_epoch: u64,
-                            pending: &mut Vec<(H::Item, u64)>,
-                            pool: &mut crate::sharded::SlidingShardPool<H, D>,
+            let boundary = |e: u64,
+                            pool: &mut ShardPool<'_, H, (H::Item, u64), D>,
                             sink: &mut K,
-                            rolling: &mut D,
-                            closed: &mut VecDeque<D>| {
-                if !pending.is_empty() {
-                    pool.observe_batch(pending);
-                    pending.clear();
+                            ring: &mut Vec<D>,
+                            rolling: &mut Option<D>| {
+                let epoch = pool.merged();
+                pool.reset();
+                if let Some(r) = rolling.as_mut() {
+                    r.merge(&epoch);
                 }
-                let report = cur_epoch + 1 >= epw;
-                if incremental {
-                    // O(shards) epoch-sized merges: harvest the epoch
-                    // that just closed (workers rotate as part of the
-                    // same message) and fold it into the rolling state,
-                    // which then *is* the window state — report from it
-                    // by reference (no window-sized clone), and only
-                    // then retract the epoch sliding out.
-                    let epoch = pool.close_epoch();
-                    rolling.merge(&epoch);
-                    closed.push_back(epoch);
-                    if report {
-                        emit(cur_epoch, rolling, sink);
-                    }
-                    if closed.len() as u64 == epw {
-                        let old = closed.pop_front().expect("just checked non-empty");
-                        let ok = rolling.retract(&old);
+                let slot = (e % epw) as usize;
+                if slot == ring.len() {
+                    ring.push(epoch);
+                } else {
+                    ring[slot] = epoch;
+                }
+                if e + 1 < epw {
+                    return;
+                }
+                let position = e + 1 - epw;
+                let start = Nanos::ZERO + step * position;
+                match rolling {
+                    Some(r) => {
+                        // The rolling state is the window: report from
+                        // it, then retract the epoch sliding out.
+                        emit_window(sink, thresholds, r, position, start, start + window);
+                        let ok = r.retract(&ring[((e + 1) % epw) as usize]);
                         debug_assert!(ok, "retract support cannot change mid-run");
                     }
-                } else {
-                    // Non-retractable fallback: full slot-order ring
-                    // merge (stable for lossy summaries), then rotate.
-                    if report {
-                        emit(cur_epoch, &pool.merged_window(), sink);
+                    None => {
+                        let mut merged = ring[0].clone();
+                        for d in &ring[1..] {
+                            merged.merge(d);
+                        }
+                        emit_window(sink, thresholds, &merged, position, start, start + window);
                     }
-                    pool.advance();
                 }
             };
 
@@ -1118,18 +1068,14 @@ where
                     return false;
                 }
                 while cur_epoch < e {
-                    boundary(cur_epoch, &mut pending, pool, sink, &mut rolling, &mut closed);
+                    boundary(cur_epoch, pool, sink, &mut ring, &mut rolling);
                     cur_epoch += 1;
                 }
-                pending.push((key(&p), measure.weight(&p)));
-                if pending.len() >= batch {
-                    pool.observe_batch(&pending);
-                    pending.clear();
-                }
+                pool.push((key(&p), measure.weight(&p)));
                 true
             });
             while cur_epoch < n_epochs {
-                boundary(cur_epoch, &mut pending, pool, sink, &mut rolling, &mut closed);
+                boundary(cur_epoch, pool, sink, &mut ring, &mut rolling);
                 cur_epoch += 1;
             }
         });
@@ -1219,52 +1165,41 @@ where
     ) {
         let probes = &self.probes;
         let threshold = self.threshold;
-        let batch = self.batch;
         let measure = self.measure;
         let key = &self.key;
 
-        with_continuous_shards(self.detectors, |pool| {
-            let mut pending: Vec<(Nanos, H::Item, u64)> = Vec::with_capacity(batch);
+        with_shards(self.detectors, self.batch, |pool| {
             let mut next = 0usize;
-
             let probe = |next: usize,
-                         pending: &mut Vec<(Nanos, H::Item, u64)>,
-                         pool: &mut crate::sharded::ContinuousShardPool<H, C>,
+                         pool: &mut ShardPool<'_, H, (Nanos, H::Item, u64), C>,
                          sink: &mut K| {
-                if !pending.is_empty() {
-                    pool.observe_batch(pending);
-                    pending.clear();
-                }
-                let merged = pool.merged_snapshot();
+                let merged = pool.merged();
+                let at = probes[next];
                 sink.accept(
                     0,
                     WindowReport {
                         index: next as u64,
-                        start: probes[next],
-                        end: probes[next],
-                        total: merged.decayed_total(probes[next]) as u64,
-                        hhhs: merged.report_at(probes[next], threshold),
+                        start: at,
+                        end: at,
+                        total: merged.decayed_total(at) as u64,
+                        hhhs: merged.report_at(at, threshold),
                     },
                 );
                 // Windowless probe: the state covers "now"; start and
                 // report point coincide.
-                emit_state(sink, &merged, probes[next], probes[next]);
+                emit_state(sink, &merged, at, at);
             };
 
             for_each_item(source, |p| {
                 while next < probes.len() && probes[next] <= p.ts {
-                    probe(next, &mut pending, pool, sink);
+                    probe(next, pool, sink);
                     next += 1;
                 }
-                pending.push((p.ts, key(&p), measure.weight(&p)));
-                if pending.len() >= batch {
-                    pool.observe_batch(&pending);
-                    pending.clear();
-                }
+                pool.push((p.ts, key(&p), measure.weight(&p)));
                 true
             });
             while next < probes.len() {
-                probe(next, &mut pending, pool, sink);
+                probe(next, pool, sink);
                 next += 1;
             }
         });
@@ -1412,5 +1347,212 @@ where
         if let Some(prev) = at {
             flush(&mut ordinals, prev, &mut folds, sink);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hhh_core::{ExactHhh, TdbfHhh, TdbfHhhConfig};
+    use hhh_hierarchy::Ipv4Hierarchy;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn h() -> Ipv4Hierarchy {
+        Ipv4Hierarchy::bytes()
+    }
+
+    /// A deterministic pseudo-random packet stream over `secs` seconds.
+    fn stream(secs: u64, pps: u64, seed: u64) -> Vec<PacketRecord> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = secs * pps;
+        (0..n)
+            .map(|i| {
+                let ts = Nanos::from_nanos(i * 1_000_000_000 / pps + rng.gen_range(0..1000));
+                let src: u32 = if rng.gen::<f64>() < 0.3 {
+                    0x0A010101 // persistent heavy
+                } else {
+                    (rng.gen_range(10u32..50) << 24) | rng.gen_range(0..4096)
+                };
+                PacketRecord::new(ts, src, 1, 100 + rng.gen_range(0..900))
+            })
+            .collect()
+    }
+
+    /// Brute force: exact HHH of packets in [start, end).
+    fn brute(pkts: &[PacketRecord], start: Nanos, end: Nanos, t: Threshold) -> (u64, Vec<String>) {
+        let mut d = ExactHhh::new(h());
+        for p in pkts.iter().filter(|p| p.ts >= start && p.ts < end) {
+            HhhDetector::<Ipv4Hierarchy>::observe(&mut d, p.src, p.wire_len as u64);
+        }
+        let mut v: Vec<String> = d.report(t).iter().map(|r| r.prefix.to_string()).collect();
+        v.sort();
+        (HhhDetector::<Ipv4Hierarchy>::total(&d), v)
+    }
+
+    fn names(r: &WindowReport<hhh_nettypes::Ipv4Prefix>) -> Vec<String> {
+        let mut v: Vec<String> = r.hhhs.iter().map(|x| x.prefix.to_string()).collect();
+        v.sort();
+        v
+    }
+
+    fn disjoint(
+        pkts: &[PacketRecord],
+        horizon: TimeSpan,
+        window: TimeSpan,
+        thresholds: &[Threshold],
+    ) -> Vec<Vec<WindowReport<hhh_nettypes::Ipv4Prefix>>> {
+        let mut det = ExactHhh::new(h());
+        Pipeline::new(pkts.iter().copied())
+            .engine(Disjoint::new(&mut det, horizon, window, thresholds, |p| p.src))
+            .collect()
+            .run()
+    }
+
+    #[test]
+    fn disjoint_matches_brute_force() {
+        let pkts = stream(12, 400, 1);
+        let t = Threshold::percent(5.0);
+        let reports = disjoint(&pkts, TimeSpan::from_secs(12), TimeSpan::from_secs(5), &[t]);
+        assert_eq!(reports.len(), 1);
+        let reports = &reports[0];
+        assert_eq!(reports.len(), 2, "12 s / 5 s = 2 complete windows");
+        for r in reports {
+            let (total, truth) = brute(&pkts, r.start, r.end, t);
+            assert_eq!(r.total, total, "window {} total", r.index);
+            assert_eq!(names(r), truth, "window {} HHH set", r.index);
+        }
+    }
+
+    #[test]
+    fn sliding_matches_brute_force() {
+        let pkts = stream(10, 300, 2);
+        let h = h();
+        let t = Threshold::percent(5.0);
+        let reports = Pipeline::new(pkts.iter().copied())
+            .engine(SlidingExact::new(
+                &h,
+                TimeSpan::from_secs(10),
+                TimeSpan::from_secs(4),
+                TimeSpan::from_secs(1),
+                &[t],
+                |p| p.src,
+            ))
+            .collect()
+            .run();
+        let reports = &reports[0];
+        assert_eq!(reports.len(), 7, "(10−4)/1 + 1 positions");
+        for r in reports {
+            let (total, truth) = brute(&pkts, r.start, r.end, t);
+            assert_eq!(r.total, total, "position {} total", r.index);
+            assert_eq!(names(r), truth, "position {} HHH set", r.index);
+        }
+    }
+
+    #[test]
+    fn sliding_first_position_aligned_with_disjoint() {
+        let pkts = stream(10, 200, 3);
+        let h = h();
+        let horizon = TimeSpan::from_secs(10);
+        let window = TimeSpan::from_secs(5);
+        let t = Threshold::percent(10.0);
+        let disj = disjoint(&pkts, horizon, window, &[t]);
+        let slid = Pipeline::new(pkts.iter().copied())
+            // step = window: sliding == disjoint
+            .engine(SlidingExact::new(&h, horizon, window, window, &[t], |p| p.src))
+            .collect()
+            .run();
+        assert_eq!(disj[0].len(), slid[0].len());
+        for (d, s) in disj[0].iter().zip(&slid[0]) {
+            assert_eq!(d.total, s.total);
+            assert_eq!(names(d), names(s));
+        }
+    }
+
+    #[test]
+    fn multiple_thresholds_one_pass() {
+        let pkts = stream(6, 300, 4);
+        let ts = [Threshold::percent(1.0), Threshold::percent(5.0), Threshold::percent(10.0)];
+        let reports = disjoint(&pkts, TimeSpan::from_secs(6), TimeSpan::from_secs(3), &ts);
+        assert_eq!(reports.len(), 3);
+        // Lower thresholds report supersets.
+        for ((r1, r5), _r10) in reports[0].iter().zip(&reports[1]).zip(&reports[2]) {
+            let p1 = r1.prefix_set();
+            let p5 = r5.prefix_set();
+            assert!(r1.len() >= r5.len());
+            // Threshold monotonicity of HHH counts, not necessarily of
+            // the sets themselves (discounting can promote ancestors);
+            // at minimum the level-0 heavies at 5% appear at 1%.
+            for p in &p5 {
+                if r5.hhhs.iter().any(|r| r.prefix == *p && r.level == 0) {
+                    assert!(p1.contains(p), "5% host HHH missing at 1%");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn microvaried_matches_brute_force() {
+        let pkts = stream(9, 500, 5);
+        let h = h();
+        let base = TimeSpan::from_secs(3);
+        let deltas =
+            [TimeSpan::from_millis(100), TimeSpan::from_millis(40), TimeSpan::from_millis(10)];
+        let t = Threshold::percent(5.0);
+        let series = Pipeline::new(pkts.iter().copied())
+            .engine(MicroVaried::new(&h, TimeSpan::from_secs(9), base, &deltas, t, |p| p.src))
+            .collect()
+            .run();
+        // Series 0 is the baseline, series 1 + i the i-th delta.
+        assert_eq!(series.len(), 1 + deltas.len());
+        assert_eq!(series[0].len(), 3);
+        for (k, b) in series[0].iter().enumerate() {
+            let (total, truth) = brute(&pkts, b.start, b.end, t);
+            assert_eq!(b.total, total);
+            assert_eq!(names(b), truth, "baseline window {k}");
+        }
+        for (delta, reports) in deltas.iter().zip(&series[1..]) {
+            for r in reports {
+                let (total, truth) = brute(&pkts, r.start, r.end, t);
+                assert_eq!(r.total, total, "delta {delta} window {}", r.index);
+                assert_eq!(names(r), truth, "delta {delta} window {}", r.index);
+                assert_eq!(r.end - r.start, base - *delta);
+            }
+        }
+    }
+
+    #[test]
+    fn continuous_probes_in_order() {
+        let pkts = stream(10, 200, 6);
+        let probes: Vec<Nanos> = (1..10).map(Nanos::from_secs).collect();
+        let mut det = TdbfHhh::new(
+            h(),
+            TdbfHhhConfig { half_life: TimeSpan::from_secs(2), ..TdbfHhhConfig::default() },
+        );
+        let reports = Pipeline::new(pkts.iter().copied())
+            .engine(Continuous::new(&mut det, &probes, Threshold::percent(10.0), |p| p.src))
+            .collect()
+            .run()
+            .remove(0);
+        assert_eq!(reports.len(), 9);
+        // The persistent 30% source must appear once decay has settled.
+        let hits = reports
+            .iter()
+            .skip(2)
+            .filter(|r| r.hhhs.iter().any(|x| x.prefix.to_string() == "10.1.1.1/32"))
+            .count();
+        assert!(hits >= 6, "persistent heavy found in only {hits}/7 probes");
+    }
+
+    #[test]
+    fn empty_stream_yields_empty_windows() {
+        let reports = disjoint(
+            &[],
+            TimeSpan::from_secs(10),
+            TimeSpan::from_secs(2),
+            &[Threshold::percent(5.0)],
+        );
+        assert_eq!(reports[0].len(), 5);
+        assert!(reports[0].iter().all(|r| r.total == 0 && r.is_empty()));
     }
 }

@@ -1,5 +1,5 @@
-//! Sharded multi-core ingestion: hash-partition a packet stream by key
-//! into `K` shard detectors on their own threads, feed them
+//! Sharded multi-core ingestion: hash-partition a stream by key into
+//! `K` shard detectors on their own threads, feed them
 //! batch-at-a-time, and merge shard states at report points.
 //!
 //! This is the execution model RHHH and MVPipe argue line-rate HHH
@@ -10,23 +10,32 @@
 //! * partitioning is **by key**, so each shard sees a disjoint
 //!   sub-stream — exactly the precondition the merge contracts demand;
 //! * an exact detector merged across shards is bit-identical to one
-//!   detector fed the whole stream, so [`run_sharded_disjoint`] with
+//!   detector fed the whole stream, so
+//!   [`ShardedDisjoint`](crate::ShardedDisjoint) with
 //!   [`ExactHhh`](hhh_core::ExactHhh) reproduces
-//!   [`run_disjoint`](crate::driver::run_disjoint) verbatim;
+//!   [`Disjoint`](crate::Disjoint) verbatim;
 //! * approximate detectors keep their error bounds, additively.
 //!
+//! One pool ([`ShardPool`], entered through [`with_shards`]) serves all
+//! three sharded engines. Each worker owns exactly one detector and
+//! answers three requests: observe a batch, send back a clone of its
+//! state, reset. Whatever a schedule needs beyond that — the sliding
+//! engine's ring of epochs — lives in the engine, once.
+//!
 //! The worker protocol is deliberately dumb (one `mpsc` channel per
-//! shard, FIFO): a [`Msg::Batch`] is followed eventually by a
-//! [`Msg::Snapshot`], and FIFO ordering makes the snapshot observe
-//! every batch sent before it — no barriers, no shared state, no
-//! unsafe.
+//! shard, FIFO). The pool buffers pushed observations and scatters
+//! them a batch at a time; every request flushes the buffer first, so
+//! FIFO ordering makes a state request observe every observation
+//! pushed before it — no barriers, no shared state, no unsafe. A
+//! worker that panics fails the pipeline with its own panic message.
 
-use crate::report::WindowReport;
-use hhh_core::{ContinuousDetector, HhhDetector, MergeableDetector, Threshold};
+use hhh_core::{ContinuousDetector, HhhDetector, MergeableDetector};
 use hhh_hierarchy::Hierarchy;
-use hhh_nettypes::{Measure, Nanos, PacketRecord, TimeSpan};
+use hhh_nettypes::Nanos;
 use hhh_sketches::hash::hash_of;
+use std::marker::PhantomData;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::ScopedJoinHandle;
 
 /// Default packets per batch: big enough to amortize the channel
 /// hand-off and the batched detectors' per-batch setup, small enough to
@@ -54,502 +63,258 @@ pub fn shard_of<T: core::hash::Hash>(item: &T, shards: usize) -> usize {
     ((hash_of(item, SHARD_SEED) as u128 * shards as u128) >> 64) as usize
 }
 
-/// Scatter `batch` into per-shard buffers by `shard_key` and send each
-/// non-empty sub-batch to its worker, wrapped by `wrap`. The shared
-/// scatter pass of every pool: one shard skips the scatter entirely;
-/// otherwise filled buffers are handed to workers and replaced with
-/// same-capacity empties, so steady-state scattering never reallocates.
-fn scatter_to_workers<T: Copy, M>(
-    senders: &[Sender<M>],
-    scatter: &mut [Vec<T>],
-    batch: &[T],
-    shard_key: impl Fn(&T, usize) -> usize,
-    wrap: impl Fn(Vec<T>) -> M,
-) {
-    let k = senders.len();
-    if k == 1 {
-        senders[0].send(wrap(batch.to_vec())).expect("shard worker hung up");
-        return;
+/// One observation a shard detector `D` folds in: `(item, weight)`
+/// pairs for windowed detectors, `(ts, item, weight)` triples for
+/// continuous ones. The pool partitions observations by their item.
+pub trait Observation<H: Hierarchy, D>: Copy + Send {
+    /// The key this observation is partitioned by.
+    fn item(&self) -> &H::Item;
+
+    /// Fold a batch of observations into `detector`.
+    fn observe(detector: &mut D, batch: &[Self]);
+}
+
+impl<H: Hierarchy, D: HhhDetector<H>> Observation<H, D> for (H::Item, u64)
+where
+    H::Item: Send,
+{
+    fn item(&self) -> &H::Item {
+        &self.0
     }
-    for &t in batch {
-        scatter[shard_key(&t, k)].push(t);
-    }
-    for (sub, tx) in scatter.iter_mut().zip(senders) {
-        if !sub.is_empty() {
-            let send = std::mem::replace(sub, Vec::with_capacity(sub.capacity()));
-            tx.send(wrap(send)).expect("shard worker hung up");
-        }
+
+    fn observe(detector: &mut D, batch: &[Self]) {
+        detector.observe_batch(batch);
     }
 }
 
-/// Ask every worker for its state (via the message `request` builds
-/// around a reply channel) and fold the replies into one detector.
-/// FIFO channels make the reply observe every batch sent before the
-/// request; requests go out to all workers before any reply is
-/// awaited, so shards quiesce concurrently.
-fn merged_reply<D: MergeableDetector, M>(
-    senders: &[Sender<M>],
-    request: impl Fn(Sender<D>) -> M,
-) -> D {
-    let receivers: Vec<Receiver<D>> = senders
-        .iter()
-        .map(|tx| {
-            let (reply_tx, reply_rx) = channel();
-            tx.send(request(reply_tx)).expect("shard worker hung up");
-            reply_rx
-        })
-        .collect();
-    let mut merged: Option<D> = None;
-    for rx in receivers {
-        let shard_state = rx.recv().expect("shard worker died before snapshot");
-        match &mut merged {
-            None => merged = Some(shard_state),
-            Some(m) => m.merge(&shard_state),
-        }
+impl<H: Hierarchy, C: ContinuousDetector<H>> Observation<H, C> for (Nanos, H::Item, u64)
+where
+    H::Item: Send,
+{
+    fn item(&self) -> &H::Item {
+        &self.1
     }
-    merged.expect("at least one shard")
+
+    fn observe(detector: &mut C, batch: &[Self]) {
+        detector.observe_batch(batch);
+    }
 }
 
-enum Msg<I, D> {
-    /// Observe a batch of `(item, weight)` pairs.
-    Batch(Vec<(I, u64)>),
-    /// Clone the current detector state back through the channel.
-    Snapshot(Sender<D>),
-    /// Forget everything (window boundary).
-    Reset,
+/// The three requests a shard worker answers, in FIFO order.
+enum Msg<T, D> {
+    /// Observe a batch.
+    Batch(Vec<T>),
+    /// Send a clone of the detector state back through the channel.
+    Clone(Sender<D>),
+    /// Forget everything (window or epoch boundary). The message
+    /// carries the reset because only windowed detectors have one;
+    /// continuous pools never send it.
+    Reset(fn(&mut D)),
 }
 
-/// Handle to a running shard pool: scatter batches in, pull merged
-/// snapshots out. Created by [`with_shards`].
-pub struct ShardPool<H: Hierarchy, D> {
-    senders: Vec<Sender<Msg<H::Item, D>>>,
+/// Handle to a running shard pool: push observations in, pull merged
+/// states out. Created by [`with_shards`].
+pub struct ShardPool<'scope, H, T, D> {
+    senders: Vec<Sender<Msg<T, D>>>,
+    workers: Vec<ScopedJoinHandle<'scope, ()>>,
+    /// Pushed observations not yet scattered: scattered once `batch`
+    /// long, and before every request.
+    pending: Vec<T>,
+    batch: usize,
     /// Per-shard scatter buffers, reused across batches.
-    scatter: Vec<Vec<(H::Item, u64)>>,
+    scatter: Vec<Vec<T>>,
+    _hierarchy: PhantomData<H>,
 }
 
-impl<H, D> ShardPool<H, D>
+impl<H, T, D> ShardPool<'_, H, T, D>
 where
     H: Hierarchy,
-    D: HhhDetector<H> + MergeableDetector + Clone + Send,
+    T: Observation<H, D>,
+    D: MergeableDetector + Clone + Send,
 {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.senders.len()
     }
 
-    /// Scatter one batch to the shard workers by key hash and return
-    /// once it is *enqueued* (workers process asynchronously).
-    pub fn observe_batch(&mut self, batch: &[(H::Item, u64)]) {
-        scatter_to_workers(
-            &self.senders,
-            &mut self.scatter,
-            batch,
-            |(item, _), k| shard_of(item, k),
-            Msg::Batch,
-        );
+    /// Buffer one observation. A full buffer is scattered to the shard
+    /// workers by key hash, and the call returns once the batches are
+    /// *enqueued* (workers process asynchronously).
+    pub fn push(&mut self, obs: T) {
+        self.pending.push(obs);
+        if self.pending.len() >= self.batch {
+            self.flush();
+        }
     }
 
-    /// Wait for every shard to drain its queue, then fold all shard
-    /// states into one detector (shard 0's state merged with the
-    /// rest). The pooled detectors keep running — this is a read point,
-    /// not a stop.
-    pub fn merged_snapshot(&self) -> D {
-        merged_reply(&self.senders, Msg::Snapshot)
+    /// Every shard's detector state, merged in shard order (shard 0's
+    /// state with the rest merged in). The buffer is flushed first, so
+    /// the state covers every observation pushed before the call.
+    /// Requests go out to all workers before any reply is awaited, so
+    /// shards quiesce concurrently. The pooled detectors keep running —
+    /// this is a read point, not a stop.
+    pub fn merged(&mut self) -> D {
+        self.flush();
+        let replies: Vec<Receiver<D>> = (0..self.shards())
+            .map(|shard| {
+                let (reply, rx) = channel();
+                self.send(shard, Msg::Clone(reply));
+                rx
+            })
+            .collect();
+        let mut states = replies
+            .into_iter()
+            .enumerate()
+            .map(|(shard, rx)| rx.recv().unwrap_or_else(|_| self.worker_died(shard)));
+        let mut merged = states.next().expect("a pool has at least one shard");
+        for state in states {
+            merged.merge(&state);
+        }
+        merged
     }
 
-    /// Reset every shard detector (window boundary). FIFO ordering
-    /// makes this safe to call right after a batch: the reset lands
-    /// after it.
-    pub fn reset(&self) {
-        for tx in &self.senders {
-            tx.send(Msg::Reset).expect("shard worker hung up");
+    /// Scatter the buffered observations to the workers. One shard
+    /// skips the scatter entirely; otherwise filled buffers are handed
+    /// over and replaced with same-capacity empties, so steady-state
+    /// scattering never reallocates.
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let k = self.shards();
+        if k == 1 {
+            let batch = std::mem::replace(&mut self.pending, Vec::with_capacity(self.batch));
+            self.send(0, Msg::Batch(batch));
+            return;
+        }
+        for obs in self.pending.drain(..) {
+            self.scatter[shard_of(obs.item(), k)].push(obs);
+        }
+        for shard in 0..k {
+            if !self.scatter[shard].is_empty() {
+                let capacity = self.scatter[shard].capacity();
+                let sub = std::mem::replace(&mut self.scatter[shard], Vec::with_capacity(capacity));
+                self.send(shard, Msg::Batch(sub));
+            }
+        }
+    }
+
+    fn send(&mut self, shard: usize, msg: Msg<T, D>) {
+        if self.senders[shard].send(msg).is_err() {
+            self.worker_died(shard);
+        }
+    }
+
+    /// A worker hung up, which it only does by panicking: join it and
+    /// re-raise its panic, so the pipeline fails with the detector's
+    /// own message.
+    fn worker_died(&mut self, shard: usize) -> ! {
+        match self.workers.swap_remove(shard).join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("shard worker {shard} returned with its channel open"),
+        }
+    }
+}
+
+impl<H, D> ShardPool<'_, H, (H::Item, u64), D>
+where
+    H: Hierarchy,
+    H::Item: Send,
+    D: HhhDetector<H> + MergeableDetector + Clone + Send,
+{
+    /// Reset every shard detector (window or epoch boundary). The
+    /// buffer is flushed first, so the reset lands after every
+    /// observation pushed before it.
+    pub fn reset(&mut self) {
+        self.flush();
+        for shard in 0..self.shards() {
+            self.send(shard, Msg::Reset(<D as HhhDetector<H>>::reset));
         }
     }
 }
 
 /// Run `body` against a pool of shard detectors, one worker thread per
-/// detector. Workers shut down (and the threads join) when `body`
-/// returns.
+/// detector, scattering observations `batch` at a time. Workers shut
+/// down (and the threads join) when `body` returns; a worker panic no
+/// request noticed is re-raised then.
 ///
 /// ```
 /// use hhh_core::ExactHhh;
 /// use hhh_hierarchy::Ipv4Hierarchy;
-/// use hhh_window::sharded::with_shards;
+/// use hhh_window::sharded::{with_shards, DEFAULT_BATCH};
 ///
 /// let detectors: Vec<_> =
 ///     (0..4).map(|_| ExactHhh::new(Ipv4Hierarchy::bytes())).collect();
-/// let merged = with_shards(detectors, |pool| {
-///     pool.observe_batch(&[(0x0A010101, 900), (0x14000001, 100)]);
-///     pool.merged_snapshot()
+/// let merged = with_shards(detectors, DEFAULT_BATCH, |pool| {
+///     pool.push((0x0A010101, 900));
+///     pool.push((0x14000001, 100));
+///     pool.merged()
 /// });
 /// use hhh_core::HhhDetector;
 /// assert_eq!(HhhDetector::<Ipv4Hierarchy>::total(&merged), 1000);
 /// ```
-pub fn with_shards<H, D, R, F>(detectors: Vec<D>, body: F) -> R
-where
-    H: Hierarchy,
-    H::Item: Send,
-    D: HhhDetector<H> + MergeableDetector + Clone + Send,
-    F: FnOnce(&mut ShardPool<H, D>) -> R,
-{
-    assert!(!detectors.is_empty(), "need at least one shard detector");
-    let k = detectors.len();
-    std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(k);
-        for mut detector in detectors {
-            let (tx, rx) = channel::<Msg<H::Item, D>>();
-            senders.push(tx);
-            scope.spawn(move || {
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        Msg::Batch(batch) => detector.observe_batch(&batch),
-                        Msg::Snapshot(reply) => {
-                            // A dropped reply receiver just means the
-                            // caller stopped caring; keep serving.
-                            let _ = reply.send(detector.clone());
-                        }
-                        Msg::Reset => detector.reset(),
-                    }
-                }
-            });
-        }
-        let mut pool = ShardPool { senders, scatter: vec![Vec::new(); k] };
-        let result = body(&mut pool);
-        drop(pool); // closes the channels; workers drain and exit
-        result
-    })
-}
-
-/// Run `body` against a pool of **epoch rings**: per shard, `epw`
-/// windowed detectors — one per step-sized epoch of a sliding window —
-/// on one worker thread. This is the execution substrate of the
-/// sharded sliding engine
-/// ([`ShardedSliding`](crate::pipeline::ShardedSliding)): a sliding
-/// window is a union of whole epochs, so the window state at any
-/// position is the merge of the ring's detectors, across all shards.
-///
-/// ## Incremental ring deltas
-///
-/// Detectors whose merges are *invertible*
-/// ([`MergeableDetector::retract`] — the exact detectors) get the
-/// rolling-window optimization: each worker keeps one **rolling**
-/// detector holding the merge of every closed in-window epoch, and a
-/// step only touches the epoch delta — the epoch that just closed is
-/// merged in, the epoch that slid out is retracted. A window request
-/// is then a single clone + merge of the still-open epoch instead of
-/// `window/step` merges, so per-position cost no longer grows with
-/// the window/step ratio. Detectors without `retract` (the lossy
-/// summaries, where merge order matters) keep the full ring merge in
-/// slot order, preserving their byte-for-byte report stability.
-///
-/// Every inner `Vec` must have the same length (`epw`). Workers shut
-/// down when `body` returns.
-pub fn with_sliding_shards<H, D, R, F>(rings: Vec<Vec<D>>, body: F) -> R
-where
-    H: Hierarchy,
-    H::Item: Send,
-    D: HhhDetector<H> + MergeableDetector + Clone + Send,
-    F: FnOnce(&mut SlidingShardPool<H, D>) -> R,
-{
-    assert!(!rings.is_empty(), "need at least one shard ring");
-    let epw = rings[0].len();
-    assert!(epw > 0, "epoch rings must be non-empty");
-    assert!(rings.iter().all(|r| r.len() == epw), "all shard rings must have equal length");
-    let k = rings.len();
-    std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(k);
-        for mut ring in rings {
-            let (tx, rx) = channel::<SlidingMsg<H::Item, D>>();
-            senders.push(tx);
-            scope.spawn(move || {
-                let mut cur = 0usize;
-                // Probe invertibility on empty states: detectors
-                // either always or never support retraction.
-                let mut rolling = {
-                    let mut empty = ring[0].clone();
-                    empty.reset();
-                    let probe = empty.clone();
-                    empty.retract(&probe).then_some(empty)
-                };
-                // `rolling` (when Some) is the merge of every ring
-                // slot except `cur` — the closed in-window epochs.
-                // Fresh slots are all empty, so starting from an empty
-                // detector is that merge.
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        SlidingMsg::Batch(batch) => ring[cur].observe_batch(&batch),
-                        SlidingMsg::Advance => {
-                            rotate_ring::<H, D>(&mut ring, &mut cur, &mut rolling);
-                        }
-                        SlidingMsg::CloseEpoch(reply) => {
-                            // Hand the epoch that just ended to the
-                            // caller (epoch-sized — a fraction
-                            // `step/window` of the full window state),
-                            // then rotate exactly as Advance would.
-                            let _ = reply.send(ring[cur].clone());
-                            rotate_ring::<H, D>(&mut ring, &mut cur, &mut rolling);
-                        }
-                        SlidingMsg::Window(reply) => {
-                            let merged = match &rolling {
-                                Some(r) => {
-                                    // Closed epochs + the open one.
-                                    let mut m = r.clone();
-                                    m.merge(&ring[cur]);
-                                    m
-                                }
-                                None => {
-                                    // Full ring merge in slot order
-                                    // (stable for lossy summaries).
-                                    let mut m = ring[0].clone();
-                                    for d in &ring[1..] {
-                                        m.merge(d);
-                                    }
-                                    m
-                                }
-                            };
-                            let _ = reply.send(merged);
-                        }
-                    }
-                }
-            });
-        }
-        let mut pool = SlidingShardPool { senders, scatter: vec![Vec::new(); k] };
-        let result = body(&mut pool);
-        drop(pool);
-        result
-    })
-}
-
-/// Epoch-boundary rotation shared by [`SlidingMsg::Advance`] and
-/// [`SlidingMsg::CloseEpoch`]: close the current epoch into the rolling
-/// state (when the kind is retractable), rotate onto the slot holding
-/// the epoch that slid out of the window, retract it, and reset it for
-/// the new epoch.
-fn rotate_ring<H, D>(ring: &mut [D], cur: &mut usize, rolling: &mut Option<D>)
-where
-    H: Hierarchy,
-    D: HhhDetector<H> + MergeableDetector,
-{
-    if let Some(r) = rolling.as_mut() {
-        // The current epoch closes into the rolling state…
-        r.merge(&ring[*cur]);
-    }
-    *cur = (*cur + 1) % ring.len();
-    if let Some(r) = rolling.as_mut() {
-        // …and the slot we rotated onto holds the epoch sliding out of
-        // the window: retract it before it is reset.
-        let ok = r.retract(&ring[*cur]);
-        debug_assert!(ok, "retract support cannot change mid-run");
-    }
-    ring[*cur].reset();
-}
-
-enum SlidingMsg<I, D> {
-    /// Observe a batch on the worker's *current* epoch detector.
-    Batch(Vec<(I, u64)>),
-    /// Epoch boundary: rotate to the next ring slot, resetting it (it
-    /// held the epoch that just slid out of the window).
-    Advance,
-    /// Epoch boundary *with harvest*: reply with a clone of the epoch
-    /// that just ended (epoch-sized, not window-sized), then rotate as
-    /// [`SlidingMsg::Advance`] would. Lets a caller maintain the
-    /// cross-shard window state incrementally instead of pulling
-    /// window-sized states per position.
-    CloseEpoch(Sender<D>),
-    /// Merge the whole ring — the sliding-window state — and reply.
-    Window(Sender<D>),
-}
-
-/// Handle to a running sliding shard pool; created by
-/// [`with_sliding_shards`].
-pub struct SlidingShardPool<H: Hierarchy, D> {
-    senders: Vec<Sender<SlidingMsg<H::Item, D>>>,
-    scatter: Vec<Vec<(H::Item, u64)>>,
-}
-
-impl<H, D> SlidingShardPool<H, D>
-where
-    H: Hierarchy,
-    D: HhhDetector<H> + MergeableDetector + Clone + Send,
-{
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Scatter a batch of observations (all belonging to the current
-    /// epoch) to the shard workers by key hash.
-    pub fn observe_batch(&mut self, batch: &[(H::Item, u64)]) {
-        scatter_to_workers(
-            &self.senders,
-            &mut self.scatter,
-            batch,
-            |(item, _), k| shard_of(item, k),
-            SlidingMsg::Batch,
-        );
-    }
-
-    /// Epoch boundary: every worker rotates its ring by one slot,
-    /// resetting the slot that just slid out of the window.
-    pub fn advance(&self) {
-        for tx in &self.senders {
-            tx.send(SlidingMsg::Advance).expect("shard worker hung up");
-        }
-    }
-
-    /// The sliding-window state: every worker merges its ring, then the
-    /// per-shard states are merged across shards.
-    pub fn merged_window(&self) -> D {
-        merged_reply(&self.senders, SlidingMsg::Window)
-    }
-
-    /// Epoch boundary *with harvest*: every worker replies with a clone
-    /// of the epoch that just ended, then rotates as [`advance`] would;
-    /// the per-shard epoch states are merged across shards and
-    /// returned. The reply is **epoch-sized** — `step/window` of the
-    /// full window state — so a caller that maintains its own rolling
-    /// window state (merge the returned epoch in, retract the epoch
-    /// sliding out) pays O(shards) epoch-sized merges per position
-    /// instead of O(shards) window-sized ones.
-    ///
-    /// [`advance`]: SlidingShardPool::advance
-    pub fn close_epoch(&self) -> D {
-        merged_reply(&self.senders, SlidingMsg::CloseEpoch)
-    }
-}
-
-/// Run `body` against a pool of **continuous** (windowless) shard
-/// detectors, one worker thread per detector — the substrate of the
-/// sharded continuous engine
-/// ([`ShardedContinuous`](crate::pipeline::ShardedContinuous)).
-/// Observations carry timestamps; snapshots can be taken at any
-/// instant and merged (the merge decays both sides to a common time).
-pub fn with_continuous_shards<H, C, R, F>(detectors: Vec<C>, body: F) -> R
-where
-    H: Hierarchy,
-    H::Item: Send,
-    C: ContinuousDetector<H> + MergeableDetector + Clone + Send,
-    F: FnOnce(&mut ContinuousShardPool<H, C>) -> R,
-{
-    assert!(!detectors.is_empty(), "need at least one shard detector");
-    let k = detectors.len();
-    std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(k);
-        for mut detector in detectors {
-            let (tx, rx) = channel::<ContinuousMsg<H::Item, C>>();
-            senders.push(tx);
-            scope.spawn(move || {
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        ContinuousMsg::Batch(batch) => detector.observe_batch(&batch),
-                        ContinuousMsg::Snapshot(reply) => {
-                            let _ = reply.send(detector.clone());
-                        }
-                    }
-                }
-            });
-        }
-        let mut pool = ContinuousShardPool { senders, scatter: vec![Vec::new(); k] };
-        let result = body(&mut pool);
-        drop(pool);
-        result
-    })
-}
-
-enum ContinuousMsg<I, C> {
-    /// Observe a batch of timestamped `(ts, item, weight)` triples.
-    Batch(Vec<(Nanos, I, u64)>),
-    /// Clone the current detector state back through the channel.
-    Snapshot(Sender<C>),
-}
-
-/// Handle to a running continuous shard pool; created by
-/// [`with_continuous_shards`].
-pub struct ContinuousShardPool<H: Hierarchy, C> {
-    senders: Vec<Sender<ContinuousMsg<H::Item, C>>>,
-    scatter: Vec<Vec<(Nanos, H::Item, u64)>>,
-}
-
-impl<H, C> ContinuousShardPool<H, C>
-where
-    H: Hierarchy,
-    C: ContinuousDetector<H> + MergeableDetector + Clone + Send,
-{
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Scatter a batch of timestamped observations to the shard
-    /// workers by key hash (timestamps non-decreasing, as on the wire).
-    pub fn observe_batch(&mut self, batch: &[(Nanos, H::Item, u64)]) {
-        scatter_to_workers(
-            &self.senders,
-            &mut self.scatter,
-            batch,
-            |(_, item, _), k| shard_of(item, k),
-            ContinuousMsg::Batch,
-        );
-    }
-
-    /// Wait for every shard to drain its queue, then fold all shard
-    /// states into one detector. The pooled detectors keep running —
-    /// this is a read point, not a stop.
-    pub fn merged_snapshot(&self) -> C {
-        merged_reply(&self.senders, ContinuousMsg::Snapshot)
-    }
-}
-
-/// Sharded counterpart of [`run_disjoint`](crate::driver::run_disjoint):
-/// same window geometry, same report/reset schedule, but ingestion is
-/// hash-partitioned across `detectors.len()` shard threads and fed in
-/// `batch`-sized chunks; at every boundary the shard states are merged
-/// and the merged detector reports.
-///
-/// With exact detectors the output is identical to `run_disjoint` on
-/// the same stream (merge is lossless); with approximate ones it is
-/// identical up to the merge's additive error growth.
-#[deprecated(
-    since = "0.2.0",
-    note = "compose `Pipeline::new(packets).engine(ShardedDisjoint::new(…).batch(n)).collect()\
-            .run()` instead"
-)]
-#[allow(clippy::too_many_arguments)] // preserved legacy signature
-pub fn run_sharded_disjoint<H, D, F>(
-    packets: impl Iterator<Item = PacketRecord>,
-    horizon: TimeSpan,
-    window: TimeSpan,
-    hierarchy: &H,
+pub fn with_shards<H, T, D, R>(
     detectors: Vec<D>,
-    thresholds: &[Threshold],
-    measure: Measure,
-    key: F,
     batch: usize,
-) -> Vec<Vec<WindowReport<H::Prefix>>>
+    body: impl FnOnce(&mut ShardPool<'_, H, T, D>) -> R,
+) -> R
 where
     H: Hierarchy,
-    H::Item: Send,
-    D: HhhDetector<H> + MergeableDetector + Clone + Send,
-    F: Fn(&PacketRecord) -> H::Item,
+    T: Observation<H, D>,
+    D: MergeableDetector + Clone + Send,
 {
-    let _ = hierarchy;
-    crate::pipeline::Pipeline::new(packets)
-        .engine(
-            crate::pipeline::ShardedDisjoint::new(detectors, horizon, window, thresholds, key)
-                .batch(batch)
-                .measure(measure),
-        )
-        .collect()
-        .run()
+    assert!(!detectors.is_empty(), "need at least one shard detector");
+    assert!(batch > 0, "batch size must be non-zero");
+    let k = detectors.len();
+    std::thread::scope(|scope| {
+        let (senders, workers): (Vec<_>, Vec<_>) = detectors
+            .into_iter()
+            .map(|mut detector| {
+                let (tx, rx) = channel::<Msg<T, D>>();
+                let worker = scope.spawn(move || {
+                    while let Ok(msg) = rx.recv() {
+                        match msg {
+                            Msg::Batch(batch) => T::observe(&mut detector, &batch),
+                            Msg::Clone(reply) => {
+                                // A dropped reply receiver just means the
+                                // caller stopped caring; keep serving.
+                                let _ = reply.send(detector.clone());
+                            }
+                            Msg::Reset(reset) => reset(&mut detector),
+                        }
+                    }
+                });
+                (tx, worker)
+            })
+            .unzip();
+        let mut pool = ShardPool {
+            senders,
+            workers,
+            pending: Vec::with_capacity(batch),
+            batch,
+            scatter: vec![Vec::new(); k],
+            _hierarchy: PhantomData,
+        };
+        let result = body(&mut pool);
+        // Close the channels; the workers drain and exit.
+        let ShardPool { senders, workers, .. } = pool;
+        drop(senders);
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        result
+    })
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers are exactly what these tests pin down
 mod tests {
     use super::*;
-    use crate::driver::run_disjoint;
-    use hhh_core::ExactHhh;
+    use crate::pipeline::{Disjoint, Pipeline, ShardedDisjoint};
+    use hhh_core::{ExactHhh, Threshold};
     use hhh_hierarchy::Ipv4Hierarchy;
+    use hhh_nettypes::{PacketRecord, TimeSpan};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -627,11 +392,11 @@ mod tests {
             HhhDetector::<Ipv4Hierarchy>::observe_batch(&mut single, batch);
         }
         let detectors: Vec<_> = (0..4).map(|_| ExactHhh::new(h())).collect();
-        let merged = with_shards(detectors, |pool| {
-            for batch in &batches {
-                pool.observe_batch(batch);
+        let merged = with_shards(detectors, 500, |pool| {
+            for &obs in batches.iter().flatten() {
+                pool.push(obs);
             }
-            pool.merged_snapshot()
+            pool.merged()
         });
         assert_eq!(
             HhhDetector::<Ipv4Hierarchy>::total(&single),
@@ -642,37 +407,27 @@ mod tests {
     }
 
     #[test]
-    fn sharded_disjoint_matches_run_disjoint_exactly() {
+    fn sharded_disjoint_matches_disjoint_exactly() {
         let pkts = stream(12, 500, 42);
         let horizon = TimeSpan::from_secs(12);
         let window = TimeSpan::from_secs(4);
         let ts = [Threshold::percent(1.0), Threshold::percent(5.0)];
         let mut single = ExactHhh::new(h());
-        let reference = run_disjoint(
-            pkts.iter().copied(),
-            horizon,
-            window,
-            &h(),
-            &mut single,
-            &ts,
-            Measure::Bytes,
-            |p| p.src,
-        );
+        let reference = Pipeline::new(pkts.iter().copied())
+            .engine(Disjoint::new(&mut single, horizon, window, &ts, |p| p.src))
+            .collect()
+            .run();
         for k in [1usize, 2, 4] {
             let detectors: Vec<_> = (0..k).map(|_| ExactHhh::new(h())).collect();
-            let sharded = run_sharded_disjoint(
-                pkts.iter().copied(),
-                horizon,
-                window,
-                &h(),
-                detectors,
-                &ts,
-                Measure::Bytes,
-                |p| p.src,
-                // Deliberately small batch so several batches per
-                // window (and window-boundary flushes) are exercised.
-                257,
-            );
+            let sharded = Pipeline::new(pkts.iter().copied())
+                .engine(
+                    ShardedDisjoint::new(detectors, horizon, window, &ts, |p| p.src)
+                        // Deliberately small batch so several batches per
+                        // window (and window-boundary flushes) are exercised.
+                        .batch(257),
+                )
+                .collect()
+                .run();
             assert_eq!(reference.len(), sharded.len());
             for (ti, (r_windows, s_windows)) in reference.iter().zip(&sharded).enumerate() {
                 assert_eq!(r_windows.len(), s_windows.len(), "threshold {ti}, k={k}");
@@ -695,17 +450,16 @@ mod tests {
             })
             .collect();
         let detectors: Vec<_> = (0..2).map(|_| ExactHhh::new(h())).collect();
-        let reports = run_sharded_disjoint(
-            pkts.iter().copied(),
-            TimeSpan::from_secs(4),
-            TimeSpan::from_secs(1),
-            &h(),
-            detectors,
-            &[Threshold::percent(50.0)],
-            Measure::Bytes,
-            |p| p.src,
-            DEFAULT_BATCH,
-        );
+        let reports = Pipeline::new(pkts.iter().copied())
+            .engine(ShardedDisjoint::new(
+                detectors,
+                TimeSpan::from_secs(4),
+                TimeSpan::from_secs(1),
+                &[Threshold::percent(50.0)],
+                |p| p.src,
+            ))
+            .collect()
+            .run();
         assert_eq!(reports[0].len(), 4);
         for r in &reports[0] {
             assert_eq!(r.total, 100, "window {} leaked traffic", r.index);
@@ -715,18 +469,82 @@ mod tests {
     #[test]
     fn empty_stream_yields_empty_windows() {
         let detectors: Vec<_> = (0..3).map(|_| ExactHhh::new(h())).collect();
-        let reports = run_sharded_disjoint(
-            std::iter::empty(),
-            TimeSpan::from_secs(6),
-            TimeSpan::from_secs(2),
-            &h(),
-            detectors,
-            &[Threshold::percent(5.0)],
-            Measure::Bytes,
-            |p: &PacketRecord| p.src,
-            DEFAULT_BATCH,
-        );
+        let reports = Pipeline::new(std::iter::empty())
+            .engine(ShardedDisjoint::new(
+                detectors,
+                TimeSpan::from_secs(6),
+                TimeSpan::from_secs(2),
+                &[Threshold::percent(5.0)],
+                |p: &PacketRecord| p.src,
+            ))
+            .collect()
+            .run();
         assert_eq!(reports[0].len(), 3);
         assert!(reports[0].iter().all(|r| r.total == 0 && r.is_empty()));
+    }
+
+    /// An exact detector that panics on its third batch.
+    #[derive(Clone)]
+    struct Fuse {
+        inner: ExactHhh<Ipv4Hierarchy>,
+        batches: usize,
+    }
+
+    impl HhhDetector<Ipv4Hierarchy> for Fuse {
+        fn observe(&mut self, item: u32, weight: u64) {
+            self.inner.observe(item, weight);
+        }
+        fn observe_batch(&mut self, batch: &[(u32, u64)]) {
+            self.batches += 1;
+            assert!(self.batches < 3, "fuse detector blew on batch {}", self.batches);
+            self.inner.observe_batch(batch);
+        }
+        fn total(&self) -> u64 {
+            HhhDetector::<Ipv4Hierarchy>::total(&self.inner)
+        }
+        fn report(
+            &self,
+            threshold: Threshold,
+        ) -> Vec<hhh_core::HhhReport<hhh_nettypes::Ipv4Prefix>> {
+            self.inner.report(threshold)
+        }
+        fn reset(&mut self) {
+            HhhDetector::<Ipv4Hierarchy>::reset(&mut self.inner);
+        }
+        fn state_bytes(&self) -> usize {
+            HhhDetector::<Ipv4Hierarchy>::state_bytes(&self.inner)
+        }
+        fn name(&self) -> &'static str {
+            "fuse"
+        }
+    }
+
+    impl MergeableDetector for Fuse {
+        fn merge(&mut self, other: &Self) {
+            self.inner.merge(&other.inner);
+        }
+    }
+
+    /// A worker panic surfaces as the detector's own panic message, not
+    /// as a generic "worker hung up".
+    #[test]
+    #[should_panic(expected = "fuse detector blew on batch 3")]
+    fn dead_worker_fails_with_its_own_panic() {
+        let pkts = stream(4, 500, 7);
+        let detectors: Vec<_> =
+            (0..2).map(|_| Fuse { inner: ExactHhh::new(h()), batches: 0 }).collect();
+        Pipeline::new(pkts.iter().copied())
+            .engine(
+                ShardedDisjoint::new(
+                    detectors,
+                    TimeSpan::from_secs(4),
+                    TimeSpan::from_secs(1),
+                    &[Threshold::percent(5.0)],
+                    |p| p.src,
+                )
+                .batch(64),
+            )
+            .collect()
+            .run();
     }
 }

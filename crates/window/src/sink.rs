@@ -11,11 +11,11 @@
 //! * single-threshold engines (continuous) use series `0`.
 //!
 //! Three sinks cover the common shapes: [`CollectSink`] gathers
-//! everything into `Vec`s (what the legacy `run_*` drivers returned),
-//! any `FnMut(usize, WindowReport<P>)` closure streams reports as they
-//! appear, and [`SnapshotSink`] writes the snapshot stream — including
-//! serialized [`DetectorSnapshot`]s from the sharded engines, the wire
-//! format for cross-process aggregation — in either encoding:
+//! everything into `Vec`s, any `FnMut(usize, WindowReport<P>)` closure
+//! streams reports as they appear, and [`SnapshotSink`] writes the
+//! snapshot stream — including serialized [`DetectorSnapshot`]s from
+//! the sharded engines, the wire format for cross-process aggregation
+//! — in either encoding:
 //! [`WireFormat::Json`] (v1 JSON lines) or [`WireFormat::Binary`] (v2
 //! frames, the hot aggregation path). `JsonSnapshotSink` survives as
 //! an alias for the JSON-defaulting constructor.
@@ -79,8 +79,7 @@ pub trait ReportSink<P> {
     fn finish(self) -> Self::Output;
 }
 
-/// Collect every report into one `Vec<WindowReport>` per series — the
-/// shape the legacy `run_*` drivers returned.
+/// Collect every report into one `Vec<WindowReport>` per series.
 #[derive(Clone, Debug, Default)]
 pub struct CollectSink<P> {
     series: Vec<Vec<WindowReport<P>>>,

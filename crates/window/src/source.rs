@@ -24,7 +24,7 @@
 //!   `NativeSource`) over the capture formats.
 //!
 //! Packet sources must yield packets in non-decreasing timestamp order
-//! — the same contract the window drivers have always had. Snapshot
+//! — every engine's contract. Snapshot
 //! sources must yield snapshots in non-decreasing `at` order (JSONL
 //! files written by a pipeline already are).
 

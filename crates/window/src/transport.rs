@@ -790,6 +790,33 @@ impl FrameWrite for TcpTransport {
     }
 }
 
+/// One HTTP/1.1 `GET path` with `Connection: close` against `addr` (a
+/// daemon's HTTP front door), returning `(status, body)`. Connect and
+/// I/O errors, a read or write stalled past 10 s, and a response
+/// without a status line or header block are `Err`; the caller picks
+/// the policy (tests panic, pollers retry).
+pub fn http_get(addr: &str, path: &str) -> Result<(u16, Vec<u8>), String> {
+    let err = |e: io::Error| format!("GET {path}: {e}");
+    let mut stream = TcpStream::connect(addr).map_err(err)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10))).map_err(err)?;
+    stream.set_write_timeout(Some(Duration::from_secs(10))).map_err(err)?;
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
+        .map_err(err)?;
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).map_err(err)?;
+    let head_end = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .ok_or_else(|| format!("GET {path}: no header block"))?;
+    let status = std::str::from_utf8(&raw[..head_end])
+        .ok()
+        .and_then(|head| head.split_whitespace().nth(1))
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("GET {path}: malformed status line"))?;
+    raw.drain(..head_end + 4);
+    Ok((status, raw))
+}
+
 // ---------------------------------------------------------------------
 // TCP: read side
 // ---------------------------------------------------------------------

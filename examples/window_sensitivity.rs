@@ -12,7 +12,7 @@ fn main() {
     let model = scenarios::day_trace(0, horizon);
     let packets = TraceGenerator::new(model, 7);
     // Bit-granularity hierarchy: the most sensitive configuration (see
-    // the fig3 experiment and EXPERIMENTS.md).
+    // the fig3 experiment).
     let hierarchy = Ipv4Hierarchy::bits();
 
     // Micro-varied engine: series 0 is the baseline, series 1 + i the

@@ -15,7 +15,7 @@
 //! * [`nettypes`] — prefixes, packet records, trace time;
 //! * [`pcap`] — capture I/O (classic pcap + a native compact format);
 //! * [`trace`] — synthetic CAIDA-like traffic (the paper's traces are
-//!   proprietary; DESIGN.md §2 argues the substitution);
+//!   proprietary);
 //! * [`hierarchy`] — 1-D bit/byte prefix hierarchies and the 2-D
 //!   (src, dst) lattice;
 //! * [`sketches`] — Count-Min, Count Sketch, Space-Saving,
@@ -66,8 +66,8 @@
 //! }
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and
-//! EXPERIMENTS.md for the paper-vs-measured record.
+//! See `examples/` for runnable end-to-end scenarios and the README
+//! for the experiment binaries that regenerate every figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,19 +97,11 @@ pub mod prelude {
     pub use hhh_sketches::{DecayRate, OnDemandTdbf, SpaceSaving};
     pub use hhh_trace::{scenarios, TraceGenerator, TraceStats, TrafficModel};
     pub use hhh_window::{
-        bounded, mem_transport, with_continuous_shards, with_shards, with_sliding_shards,
-        CollectSink, Continuous, Disjoint, Engine, FnSink, JsonSnapshotSink, MicroVaried,
-        PacketSource, Pipeline, ReportSink, ShardedContinuous, ShardedDisjoint, ShardedSliding,
-        SlidingExact, SnapshotSink, TcpFrameListener, TcpTransport, TransportSink, TransportSource,
-        WindowReport,
+        bounded, mem_transport, with_shards, CollectSink, Continuous, Disjoint, Engine, FnSink,
+        JsonSnapshotSink, MicroVaried, PacketSource, Pipeline, ReportSink, ShardedContinuous,
+        ShardedDisjoint, ShardedSliding, SlidingExact, SnapshotSink, TcpFrameListener,
+        TcpTransport, TransportSink, TransportSource, WindowReport,
     };
-    // The deprecated pre-pipeline drivers, for call sites mid-migration.
-    #[allow(deprecated)]
-    pub use hhh_window::driver::{
-        run_continuous, run_disjoint, run_microvaried, run_sliding_exact,
-    };
-    #[allow(deprecated)]
-    pub use hhh_window::sharded::run_sharded_disjoint;
 }
 
 #[cfg(test)]

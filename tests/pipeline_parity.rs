@@ -1,12 +1,6 @@
-//! Pipeline ↔ legacy-driver parity: the acceptance contract of the
-//! unified `Pipeline` API.
+//! Pipeline parity: the acceptance contract of the sharded engines.
 //!
-//! * **Golden parity on the 1.36M-packet trace** — for every legacy
-//!   `run_*` driver, composing the equivalent pipeline reproduces its
-//!   reports *exactly* (same series, same windows, same HHH sets, same
-//!   estimates). This pins the wrapper→engine mapping (series order,
-//!   output assembly, defaults) against regressions.
-//! * **New sharded engines vs their unsharded counterparts** — sharded
+//! * **Sharded engines vs their unsharded counterparts** — sharded
 //!   sliding with exact detectors equals the rolling-count sliding
 //!   engine report-for-report; sharded continuous equals the unsharded
 //!   windowless detector (bit-exactly at one shard, set-identically at
@@ -44,134 +38,6 @@ fn small_trace(secs: u64, seed: u64) -> Vec<PacketRecord> {
 const HORIZON: TimeSpan = TimeSpan::from_secs(60);
 const WINDOW: TimeSpan = TimeSpan::from_secs(5);
 const STEP: TimeSpan = TimeSpan::from_secs(1);
-
-#[test]
-fn golden_disjoint_driver_parity_on_big_trace() {
-    let pkts = big_trace();
-    let h = Ipv4Hierarchy::bytes();
-    let thresholds = [Threshold::percent(1.0), Threshold::percent(5.0)];
-    #[allow(deprecated)]
-    let legacy = {
-        let mut det = ExactHhh::new(h);
-        run_disjoint(
-            pkts.iter().copied(),
-            HORIZON,
-            WINDOW,
-            &h,
-            &mut det,
-            &thresholds,
-            Measure::Bytes,
-            |p| p.src,
-        )
-    };
-    let mut det = ExactHhh::new(h);
-    let pipeline = Pipeline::new(pkts.iter().copied())
-        .engine(Disjoint::new(&mut det, HORIZON, WINDOW, &thresholds, |p| p.src))
-        .collect()
-        .run();
-    assert_eq!(legacy, pipeline);
-}
-
-#[test]
-fn golden_sliding_driver_parity_on_big_trace() {
-    let pkts = big_trace();
-    let h = Ipv4Hierarchy::bytes();
-    let thresholds = [Threshold::percent(1.0)];
-    #[allow(deprecated)]
-    let legacy = run_sliding_exact(
-        pkts.iter().copied(),
-        HORIZON,
-        WINDOW,
-        STEP,
-        &h,
-        &thresholds,
-        Measure::Bytes,
-        |p| p.src,
-    );
-    let pipeline = Pipeline::new(pkts.iter().copied())
-        .engine(SlidingExact::new(&h, HORIZON, WINDOW, STEP, &thresholds, |p| p.src))
-        .collect()
-        .run();
-    assert_eq!(legacy, pipeline);
-    assert_eq!(pipeline[0].len(), ((HORIZON / STEP) - (WINDOW / STEP) + 1) as usize);
-}
-
-#[test]
-fn golden_microvaried_driver_parity_on_big_trace() {
-    let pkts = big_trace();
-    let h = Ipv4Hierarchy::bytes();
-    let base = TimeSpan::from_secs(10);
-    let deltas = [TimeSpan::from_millis(100), TimeSpan::from_millis(40), TimeSpan::from_millis(10)];
-    let t = Threshold::percent(5.0);
-    #[allow(deprecated)]
-    let legacy =
-        run_microvaried(pkts.iter().copied(), HORIZON, base, &deltas, &h, t, Measure::Bytes, |p| {
-            p.src
-        });
-    let pipeline = Pipeline::new(pkts.iter().copied())
-        .engine(MicroVaried::new(&h, HORIZON, base, &deltas, t, |p| p.src))
-        .collect()
-        .run();
-    assert_eq!(legacy.baseline, pipeline[0]);
-    for (i, (delta, reports)) in legacy.variants.iter().enumerate() {
-        assert_eq!(*delta, deltas[i], "deltas preserved in request order");
-        assert_eq!(reports, &pipeline[1 + i], "delta {delta} series");
-    }
-}
-
-#[test]
-fn golden_continuous_driver_parity_on_big_trace() {
-    let pkts = big_trace();
-    let h = Ipv4Hierarchy::bytes();
-    let probes: Vec<Nanos> = (1..12).map(|k| Nanos::from_secs(k * 5)).collect();
-    let t = Threshold::percent(5.0);
-    let cfg = TdbfHhhConfig { half_life: WINDOW, ..TdbfHhhConfig::default() };
-    #[allow(deprecated)]
-    let legacy = {
-        let mut det = TdbfHhh::new(h, cfg.clone());
-        run_continuous(pkts.iter().copied(), &probes, &mut det, t, Measure::Bytes, |p| p.src)
-    };
-    let mut det = TdbfHhh::new(h, cfg);
-    let pipeline = Pipeline::new(pkts.iter().copied())
-        .engine(Continuous::new(&mut det, &probes, t, |p| p.src))
-        .collect()
-        .run()
-        .remove(0);
-    assert_eq!(legacy, pipeline);
-}
-
-#[test]
-fn golden_sharded_disjoint_driver_parity_on_big_trace() {
-    let pkts = big_trace();
-    let h = Ipv4Hierarchy::bytes();
-    let thresholds = [Threshold::percent(1.0)];
-    #[allow(deprecated)]
-    let legacy = run_sharded_disjoint(
-        pkts.iter().copied(),
-        HORIZON,
-        WINDOW,
-        &h,
-        (0..4).map(|_| ExactHhh::new(h)).collect(),
-        &thresholds,
-        Measure::Bytes,
-        |p| p.src,
-        8192,
-    );
-    let pipeline = Pipeline::new(pkts.iter().copied())
-        .engine(
-            ShardedDisjoint::new(
-                (0..4).map(|_| ExactHhh::new(h)).collect(),
-                HORIZON,
-                WINDOW,
-                &thresholds,
-                |p| p.src,
-            )
-            .batch(8192),
-        )
-        .collect()
-        .run();
-    assert_eq!(legacy, pipeline);
-}
 
 /// The headline new capability: the sharded sliding engine with exact
 /// shard detectors is report-for-report identical to the rolling-count
@@ -419,14 +285,6 @@ proptest! {
             ).batch(batch))
             .collect().run();
         prop_assert_eq!(&reference, &sharded);
-        // The incremental rolling state and the forced ring merge are
-        // two routes to the same reports — pin them against each other.
-        let ring = Pipeline::new(pkts.iter().copied())
-            .engine(ShardedSliding::new(
-                shards, |_| ExactHhh::new(h), horizon, window, step, &thresholds, |p| p.src,
-            ).batch(batch).force_ring_merge())
-            .collect().run();
-        prop_assert_eq!(&reference, &ring);
     }
 
     /// Property: the non-retractable fallback (slot-order ring merge)

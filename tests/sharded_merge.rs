@@ -57,12 +57,12 @@ fn ss_hhh_shard_merge_recall_and_error_within_bounds() {
     let truth = exact.report(t);
     let n = HhhDetector::<Ipv4Hierarchy>::total(&exact);
 
-    let merged = with_shards((0..4).map(|_| SpaceSavingHhh::new(h, capacity)).collect(), |pool| {
-        let batch: Vec<(u32, u64)> = pkts.iter().map(|p| (p.src, p.wire_len as u64)).collect();
-        for chunk in batch.chunks(8192) {
-            pool.observe_batch(chunk);
+    let detectors = (0..4).map(|_| SpaceSavingHhh::new(h, capacity)).collect();
+    let merged = with_shards(detectors, 8192, |pool| {
+        for p in &pkts {
+            pool.push((p.src, p.wire_len as u64));
         }
-        pool.merged_snapshot()
+        pool.merged()
     });
     assert_eq!(merged.total(), n);
     let found: HashSet<_> = merged.report(t).into_iter().map(|r| r.prefix).collect();
@@ -110,14 +110,13 @@ fn rhhh_shard_merge_finds_comfortable_hhhs() {
     }
     let t_abs = t.absolute(HhhDetector::<Ipv4Hierarchy>::total(&exact));
 
-    let merged =
-        with_shards((0..4).map(|s| Rhhh::new(h, 512, 0xACE0 + s as u64)).collect(), |pool| {
-            let batch: Vec<(u32, u64)> = pkts.iter().map(|p| (p.src, p.wire_len as u64)).collect();
-            for chunk in batch.chunks(8192) {
-                pool.observe_batch(chunk);
-            }
-            pool.merged_snapshot()
-        });
+    let detectors = (0..4).map(|s| Rhhh::new(h, 512, 0xACE0 + s as u64)).collect();
+    let merged = with_shards(detectors, 8192, |pool| {
+        for p in &pkts {
+            pool.push((p.src, p.wire_len as u64));
+        }
+        pool.merged()
+    });
     let found: HashSet<_> = merged.report(t).into_iter().map(|r| r.prefix).collect();
     for want in exact.report(t).iter().filter(|r| r.discounted >= 2 * t_abs) {
         assert!(
