@@ -31,9 +31,9 @@
 //!
 //! The library API is a handful of calls: [`read_stream`] (file/pipe
 //! stream → [`WireSnapshot`]s), [`collect_socket_streams`] (N TCP
-//! shard connections → streams in shard order, via the
-//! `SnapshotTransport` layer in `hhh-window`), [`fold_streams`]
-//! (group + fold), [`render_merged`] / [`write_merged`] (merged
+//! shard connections → streams in shard order, via the `FrameHub`
+//! barrier in `hhh-window`), [`fold_streams`] (group + fold, through
+//! [`FoldState`]), [`render_merged`] / [`write_merged`] (merged
 //! points → output in a chosen format; binary states re-encode
 //! **natively**, no JSON), and [`transcode`] (re-encode a whole
 //! stream v1 ⇄ v2, byte-identically round-trippable). The `hhh-agg`
@@ -56,7 +56,7 @@ use hhh_core::{
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::Nanos;
 use hhh_window::{
-    render_report_line, SnapshotSource, StreamRecord, TcpFrameListener, TransportError,
+    render_report_line, CollectLimits, FrameHub, SnapshotSource, StreamRecord, TransportError,
     WindowReport, HELLO_KIND,
 };
 use std::collections::BTreeMap;
@@ -142,18 +142,21 @@ pub fn read_stream<R: BufRead>(stream: usize, input: R) -> Result<Vec<WireSnapsh
 /// order — the socket counterpart of calling [`read_stream`] on N
 /// files.
 ///
-/// Blocks until `expect` distinct shard connections (identified by
-/// their hello frames) have delivered their whole stream, then returns
-/// the streams **sorted by shard id** — the same deterministic order a
-/// file-based invocation lists its arguments in, which is what makes
-/// `hhh-agg --listen` output byte-identical to the file-based fold of
-/// the same shards. Report and hello frames are dropped (folding never
-/// needs them); state frames stay undecoded until the fold.
+/// Runs `hub` to its [`collect_streams`](FrameHub::collect_streams)
+/// barrier: blocks until `expect` distinct shard streams (identified
+/// by their hello frames) have delivered their whole stream, under
+/// `limits`, then returns the streams **sorted by shard id** — the
+/// same deterministic order a file-based invocation lists its
+/// arguments in, which is what makes `hhh-agg --listen` output
+/// byte-identical to the file-based fold of the same shards. Report
+/// and hello frames are dropped (folding never needs them); state
+/// frames stay undecoded until the fold.
 pub fn collect_socket_streams(
-    listener: TcpFrameListener,
+    hub: FrameHub,
     expect: usize,
+    limits: CollectLimits,
 ) -> Result<Vec<Vec<WireSnapshot>>, AggError> {
-    let streams = listener.collect_streams(expect)?;
+    let streams = hub.collect_streams(expect, limits)?;
     Ok(streams
         .into_iter()
         .map(|s| {
@@ -203,7 +206,9 @@ where
 }
 
 /// Group the snapshots of N streams by `(at, kind)` and fold each
-/// group into one restored detector.
+/// group into one restored detector: every stream's snapshots go into
+/// one [`FoldState`] under the stream's index, and one refold folds
+/// them all.
 ///
 /// Within a group, folding follows stream order (stream 0's snapshot
 /// restores, stream 1..'s fold in) and then within-stream order — the
@@ -217,61 +222,39 @@ where
 /// matching their arrival order.
 pub fn fold_streams<H>(
     hierarchy: &H,
-    streams: &[Vec<WireSnapshot>],
+    streams: Vec<Vec<WireSnapshot>>,
 ) -> Result<Vec<MergedPoint<H>>, AggError>
 where
     H: Hierarchy,
     H::Item: FromStr,
     H::Prefix: FromStr,
 {
-    let mut groups: BTreeMap<(Nanos, String), MergedPoint<H>> = BTreeMap::new();
-    for stream in streams {
-        for s in stream {
-            let key = (s.at(), s.kind().to_owned());
-            match groups.get_mut(&key) {
-                Some(point) => {
-                    point
-                        .detector
-                        .fold_wire(hierarchy, s)
-                        .map_err(|error| AggError::Fold { at: s.at(), error })?;
-                    point.folded += 1;
-                }
-                None => {
-                    let detector = RestoredDetector::from_wire(hierarchy, s)
-                        .map_err(|error| AggError::Fold { at: s.at(), error })?;
-                    groups.insert(
-                        key,
-                        MergedPoint {
-                            at: s.at(),
-                            start: s.start(),
-                            kind: s.kind().to_owned(),
-                            folded: 1,
-                            detector,
-                        },
-                    );
-                }
-            }
+    let mut state = FoldState::new();
+    for (index, stream) in streams.into_iter().enumerate() {
+        for snapshot in stream {
+            state.push(index as u64, snapshot);
         }
     }
-    Ok(groups.into_values().collect())
+    state.refold(hierarchy)?;
+    Ok(state.into_points())
 }
 
-/// The **incremental** face of [`fold_streams`], built for a
-/// long-running aggregator (`hhh-aggd`): push snapshots one at a time,
-/// tagged with their stream id, as they arrive off the wire in any
-/// interleaving — then [`refold`](Self::refold) recomputes exactly the
-/// report points new snapshots touched.
+/// The one fold: [`fold_streams`] runs it once over whole streams, and
+/// a long-running aggregator (`hhh-aggd`) runs it **incrementally** —
+/// push snapshots one at a time, tagged with their stream id, as they
+/// arrive off the wire in any interleaving, then
+/// [`refold`](Self::refold) recomputes exactly the report points new
+/// snapshots touched.
 ///
 /// The refold of a `(at, kind)` group always folds its snapshots in
 /// **stream-id order** (stream 0 restores, 1.. fold in), then
-/// within-stream arrival order — the same deterministic order
-/// [`fold_streams`] uses, so a `FoldState` fed the identical snapshots
-/// produces byte-identical merged points no matter when shards
-/// connected, restarted, or which frame interleaving the sockets
-/// happened to deliver. (This is why pushing refolds the group from
-/// scratch instead of folding into the existing merged state: the
-/// approximate detectors' merges are order-sensitive, and a
-/// late-arriving shard 0 must still end up first.)
+/// within-stream arrival order, so a `FoldState` fed the identical
+/// snapshots produces byte-identical merged points no matter when
+/// shards connected, restarted, or which frame interleaving the
+/// sockets happened to deliver. (This is why pushing refolds the
+/// group from scratch instead of folding into the existing merged
+/// state: the approximate detectors' merges are order-sensitive, and
+/// a late-arriving shard 0 must still end up first.)
 ///
 /// With a [`retain`](Self::with_retention) bound, only the most recent
 /// N report points per kind are kept — the rolling state a daemon
@@ -326,6 +309,12 @@ impl<H: Hierarchy> FoldState<H> {
     /// [`refold`](Self::refold) are not yet visible.
     pub fn points(&self) -> impl Iterator<Item = &MergedPoint<H>> {
         self.merged.values()
+    }
+
+    /// The consuming form of [`points`](Self::points): the report
+    /// points as of the last refold, sorted by `(at, kind)`.
+    pub fn into_points(self) -> Vec<MergedPoint<H>> {
+        self.merged.into_values().collect()
     }
 
     /// The most recent merged point of `kind`, if any.
@@ -590,7 +579,7 @@ mod tests {
         );
         let streams =
             vec![read_stream(0, a.as_bytes()).unwrap(), read_stream(1, b.as_bytes()).unwrap()];
-        let points = fold_streams(&h, &streams).unwrap();
+        let points = fold_streams(&h, streams).unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].at, Nanos::from_secs(1));
         assert_eq!(points[0].start, Nanos::ZERO, "window geometry survives the fold");
@@ -611,7 +600,7 @@ mod tests {
         let h = Ipv4Hierarchy::bytes();
         let a = snap_line(1, &[(0x0A010101, 100)]);
         let streams = vec![read_stream(0, a.as_bytes()).unwrap()];
-        let points = fold_streams(&h, &streams).unwrap();
+        let points = fold_streams(&h, streams).unwrap();
         let lines = render_merged(&points, &[Threshold::percent(10.0)], true);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"type\":\"report\",\"series\":0,\"index\":0,"));
@@ -627,7 +616,7 @@ mod tests {
         let h = Ipv4Hierarchy::bytes();
         let a = snap_line(1, &[(0x0A010101, 100)]);
         let streams = vec![read_stream(0, a.as_bytes()).unwrap()];
-        let points = fold_streams(&h, &streams).unwrap();
+        let points = fold_streams(&h, streams).unwrap();
 
         let mut bin = Vec::new();
         write_merged(&mut bin, &points, &[Threshold::percent(10.0)], true, WireFormat::Binary)
@@ -637,7 +626,7 @@ mod tests {
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].kind(), "exact");
         // …and folds to the same state the JSON tier would emit.
-        let tier2 = fold_streams(&h, &[again]).unwrap();
+        let tier2 = fold_streams(&h, vec![again]).unwrap();
         assert_eq!(tier2[0].detector.snapshot().to_json(), points[0].detector.snapshot().to_json());
     }
 
@@ -688,7 +677,7 @@ mod tests {
         let streams: Vec<Vec<WireSnapshot>> = (0..3)
             .map(|i| read_stream(i, shard(0x0A010000 + i as u32).as_bytes()).unwrap())
             .collect();
-        let batch = fold_streams(&h, &streams).unwrap();
+        let batch = fold_streams(&h, streams.clone()).unwrap();
         let batch_lines = render_merged(&batch, &[Threshold::percent(10.0)], true);
 
         // Feed the same snapshots incrementally, deliberately out of
@@ -745,7 +734,7 @@ mod tests {
         // Different kinds at one point are *separate groups*, not an
         // error: an operator may legitimately run two detector kinds
         // side by side.
-        let points = fold_streams(&h, &streams).unwrap();
+        let points = fold_streams(&h, streams).unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].kind, "exact");
         assert_eq!(points[1].kind, "ss-hhh");

@@ -16,19 +16,21 @@
 //! (default `json`).
 //!
 //! With `--listen ADDR`, the streams arrive **over TCP** instead of
-//! files: the aggregator accepts shard connections (each opens with a
-//! hello frame naming its shard id) until `--expect K` streams have
-//! completed, folds them in shard-id order, and emits the merged
+//! files: the aggregator runs a `FrameHub` (the read side `hhh-aggd`
+//! uses) to a barrier — it admits shard connections with the hello/ack
+//! handshake (each hello names its shard id) until `--expect K` streams
+//! have finished, folds them in shard-id order, and emits the merged
 //! output — byte-identical to folding the same shards' stream files.
+//! Plain and spooled (`aggd-shard --spool`) writers both work.
 //! Three time limits guard the wait (any may be combined; first to
 //! fire wins): `--listen-timeout` is the **whole-fold deadline** in
 //! seconds, counted from startup regardless of progress;
-//! `--accept-idle` gives up when fewer connections than expected
-//! streams have ever arrived and no new one shows up for that many
-//! seconds (a shard never started); `--read-idle` gives up when no
-//! frame arrives on any connection for that many seconds (a shard
-//! connected, then wedged). The idle limits reset on progress, so
-//! slow-but-live topologies don't need a worst-case whole-fold budget.
+//! `--accept-idle` gives up when fewer streams than expected have
+//! joined and no new one joins for that many seconds (a shard never
+//! started); `--read-idle` gives up when no frame arrives on any
+//! connection for that many seconds (a shard connected, then wedged).
+//! The idle limits reset on progress, so slow-but-live topologies
+//! don't need a worst-case whole-fold budget.
 //!
 //! `--transcode` skips folding entirely: every input stream is
 //! re-encoded record-for-record into `--format` on stdout — v1 → v2 →
@@ -39,7 +41,7 @@ use hhh_agg::{
 };
 use hhh_core::{Threshold, WireFormat};
 use hhh_hierarchy::Ipv4Hierarchy;
-use hhh_window::TcpFrameListener;
+use hhh_window::{CollectLimits, FrameHub};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::process::ExitCode;
@@ -54,8 +56,9 @@ const USAGE: &str = "usage: hhh-agg [--hierarchy ipv4-bytes|ipv4-bits] [--thresh
                      wire format, or by hhh-agg --emit-state itself) into merged HHH reports\n\
                      on stdout; --format picks the output encoding. With --transcode, streams\n\
                      are re-encoded into --format instead of folded. With --listen, streams\n\
-                     arrive as v2 frames over TCP from --expect shard connections instead of\n\
-                     files, and fold in shard-id order (byte-identical to the file fold).\n\
+                     arrive as v2 frames over TCP from --expect shard streams instead of\n\
+                     files, and fold in shard-id order (byte-identical to the file fold);\n\
+                     --accept-idle counts joined streams, not raw connections.\n\
                      Defaults: --hierarchy ipv4-bytes, --threshold 1, --format json, stdin as\n\
                      the only stream.";
 
@@ -198,22 +201,18 @@ fn run(args: &Args) -> Result<(), AggError> {
         // TransportError → io::Error via source()), bind included.
         let typed =
             |op| move |e| AggError::Transport(hhh_window::TransportError::Io { op, source: e });
-        let mut listener = TcpFrameListener::bind(addr).map_err(typed("bind"))?;
-        if let Some(timeout) = args.listen_timeout {
-            listener = listener.with_timeout(timeout);
-        }
-        if let Some(idle) = args.accept_idle {
-            listener = listener.with_accept_idle(idle);
-        }
-        if let Some(idle) = args.read_idle {
-            listener = listener.with_read_idle(idle);
-        }
+        let hub = FrameHub::bind(addr).map_err(typed("bind"))?;
         eprintln!(
             "hhh-agg: listening on {} for {expect} shard stream(s)…",
-            listener.local_addr().map_err(typed("bind"))?
+            hub.local_addr().map_err(typed("bind"))?
         );
-        let streams = collect_socket_streams(listener, expect)?;
-        let points = fold_streams(&args.hierarchy, &streams)?;
+        let limits = CollectLimits {
+            timeout: args.listen_timeout,
+            accept_idle: args.accept_idle,
+            read_idle: args.read_idle,
+        };
+        let streams = collect_socket_streams(hub, expect, limits)?;
+        let points = fold_streams(&args.hierarchy, streams)?;
         write_merged(&mut out, &points, &args.thresholds, args.emit_state, args.format)?;
     } else if args.transcode {
         for (i, path) in args.inputs.iter().enumerate() {
@@ -224,7 +223,7 @@ fn run(args: &Args) -> Result<(), AggError> {
         for (i, path) in args.inputs.iter().enumerate() {
             streams.push(read_stream(i, open(path)?)?);
         }
-        let points = fold_streams(&args.hierarchy, &streams)?;
+        let points = fold_streams(&args.hierarchy, streams)?;
         write_merged(&mut out, &points, &args.thresholds, args.emit_state, args.format)?;
     }
     out.flush().map_err(|e| AggError::Io(e.to_string()))

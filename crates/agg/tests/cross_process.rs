@@ -48,7 +48,7 @@ fn binary_output_matches_library_fold() {
         .enumerate()
         .map(|(i, b)| read_stream(i, b.as_slice()).expect("stream parses"))
         .collect();
-    let points = fold_streams(&Ipv4Hierarchy::bytes(), &parsed).expect("folds");
+    let points = fold_streams(&Ipv4Hierarchy::bytes(), parsed).expect("folds");
     let expected = render_merged(&points, &[Threshold::percent(1.0)], true);
 
     // What the binary says, over real files and a real process.
@@ -80,7 +80,7 @@ fn binary_reads_stdin_as_a_single_stream() {
     let stream = shard_stream(&pkts, horizon, 1, 0);
 
     let parsed = vec![read_stream(0, stream.as_slice()).expect("parses")];
-    let points = fold_streams(&Ipv4Hierarchy::bytes(), &parsed).expect("folds");
+    let points = fold_streams(&Ipv4Hierarchy::bytes(), parsed).expect("folds");
     let expected = render_merged(&points, &[Threshold::percent(1.0)], false);
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_hhh-agg"))

@@ -1,9 +1,9 @@
 //! # hhh-aggd
 //!
 //! The **long-running aggregation daemon** — the serving side of the
-//! cross-process fold. Where `hhh-agg --listen` is a one-shot barrier
-//! (wait for exactly K streams, fold, exit), `hhh-aggd` stays up
-//! indefinitely:
+//! cross-process fold. `hhh-agg --listen` runs the same
+//! [`hhh_window::FrameHub`] to a one-shot barrier (wait for exactly K
+//! finished streams, fold, exit); `hhh-aggd` keeps it up indefinitely:
 //!
 //! * shards join and leave at runtime over the [`hhh_window::FrameHub`]
 //!   hello/ack protocol — no fixed `--expect K`;
@@ -17,10 +17,11 @@
 //!   metrics (`GET /metrics`: frames/s, fold latency quantiles,
 //!   per-stream lag/delivered, connected shards).
 //!
-//! The fold itself is [`hhh_agg::FoldState`] — the incremental face of
-//! `fold_streams`, refolding dirty report points in canonical stream
-//! order so the daemon's answers stay byte-identical to the batch
-//! fold no matter the interleaving, restarts included.
+//! The fold itself is [`hhh_agg::FoldState`] — the one fold
+//! `fold_streams` also runs, here incrementally: dirty report points
+//! refold in canonical stream order, so the daemon's answers stay
+//! byte-identical to the batch fold no matter the interleaving,
+//! restarts included.
 //!
 //! Two binaries ship with the crate: `hhh-aggd` (the daemon) and
 //! `aggd-shard` (a deterministic scenario shard driver with `--spool`

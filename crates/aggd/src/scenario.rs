@@ -481,5 +481,5 @@ pub fn fold_shard_streams(
     for (i, bytes) in streams.iter().enumerate() {
         parsed.push(read_stream(i, bytes.as_slice())?);
     }
-    fold_streams(&hierarchy(), &parsed)
+    fold_streams(&hierarchy(), parsed)
 }

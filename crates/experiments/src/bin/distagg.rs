@@ -7,8 +7,8 @@
 //!
 //! # the same K-shard parity check end-to-end over localhost TCP:
 //! # K shard pipelines stream natively encoded v2 frames into one
-//! # listener; the fold must be byte-identical to the file-based fold
-//! # and the in-process sharded run:
+//! # FrameHub barrier; the fold must be byte-identical to the
+//! # file-based fold and the in-process sharded run:
 //! cargo run --release -p hhh-experiments --bin distagg -- socket [scale]
 //!
 //! # one shard's snapshot stream on stdout (the CI cross-process smoke

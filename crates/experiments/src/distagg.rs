@@ -42,7 +42,7 @@ use hhh_core::{
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::{Nanos, PacketRecord, TimeSpan};
 use hhh_trace::{scenarios, TraceGenerator};
-use hhh_window::{TcpFrameListener, TransportError, WindowReport};
+use hhh_window::{CollectLimits, FrameHub, TransportError, WindowReport};
 
 pub use hhh_aggd::scenario::{
     distagg_threshold, fold_shard_streams, hierarchy, inprocess_sharded_jsonl_on, probes,
@@ -277,7 +277,7 @@ pub struct SocketRow {
 
 /// Run the socket scenario at `scale` for every kind at each shard
 /// count in `ks`: K shard pipelines stream natively encoded v2 frames
-/// over localhost TCP into one listener, the listener's fold is
+/// over localhost TCP into one `FrameHub` barrier, the socket fold is
 /// compared byte-for-byte against the file-based fold and the
 /// in-process sharded run.
 pub fn run_socket(scale: Scale, ks: &[usize]) -> Vec<SocketRow> {
@@ -294,10 +294,12 @@ pub fn run_socket_on(
     let mut rows = Vec::new();
     for &kind in kinds {
         for &k in ks {
-            let listener = TcpFrameListener::bind("127.0.0.1:0")
-                .expect("bind localhost listener")
-                .with_timeout(std::time::Duration::from_secs(600));
-            let addr = listener.local_addr().expect("bound address").to_string();
+            let hub = FrameHub::bind("127.0.0.1:0").expect("bind localhost hub");
+            let addr = hub.local_addr().expect("bound address").to_string();
+            let limits = CollectLimits {
+                timeout: Some(std::time::Duration::from_secs(600)),
+                ..CollectLimits::default()
+            };
 
             // K concurrent shard pipelines, each its own connection —
             // exactly what K shard processes would do.
@@ -308,14 +310,14 @@ pub fn run_socket_on(
                         s.spawn(move || shard_to_addr_on(kind, trace, horizon, k, i, &addr))
                     })
                     .collect();
-                let streams = collect_socket_streams(listener, k).expect("socket streams");
+                let streams = collect_socket_streams(hub, k, limits).expect("socket streams");
                 for h in handles {
                     h.join().expect("shard thread").expect("shard transport");
                 }
                 streams
             });
             let folded: usize = streams.iter().map(Vec::len).sum();
-            let socket_points = fold_streams(&hierarchy(), &streams).expect("socket streams fold");
+            let socket_points = fold_streams(&hierarchy(), streams).expect("socket streams fold");
 
             // Byte-identity vs the file-based fold of the same shards.
             let file_streams: Vec<Vec<u8>> = (0..k)

@@ -37,8 +37,10 @@
 //! * **Transports** ([`transport`]) — the snapshot stream over any
 //!   medium behind one [`FrameWrite`]/[`FrameRead`] interface: files
 //!   ([`FileTransport`]), TCP sockets ([`TcpTransport`] with
-//!   reconnect-with-backoff, [`TcpFrameListener`] with multi-client
-//!   accept), and in-process channels ([`mem_transport`]), with
+//!   reconnect-with-backoff, [`FrameHub`] with multi-client accept,
+//!   hello/ack admission and a one-shot
+//!   [`collect_streams`](FrameHub::collect_streams) barrier), and
+//!   in-process channels ([`mem_transport`]), with
 //!   [`TransportSink`]/[`TransportSource`] as the pipeline faces.
 //!   Frames carry detectors' **native** encodes (`FrameEncode`) — no
 //!   JSON between a shard's state and the aggregator's fold.
@@ -84,7 +86,7 @@ pub use source::{
 };
 pub use transport::{
     ack_frame, hello_frame, http_get, mem_transport, parse_ack, read_frame_from,
-    resume_hello_frame, FileTransport, FrameHub, FrameRead, FrameSpool, FrameStream, FrameWrite,
-    HubEvent, HubHandle, MemFrameReader, MemFrameWriter, TcpFrameListener, TcpTransport,
-    TransportError, TransportSink, TransportSource, ACK_KIND, HELLO_KIND,
+    resume_hello_frame, CollectLimits, FileTransport, FrameHub, FrameRead, FrameSpool, FrameStream,
+    FrameWrite, HubEvent, HubHandle, MemFrameReader, MemFrameWriter, TcpTransport, TransportError,
+    TransportSink, TransportSource, ACK_KIND, HELLO_KIND,
 };

@@ -9,7 +9,7 @@
 //! | transport | write side | read side |
 //! |---|---|---|
 //! | [`FileTransport`] | any `io::Write` (files, pipes, `Vec<u8>`) | any `io::BufRead` |
-//! | [`TcpTransport`] / [`TcpFrameListener`] | connect + reconnect-with-backoff | multi-client accept |
+//! | [`TcpTransport`] / [`FrameHub`] | connect + reconnect-with-backoff | multi-client accept |
 //! | [`mem_transport`] | bounded in-process channel | same channel |
 //!
 //! A frame on a socket is **the same bytes** as a frame in a file: the
@@ -25,30 +25,33 @@
 //!
 //! ## TCP specifics
 //!
-//! * Each connection opens with a [`hello_frame`]: a tiny frame of
-//!   kind [`HELLO_KIND`] carrying the writer's **stream id** (shard
-//!   index) and label. The listener groups frames by stream id and
-//!   returns streams sorted by it, so a socket fold applies merges in
-//!   the same deterministic shard order as a file fold — which is what
-//!   makes the two byte-identical.
+//! * Each connection opens with one handshake: the writer sends a
+//!   [`hello_frame`] (kind [`HELLO_KIND`], carrying its **stream id**
+//!   — the shard index — and label) and reads the [`FrameHub`]'s
+//!   [`ack_frame`] before its first frame. The hub groups frames by
+//!   stream id, and its [`collect_streams`](FrameHub::collect_streams)
+//!   barrier returns streams sorted by it, so a socket fold applies
+//!   merges in the same deterministic shard order as a file fold —
+//!   which is what makes the two byte-identical. Reading the ack also
+//!   means no writer closes with unread bytes, which would make the
+//!   kernel reset the connection and discard the stream's own tail.
 //! * The write side reconnects with exponential backoff — on initial
 //!   connect (shards may start before the aggregator binds) and on
 //!   mid-stream failures, re-sending the frame whose write failed on
 //!   the fresh connection. Each hello also carries the writer's
-//!   **delivered-frame count**, and the listener refuses to stitch a
+//!   **delivered-frame count**, and the hub refuses to stitch a
 //!   reconnect onto a stream with a gap: a frame the kernel accepted
 //!   but never delivered (write succeeded locally, connection died in
-//!   flight) surfaces as an incomplete stream / timeout error — never
-//!   silently wrong output. Duplicates cannot occur (a frame whose
-//!   write errored is never whole on the old connection, so the
-//!   re-send is the only copy); writer-crash *resume* (retry/dedup
-//!   across process restarts) belongs to a later aggregator-tier
-//!   layer.
+//!   flight) surfaces as a [`HubEvent::Gap`] — never silently wrong
+//!   output. A refused hello gets no ack, so the writer's backoff
+//!   retries it. Duplicates cannot occur: the hub delivers each stream
+//!   position once, and a spooled writer ([`TcpTransport::with_spool`])
+//!   replays from the acked position across process restarts.
 //! * A peer that dies mid-frame leaves a torn tail: the read side
 //!   reports it as a clean typed error ([`TransportError::Frame`]) —
-//!   never a panic, hang, or pathological allocation — and the
-//!   listener keeps the connection's fully-decoded frames, waiting for
-//!   the writer's reconnect to resume the stream.
+//!   never a panic, hang, or pathological allocation — and the hub
+//!   keeps the connection's fully-decoded frames, waiting for the
+//!   writer's reconnect to resume the stream.
 
 use crate::sink::{render_report_line, ReportSink};
 use crate::source::Source;
@@ -58,11 +61,11 @@ use hhh_core::snapshot::{DetectorSnapshot, SnapshotFrame};
 use hhh_core::{SnapshotError, WireSnapshot};
 use hhh_nettypes::Nanos;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Display};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -306,39 +309,38 @@ impl FrameRead for MemFrameReader {
 /// The kind header of the per-connection handshake frame.
 pub const HELLO_KIND: &str = "hello";
 
-/// The kind header of the acknowledgement frame an acking listener
-/// (the `hhh-aggd` [`FrameHub`]) sends back right after a hello:
-/// `total` carries the stream id being acked, `at` the number of
-/// frames the listener holds for that stream. A resume-capable writer
-/// ([`TcpTransport::with_spool`]) reads it to learn where to replay
-/// from; the plain PR 5 write side never reads its socket, so the ack
-/// sits harmlessly in the kernel buffer.
+/// The kind header of the acknowledgement frame the [`FrameHub`] sends
+/// back when it admits a hello: `total` carries the stream id being
+/// acked, `at` the number of frames the hub holds for that stream.
+/// Every [`TcpTransport`] connection reads it before its first frame.
+/// A resume-capable writer ([`TcpTransport::with_spool`]) replays its
+/// spool from the acked count; a plain writer ignores the count. The
+/// hub refuses a connection by closing it without an ack.
 pub const ACK_KIND: &str = "ack";
 
 /// The hello `start` field value marking a **resume-capable** writer:
-/// one that waits for the listener's [`ack_frame`] and replays its
-/// spool from the acked position. Plain writers leave `start` at 0 and
-/// the listener attributes connection frames to the hello's claimed
-/// position instead.
+/// one that replays its spool from the hub's acked position. Plain
+/// writers leave `start` at 0 and the hub attributes connection frames
+/// to the hello's claimed position instead.
 const HELLO_RESUME_FLAG: u64 = 1;
 
 /// Build the handshake frame a [`TcpTransport`] writes when a
 /// connection opens: `total` carries the writer's stream id (shard
 /// index), the body its human-readable label, and `at` the number of
 /// frames the writer believes were **delivered on its previous
-/// connections** (0 on the first). The listener uses the id to keep
-/// fold order deterministic across nondeterministic connection
-/// arrival, and the delivered count to refuse stitching a reconnect
-/// onto a stream with a gap — a frame lost in flight keeps the stream
-/// incomplete instead of silently shortening it.
+/// connections** (0 on the first). The hub uses the id to keep fold
+/// order deterministic across nondeterministic connection arrival, and
+/// the delivered count to refuse stitching a reconnect onto a stream
+/// with a gap — a frame lost in flight keeps the stream incomplete
+/// instead of silently shortening it.
 pub fn hello_frame(id: u64, label: &str, delivered: u64) -> SnapshotFrame {
     hello_with_flags(id, label, delivered, 0)
 }
 
 /// The resume-capable flavor of [`hello_frame`]: marks the writer as
-/// one that honors the listener's [`ack_frame`] — the listener will
-/// expect this connection's frames to start at the **acked** position,
-/// not the claimed one. Written by [`TcpTransport::with_spool`].
+/// one that replays from the hub's [`ack_frame`] — the hub will expect
+/// this connection's frames to start at the **acked** position, not
+/// the claimed one. Written by [`TcpTransport::with_spool`].
 pub fn resume_hello_frame(id: u64, label: &str, acked: u64) -> SnapshotFrame {
     hello_with_flags(id, label, acked, HELLO_RESUME_FLAG)
 }
@@ -354,8 +356,8 @@ fn hello_with_flags(id: u64, label: &str, delivered: u64, flags: u64) -> Snapsho
     }
 }
 
-/// Build the acknowledgement frame an acking listener sends right
-/// after reading a hello: "for stream `id`, I hold `received` frames".
+/// Build the acknowledgement frame the hub sends when it admits a
+/// hello: "for stream `id`, I hold `received` frames".
 pub fn ack_frame(id: u64, received: u64) -> SnapshotFrame {
     SnapshotFrame {
         start: Nanos::ZERO,
@@ -508,24 +510,30 @@ impl FrameSpool {
 // TCP: write side
 // ---------------------------------------------------------------------
 
+/// How long a [`TcpTransport`] waits for the hub's [`ack_frame`] after
+/// writing its hello.
+const ACK_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// The socket write side: length-delimited v2 frames over TCP, with
 /// **reconnect-with-backoff**.
 ///
 /// Connecting is lazy (first frame) and retried with exponential
 /// backoff, so shard processes may start before the aggregator binds.
-/// A mid-stream write failure drops the connection and re-sends the
-/// failed frame on a fresh one (each connection re-opens with the
-/// [`hello_frame`], whose delivered-frame count lets the listener
-/// stitch the stream back together — or detect that a frame the
-/// kernel accepted never arrived). After `attempts` consecutive
-/// connect failures the error is surfaced as [`TransportError::Io`].
+/// Every connection opens with the hello/ack handshake: the
+/// [`hello_frame`] names the stream and claims the frames delivered on
+/// earlier connections, and the [`FrameHub`]'s ack admits it. A
+/// mid-stream write failure drops the connection and re-sends the
+/// failed frame on a fresh one, whose hello lets the hub stitch the
+/// stream back together — or detect that a frame the kernel accepted
+/// never arrived. After `attempts` consecutive connect failures the
+/// error is surfaced as [`TransportError::Io`].
 #[derive(Debug)]
 pub struct TcpTransport {
     addr: String,
     hello: Option<(u64, String)>,
     stream: Option<TcpStream>,
     /// Frames successfully written (as far as this side can tell) on
-    /// all connections so far — what the next hello claims.
+    /// all connections so far — what the next plain hello claims.
     delivered: u64,
     attempts: u32,
     initial_backoff: Duration,
@@ -534,7 +542,7 @@ pub struct TcpTransport {
     /// stream of record, replayed from the peer's acked position on
     /// every (re)connection.
     spool: Option<FrameSpool>,
-    /// What the peer acked at the last handshake (spool mode).
+    /// What the peer acked at the last handshake.
     acked: u64,
     /// Next spool index to send on the current connection.
     send_pos: u64,
@@ -542,8 +550,6 @@ pub struct TcpTransport {
     /// position dedupe that keeps a restarted, deterministic producer
     /// from re-appending frames its previous run already spooled.
     written: u64,
-    /// How long to wait for the listener's ack at a resume handshake.
-    ack_timeout: Duration,
 }
 
 impl TcpTransport {
@@ -563,25 +569,15 @@ impl TcpTransport {
             acked: 0,
             send_pos: 0,
             written: 0,
-            ack_timeout: Duration::from_secs(10),
         }
     }
 
     /// Open every connection with a [`hello_frame`] carrying this
-    /// stream id and label — required when the peer is a
-    /// [`TcpFrameListener`] folding multiple streams.
+    /// stream id and label — required: the [`FrameHub`] admits no
+    /// connection without one, so `write_frame` on a transport without
+    /// a hello fails with [`TransportError::Handshake`].
     pub fn with_hello(mut self, id: u64, label: impl Into<String>) -> Self {
         self.hello = Some((id, label.into()));
-        self
-    }
-
-    /// Declare that `frames` frames of this stream were already
-    /// delivered on a previous transport (a process resuming its own
-    /// stream). The next hello claims them, so the listener stitches
-    /// this connection onto the existing tail instead of flagging a
-    /// gap. Resuming at the wrong count keeps the stream incomplete.
-    pub fn resuming_after(mut self, frames: u64) -> Self {
-        self.delivered = frames;
         self
     }
 
@@ -598,26 +594,25 @@ impl TcpTransport {
     /// Switch the transport to **resume mode**: every frame is
     /// appended to `spool` (the durable stream of record) before going
     /// on the wire, each connection opens with a
-    /// [`resume_hello_frame`] and waits for the peer's [`ack_frame`],
-    /// and the spool is replayed from the acked position — so a
-    /// process that crashes and reopens the same spool resumes the
-    /// stream byte-exactly, no matter where it died.
+    /// [`resume_hello_frame`], and the spool is replayed from the
+    /// position the peer's [`ack_frame`] names — so a process that
+    /// crashes and reopens the same spool resumes the stream
+    /// byte-exactly, no matter where it died.
     ///
-    /// Requires [`with_hello`](Self::with_hello) (the handshake needs
-    /// a stream identity) and an **acking** peer (the `hhh-aggd`
-    /// [`FrameHub`]); the plain one-shot [`TcpFrameListener`] never
-    /// acks, so the handshake would time out. `write_frame` calls are
-    /// deduplicated by position: if the spool already holds frames a
-    /// previous run produced, a deterministic producer regenerating
-    /// them from scratch re-sends nothing.
+    /// Like every connection, the handshake needs
+    /// [`with_hello`](Self::with_hello) (a stream identity) and a
+    /// [`FrameHub`] peer — `hhh-aggd` or the `hhh-agg --listen`
+    /// barrier. `write_frame` calls are deduplicated by position: if
+    /// the spool already holds frames a previous run produced, a
+    /// deterministic producer regenerating them from scratch re-sends
+    /// nothing.
     pub fn with_spool(mut self, spool: FrameSpool) -> Self {
-        assert!(self.hello.is_some(), "spool mode requires with_hello (a stream identity)");
         self.spool = Some(spool);
         self
     }
 
-    /// Frames the peer acknowledged holding at the most recent resume
-    /// handshake (0 before the first connection). Spool mode only.
+    /// Frames the peer acknowledged holding at the most recent
+    /// handshake (0 before the first connection).
     pub fn acked(&self) -> u64 {
         self.acked
     }
@@ -627,12 +622,14 @@ impl TcpTransport {
         self.spool.as_ref().map_or(0, FrameSpool::len)
     }
 
-    /// Connect (with backoff) if not connected, writing the hello —
-    /// and in spool mode running the resume handshake — on every fresh
-    /// connection.
+    /// Connect (with backoff) if not connected, running the hello/ack
+    /// handshake on every fresh connection.
     fn ensure_connected(&mut self) -> Result<(), TransportError> {
         if self.stream.is_some() {
             return Ok(());
+        }
+        if self.hello.is_none() {
+            return Err(TransportError::Handshake("no stream identity: call with_hello"));
         }
         let mut backoff = self.initial_backoff;
         let mut last = None;
@@ -641,65 +638,49 @@ impl TcpTransport {
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(self.max_backoff);
             }
-            match TcpStream::connect(&self.addr) {
-                Ok(mut s) => {
-                    let _ = s.set_nodelay(true);
-                    if self.spool.is_some() {
-                        match self.resume_handshake(&mut s) {
-                            Ok(()) => {
-                                self.stream = Some(s);
-                                break;
-                            }
-                            Err(e) => {
-                                last = Some(e);
-                                continue;
-                            }
-                        }
-                    }
-                    if let Some((id, label)) = &self.hello {
-                        let hello = hello_frame(*id, label, self.delivered);
-                        if let Err(e) = s.write_all(&hello.encode()) {
-                            last = Some(e);
-                            continue;
-                        }
-                    }
+            match TcpStream::connect(&self.addr).and_then(|s| self.handshake(s)) {
+                Ok(s) => {
                     self.stream = Some(s);
-                    break;
+                    return Ok(());
                 }
                 Err(e) => last = Some(e),
             }
         }
-        if self.stream.is_none() {
-            let source = last.unwrap_or_else(|| {
-                io::Error::new(io::ErrorKind::TimedOut, "connect attempts exhausted")
-            });
-            return Err(TransportError::io("connect", source));
-        }
-        Ok(())
+        let source = last.unwrap_or_else(|| {
+            io::Error::new(io::ErrorKind::TimedOut, "connect attempts exhausted")
+        });
+        Err(TransportError::io("connect", source))
     }
 
-    /// Spool-mode connection opening: claim the spooled frame count,
-    /// wait for the peer's ack, and position the replay cursor at the
-    /// acked frame.
-    fn resume_handshake(&mut self, s: &mut TcpStream) -> io::Result<()> {
-        let (id, label) = self.hello.as_ref().expect("spool mode requires a hello");
-        let spooled = self.spool.as_ref().expect("spool mode").len();
-        s.write_all(&resume_hello_frame(*id, label, spooled).encode())?;
-        s.set_read_timeout(Some(self.ack_timeout))?;
-        let ack = read_frame_from(s)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-            .ok_or_else(|| {
+    /// Open a fresh connection: write the hello, then read the hub's
+    /// ack. A spooled writer claims its spool under the resume flag and
+    /// positions the replay cursor at the acked frame; a plain writer
+    /// claims what it delivered on earlier connections and ignores the
+    /// acked count.
+    fn handshake(&mut self, mut s: TcpStream) -> io::Result<TcpStream> {
+        let _ = s.set_nodelay(true);
+        let (id, label) = self.hello.as_ref().expect("checked in ensure_connected");
+        let hello = match &self.spool {
+            Some(spool) => resume_hello_frame(*id, label, spool.len()),
+            None => hello_frame(*id, label, self.delivered),
+        };
+        s.write_all(&hello.encode())?;
+        s.set_read_timeout(Some(ACK_TIMEOUT))?;
+        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+        let ack =
+            read_frame_from(&mut s).map_err(|e| invalid(e.to_string()))?.ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed before ack")
             })?;
-        let (ack_id, received) = parse_ack(&ack)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let (ack_id, received) = parse_ack(&ack).map_err(|e| invalid(e.to_string()))?;
         if ack_id != *id {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "ack for a different stream"));
+            return Err(invalid("ack for a different stream".to_string()));
         }
         s.set_read_timeout(None)?;
         self.acked = received;
-        self.send_pos = received.min(spooled);
-        Ok(())
+        if let Some(spool) = &self.spool {
+            self.send_pos = received.min(spool.len());
+        }
+        Ok(s)
     }
 
     /// Spool-mode send loop: flush every spooled frame past the replay
@@ -719,10 +700,7 @@ impl TcpTransport {
                     .frame_bytes(self.send_pos)
                     .map_err(|e| TransportError::io("read", e))?;
                 match self.stream.as_mut().expect("connected above").write_all(&bytes) {
-                    Ok(()) => {
-                        self.send_pos += 1;
-                        self.delivered = self.send_pos;
-                    }
+                    Ok(()) => self.send_pos += 1,
                     Err(e) => {
                         failed = Some(e);
                         break;
@@ -821,293 +799,6 @@ pub fn http_get(addr: &str, path: &str) -> Result<(u16, Vec<u8>), String> {
 // TCP: read side
 // ---------------------------------------------------------------------
 
-/// One writer's completed frame stream, as collected by
-/// [`TcpFrameListener::collect_streams`].
-#[derive(Debug)]
-pub struct FrameStream {
-    /// The stream id from the writer's [`hello_frame`] (shard index).
-    pub id: u64,
-    /// The writer's label.
-    pub label: String,
-    /// Every decoded frame, across all of the writer's connections, in
-    /// arrival order (hello frames excluded).
-    pub frames: Vec<SnapshotFrame>,
-}
-
-/// What one connection's reader thread produced.
-struct ConnResult {
-    hello: Result<Hello, TransportError>,
-    frames: Vec<SnapshotFrame>,
-    /// Clean EOF at a frame boundary (vs a torn tail, which waits for
-    /// the writer's reconnect).
-    clean: bool,
-}
-
-/// A shared "when did *any* connection last make progress" clock:
-/// reader threads stamp it per frame, the accept loop per connection,
-/// and the collector turns staleness into read-idle timeouts. Stored
-/// as milliseconds since a base instant so stamping is one relaxed
-/// atomic store on the frame path.
-#[derive(Clone, Debug)]
-struct ActivityClock {
-    base: Instant,
-    last_ms: Arc<AtomicU64>,
-}
-
-impl ActivityClock {
-    fn new() -> Self {
-        ActivityClock { base: Instant::now(), last_ms: Arc::new(AtomicU64::new(0)) }
-    }
-
-    fn touch(&self) {
-        let ms = self.base.elapsed().as_millis() as u64;
-        self.last_ms.fetch_max(ms, Ordering::Relaxed);
-    }
-
-    fn idle(&self) -> Duration {
-        let now = self.base.elapsed().as_millis() as u64;
-        Duration::from_millis(now.saturating_sub(self.last_ms.load(Ordering::Relaxed)))
-    }
-}
-
-/// The socket read side: accept N concurrent shard connections and
-/// collect each writer's frame stream.
-///
-/// Connections identify themselves with a [`hello_frame`]; frames are
-/// grouped by its stream id, so a writer that reconnects mid-stream
-/// resumes its own stream, and [`collect_streams`](Self::collect_streams)
-/// returns streams **sorted by id** — the deterministic fold order a
-/// file-based aggregation uses.
-#[derive(Debug)]
-pub struct TcpFrameListener {
-    listener: TcpListener,
-    timeout: Option<Duration>,
-    accept_idle: Option<Duration>,
-    read_idle: Option<Duration>,
-}
-
-impl TcpFrameListener {
-    /// Bind the listening socket (use port 0 for an ephemeral port and
-    /// read it back with [`local_addr`](Self::local_addr)).
-    pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Ok(TcpFrameListener {
-            listener: TcpListener::bind(addr)?,
-            timeout: None,
-            accept_idle: None,
-            read_idle: None,
-        })
-    }
-
-    /// Give up (with a typed timeout error) if `expect` streams have
-    /// not completed within `timeout` of starting to collect — a
-    /// **whole-fold deadline**, counted from the first
-    /// [`collect_streams`](Self::collect_streams) iteration regardless
-    /// of progress. For limits that reset while shards are making
-    /// progress, see [`with_accept_idle`](Self::with_accept_idle) and
-    /// [`with_read_idle`](Self::with_read_idle); all three compose
-    /// (first to fire wins).
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Give up if, while fewer connections than expected streams have
-    /// *ever* been accepted, no new connection arrives for `idle` — a
-    /// shard that never started. Unlike [`with_timeout`](Self::with_timeout)
-    /// this resets on every accept, so slow-but-live topologies don't
-    /// need a worst-case whole-fold budget.
-    pub fn with_accept_idle(mut self, idle: Duration) -> Self {
-        self.accept_idle = Some(idle);
-        self
-    }
-
-    /// Give up if no frame arrives on *any* connection for `idle`
-    /// while streams are still incomplete — a shard that connected and
-    /// then wedged (or a frame lost in flight leaving a reconnect
-    /// unstitchable). Resets on every frame received, so total fold
-    /// time stays unbounded as long as bytes keep flowing.
-    pub fn with_read_idle(mut self, idle: Duration) -> Self {
-        self.read_idle = Some(idle);
-        self
-    }
-
-    /// The bound address (the port, when bound with port 0).
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Accept connections until `expect` distinct stream ids have
-    /// delivered their whole stream (clean EOF at a frame boundary),
-    /// then return the streams sorted by id.
-    ///
-    /// Runs one reader thread per connection, so N shards stream
-    /// concurrently without filling socket buffers. A connection that
-    /// dies mid-frame keeps its decoded frames and waits for the
-    /// writer's reconnect (same hello id) to finish the stream; a
-    /// connection that never sends a valid hello is dropped. A
-    /// connection is stitched onto its stream only when its hello's
-    /// delivered-frame count matches the frames already received — so
-    /// reconnect results arriving out of order apply in stream order,
-    /// and a frame lost in flight (accepted by the writer's kernel,
-    /// never delivered) keeps the stream **incomplete** instead of
-    /// silently shortening it; with a timeout set, that surfaces as a
-    /// typed gap error.
-    pub fn collect_streams(self, expect: usize) -> Result<Vec<FrameStream>, TransportError> {
-        assert!(expect > 0, "expect at least one stream");
-        self.listener.set_nonblocking(true).map_err(|e| TransportError::io("accept", e))?;
-        let (tx, rx) = mpsc::channel::<ConnResult>();
-        let mut streams: BTreeMap<u64, FrameStream> = BTreeMap::new();
-        let mut complete = std::collections::BTreeSet::new();
-        // Connection results whose claimed delivered count is ahead of
-        // the frames received so far — an earlier connection's result
-        // is still in flight, or its tail was lost on the wire.
-        let mut pending: Vec<(u64, String, u64, ConnResult)> = Vec::new();
-        let deadline = self.timeout.map(|t| Instant::now() + t);
-        let activity = ActivityClock::new();
-        let mut accepted = 0usize;
-        let mut last_accept = Instant::now();
-
-        while complete.len() < expect {
-            match self.listener.accept() {
-                Ok((conn, _peer)) => {
-                    let _ = conn.set_nodelay(true);
-                    accepted += 1;
-                    last_accept = Instant::now();
-                    activity.touch();
-                    let tx = tx.clone();
-                    let activity = activity.clone();
-                    std::thread::spawn(move || {
-                        let _ = tx.send(read_connection(conn, &activity));
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(TransportError::io("accept", e)),
-            }
-            let mut progressed = false;
-            while let Ok(res) = rx.try_recv() {
-                let (id, label, delivered_before) = match &res.hello {
-                    Ok(hello) => (hello.id, hello.label.clone(), hello.delivered),
-                    // A connection without a valid hello (port scan,
-                    // stray client) cannot be attributed to a stream;
-                    // drop it rather than poison the fold.
-                    Err(_) => continue,
-                };
-                pending.push((id, label, delivered_before, res));
-                progressed = true;
-            }
-            // Stitch every pending result whose position has arrived.
-            while progressed {
-                progressed = false;
-                let mut keep = Vec::with_capacity(pending.len());
-                for (id, label, delivered_before, res) in pending.drain(..) {
-                    let stream = streams.entry(id).or_insert_with(|| FrameStream {
-                        id,
-                        label: label.clone(),
-                        frames: Vec::new(),
-                    });
-                    if stream.frames.len() as u64 == delivered_before {
-                        stream.frames.extend(res.frames);
-                        if res.clean {
-                            complete.insert(id);
-                        }
-                        progressed = true;
-                    } else if (stream.frames.len() as u64) < delivered_before {
-                        keep.push((id, label, delivered_before, res));
-                    } else {
-                        // The writer claims fewer delivered frames than
-                        // we hold: it would replay frames we already
-                        // have. No in-tree writer does this (counts are
-                        // cumulative and a torn frame never decodes);
-                        // refuse rather than double-count.
-                        return Err(TransportError::Handshake(
-                            "hello claims fewer delivered frames than already received",
-                        ));
-                    }
-                }
-                pending = keep;
-            }
-            let stalled = |why: &str| {
-                let gaps = pending
-                    .iter()
-                    .map(|(id, _, claimed, res)| {
-                        let got = streams.get(id).map_or(0, |s| s.frames.len());
-                        format!(
-                            "stream {id}: reconnect claims {claimed} frames delivered, \
-                             received {got} ({} more on the new connection)",
-                            res.frames.len()
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                let detail = if gaps.is_empty() {
-                    format!("{} of {expect} streams complete before {why}", complete.len())
-                } else {
-                    format!(
-                        "{} of {expect} streams complete before {why}; \
-                         gap detected (frame lost in flight?): {gaps}",
-                        complete.len()
-                    )
-                };
-                TransportError::io("accept", io::Error::new(io::ErrorKind::TimedOut, detail))
-            };
-            if let Some(deadline) = deadline {
-                if Instant::now() > deadline {
-                    return Err(stalled("the timeout"));
-                }
-            }
-            if let Some(idle) = self.accept_idle {
-                if accepted < expect && last_accept.elapsed() > idle {
-                    return Err(stalled(&format!(
-                        "the accept-idle limit ({accepted} connections accepted, \
-                         none for {idle:?})"
-                    )));
-                }
-            }
-            if let Some(idle) = self.read_idle {
-                if activity.idle() > idle {
-                    return Err(stalled(&format!("the read-idle limit (no frame for {idle:?})")));
-                }
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        Ok(streams.into_values().collect())
-    }
-}
-
-/// Read one connection to the end: hello first, then frames until a
-/// clean EOF or a torn tail. Every decoded frame stamps the shared
-/// [`ActivityClock`] so the collector's read-idle limit resets on
-/// progress.
-fn read_connection(conn: TcpStream, activity: &ActivityClock) -> ConnResult {
-    let mut input = BufReader::new(conn);
-    let hello = match read_frame_from(&mut input) {
-        Ok(Some(frame)) => parse_hello(&frame),
-        Ok(None) => Err(TransportError::Handshake("connection closed before hello")),
-        Err(e) => Err(e),
-    };
-    if hello.is_err() {
-        return ConnResult { hello, frames: Vec::new(), clean: false };
-    }
-    activity.touch();
-    let mut frames = Vec::new();
-    loop {
-        match read_frame_from(&mut input) {
-            Ok(Some(frame)) => {
-                activity.touch();
-                frames.push(frame);
-            }
-            Ok(None) => return ConnResult { hello, frames, clean: true },
-            // Torn tail: keep what decoded; the writer re-sends the
-            // torn frame on its next connection.
-            Err(_) => return ConnResult { hello, frames, clean: false },
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// FrameHub: the daemon's long-lived read side
-// ---------------------------------------------------------------------
-
 /// What a [`FrameHub`] observed, in arrival order on one channel.
 #[derive(Debug)]
 pub enum HubEvent {
@@ -1144,12 +835,15 @@ pub enum HubEvent {
         id: u64,
         /// Clean EOF (vs torn tail / read error).
         clean: bool,
+        /// Whole frames this connection carried, duplicates the hub
+        /// dropped included.
+        frames: u64,
     },
     /// A connection claimed a resume position **ahead** of the frames
     /// the hub holds — a frame was lost in flight and the writer
     /// cannot (or did not offer to) replay it. The connection is
-    /// refused; restarting the writer from its spool (or from zero,
-    /// for a deterministic producer) recovers exactly.
+    /// refused without an ack; restarting the writer from its spool
+    /// (or from zero, for a deterministic producer) recovers exactly.
     Gap {
         /// Stream id.
         id: u64,
@@ -1160,18 +854,52 @@ pub enum HubEvent {
     },
 }
 
-/// The long-lived, membership-aware socket read side behind
-/// `hhh-aggd`: accepts any number of writer connections, acks every
-/// hello with the frame count it holds (the other half of the
-/// [`TcpTransport::with_spool`] resume protocol), deduplicates
-/// re-delivered frames by position, and streams [`HubEvent`]s to the
-/// daemon's fold loop.
+/// One writer's finished frame stream, as collected by
+/// [`FrameHub::collect_streams`].
+#[derive(Debug)]
+pub struct FrameStream {
+    /// The stream id from the writer's [`hello_frame`] (shard index).
+    pub id: u64,
+    /// The writer's label.
+    pub label: String,
+    /// Every frame the hub delivered for the stream, across all of the
+    /// writer's connections, in stream order (hello frames excluded).
+    pub frames: Vec<SnapshotFrame>,
+}
+
+/// The three limits a [`FrameHub::collect_streams`] barrier waits
+/// under. Each is off when `None`; they compose, and the first to fire
+/// fails the wait with [`TransportError::Io`] (`op` `"accept"`, kind
+/// `TimedOut`) naming the limit and listing any recorded gaps.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CollectLimits {
+    /// The **whole-wait deadline**, counted from the start of the wait
+    /// regardless of progress.
+    pub timeout: Option<Duration>,
+    /// Give up if, while fewer streams than expected have joined, no
+    /// stream joins for this long — a shard that never started. Resets
+    /// on every join, so slow-but-live topologies don't need a
+    /// worst-case whole-wait budget.
+    pub accept_idle: Option<Duration>,
+    /// Give up if the hub reports nothing — no join, frame or leave —
+    /// for this long: a shard that connected and then wedged. Resets on
+    /// every frame, so the total wait stays unbounded as long as bytes
+    /// keep flowing.
+    pub read_idle: Option<Duration>,
+}
+
+/// The socket read side: accepts any number of writer connections,
+/// acks every hello with the frame count it holds (the other half of
+/// every [`TcpTransport`] handshake, and the replay position of
+/// [`TcpTransport::with_spool`]), deduplicates re-delivered frames by
+/// position, and streams [`HubEvent`]s to its consumer.
 ///
-/// Where [`TcpFrameListener::collect_streams`] is a one-shot barrier —
-/// wait for exactly `expect` complete streams, then return — the hub
-/// never finishes: shards join, leave, crash, and resume at any time,
-/// and gaps are per-connection refusals (recoverable by writer
-/// restart) instead of fold-fatal errors.
+/// `hhh-aggd` runs the hub for as long as it lives ([`start`](Self::start)):
+/// shards join, leave, crash, and resume at any time, and gaps are
+/// per-connection refusals (recoverable by writer restart) instead of
+/// fold-fatal errors. `hhh-agg --listen` runs it to a one-shot barrier
+/// ([`collect_streams`](Self::collect_streams)): wait for exactly
+/// `expect` finished streams, then return them.
 #[derive(Debug)]
 pub struct FrameHub {
     listener: TcpListener,
@@ -1229,14 +957,14 @@ impl FrameHub {
         let flag = Arc::clone(&stop);
         let listener = self.listener;
         let thread = std::thread::spawn(move || {
-            let received: Arc<Mutex<HashMap<u64, u64>>> = Arc::default();
+            let held: Arc<Mutex<HashMap<u64, u64>>> = Arc::default();
             while !flag.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((conn, _peer)) => {
                         let _ = conn.set_nodelay(true);
                         let tx = tx.clone();
-                        let received = Arc::clone(&received);
-                        std::thread::spawn(move || hub_connection(conn, &tx, &received));
+                        let held = Arc::clone(&held);
+                        std::thread::spawn(move || hub_connection(conn, &tx, &held));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(2));
@@ -1247,76 +975,155 @@ impl FrameHub {
         });
         Ok((HubHandle { stop, thread: Some(thread) }, rx))
     }
+
+    /// Run the hub to a one-shot **barrier**: wait until `expect`
+    /// streams have each left cleanly once, then stop accepting and
+    /// return them **sorted by id** — the deterministic fold order a
+    /// file-based aggregation uses.
+    ///
+    /// The hub delivers each stream position once, in order, so a
+    /// stream's frames are its [`HubEvent::Frame`]s appended as they
+    /// come, and a writer that reconnects mid-stream resumes its own
+    /// stream. A stream is done at its first clean [`HubEvent::Left`]
+    /// of a connection that carried a frame: a writer whose ack read
+    /// timed out leaves its hello-only connection behind, and that one
+    /// ends cleanly while the writer's retry still delivers. Every
+    /// [`HubEvent::Gap`] is recorded and listed ("gap detected")
+    /// if one of `limits` fires. A stream that joined but has not left
+    /// cleanly when `expect` others have is an error as well
+    /// ([`TransportError::Io`], kind `InvalidData`): the barrier never
+    /// returns a partial stream. Stray connections that never send a
+    /// valid hello are dropped by the hub and never reach the barrier.
+    pub fn collect_streams(
+        self,
+        expect: usize,
+        limits: CollectLimits,
+    ) -> Result<Vec<FrameStream>, TransportError> {
+        assert!(expect > 0, "expect at least one stream");
+        let (_hub, events) = self.start().map_err(|e| TransportError::io("accept", e))?;
+        let started = Instant::now();
+        let (mut last_join, mut last_event) = (started, started);
+        let mut streams: BTreeMap<u64, FrameStream> = BTreeMap::new();
+        let mut done = BTreeSet::new();
+        let mut gaps = Vec::new();
+        while done.len() < expect {
+            match events.recv_timeout(Duration::from_millis(2)) {
+                Ok(event) => {
+                    last_event = Instant::now();
+                    match event {
+                        HubEvent::Joined { id, label, .. } => {
+                            last_join = last_event;
+                            let stream = FrameStream { id, label, frames: Vec::new() };
+                            streams.entry(id).or_insert(stream);
+                        }
+                        HubEvent::Frame { id, frame, .. } => streams
+                            .get_mut(&id)
+                            .expect("the hub emits Joined before a stream's frames")
+                            .frames
+                            .push(frame),
+                        HubEvent::Left { id, clean: true, frames } if frames > 0 => {
+                            done.insert(id);
+                        }
+                        HubEvent::Left { .. } => {}
+                        HubEvent::Gap { id, claimed, received } => gaps.push(format!(
+                            "stream {id}: hello claims {claimed} frames delivered, hub holds \
+                             {received}"
+                        )),
+                    }
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    let ended = io::Error::new(io::ErrorKind::BrokenPipe, "hub accept loop ended");
+                    return Err(TransportError::io("accept", ended));
+                }
+            }
+            let limit = if limits.timeout.is_some_and(|t| started.elapsed() > t) {
+                Some("the timeout".to_string())
+            } else if let Some(idle) = limits
+                .accept_idle
+                .filter(|&idle| streams.len() < expect && last_join.elapsed() > idle)
+            {
+                Some(format!(
+                    "the accept-idle limit ({} streams joined, none for {idle:?})",
+                    streams.len()
+                ))
+            } else {
+                limits
+                    .read_idle
+                    .filter(|&idle| last_event.elapsed() > idle)
+                    .map(|idle| format!("the read-idle limit (no frame for {idle:?})"))
+            };
+            if let Some(why) = limit {
+                let mut detail =
+                    format!("{} of {expect} streams complete before {why}", done.len());
+                if !gaps.is_empty() {
+                    detail += "; gap detected (frame lost in flight?): ";
+                    detail += &gaps.join("; ");
+                }
+                let timed_out = io::Error::new(io::ErrorKind::TimedOut, detail);
+                return Err(TransportError::io("accept", timed_out));
+            }
+        }
+        if let Some(id) = streams.keys().find(|id| !done.contains(*id)) {
+            let detail = format!("stream {id} joined but never finished ({expect} expected)");
+            let unfinished = io::Error::new(io::ErrorKind::InvalidData, detail);
+            return Err(TransportError::io("accept", unfinished));
+        }
+        Ok(streams.into_values().collect())
+    }
 }
 
 /// One hub connection: handshake (hello in, ack out), then frames
-/// deduplicated by position until EOF or a torn tail.
-fn hub_connection(
-    conn: TcpStream,
-    tx: &mpsc::Sender<HubEvent>,
-    received: &Mutex<HashMap<u64, u64>>,
-) {
+/// deduplicated by position until EOF or a torn tail. `held` maps each
+/// stream id to the frames the hub holds: the next position to deliver.
+fn hub_connection(conn: TcpStream, tx: &mpsc::Sender<HubEvent>, held: &Mutex<HashMap<u64, u64>>) {
     // A connection that never sends its hello must not pin this thread
     // (port scans, health probes); frames after admission have no
     // deadline — a long-lived shard may idle between windows.
     let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
     let Ok(reader_half) = conn.try_clone() else { return };
     let mut reader = BufReader::new(reader_half);
-    let hello = match read_frame_from(&mut reader) {
-        Ok(Some(frame)) => match parse_hello(&frame) {
-            Ok(h) => h,
-            Err(_) => return,
-        },
-        _ => return,
-    };
-    let held = *received.lock().expect("hub lock").entry(hello.id).or_insert(0);
+    let Ok(Some(frame)) = read_frame_from(&mut reader) else { return };
+    let Ok(hello) = parse_hello(&frame) else { return };
+    let count = *held.lock().expect("hub lock").entry(hello.id).or_insert(0);
+    // A resume-capable writer replays from our ack; a plain writer
+    // sends from wherever its hello claimed (position-deduped below).
+    let base = if hello.resume { count } else { hello.delivered };
+    if base > count {
+        // Refused: the connection closes without an ack.
+        let _ = tx.send(HubEvent::Gap { id: hello.id, claimed: base, received: count });
+        return;
+    }
     let mut writer = conn;
-    if writer.write_all(&ack_frame(hello.id, held).encode()).is_err() {
+    if writer.write_all(&ack_frame(hello.id, count).encode()).is_err() {
         return;
     }
     let _ = writer.set_read_timeout(None);
-    // A resume-capable writer replays from our ack; a plain writer
-    // sends from wherever its hello claimed (position-deduped below).
-    let base = if hello.resume { held } else { hello.delivered };
-    if base > held {
-        let _ = tx.send(HubEvent::Gap { id: hello.id, claimed: base, received: held });
-        return;
-    }
-    let _ = tx.send(HubEvent::Joined { id: hello.id, label: hello.label, resume_at: held });
+    let _ = tx.send(HubEvent::Joined { id: hello.id, label: hello.label, resume_at: count });
     let mut pos = base;
-    loop {
+    let clean = loop {
         match read_frame_from(&mut reader) {
             Ok(Some(frame)) => {
-                let deliver = {
-                    let mut map = received.lock().expect("hub lock");
-                    let count = map.entry(hello.id).or_insert(0);
-                    if pos == *count {
-                        *count += 1;
-                        true
-                    } else {
-                        // pos < count: a frame the hub already holds
-                        // (a restarted writer replaying its prefix) —
-                        // drop it. pos can never exceed count: it
-                        // starts at base <= count and count advances
-                        // with every delivery.
-                        false
-                    }
-                };
-                if deliver {
+                let mut map = held.lock().expect("hub lock");
+                let count = map.get_mut(&hello.id).expect("admitted above");
+                // Emit under the lock, so another connection of the
+                // stream cannot emit the next position first. pos <
+                // count is a frame the hub already holds (a restarted
+                // writer replaying its prefix): drop it. pos can never
+                // exceed count: it starts at base <= count and count
+                // advances with every delivery.
+                if pos == *count {
+                    *count += 1;
                     let _ = tx.send(HubEvent::Frame { id: hello.id, pos, frame });
                 }
+                drop(map);
                 pos += 1;
             }
-            Ok(None) => {
-                let _ = tx.send(HubEvent::Left { id: hello.id, clean: true });
-                return;
-            }
-            Err(_) => {
-                let _ = tx.send(HubEvent::Left { id: hello.id, clean: false });
-                return;
-            }
+            Ok(None) => break true,
+            Err(_) => break false,
         }
-    }
+    };
+    let _ = tx.send(HubEvent::Left { id: hello.id, clean, frames: pos - base });
 }
 
 // ---------------------------------------------------------------------
@@ -1449,6 +1256,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn state_frame(at_secs: u64, total: u64) -> SnapshotFrame {
         let snap = DetectorSnapshot {
@@ -1698,19 +1506,171 @@ mod tests {
         handle.shutdown();
     }
 
+    /// A raw writer's connection to `addr`, its hello written and the
+    /// hub's ack read — as every writer does before its first frame. A
+    /// hello the hub refuses (closed without an ack: it claims frames
+    /// the hub has not read yet) is retried after 50 ms, as
+    /// `TcpTransport`'s backoff does.
+    fn admitted(addr: SocketAddr, id: u64, delivered: u64) -> TcpStream {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(&hello_frame(id, &format!("shard-{id}"), delivered).encode()).unwrap();
+            if let Ok(Some(ack)) = read_frame_from(&mut conn) {
+                assert_eq!(parse_ack(&ack).unwrap().0, id);
+                return conn;
+            }
+            assert!(Instant::now() < deadline, "the hub never admitted stream {id}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+
+    fn within(timeout: Duration) -> CollectLimits {
+        CollectLimits { timeout: Some(timeout), ..CollectLimits::default() }
+    }
+
+    #[test]
+    fn a_plain_writer_that_drops_after_a_pause_loses_no_frames() {
+        // A writer that closed with the hub's ack unread would make the
+        // kernel reset the connection, and the reset discards frames
+        // the hub has not read yet. Every writer reads its ack first.
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
+        let (handle, rx) = hub.start().unwrap();
+        for id in 0..10u64 {
+            {
+                let mut t =
+                    TcpTransport::connect(addr.to_string()).with_hello(id, format!("shard-{id}"));
+                for i in 0..50 {
+                    t.write_frame(&state_frame(i + 1, i)).unwrap();
+                }
+                std::thread::sleep(Duration::from_millis(30)); // the hub's ack arrives
+                for i in 50..100 {
+                    t.write_frame(&state_frame(i + 1, i)).unwrap();
+                }
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut frames = 0;
+            let clean = loop {
+                match rx.recv_timeout(deadline - Instant::now()) {
+                    Ok(HubEvent::Frame { id: got, .. }) => {
+                        assert_eq!(got, id);
+                        frames += 1;
+                    }
+                    Ok(HubEvent::Left { clean, .. }) => break clean,
+                    Ok(_) => {}
+                    Err(e) => panic!("hub events dried up in round {id}: {e}"),
+                }
+            };
+            assert_eq!((frames, clean), (100, true), "round {id}: every frame, one clean leave");
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn stray_connections_beside_real_writers_never_reach_the_barrier() {
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
+        let frames = |id: u64| -> Vec<SnapshotFrame> {
+            (0..20).map(|i| state_frame(i + 1, (id + 1) * 100 + i)).collect()
+        };
+        // Both writers stop halfway until the hub has read and dropped
+        // every stray, so the barrier cannot finish before the hub has
+        // judged them all.
+        let (halfway, strays_dropped) = (Arc::new(Barrier::new(3)), Arc::new(Barrier::new(3)));
+        let writers: Vec<_> = [0u64, 1]
+            .into_iter()
+            .map(|id| {
+                let (halfway, strays_dropped) = (Arc::clone(&halfway), Arc::clone(&strays_dropped));
+                std::thread::spawn(move || {
+                    let mut t = TcpTransport::connect(addr.to_string())
+                        .with_hello(id, format!("shard-{id}"));
+                    for (i, f) in frames(id).iter().enumerate() {
+                        if i == 10 {
+                            halfway.wait();
+                            strays_dropped.wait();
+                        }
+                        t.write_frame(f).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let strays = std::thread::spawn(move || {
+            halfway.wait();
+            let mut bad_digest = hello_frame(2, "shard-2", 0);
+            bad_digest.digest ^= 1;
+            let openings = [
+                Vec::new(),                         // closes without a byte
+                b"GET / HTTP/1.1\r\n\r\n".to_vec(), // garbage
+                state_frame(1, 1).encode(),         // a state frame first
+                bad_digest.encode(),                // a hello with a bad digest
+            ];
+            for bytes in openings {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.write_all(&bytes).unwrap();
+                conn.shutdown(std::net::Shutdown::Write).unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+                // The hub drops a stray without an ack: EOF or a reset,
+                // never a byte, and never a read timeout.
+                let mut reply = Vec::new();
+                let dropped = conn
+                    .read_to_end(&mut reply)
+                    .map_or_else(|e| e.kind() == io::ErrorKind::ConnectionReset, |_| true);
+                assert!(dropped && reply.is_empty(), "stray {bytes:?} got {reply:?}");
+            }
+            strays_dropped.wait();
+        });
+        let streams = hub.collect_streams(2, within(Duration::from_secs(30))).unwrap();
+        for w in writers {
+            w.join().unwrap();
+        }
+        strays.join().unwrap();
+        assert_eq!(streams.iter().map(|s| s.id).collect::<Vec<_>>(), vec![0, 1]);
+        for s in &streams {
+            let mut file = FileTransport::new(Vec::new());
+            for f in frames(s.id) {
+                file.write_frame(&f).unwrap();
+            }
+            let socket: Vec<u8> = s.frames.iter().flat_map(SnapshotFrame::encode).collect();
+            assert_eq!(socket, file.into_inner(), "stream {} matches its file stream", s.id);
+        }
+    }
+
+    #[test]
+    fn a_connection_that_carried_no_frame_does_not_finish_its_stream() {
+        // A writer whose ack read timed out leaves a connection that
+        // sent only its hello; the hub may admit it late, and it ends
+        // cleanly while the writer's retry is still delivering. That
+        // clean leave must not complete the stream.
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            drop(admitted(addr, 0, 0));
+            std::thread::sleep(Duration::from_millis(100));
+            let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0");
+            for i in 0..5u64 {
+                t.write_frame(&state_frame(i + 1, i)).unwrap();
+            }
+        });
+        let streams = hub.collect_streams(1, within(Duration::from_secs(30))).unwrap();
+        writer.join().unwrap();
+        let totals: Vec<u64> = streams[0].frames.iter().map(|f| f.total).collect();
+        assert_eq!(totals, vec![0, 1, 2, 3, 4]);
+    }
+
     #[test]
     fn accept_idle_fires_when_a_shard_never_connects() {
-        let listener = TcpFrameListener::bind("127.0.0.1:0")
-            .unwrap()
-            .with_accept_idle(Duration::from_millis(200));
-        let addr = listener.local_addr().unwrap();
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
         // One of two expected shards connects and completes; the other
         // never dials in — the accept-idle limit must end the wait.
         let writer = std::thread::spawn(move || {
             let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0");
             t.write_frame(&state_frame(1, 42)).unwrap();
         });
-        let err = listener.collect_streams(2).unwrap_err();
+        let limits =
+            CollectLimits { accept_idle: Some(Duration::from_millis(200)), ..Default::default() };
+        let err = hub.collect_streams(2, limits).unwrap_err();
         writer.join().unwrap();
         match err {
             TransportError::Io { op: "accept", source } => {
@@ -1723,20 +1683,19 @@ mod tests {
 
     #[test]
     fn read_idle_fires_when_a_connected_shard_wedges() {
-        let listener = TcpFrameListener::bind("127.0.0.1:0")
-            .unwrap()
-            .with_read_idle(Duration::from_millis(200));
-        let addr = listener.local_addr().unwrap();
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
         // The shard connects, sends its hello and one frame, then
         // wedges with the connection open — only read-idle catches it.
         let (done_tx, done_rx) = mpsc::channel::<()>();
         let writer = std::thread::spawn(move || {
-            let mut conn = TcpStream::connect(addr).unwrap();
-            conn.write_all(&hello_frame(0, "shard-0", 0).encode()).unwrap();
+            let mut conn = admitted(addr, 0, 0);
             conn.write_all(&state_frame(1, 42).encode()).unwrap();
             let _ = done_rx.recv(); // hold the connection open, silent
         });
-        let err = listener.collect_streams(1).unwrap_err();
+        let limits =
+            CollectLimits { read_idle: Some(Duration::from_millis(200)), ..Default::default() };
+        let err = hub.collect_streams(1, limits).unwrap_err();
         drop(done_tx);
         writer.join().unwrap();
         match err {
@@ -1753,10 +1712,8 @@ mod tests {
         // Frames arriving every ~40 ms must keep a 250 ms read-idle
         // limit from firing even though the whole stream takes longer
         // than the limit.
-        let listener = TcpFrameListener::bind("127.0.0.1:0")
-            .unwrap()
-            .with_read_idle(Duration::from_millis(250));
-        let addr = listener.local_addr().unwrap();
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
         let writer = std::thread::spawn(move || {
             let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0");
             for i in 0..10u64 {
@@ -1764,16 +1721,17 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(40));
             }
         });
-        let streams = listener.collect_streams(1).unwrap();
+        let limits =
+            CollectLimits { read_idle: Some(Duration::from_millis(250)), ..Default::default() };
+        let streams = hub.collect_streams(1, limits).unwrap();
         writer.join().unwrap();
         assert_eq!(streams[0].frames.len(), 10);
     }
 
     #[test]
     fn tcp_listener_collects_streams_sorted_by_hello_id() {
-        let listener =
-            TcpFrameListener::bind("127.0.0.1:0").unwrap().with_timeout(Duration::from_secs(30));
-        let addr = listener.local_addr().unwrap();
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
         // Connect in reverse id order to prove arrival order is
         // irrelevant.
         let writers: Vec<_> = [2u64, 1, 0]
@@ -1788,7 +1746,7 @@ mod tests {
                 })
             })
             .collect();
-        let streams = listener.collect_streams(3).unwrap();
+        let streams = hub.collect_streams(3, within(Duration::from_secs(30))).unwrap();
         for w in writers {
             w.join().unwrap();
         }
@@ -1803,13 +1761,12 @@ mod tests {
 
     #[test]
     fn tcp_torn_peer_yields_clean_error_and_reconnect_resumes_the_stream() {
-        // A writer that dies mid-frame must (a) surface as a typed
-        // error on a raw read side, and (b) not poison a listener: the
-        // reconnecting writer re-sends the torn frame and completes
-        // the stream.
-        let listener =
-            TcpFrameListener::bind("127.0.0.1:0").unwrap().with_timeout(Duration::from_secs(30));
-        let addr = listener.local_addr().unwrap();
+        // A writer that dies mid-frame must (a) end its connection as a
+        // torn tail, not a finished stream, and (b) not poison the
+        // barrier: the reconnecting writer re-sends the torn frame and
+        // completes the stream.
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
         let torn = {
             let bytes = state_frame(2, 43).encode();
             bytes[..bytes.len() - 5].to_vec()
@@ -1817,20 +1774,18 @@ mod tests {
         let writer = std::thread::spawn(move || {
             // First connection: hello, one whole frame, then a torn
             // one, then die.
-            let mut conn = TcpStream::connect(addr).unwrap();
-            conn.write_all(&hello_frame(0, "shard-0", 0).encode()).unwrap();
+            let mut conn = admitted(addr, 0, 0);
             conn.write_all(&state_frame(1, 42).encode()).unwrap();
             conn.write_all(&torn).unwrap();
             drop(conn);
             // Reconnect: the hello claims the one frame that fully
             // arrived, then the torn frame is re-sent whole, then one
             // more, then a clean end.
-            let mut t =
-                TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0").resuming_after(1);
-            t.write_frame(&state_frame(2, 43)).unwrap();
-            t.write_frame(&state_frame(3, 44)).unwrap();
+            let mut conn = admitted(addr, 0, 1);
+            conn.write_all(&state_frame(2, 43).encode()).unwrap();
+            conn.write_all(&state_frame(3, 44).encode()).unwrap();
         });
-        let streams = listener.collect_streams(1).unwrap();
+        let streams = hub.collect_streams(1, within(Duration::from_secs(30))).unwrap();
         writer.join().unwrap();
         assert_eq!(streams.len(), 1);
         let totals: Vec<u64> = streams[0].frames.iter().map(|f| f.total).collect();
@@ -1841,18 +1796,19 @@ mod tests {
     fn lost_in_flight_frame_is_a_gap_error_not_a_shorter_stream() {
         // The silent-loss scenario: the writer's kernel accepted a
         // frame that never arrived before the connection died, so the
-        // reconnect's hello claims 1 delivered while the listener
-        // holds 0. The stream must stay incomplete and surface a
-        // typed gap error — never fold one frame short.
-        let listener =
-            TcpFrameListener::bind("127.0.0.1:0").unwrap().with_timeout(Duration::from_secs(2));
-        let addr = listener.local_addr().unwrap();
+        // reconnect's hello claims 1 delivered while the hub holds 0.
+        // The stream must stay incomplete and surface a typed gap
+        // error — never fold one frame short.
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
         let writer = std::thread::spawn(move || {
-            let mut t =
-                TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0").resuming_after(1);
-            t.write_frame(&state_frame(2, 43)).unwrap();
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(&hello_frame(0, "shard-0", 1).encode()).unwrap();
+            let _ = conn.write_all(&state_frame(2, 43).encode());
+            let refused = !matches!(read_frame_from(&mut conn), Ok(Some(_)));
+            assert!(refused, "the hub closes a gapped connection without an ack");
         });
-        let err = listener.collect_streams(1).unwrap_err();
+        let err = hub.collect_streams(1, within(Duration::from_secs(2))).unwrap_err();
         writer.join().unwrap();
         match err {
             TransportError::Io { op: "accept", source } => {
@@ -1866,8 +1822,8 @@ mod tests {
     #[test]
     fn tcp_transport_retries_until_the_listener_binds() {
         // Reserve a port, release it, connect against it while it is
-        // closed — the backoff must carry the writer until the
-        // listener comes up.
+        // closed — the backoff must carry the writer until the hub
+        // comes up.
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap();
         drop(probe);
@@ -1879,8 +1835,8 @@ mod tests {
                 t.write_frame(&state_frame(1, 7)).unwrap();
             });
         std::thread::sleep(Duration::from_millis(300));
-        let listener = TcpFrameListener::bind(addr).unwrap().with_timeout(Duration::from_secs(30));
-        let streams = listener.collect_streams(1).unwrap();
+        let hub = FrameHub::bind(addr).unwrap();
+        let streams = hub.collect_streams(1, within(Duration::from_secs(30))).unwrap();
         writer.join().unwrap();
         assert_eq!(streams[0].frames.len(), 1);
         assert_eq!(streams[0].frames[0].total, 7);
@@ -1891,7 +1847,7 @@ mod tests {
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap();
         drop(probe);
-        let mut t = TcpTransport::connect(addr.to_string()).with_retry(
+        let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0").with_retry(
             2,
             Duration::from_millis(1),
             Duration::from_millis(2),
@@ -1899,5 +1855,9 @@ mod tests {
         let err = t.write_frame(&state_frame(1, 1)).unwrap_err();
         assert!(matches!(err, TransportError::Io { op: "connect", .. }), "{err:?}");
         assert!(std::error::Error::source(&err).is_some(), "source() chains to io::Error");
+        // Without a hello no connection can be admitted: a typed error
+        // before any connect attempt.
+        let err = TcpTransport::connect(addr.to_string()).write_frame(&state_frame(1, 1));
+        assert!(matches!(err, Err(TransportError::Handshake(_))), "{err:?}");
     }
 }

@@ -15,7 +15,7 @@
 //!    to the byte-identical merged state;
 //! 5. stream the shards over **transports** instead of buffers — both
 //!    shard pipelines write natively encoded v2 frames over localhost
-//!    TCP into one `TcpFrameListener` (the `distagg shard --connect` /
+//!    TCP into one `FrameHub` barrier (the `distagg shard --connect` /
 //!    `hhh-agg --listen` path) — and show the socket fold is
 //!    byte-identical to the file fold: a frame on a socket is the
 //!    same bytes as a frame in a file.
@@ -25,7 +25,9 @@
 use hidden_hhh::agg::{collect_socket_streams, fold_streams, read_stream};
 use hidden_hhh::core::WireFormat;
 use hidden_hhh::prelude::*;
-use hidden_hhh::window::{shard_of, FoldSnapshots, SnapshotSink, SnapshotSource};
+use hidden_hhh::window::{
+    shard_of, CollectLimits, FoldSnapshots, FrameHub, SnapshotSink, SnapshotSource,
+};
 
 fn main() {
     let h = Ipv4Hierarchy::bytes();
@@ -60,7 +62,7 @@ fn main() {
         .enumerate()
         .map(|(i, b)| read_stream(i, b.as_slice()).expect("own streams parse"))
         .collect();
-    let merged = fold_streams(&h, &parsed).expect("shard snapshots fold");
+    let merged = fold_streams(&h, parsed).expect("shard snapshots fold");
 
     let mut single = ExactHhh::new(h);
     let reference = Pipeline::new(packets.iter().copied())
@@ -107,7 +109,7 @@ fn main() {
         read_stream(0, shard0_v2.as_slice()).expect("binary stream parses"),
         read_stream(1, streams[1].as_slice()).expect("json stream parses"),
     ];
-    let merged_mixed = fold_streams(&h, &mixed).expect("mixed-format shards fold");
+    let merged_mixed = fold_streams(&h, mixed).expect("mixed-format shards fold");
     for (a, b) in merged.iter().zip(&merged_mixed) {
         assert_eq!(
             a.detector.snapshot().to_json(),
@@ -119,13 +121,11 @@ fn main() {
 
     // --- 5. the same shards over a live transport: each pipeline
     // streams natively encoded v2 frames (`FrameEncode`, no JSON on
-    // the shard side) over localhost TCP; the listener folds them in
-    // hello-id order. `distagg shard --connect` / `hhh-agg --listen`
-    // run exactly this across real processes and hosts.
-    let listener = TcpFrameListener::bind("127.0.0.1:0")
-        .expect("bind an ephemeral localhost port")
-        .with_timeout(std::time::Duration::from_secs(60));
-    let addr = listener.local_addr().expect("bound address").to_string();
+    // the shard side) over localhost TCP; the hub's barrier returns
+    // them in hello-id order. `distagg shard --connect` / `hhh-agg
+    // --listen` run exactly this across real processes and hosts.
+    let hub = FrameHub::bind("127.0.0.1:0").expect("bind an ephemeral localhost port");
+    let addr = hub.local_addr().expect("bound address").to_string();
     let streamed = std::thread::scope(|s| {
         for shard in 0..2usize {
             let addr = addr.clone();
@@ -146,9 +146,13 @@ fn main() {
                 assert!(err.is_none(), "localhost TCP writes succeed: {err:?}");
             });
         }
-        collect_socket_streams(listener, 2).expect("both shard streams complete")
+        let limits = CollectLimits {
+            timeout: Some(std::time::Duration::from_secs(60)),
+            ..CollectLimits::default()
+        };
+        collect_socket_streams(hub, 2, limits).expect("both shard streams complete")
     });
-    let merged_socket = fold_streams(&h, &streamed).expect("socket shards fold");
+    let merged_socket = fold_streams(&h, streamed).expect("socket shards fold");
     assert_eq!(merged.len(), merged_socket.len(), "socket fold must cover every report point");
     for (a, b) in merged.iter().zip(&merged_socket) {
         assert_eq!(

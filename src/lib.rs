@@ -97,9 +97,9 @@ pub mod prelude {
     pub use hhh_sketches::{DecayRate, OnDemandTdbf, SpaceSaving};
     pub use hhh_trace::{scenarios, TraceGenerator, TraceStats, TrafficModel};
     pub use hhh_window::{
-        bounded, mem_transport, with_shards, CollectSink, Continuous, Disjoint, Engine, FnSink,
-        JsonSnapshotSink, MicroVaried, PacketSource, Pipeline, ReportSink, ShardedContinuous,
-        ShardedDisjoint, ShardedSliding, SlidingExact, SnapshotSink, TcpFrameListener,
+        bounded, mem_transport, with_shards, CollectLimits, CollectSink, Continuous, Disjoint,
+        Engine, FnSink, FrameHub, JsonSnapshotSink, MicroVaried, PacketSource, Pipeline,
+        ReportSink, ShardedContinuous, ShardedDisjoint, ShardedSliding, SlidingExact, SnapshotSink,
         TcpTransport, TransportSink, TransportSource, WindowReport,
     };
 }

@@ -181,7 +181,7 @@ fn folded_reports_reconstruct_exact_window_bounds() {
             .enumerate()
             .map(|(i, b)| hhh_agg::read_stream(i, b.as_slice()).expect("stream parses"))
             .collect();
-        let points = fold_streams(&Ipv4Hierarchy::bytes(), &parsed).expect("folds");
+        let points = fold_streams(&Ipv4Hierarchy::bytes(), parsed).expect("folds");
         assert_eq!(points.len(), inproc.len());
         for (i, (p, reference)) in points.iter().zip(&inproc).enumerate() {
             let merged = p.report(i as u64, distagg_threshold());

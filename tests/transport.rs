@@ -16,8 +16,8 @@ use hidden_hhh::core::snapshot::binary::SnapshotFrame;
 use hidden_hhh::core::{DetectorSnapshot, WireFormat, WireSnapshot};
 use hidden_hhh::prelude::*;
 use hidden_hhh::window::{
-    mem_transport, FileTransport, FoldSnapshots, FrameRead, FrameWrite, SnapshotSink,
-    SnapshotSource, TcpFrameListener, TcpTransport, TransportError, TransportSink, TransportSource,
+    mem_transport, CollectLimits, FileTransport, FoldSnapshots, FrameHub, FrameRead, FrameWrite,
+    SnapshotSink, SnapshotSource, TcpTransport, TransportError, TransportSink, TransportSource,
 };
 use proptest::prelude::*;
 
@@ -93,10 +93,8 @@ fn tcp_transport_carries_the_file_bytes() {
     let packets = trace(15);
     let reference = file_bytes(&packets, horizon);
 
-    let listener = TcpFrameListener::bind("127.0.0.1:0")
-        .unwrap()
-        .with_timeout(std::time::Duration::from_secs(120));
-    let addr = listener.local_addr().unwrap().to_string();
+    let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+    let addr = hub.local_addr().unwrap().to_string();
     let producer = std::thread::spawn({
         let packets = packets.clone();
         move || {
@@ -105,7 +103,9 @@ fn tcp_transport_carries_the_file_bytes() {
             assert!(err.is_none(), "{err:?}");
         }
     });
-    let streams = listener.collect_streams(1).unwrap();
+    let limits =
+        CollectLimits { timeout: Some(std::time::Duration::from_secs(120)), ..Default::default() };
+    let streams = hub.collect_streams(1, limits).unwrap();
     producer.join().unwrap();
     assert_eq!(streams.len(), 1);
     let streamed: Vec<u8> = streams[0].frames.iter().flat_map(SnapshotFrame::encode).collect();
@@ -170,7 +170,7 @@ fn path_constructors_roundtrip_through_a_real_file() {
     let snaps: Vec<WireSnapshot> = (&mut source).collect();
     assert!(source.error().is_none(), "{:?}", source.error());
     assert_eq!(snaps.len(), 2, "one state per 5 s window");
-    let points = fold_streams(&h(), &[snaps]).unwrap();
+    let points = fold_streams(&h(), vec![snaps]).unwrap();
     assert_eq!(points.len(), 2);
 
     // And the FileTransport reader sees the identical frames.
