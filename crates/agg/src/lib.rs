@@ -464,9 +464,9 @@ where
             out.write_all(&frame.encode()).map_err(io)?;
         }
         if emit_state {
-            // Native re-encode (`FrameEncode`): the folded detector
-            // writes its v2 body directly — same bytes as the
-            // snapshot()-then-transcode path, none of its JSON cost.
+            // Re-encode straight from the folded detector's wire body —
+            // same bytes as the snapshot()-then-transcode path, none of
+            // its JSON cost.
             let frame = point
                 .detector
                 .to_frame(point.start, point.at)

@@ -124,13 +124,12 @@ pub trait MergeableDetector {
     /// sockets, in-process channels) ask for at report points.
     ///
     /// The default goes through [`snapshot`](Self::snapshot) and the
-    /// JSON → frame transcode (correct for any detector, and the
-    /// reference the proptests pin against); detectors implementing
-    /// [`FrameEncode`](crate::snapshot::FrameEncode) override it with
-    /// the **native** encoder, which writes the identical bytes
-    /// without rendering or parsing JSON. Returns `None` when the
-    /// detector does not snapshot (or its snapshot has no v2 body
-    /// layout — callers fall back to [`snapshot`](Self::snapshot)).
+    /// JSON → frame transcode, which is correct for any detector. The
+    /// snapshot-capable detectors override both methods to render one
+    /// wire body each way, so this frame carries the same state as
+    /// `snapshot()` without rendering or parsing JSON. Returns `None`
+    /// when the detector does not snapshot (or its snapshot has no v2
+    /// body layout — callers fall back to [`snapshot`](Self::snapshot)).
     fn to_frame(&self, start: Nanos, at: Nanos) -> Option<SnapshotFrame> {
         self.snapshot().and_then(|s| s.to_frame(start, at).ok())
     }

@@ -10,8 +10,9 @@
 
 use crate::detector::{HhhDetector, MergeableDetector};
 use crate::report::{HhhReport, Threshold};
-use crate::snapshot::FrameEncode;
+use crate::snapshot::{Body, DetectorSnapshot, ExactBody, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
+use hhh_nettypes::Nanos;
 use std::collections::HashMap;
 
 /// Bottom-up exclude-all-HHH-descendants discounting over per-level
@@ -186,38 +187,17 @@ impl<H: Hierarchy> MergeableDetector for ExactHhh<H> {
     }
 
     /// Wire format: `{"counts":[[item, count], …]}` with items rendered
-    /// via `Debug` and rows sorted by that rendering, so equal states
-    /// serialize identically. Aggregators fold snapshots by summing
-    /// counts per item — the same algebra as [`merge`](Self::merge).
-    fn snapshot(&self) -> Option<crate::snapshot::DetectorSnapshot> {
-        // Items render via `Debug` (the only rendering bound
-        // `Hierarchy::Item` carries). The decode half parses them back
-        // with `FromStr`, so snapshot round-tripping requires the two
-        // forms to agree — true for the primitive integer items every
-        // in-tree hierarchy uses; a custom hierarchy whose `Debug`
-        // form is not its `FromStr` form must not rely on `exact`
-        // snapshots (decode returns a typed error rather than
-        // corrupting counts, since keys that fail to parse reject the
-        // row).
-        let mut rows: Vec<(String, Vec<u64>)> =
-            self.counts.iter().map(|(item, &c)| (format!("{item:?}"), vec![c])).collect();
-        rows.sort();
-        Some(crate::snapshot::DetectorSnapshot {
-            kind: "exact".into(),
-            total: self.total,
-            state_json: format!("{{\"counts\":{}}}", crate::snapshot::json_keyed_rows(&rows)),
-        })
+    /// via `Debug` and rows sorted by that rendering (the detector's
+    /// wire body). Aggregators fold snapshots by summing counts per
+    /// item — the same algebra as [`merge`](Self::merge).
+    fn snapshot(&self) -> Option<DetectorSnapshot> {
+        Some(self.body().into_snapshot(self.total))
     }
 
-    /// Native v2 encode ([`FrameEncode`]) — byte-identical to
-    /// transcoding [`snapshot`](MergeableDetector::snapshot), without
-    /// rendering or parsing JSON.
-    fn to_frame(
-        &self,
-        start: hhh_nettypes::Nanos,
-        at: hhh_nettypes::Nanos,
-    ) -> Option<crate::snapshot::SnapshotFrame> {
-        FrameEncode::encode_frame(self, start, at).ok()
+    /// The same body as [`snapshot`](MergeableDetector::snapshot),
+    /// encoded as a v2 frame with no JSON on the path.
+    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<SnapshotFrame> {
+        self.body().to_frame(self.total, start, at).ok()
     }
 
     /// Exact counts subtract as losslessly as they add: removing a
@@ -241,68 +221,23 @@ impl<H: Hierarchy> MergeableDetector for ExactHhh<H> {
     }
 }
 
-impl<H: Hierarchy> FrameEncode for ExactHhh<H> {
-    fn frame_kind(&self) -> &'static str {
-        "exact"
-    }
-
-    fn frame_total(&self) -> u64 {
-        self.total
-    }
-
-    fn frame_digest(&self) -> u64 {
-        crate::snapshot::binary::exact_config_digest()
-    }
-
-    /// The v2 `exact` body straight from the count map: rows sorted by
-    /// the item's `Debug` rendering — the same order (and the same
-    /// key strings) the JSON body uses, so the frame is byte-identical
-    /// to transcoding [`snapshot`](MergeableDetector::snapshot).
-    fn write_frame_body(&self, out: &mut Vec<u8>) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::binary::{put_str, put_uv};
+impl<H: Hierarchy> ExactHhh<H> {
+    /// The wire body: `(item, count)` rows sorted by the item's
+    /// `Debug` rendering, so equal states serialize identically.
+    ///
+    /// Items render via `Debug` (the only rendering bound
+    /// `Hierarchy::Item` carries). The decode half parses them back
+    /// with `FromStr`, so snapshot round-tripping requires the two
+    /// forms to agree — true for the primitive integer items every
+    /// in-tree hierarchy uses; a custom hierarchy whose `Debug` form
+    /// is not its `FromStr` form must not rely on `exact` snapshots
+    /// (decode returns a typed error rather than corrupting counts,
+    /// since keys that fail to parse reject the row).
+    pub(crate) fn body(&self) -> Body<'_> {
         let mut rows: Vec<(String, u64)> =
             self.counts.iter().map(|(item, &c)| (format!("{item:?}"), c)).collect();
         rows.sort();
-        put_uv(out, rows.len() as u64);
-        for (key, count) in &rows {
-            put_str(out, key);
-            put_uv(out, *count);
-        }
-        Ok(())
-    }
-}
-
-impl<H: Hierarchy> ExactHhh<H>
-where
-    H::Item: core::str::FromStr,
-{
-    /// Rebuild a detector from a serialized
-    /// [`snapshot`](MergeableDetector::snapshot) — the decode half of
-    /// the round-trip codec. The restored detector is bit-equivalent
-    /// to the one that emitted the snapshot: counts, total, reports
-    /// and re-serialization all match exactly.
-    ///
-    /// Requires `H::Item`'s `FromStr` to parse its `Debug` rendering
-    /// (the form [`snapshot`](MergeableDetector::snapshot) writes) —
-    /// see the encode-side note; integer item types satisfy this.
-    pub fn from_snapshot(
-        hierarchy: H,
-        snap: &crate::snapshot::DetectorSnapshot,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{parse_keyed_rows, req, SnapshotError};
-        if snap.kind != "exact" {
-            return Err(SnapshotError::Mismatch(format!(
-                "expected kind `exact`, got `{}`",
-                snap.kind
-            )));
-        }
-        let state = snap.state()?;
-        let rows: Vec<(H::Item, Vec<u64>)> = parse_keyed_rows(req(&state, "counts")?, "counts", 1)?;
-        Self::from_wire_rows(
-            hierarchy,
-            rows.into_iter().map(|(item, vals)| (item, vals[0])),
-            snap.total,
-        )
+        Body::Exact(ExactBody { rows })
     }
 
     /// The validated decode core both wire formats share: build a
@@ -313,8 +248,7 @@ where
         hierarchy: H,
         rows: impl IntoIterator<Item = (H::Item, u64)>,
         envelope_total: u64,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
+    ) -> Result<Self, SnapshotError> {
         let rows = rows.into_iter();
         let mut counts: HashMap<H::Item, u64> = HashMap::with_capacity(rows.size_hint().0);
         let mut total: u64 = 0;

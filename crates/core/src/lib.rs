@@ -65,8 +65,8 @@ pub use mvpipe::{MvBucket, MvPipeHhh};
 pub use report::{HhhReport, Threshold};
 pub use rhhh::Rhhh;
 pub use snapshot::{
-    parse_state_line, DetectorSnapshot, FrameEncode, RestoredDetector, SnapshotError,
-    SnapshotFrame, StampedSnapshot, WireFormat, WireSnapshot,
+    parse_state_line, DetectorSnapshot, RestoredDetector, SnapshotError, SnapshotFrame,
+    StampedSnapshot, WireFormat, WireSnapshot,
 };
 pub use ss_hhh::SpaceSavingHhh;
 pub use tdbf_hhh::{TdbfHhh, TdbfHhhConfig};

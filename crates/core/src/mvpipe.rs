@@ -22,7 +22,9 @@
 use crate::detector::{HhhDetector, MergeableDetector};
 use crate::exact::discount_bottom_up;
 use crate::report::{HhhReport, Threshold};
+use crate::snapshot::{Body, DetectorSnapshot, MvPipeBody, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
+use hhh_nettypes::Nanos;
 use hhh_sketches::hash::hash_of;
 use std::collections::HashMap;
 
@@ -119,18 +121,18 @@ impl<H: Hierarchy> MvPipeHhh<H> {
         maps
     }
 
-    /// Sorted, self-describing `(prefix, count, vote)` rows — the
-    /// serialization surface of the pipe. Rows sort by the prefix's
-    /// display form, so equal pipes (as bucket sets) export identical
-    /// rows; bucket indexes do not ride along because placement is
+    /// The wire body: the bucket count and sorted, self-describing
+    /// `(prefix, count, vote)` rows. Rows sort by the prefix's display
+    /// form, so equal pipes (as bucket sets) export identical rows;
+    /// bucket indexes do not ride along because placement is
     /// recomputed from the key on restore.
-    fn export_rows(&self) -> Vec<(String, u64, u64)> {
+    pub(crate) fn body(&self) -> Body<'_> {
         let mut rows: Vec<(String, u64, u64)> = self
             .bucket_entries()
             .map(|b| (self.hierarchy.item_prefix(b.key).to_string(), b.count, b.vote))
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
+        Body::MvPipe(MvPipeBody { buckets: self.buckets.len() as u64, rows })
     }
 }
 
@@ -262,100 +264,20 @@ impl<H: Hierarchy> MergeableDetector for MvPipeHhh<H> {
     /// Wire format: `{"buckets":B,"entries":[[prefix, count, vote],
     /// …]}`, rows sorted by the prefix's display form. Bucket indexes
     /// are omitted — placement is the fixed hash of the key, so the
-    /// decoder ([`from_snapshot`](Self::from_snapshot)) re-derives
-    /// them, and folding restored pipes is the bucket-wise
-    /// [`merge`](Self::merge).
-    fn snapshot(&self) -> Option<crate::snapshot::DetectorSnapshot> {
-        let rows: Vec<(String, Vec<u64>)> =
-            self.export_rows().into_iter().map(|(k, c, v)| (k, vec![c, v])).collect();
-        Some(crate::snapshot::DetectorSnapshot {
-            kind: "mvpipe".into(),
-            total: self.total,
-            state_json: format!(
-                "{{\"buckets\":{},\"entries\":{}}}",
-                self.buckets.len(),
-                crate::snapshot::json_keyed_rows(&rows)
-            ),
-        })
+    /// decoder re-derives them, and folding restored pipes is the
+    /// bucket-wise [`merge`](Self::merge).
+    fn snapshot(&self) -> Option<DetectorSnapshot> {
+        Some(self.body().into_snapshot(self.total))
     }
 
-    /// Native v2 encode ([`FrameEncode`](crate::snapshot::FrameEncode))
-    /// — byte-identical to transcoding
-    /// [`snapshot`](MergeableDetector::snapshot), without rendering or
-    /// parsing JSON.
-    fn to_frame(
-        &self,
-        start: hhh_nettypes::Nanos,
-        at: hhh_nettypes::Nanos,
-    ) -> Option<crate::snapshot::SnapshotFrame> {
-        crate::snapshot::FrameEncode::encode_frame(self, start, at).ok()
+    /// The same body as [`snapshot`](MergeableDetector::snapshot),
+    /// encoded as a v2 frame with no JSON on the path.
+    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<SnapshotFrame> {
+        self.body().to_frame(self.total, start, at).ok()
     }
 }
 
-impl<H: Hierarchy> crate::snapshot::FrameEncode for MvPipeHhh<H> {
-    fn frame_kind(&self) -> &'static str {
-        "mvpipe"
-    }
-
-    fn frame_total(&self) -> u64 {
-        self.total
-    }
-
-    fn frame_digest(&self) -> u64 {
-        crate::snapshot::binary::mvpipe_config_digest(self.buckets.len() as u64)
-    }
-
-    /// The v2 `mvpipe` body straight from the pipe: bucket count, then
-    /// the sorted `(prefix, count, vote)` rows — the same rows, in the
-    /// same order, as the JSON body, so the two encode paths produce
-    /// identical bytes.
-    fn write_frame_body(&self, out: &mut Vec<u8>) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::binary::{put_str, put_uv};
-        put_uv(out, self.buckets.len() as u64);
-        let rows = self.export_rows();
-        put_uv(out, rows.len() as u64);
-        for (key, count, vote) in &rows {
-            put_str(out, key);
-            put_uv(out, *count);
-            put_uv(out, *vote);
-        }
-        Ok(())
-    }
-}
-
-impl<H: Hierarchy> MvPipeHhh<H>
-where
-    H::Prefix: std::str::FromStr,
-{
-    /// Rebuild a detector from a serialized
-    /// [`snapshot`](MergeableDetector::snapshot) — the decode half of
-    /// the round-trip codec. The restored detector reports and merges
-    /// identically to the one that emitted the snapshot (bucket
-    /// placement is recomputed from the keys, and every report/merge
-    /// is a pure function of the bucket contents).
-    pub fn from_snapshot(
-        hierarchy: H,
-        snap: &crate::snapshot::DetectorSnapshot,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{parse_keyed_rows, req, req_u64, SnapshotError};
-        if snap.kind != "mvpipe" {
-            return Err(SnapshotError::Mismatch(format!(
-                "expected kind `mvpipe`, got `{}`",
-                snap.kind
-            )));
-        }
-        let state = snap.state()?;
-        let buckets = req_u64(&state, "buckets")?;
-        let rows: Vec<(H::Prefix, Vec<u64>)> =
-            parse_keyed_rows(req(&state, "entries")?, "entries", 2)?;
-        Self::from_wire_rows(
-            hierarchy,
-            buckets,
-            rows.into_iter().map(|(k, v)| (k, v[0], v[1])).collect(),
-            snap.total,
-        )
-    }
-
+impl<H: Hierarchy> MvPipeHhh<H> {
     /// The validated decode core both wire formats share: rebuild the
     /// pipe from already-parsed `(prefix, count, vote)` rows, rejecting
     /// hostile bucket counts, non-bottom-level prefixes, `vote >
@@ -367,8 +289,7 @@ where
         buckets: u64,
         rows: Vec<(H::Prefix, u64, u64)>,
         envelope_total: u64,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
+    ) -> Result<Self, SnapshotError> {
         let buckets = crate::ss_hhh::wire_capacity(buckets)?;
         if rows.len() > buckets {
             return Err(SnapshotError::Invalid {
@@ -445,6 +366,17 @@ mod tests {
                 (item, 40 + (rank as u64 * 7) % 1400)
             })
             .collect()
+    }
+
+    /// Rebuild a pipe from its snapshot through the v1 decoder.
+    fn restore(
+        h: Ipv4Hierarchy,
+        snap: &DetectorSnapshot,
+    ) -> Result<MvPipeHhh<Ipv4Hierarchy>, SnapshotError> {
+        crate::RestoredDetector::from_snapshot(&h, snap).map(|d| match d {
+            crate::RestoredDetector::MvPipe(d) => d,
+            other => panic!("restored a `{}` detector", other.kind()),
+        })
     }
 
     #[test]
@@ -555,8 +487,7 @@ mod tests {
                 b.observe(item, w);
             }
         }
-        let restored =
-            MvPipeHhh::from_snapshot(h, &a.snapshot().unwrap()).expect("snapshot restores");
+        let restored = restore(h, &a.snapshot().unwrap()).expect("snapshot restores");
         let mut live = a.clone();
         live.merge(&b);
         let mut folded = restored;
@@ -601,7 +532,7 @@ mod tests {
             mv.observe(item, w);
         }
         let snap = mv.snapshot().unwrap();
-        let back = MvPipeHhh::from_snapshot(h, &snap).expect("roundtrip");
+        let back = restore(h, &snap).expect("roundtrip");
         assert_eq!(back.snapshot().unwrap(), snap);
         assert_eq!(back.total(), mv.total());
         let t = Threshold::percent(5.0);
@@ -611,7 +542,7 @@ mod tests {
         let mut bad = snap.clone();
         bad.total += 1;
         assert!(matches!(
-            MvPipeHhh::from_snapshot(h, &bad),
+            restore(h, &bad),
             Err(crate::snapshot::SnapshotError::Invalid { field: "total", .. })
         ));
     }

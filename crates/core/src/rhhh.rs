@@ -18,7 +18,9 @@
 use crate::detector::{HhhDetector, MergeableDetector};
 use crate::exact::discount_bottom_up;
 use crate::report::{HhhReport, Threshold};
+use crate::snapshot::{Body, DetectorSnapshot, RhhhBody, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
+use hhh_nettypes::Nanos;
 use hhh_sketches::SpaceSaving;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -192,117 +194,43 @@ impl<H: Hierarchy> MergeableDetector for Rhhh<H> {
     /// sampling RNG state is deliberately *not* serialized: a restored
     /// detector merges and reports exactly, and redraws fresh levels
     /// if it is ever fed further observations.
-    fn snapshot(&self) -> Option<crate::snapshot::DetectorSnapshot> {
-        let updates: Vec<String> = self.updates_per_level.iter().map(u64::to_string).collect();
-        Some(crate::snapshot::DetectorSnapshot {
-            kind: "rhhh".into(),
-            total: self.total,
-            state_json: format!(
-                "{{\"capacity\":{},\"levels\":{},\"updates\":[{}]}}",
-                self.capacity(),
-                crate::ss_hhh::levels_json(&self.levels),
-                updates.join(",")
-            ),
+    fn snapshot(&self) -> Option<DetectorSnapshot> {
+        Some(self.body().into_snapshot(self.total))
+    }
+
+    /// The same body as [`snapshot`](MergeableDetector::snapshot),
+    /// encoded as a v2 frame with no JSON on the path.
+    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<SnapshotFrame> {
+        self.body().to_frame(self.total, start, at).ok()
+    }
+}
+
+impl<H: Hierarchy> Rhhh<H> {
+    /// The wire body: the `ss-hhh` rows plus the per-level update
+    /// counts.
+    pub(crate) fn body(&self) -> Body<'_> {
+        Body::Rhhh(RhhhBody {
+            ss: crate::ss_hhh::levels_body(&self.levels),
+            updates: self.updates_per_level.clone(),
         })
     }
 
-    /// Native v2 encode ([`FrameEncode`]) — byte-identical to
-    /// transcoding [`snapshot`](MergeableDetector::snapshot), without
-    /// rendering or parsing JSON.
-    fn to_frame(
-        &self,
-        start: hhh_nettypes::Nanos,
-        at: hhh_nettypes::Nanos,
-    ) -> Option<crate::snapshot::SnapshotFrame> {
-        crate::snapshot::FrameEncode::encode_frame(self, start, at).ok()
-    }
-}
-
-impl<H: Hierarchy> crate::snapshot::FrameEncode for Rhhh<H> {
-    fn frame_kind(&self) -> &'static str {
-        "rhhh"
-    }
-
-    fn frame_total(&self) -> u64 {
-        self.total
-    }
-
-    fn frame_digest(&self) -> u64 {
-        crate::snapshot::binary::ss_config_digest("rhhh", self.capacity() as u64)
-    }
-
-    /// The v2 `rhhh` body: the `ss-hhh` layout (capacity + shared
-    /// per-level encoding) followed by the per-level update counts.
-    fn write_frame_body(&self, out: &mut Vec<u8>) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::binary::put_uv;
-        put_uv(out, self.capacity() as u64);
-        crate::ss_hhh::encode_levels_body(out, &self.levels);
-        put_uv(out, self.updates_per_level.len() as u64);
-        for &u in &self.updates_per_level {
-            put_uv(out, u);
-        }
-        Ok(())
-    }
-}
-
-impl<H: Hierarchy> Rhhh<H>
-where
-    H::Prefix: std::str::FromStr,
-{
-    /// Rebuild a detector from a serialized
-    /// [`snapshot`](MergeableDetector::snapshot) — the decode half of
-    /// the round-trip codec. Level summaries, totals and update counts
-    /// restore exactly; the sampling RNG restarts from a fixed seed
-    /// (see [`snapshot`](MergeableDetector::snapshot)), which only
-    /// matters if the restored detector observes *new* packets.
-    pub fn from_snapshot(
-        hierarchy: H,
-        snap: &crate::snapshot::DetectorSnapshot,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{req_arr, req_u64, SnapshotError};
-        if snap.kind != "rhhh" {
-            return Err(SnapshotError::Mismatch(format!(
-                "expected kind `rhhh`, got `{}`",
-                snap.kind
-            )));
-        }
-        let state = snap.state()?;
-        let capacity = crate::ss_hhh::wire_capacity(req_u64(&state, "capacity")?)?;
-        let levels = crate::ss_hhh::levels_from_json(&state, capacity, hierarchy.levels())?;
-        let updates_json = req_arr(&state, "updates")?;
-        let updates_per_level = updates_json
-            .iter()
-            .map(|u| {
-                u.as_u64().ok_or(SnapshotError::Invalid {
-                    field: "updates",
-                    what: "not an unsigned integer",
-                })
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
-        Self::from_restored_parts(hierarchy, levels, updates_per_level, snap.total)
-    }
-
-    /// The validated decode core both wire formats share.
+    /// The validated decode core both wire formats share. Level
+    /// summaries, totals and update counts restore exactly; the
+    /// sampling RNG restarts from a fixed seed (see
+    /// [`snapshot`](MergeableDetector::snapshot)), which only matters
+    /// if the restored detector observes *new* packets.
     pub(crate) fn from_wire_levels(
         hierarchy: H,
         capacity: u64,
         rows: crate::ss_hhh::WireLevelRows<H::Prefix>,
         updates_per_level: Vec<u64>,
-        envelope_total: u64,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
+        total: u64,
+    ) -> Result<Self, SnapshotError> {
         let capacity = crate::ss_hhh::wire_capacity(capacity)?;
         let levels = crate::ss_hhh::levels_from_rows(rows, capacity, hierarchy.levels())?;
-        Self::from_restored_parts(hierarchy, levels, updates_per_level, envelope_total)
-    }
-
-    fn from_restored_parts(
-        hierarchy: H,
-        levels: Vec<hhh_sketches::SpaceSaving<H::Prefix>>,
-        updates_per_level: Vec<u64>,
-        total: u64,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
         if updates_per_level.len() != levels.len() {
-            return Err(crate::snapshot::SnapshotError::Invalid {
+            return Err(SnapshotError::Invalid {
                 field: "updates",
                 what: "one entry per level required",
             });

@@ -57,14 +57,17 @@
 //! and a capture of a TCP shard stream diffs clean against the same
 //! shard's stream file.
 //!
+//! This module holds the framing and the packing primitives. Each
+//! kind's body layout is written once, next to its v1 JSON rendering,
+//! in the crate-private `body` module, which builds on the helpers
+//! here.
+//!
 //! Decoding shares the typed [`SnapshotError`] surface with v1:
 //! truncation, bad magic, version skew, digest mismatches and hostile
 //! capacities all come back as errors, never panics or unbounded
 //! allocations (the structure-aware fuzz tests pin this).
 
-use super::{req, req_arr, req_f64, req_u64, DetectorSnapshot, SnapshotError};
-use crate::snapshot::json::Json;
-use crate::snapshot::MAX_WIRE_CAPACITY;
+use super::SnapshotError;
 use hhh_nettypes::Nanos;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -123,7 +126,7 @@ impl WireFormat {
 /// hot fold path goes body → detector directly
 /// ([`RestoredDetector::from_frame`](super::RestoredDetector::from_frame)),
 /// bypassing JSON entirely; the transcode path goes body → canonical
-/// JSON ([`DetectorSnapshot::from_frame`]).
+/// JSON ([`DetectorSnapshot::from_frame`](super::DetectorSnapshot::from_frame)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotFrame {
     /// Start of the report window the state covers (== `at` for
@@ -217,49 +220,6 @@ impl SnapshotFrame {
         core::str::from_utf8(&self.body)
             .map_err(|_| SnapshotError::Invalid { field: "report", what: "body is not UTF-8" })
     }
-
-    /// Decode the body per `kind`, verifying the config digest.
-    pub(crate) fn decoded_body(&self) -> Result<Body, SnapshotError> {
-        let mut r = ByteReader::new(&self.body);
-        let (body, digest) = match &*self.kind {
-            "exact" => {
-                let b = ExactBody::decode(&mut r)?;
-                let d = b.digest();
-                (Body::Exact(b), d)
-            }
-            "ss-hhh" => {
-                let b = SsBody::decode(&mut r)?;
-                let d = b.digest("ss-hhh");
-                (Body::Ss(b), d)
-            }
-            "rhhh" => {
-                let b = RhhhBody::decode(&mut r)?;
-                let d = b.ss.digest("rhhh");
-                (Body::Rhhh(b), d)
-            }
-            "mvpipe" => {
-                let b = MvPipeBody::decode(&mut r)?;
-                let d = b.digest();
-                (Body::MvPipe(b), d)
-            }
-            "tdbf-hhh" => {
-                let b = TdbfBody::decode(&mut r)?;
-                let d = b.digest();
-                (Body::Tdbf(b), d)
-            }
-            other => return Err(SnapshotError::Kind(other.to_owned())),
-        };
-        if !r.rest().is_empty() {
-            return Err(SnapshotError::Invalid {
-                field: "body",
-                what: "trailing bytes after the state body",
-            });
-        }
-        if digest != self.digest {
-            return Err(digest_mismatch());
-        }
-        Ok(body)
-    }
 }
 
 /// Validate a frame header (magic, version, length cap) and return the
@@ -289,7 +249,7 @@ fn truncated(offset: usize) -> SnapshotError {
     SnapshotError::Parse { offset, what: "truncated frame" }
 }
 
-fn digest_mismatch() -> SnapshotError {
+pub(super) fn digest_mismatch() -> SnapshotError {
     SnapshotError::Invalid { field: "config_digest", what: "digest does not match the body" }
 }
 
@@ -335,13 +295,13 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Cursor over untrusted frame bytes: every read is bounds-checked and
 /// fails as a typed [`SnapshotError`] carrying the byte offset.
-struct ByteReader<'a> {
+pub(super) struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(super) fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
@@ -349,7 +309,7 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn rest(&self) -> &'a [u8] {
+    pub(super) fn rest(&self) -> &'a [u8] {
         &self.buf[self.pos..]
     }
 
@@ -362,7 +322,7 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
-    fn uv(&mut self, field: &'static str) -> Result<u64, SnapshotError> {
+    pub(super) fn uv(&mut self, field: &'static str) -> Result<u64, SnapshotError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -389,7 +349,11 @@ impl<'a> ByteReader<'a> {
     /// exceeds the bytes left (each element costs ≥ `min_bytes`), so a
     /// hostile count can never drive an allocation past the input
     /// size.
-    fn count(&mut self, field: &'static str, min_bytes: usize) -> Result<usize, SnapshotError> {
+    pub(super) fn count(
+        &mut self,
+        field: &'static str,
+        min_bytes: usize,
+    ) -> Result<usize, SnapshotError> {
         let n = self.uv(field)?;
         let cap = (self.remaining() / min_bytes.max(1)) as u64;
         if n > cap {
@@ -398,17 +362,17 @@ impl<'a> ByteReader<'a> {
         Ok(n as usize)
     }
 
-    fn f64_(&mut self, field: &'static str) -> Result<f64, SnapshotError> {
+    pub(super) fn f64_(&mut self, field: &'static str) -> Result<f64, SnapshotError> {
         let b = self.take(8, field)?;
         Ok(f64::from_le_bytes(b.try_into().expect("take(8) returns 8 bytes")))
     }
 
-    fn u64_le(&mut self, field: &'static str) -> Result<u64, SnapshotError> {
+    pub(super) fn u64_le(&mut self, field: &'static str) -> Result<u64, SnapshotError> {
         let b = self.take(8, field)?;
         Ok(u64::from_le_bytes(b.try_into().expect("take(8) returns 8 bytes")))
     }
 
-    fn str_(&mut self, field: &'static str) -> Result<String, SnapshotError> {
+    pub(super) fn str_(&mut self, field: &'static str) -> Result<String, SnapshotError> {
         let n = self.count(field, 1)?;
         let bytes = self.take(n, field)?;
         String::from_utf8(bytes.to_vec())
@@ -416,612 +380,16 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Append a length-prefixed UTF-8 string (shared with the native
-/// [`FrameEncode`](crate::snapshot::FrameEncode) body writers).
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+/// Append a length-prefixed UTF-8 string.
+pub(super) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_uv(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-// ---------------------------------------------------------------------
-// Config digests
-// ---------------------------------------------------------------------
-//
-// One definition per kind, shared between the transcode bodies below
-// and the native `FrameEncode` implementations in the detector
-// modules — the two encode paths can never disagree on the digest.
-
-/// The `exact` kind's config digest (no configuration beyond the kind).
-pub(crate) fn exact_config_digest() -> u64 {
-    fnv1a(b"exact")
-}
-
-/// The `ss-hhh` / `rhhh` config digest: kind label + capacity.
-pub(crate) fn ss_config_digest(kind: &str, capacity: u64) -> u64 {
-    let mut cfg = Vec::with_capacity(32);
-    cfg.extend_from_slice(kind.as_bytes());
-    cfg.push(0);
-    put_uv(&mut cfg, capacity);
-    fnv1a(&cfg)
-}
-
-/// The `mvpipe` config digest: kind label + bucket count.
-pub(crate) fn mvpipe_config_digest(buckets: u64) -> u64 {
-    let mut cfg = Vec::with_capacity(16);
-    cfg.extend_from_slice(b"mvpipe");
-    cfg.push(0);
-    put_uv(&mut cfg, buckets);
-    fnv1a(&cfg)
-}
-
-/// The `tdbf-hhh` config digest over the full filter geometry.
-pub(crate) fn tdbf_config_digest(
-    cells_per_level: u64,
-    hashes: u64,
-    half_life_ns: u64,
-    candidates_per_level: u64,
-    admit_fraction: f64,
-    seed: u64,
-) -> u64 {
-    let mut cfg = Vec::with_capacity(64);
-    cfg.extend_from_slice(b"tdbf-hhh");
-    cfg.push(0);
-    put_uv(&mut cfg, cells_per_level);
-    put_uv(&mut cfg, hashes);
-    put_uv(&mut cfg, half_life_ns);
-    put_uv(&mut cfg, candidates_per_level);
-    cfg.extend_from_slice(&admit_fraction.to_le_bytes());
-    cfg.extend_from_slice(&seed.to_le_bytes());
-    fnv1a(&cfg)
-}
-
-// ---------------------------------------------------------------------
-// Per-kind bodies
-// ---------------------------------------------------------------------
-
-/// A decoded state body, one variant per detector kind. Keys stay as
-/// wire strings; they parse into hierarchy items/prefixes only at
-/// restore time (exactly like the JSON path).
-pub(crate) enum Body {
-    Exact(ExactBody),
-    Ss(SsBody),
-    Rhhh(RhhhBody),
-    MvPipe(MvPipeBody),
-    Tdbf(TdbfBody),
-}
-
-pub(crate) struct ExactBody {
-    pub rows: Vec<(String, u64)>,
-}
-
-impl ExactBody {
-    fn digest(&self) -> u64 {
-        exact_config_digest()
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_uv(out, self.rows.len() as u64);
-        for (key, count) in &self.rows {
-            put_str(out, key);
-            put_uv(out, *count);
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.count("counts", 2)?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let key = r.str_("counts")?;
-            let count = r.uv("counts")?;
-            rows.push((key, count));
-        }
-        Ok(ExactBody { rows })
-    }
-
-    fn from_json(state: &Json) -> Result<Self, SnapshotError> {
-        let rows = req_arr(state, "counts")?;
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            let row = row
-                .as_arr()
-                .filter(|r| r.len() == 2)
-                .ok_or(SnapshotError::Invalid { field: "counts", what: "row is not a pair" })?;
-            let key = row[0]
-                .as_str()
-                .ok_or(SnapshotError::Invalid { field: "counts", what: "key is not a string" })?;
-            let count = row[1].as_u64().ok_or(SnapshotError::Invalid {
-                field: "counts",
-                what: "count is not an unsigned integer",
-            })?;
-            out.push((key.to_owned(), count));
-        }
-        Ok(ExactBody { rows: out })
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![(
-            "counts".into(),
-            Json::Arr(
-                self.rows
-                    .iter()
-                    .map(|(k, c)| Json::Arr(vec![Json::str(k.clone()), Json::u64(*c)]))
-                    .collect(),
-            ),
-        )])
-    }
-}
-
-pub(crate) struct SsLevelBody {
-    pub total: u64,
-    /// `(prefix, count, error)` rows, in wire order.
-    pub entries: Vec<(String, u64, u64)>,
-}
-
-pub(crate) struct SsBody {
-    pub capacity: u64,
-    pub levels: Vec<SsLevelBody>,
-}
-
-impl SsBody {
-    fn digest(&self, kind: &str) -> u64 {
-        ss_config_digest(kind, self.capacity)
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_uv(out, self.capacity);
-        put_uv(out, self.levels.len() as u64);
-        for level in &self.levels {
-            put_uv(out, level.total);
-            put_uv(out, level.entries.len() as u64);
-            for (prefix, count, error) in &level.entries {
-                put_str(out, prefix);
-                put_uv(out, *count);
-                put_uv(out, *error);
-            }
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity = r.uv("capacity")?;
-        let n_levels = r.count("levels", 2)?;
-        let mut levels = Vec::with_capacity(n_levels);
-        for _ in 0..n_levels {
-            let total = r.uv("levels")?;
-            let n = r.count("entries", 3)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let prefix = r.str_("entries")?;
-                let count = r.uv("entries")?;
-                let error = r.uv("entries")?;
-                entries.push((prefix, count, error));
-            }
-            levels.push(SsLevelBody { total, entries });
-        }
-        Ok(SsBody { capacity, levels })
-    }
-
-    fn from_json(state: &Json) -> Result<Self, SnapshotError> {
-        let capacity = req_u64(state, "capacity")?;
-        let levels_json = req_arr(state, "levels")?;
-        let mut levels = Vec::with_capacity(levels_json.len());
-        for lv in levels_json {
-            let total = req_u64(lv, "total")?;
-            let rows = req_arr(lv, "entries")?;
-            let mut entries = Vec::with_capacity(rows.len());
-            for row in rows {
-                let row = row.as_arr().filter(|r| r.len() == 3).ok_or(SnapshotError::Invalid {
-                    field: "entries",
-                    what: "row is not a triple",
-                })?;
-                let prefix = row[0].as_str().ok_or(SnapshotError::Invalid {
-                    field: "entries",
-                    what: "prefix is not a string",
-                })?;
-                let count = row[1].as_u64().ok_or(SnapshotError::Invalid {
-                    field: "entries",
-                    what: "count is not an unsigned integer",
-                })?;
-                let error = row[2].as_u64().ok_or(SnapshotError::Invalid {
-                    field: "entries",
-                    what: "error is not an unsigned integer",
-                })?;
-                entries.push((prefix.to_owned(), count, error));
-            }
-            levels.push(SsLevelBody { total, entries });
-        }
-        Ok(SsBody { capacity, levels })
-    }
-
-    fn to_json(&self) -> Vec<(String, Json)> {
-        vec![
-            ("capacity".into(), Json::u64(self.capacity)),
-            (
-                "levels".into(),
-                Json::Arr(
-                    self.levels
-                        .iter()
-                        .map(|lv| {
-                            Json::Obj(vec![
-                                ("total".into(), Json::u64(lv.total)),
-                                (
-                                    "entries".into(),
-                                    Json::Arr(
-                                        lv.entries
-                                            .iter()
-                                            .map(|(p, c, e)| {
-                                                Json::Arr(vec![
-                                                    Json::str(p.clone()),
-                                                    Json::u64(*c),
-                                                    Json::u64(*e),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]
-    }
-}
-
-pub(crate) struct RhhhBody {
-    pub ss: SsBody,
-    pub updates: Vec<u64>,
-}
-
-impl RhhhBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ss.encode(out);
-        put_uv(out, self.updates.len() as u64);
-        for u in &self.updates {
-            put_uv(out, *u);
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        let ss = SsBody::decode(r)?;
-        let n = r.count("updates", 1)?;
-        let mut updates = Vec::with_capacity(n);
-        for _ in 0..n {
-            updates.push(r.uv("updates")?);
-        }
-        Ok(RhhhBody { ss, updates })
-    }
-
-    fn from_json(state: &Json) -> Result<Self, SnapshotError> {
-        let ss = SsBody::from_json(state)?;
-        let updates_json = req_arr(state, "updates")?;
-        let updates = updates_json
-            .iter()
-            .map(|u| {
-                u.as_u64().ok_or(SnapshotError::Invalid {
-                    field: "updates",
-                    what: "not an unsigned integer",
-                })
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
-        Ok(RhhhBody { ss, updates })
-    }
-
-    fn to_json(&self) -> Json {
-        let mut fields = self.ss.to_json();
-        fields.push((
-            "updates".into(),
-            Json::Arr(self.updates.iter().map(|&u| Json::u64(u)).collect()),
-        ));
-        Json::Obj(fields)
-    }
-}
-
-pub(crate) struct MvPipeBody {
-    pub buckets: u64,
-    /// `(prefix, count, vote)` rows, in wire order.
-    pub rows: Vec<(String, u64, u64)>,
-}
-
-impl MvPipeBody {
-    fn digest(&self) -> u64 {
-        mvpipe_config_digest(self.buckets)
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_uv(out, self.buckets);
-        put_uv(out, self.rows.len() as u64);
-        for (prefix, count, vote) in &self.rows {
-            put_str(out, prefix);
-            put_uv(out, *count);
-            put_uv(out, *vote);
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        let buckets = r.uv("buckets")?;
-        let n = r.count("entries", 3)?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let prefix = r.str_("entries")?;
-            let count = r.uv("entries")?;
-            let vote = r.uv("entries")?;
-            rows.push((prefix, count, vote));
-        }
-        Ok(MvPipeBody { buckets, rows })
-    }
-
-    fn from_json(state: &Json) -> Result<Self, SnapshotError> {
-        let buckets = req_u64(state, "buckets")?;
-        let rows_json = req_arr(state, "entries")?;
-        let mut rows = Vec::with_capacity(rows_json.len());
-        for row in rows_json {
-            let row = row
-                .as_arr()
-                .filter(|r| r.len() == 3)
-                .ok_or(SnapshotError::Invalid { field: "entries", what: "row is not a triple" })?;
-            let prefix = row[0].as_str().ok_or(SnapshotError::Invalid {
-                field: "entries",
-                what: "prefix is not a string",
-            })?;
-            let count = row[1].as_u64().ok_or(SnapshotError::Invalid {
-                field: "entries",
-                what: "count is not an unsigned integer",
-            })?;
-            let vote = row[2].as_u64().ok_or(SnapshotError::Invalid {
-                field: "entries",
-                what: "vote is not an unsigned integer",
-            })?;
-            rows.push((prefix.to_owned(), count, vote));
-        }
-        Ok(MvPipeBody { buckets, rows })
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("buckets".into(), Json::u64(self.buckets)),
-            (
-                "entries".into(),
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|(p, c, v)| {
-                            Json::Arr(vec![Json::str(p.clone()), Json::u64(*c), Json::u64(*v)])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-pub(crate) struct TdbfBody {
-    pub cells_per_level: u64,
-    pub hashes: u64,
-    pub half_life_ns: u64,
-    pub candidates_per_level: u64,
-    pub admit_fraction: f64,
-    pub seed: u64,
-    pub observed: u64,
-    /// `(raw value, last-touch ns)` — the scalar decayed total.
-    pub total: (f64, u64),
-    /// Per level, the full reconstructed cell arrays.
-    pub filters: Vec<Vec<(f64, u64)>>,
-    /// Per level, `(prefix, last-touch ns)` candidate rows.
-    pub candidates: Vec<Vec<(String, u64)>>,
-}
-
-impl TdbfBody {
-    fn digest(&self) -> u64 {
-        tdbf_config_digest(
-            self.cells_per_level,
-            self.hashes,
-            self.half_life_ns,
-            self.candidates_per_level,
-            self.admit_fraction,
-            self.seed,
-        )
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        put_uv(out, self.cells_per_level);
-        put_uv(out, self.hashes);
-        put_uv(out, self.half_life_ns);
-        put_uv(out, self.candidates_per_level);
-        out.extend_from_slice(&self.admit_fraction.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        put_uv(out, self.observed);
-        out.extend_from_slice(&self.total.0.to_le_bytes());
-        put_uv(out, self.total.1);
-
-        put_uv(out, self.filters.len() as u64);
-        for cells in &self.filters {
-            encode_cells(out, cells)?;
-        }
-        put_uv(out, self.candidates.len() as u64);
-        for table in &self.candidates {
-            put_uv(out, table.len() as u64);
-            for (prefix, ts) in table {
-                put_str(out, prefix);
-                put_uv(out, *ts);
-            }
-        }
-        Ok(())
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        let cells_per_level = r.uv("cells_per_level")?;
-        let hashes = r.uv("hashes")?;
-        let half_life_ns = r.uv("half_life_ns")?;
-        let candidates_per_level = r.uv("candidates_per_level")?;
-        let admit_fraction = r.f64_("admit_fraction")?;
-        let seed = r.u64_le("seed")?;
-        let observed = r.uv("observed")?;
-        let total = (r.f64_("total")?, r.uv("total")?);
-
-        // The per-level cell arrays are the one place a tiny frame can
-        // legitimately expand into a large allocation (delta-encoded
-        // cells reconstruct a full array), so the expansion is bounded
-        // *here*, before any level allocates: the claimed geometry must
-        // fit MAX_WIRE_CAPACITY — per level and summed across levels —
-        // and every level must claim exactly the configured cell count.
-        let expected_cells = cells_per_level.saturating_mul(hashes);
-        if expected_cells > MAX_WIRE_CAPACITY as u64 {
-            return Err(SnapshotError::Invalid {
-                field: "cells_per_level",
-                what: "geometry exceeds MAX_WIRE_CAPACITY",
-            });
-        }
-        let n_levels = r.count("filters", 3)?;
-        if (n_levels as u64).saturating_mul(expected_cells) > MAX_WIRE_CAPACITY as u64 {
-            return Err(SnapshotError::Invalid {
-                field: "filters",
-                what: "total cell count exceeds MAX_WIRE_CAPACITY",
-            });
-        }
-        let mut filters = Vec::with_capacity(n_levels);
-        for _ in 0..n_levels {
-            filters.push(decode_cells(r, expected_cells as usize)?);
-        }
-        let n_cand = r.count("candidates", 1)?;
-        let mut candidates = Vec::with_capacity(n_cand);
-        for _ in 0..n_cand {
-            let n = r.count("candidates", 2)?;
-            let mut table = Vec::with_capacity(n);
-            for _ in 0..n {
-                let prefix = r.str_("candidates")?;
-                let ts = r.uv("candidates")?;
-                table.push((prefix, ts));
-            }
-            candidates.push(table);
-        }
-        Ok(TdbfBody {
-            cells_per_level,
-            hashes,
-            half_life_ns,
-            candidates_per_level,
-            admit_fraction,
-            seed,
-            observed,
-            total,
-            filters,
-            candidates,
-        })
-    }
-
-    fn from_json(state: &Json) -> Result<Self, SnapshotError> {
-        let cell_pair = |v: &Json, field: &'static str| -> Result<(f64, u64), SnapshotError> {
-            let pair = v
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or(SnapshotError::Invalid { field, what: "cell is not a pair" })?;
-            let value = pair[0]
-                .as_f64()
-                .ok_or(SnapshotError::Invalid { field, what: "cell value is not a number" })?;
-            let last = pair[1].as_u64().ok_or(SnapshotError::Invalid {
-                field,
-                what: "cell timestamp is not an integer",
-            })?;
-            Ok((value, last))
-        };
-        let filters_json = req_arr(state, "filters")?;
-        let mut filters = Vec::with_capacity(filters_json.len());
-        for level in filters_json {
-            let cells_json = level.as_arr().ok_or(SnapshotError::Invalid {
-                field: "filters",
-                what: "level is not an array",
-            })?;
-            let cells = cells_json
-                .iter()
-                .map(|c| cell_pair(c, "filters"))
-                .collect::<Result<Vec<_>, _>>()?;
-            filters.push(cells);
-        }
-        let candidates_json = req_arr(state, "candidates")?;
-        let mut candidates = Vec::with_capacity(candidates_json.len());
-        for level in candidates_json {
-            let rows = level.as_arr().ok_or(SnapshotError::Invalid {
-                field: "candidates",
-                what: "level is not an array",
-            })?;
-            let mut table = Vec::with_capacity(rows.len());
-            for row in rows {
-                let row = row.as_arr().filter(|r| r.len() == 2).ok_or(SnapshotError::Invalid {
-                    field: "candidates",
-                    what: "row is not a pair",
-                })?;
-                let prefix = row[0].as_str().ok_or(SnapshotError::Invalid {
-                    field: "candidates",
-                    what: "prefix is not a string",
-                })?;
-                let ts = row[1].as_u64().ok_or(SnapshotError::Invalid {
-                    field: "candidates",
-                    what: "timestamp is not an integer",
-                })?;
-                table.push((prefix.to_owned(), ts));
-            }
-            candidates.push(table);
-        }
-        Ok(TdbfBody {
-            cells_per_level: req_u64(state, "cells_per_level")?,
-            hashes: req_u64(state, "hashes")?,
-            half_life_ns: req_u64(state, "half_life_ns")?,
-            candidates_per_level: req_u64(state, "candidates_per_level")?,
-            admit_fraction: req_f64(state, "admit_fraction")?,
-            seed: req_u64(state, "seed")?,
-            observed: req_u64(state, "observed")?,
-            total: cell_pair(req(state, "total")?, "total")?,
-            filters,
-            candidates,
-        })
-    }
-
-    fn to_json(&self) -> Json {
-        let cell = |&(v, ns): &(f64, u64)| Json::Arr(vec![Json::f64(v), Json::u64(ns)]);
-        Json::Obj(vec![
-            ("cells_per_level".into(), Json::u64(self.cells_per_level)),
-            ("hashes".into(), Json::u64(self.hashes)),
-            ("half_life_ns".into(), Json::u64(self.half_life_ns)),
-            ("candidates_per_level".into(), Json::u64(self.candidates_per_level)),
-            ("admit_fraction".into(), Json::f64(self.admit_fraction)),
-            ("seed".into(), Json::u64(self.seed)),
-            ("observed".into(), Json::u64(self.observed)),
-            ("total".into(), cell(&self.total)),
-            (
-                "filters".into(),
-                Json::Arr(
-                    self.filters
-                        .iter()
-                        .map(|cells| Json::Arr(cells.iter().map(cell).collect()))
-                        .collect(),
-                ),
-            ),
-            (
-                "candidates".into(),
-                Json::Arr(
-                    self.candidates
-                        .iter()
-                        .map(|table| {
-                            Json::Arr(
-                                table
-                                    .iter()
-                                    .map(|(p, ts)| {
-                                        Json::Arr(vec![Json::str(p.clone()), Json::u64(*ts)])
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// Delta-encode one filter level's cells against a baseline: the most
 /// common `(value bits, last_ns)` pair is stored once, then only the
 /// cells that differ, as `(index gap, f64 bits, zigzag Δns)` triples.
-/// Shared with the native `FrameEncode` path in `TdbfHhh`.
-pub(crate) fn encode_cells(out: &mut Vec<u8>, cells: &[(f64, u64)]) -> Result<(), SnapshotError> {
+pub(super) fn encode_cells(out: &mut Vec<u8>, cells: &[(f64, u64)]) -> Result<(), SnapshotError> {
     put_uv(out, cells.len() as u64);
     // First-encountered most-common pair: deterministic regardless of
     // hash-map iteration order.
@@ -1063,7 +431,10 @@ pub(crate) fn encode_cells(out: &mut Vec<u8>, cells: &[(f64, u64)]) -> Result<()
 /// the cell count the frame's own configuration implies — the caller
 /// has already bounded it, so a hostile claimed count can never drive
 /// an allocation past the configured geometry.
-fn decode_cells(r: &mut ByteReader<'_>, expected: usize) -> Result<Vec<(f64, u64)>, SnapshotError> {
+pub(super) fn decode_cells(
+    r: &mut ByteReader<'_>,
+    expected: usize,
+) -> Result<Vec<(f64, u64)>, SnapshotError> {
     let n_cells = r.uv("filters")? as usize;
     if n_cells != expected {
         return Err(SnapshotError::Invalid {
@@ -1105,181 +476,6 @@ fn decode_cells(r: &mut ByteReader<'_>, expected: usize) -> Result<Vec<(f64, u64
         cells[idx] = (v, ns);
     }
     Ok(cells)
-}
-
-// ---------------------------------------------------------------------
-// DetectorSnapshot <-> SnapshotFrame (the transcode surface)
-// ---------------------------------------------------------------------
-
-impl DetectorSnapshot {
-    /// Transcode this (JSON-bodied) snapshot into a v2 frame carrying
-    /// the report-window geometry `start..=at`. Unknown kinds are
-    /// [`SnapshotError::Kind`].
-    pub fn to_frame(&self, start: Nanos, at: Nanos) -> Result<SnapshotFrame, SnapshotError> {
-        let state = self.state()?;
-        let mut body = Vec::with_capacity(self.state_json.len() / 4 + 64);
-        let digest = match &*self.kind {
-            "exact" => {
-                let b = ExactBody::from_json(&state)?;
-                b.encode(&mut body);
-                b.digest()
-            }
-            "ss-hhh" => {
-                let b = SsBody::from_json(&state)?;
-                b.encode(&mut body);
-                b.digest("ss-hhh")
-            }
-            "rhhh" => {
-                let b = RhhhBody::from_json(&state)?;
-                b.encode(&mut body);
-                b.ss.digest("rhhh")
-            }
-            "mvpipe" => {
-                let b = MvPipeBody::from_json(&state)?;
-                b.encode(&mut body);
-                b.digest()
-            }
-            "tdbf-hhh" => {
-                let b = TdbfBody::from_json(&state)?;
-                b.encode(&mut body)?;
-                b.digest()
-            }
-            other => return Err(SnapshotError::Kind(other.to_owned())),
-        };
-        Ok(SnapshotFrame { start, at, kind: self.kind.clone(), total: self.total, digest, body })
-    }
-
-    /// Transcode a v2 frame back into the canonical JSON-bodied
-    /// snapshot — for any frame [`to_frame`](Self::to_frame) wrote,
-    /// `from_frame(to_frame(s)) == s` byte-for-byte.
-    pub fn from_frame(frame: &SnapshotFrame) -> Result<DetectorSnapshot, SnapshotError> {
-        let state_json = match frame.decoded_body()? {
-            Body::Exact(b) => b.to_json().render(),
-            Body::Ss(b) => Json::Obj(b.to_json()).render(),
-            Body::Rhhh(b) => b.to_json().render(),
-            Body::MvPipe(b) => b.to_json().render(),
-            Body::Tdbf(b) => b.to_json().render(),
-        };
-        Ok(DetectorSnapshot { kind: frame.kind.clone(), total: frame.total, state_json })
-    }
-}
-
-// ---------------------------------------------------------------------
-// SnapshotFrame -> live detector (the hot fold path)
-// ---------------------------------------------------------------------
-
-impl<H> super::RestoredDetector<H>
-where
-    H: hhh_hierarchy::Hierarchy,
-    H::Item: core::str::FromStr,
-    H::Prefix: core::str::FromStr,
-{
-    /// Rebuild a live detector straight from a v2 frame — no JSON
-    /// anywhere on the path, which is what buys the aggregation tier
-    /// its decode speedup. Shares every validation with the JSON
-    /// decoders (the part-constructors are common), plus the frame's
-    /// config-digest check.
-    pub fn from_frame(h: &H, frame: &SnapshotFrame) -> Result<Self, SnapshotError> {
-        use super::RestoredDetector;
-        let parse_item = |s: &str| {
-            s.parse::<H::Item>().map_err(|_| SnapshotError::Invalid {
-                field: "counts",
-                what: "row key does not parse",
-            })
-        };
-        let parse_prefix = |s: &str, field: &'static str| {
-            s.parse::<H::Prefix>()
-                .map_err(|_| SnapshotError::Invalid { field, what: "row key does not parse" })
-        };
-        let parse_levels = |levels: Vec<SsLevelBody>| {
-            levels
-                .into_iter()
-                .map(|lv| {
-                    let entries = lv
-                        .entries
-                        .iter()
-                        .map(|(p, c, e)| Ok((parse_prefix(p, "entries")?, *c, *e)))
-                        .collect::<Result<Vec<_>, SnapshotError>>()?;
-                    Ok((lv.total, entries))
-                })
-                .collect::<Result<Vec<_>, SnapshotError>>()
-        };
-        match frame.decoded_body()? {
-            Body::Exact(b) => {
-                let rows = b.rows.iter().map(|(k, c)| Ok((parse_item(k)?, *c))).collect::<Result<
-                    Vec<_>,
-                    SnapshotError,
-                >>(
-                )?;
-                crate::ExactHhh::from_wire_rows(h.clone(), rows, frame.total)
-                    .map(RestoredDetector::Exact)
-            }
-            Body::Ss(b) => crate::SpaceSavingHhh::from_wire_levels(
-                h.clone(),
-                b.capacity,
-                parse_levels(b.levels)?,
-                frame.total,
-            )
-            .map(RestoredDetector::SpaceSaving),
-            Body::Rhhh(b) => crate::Rhhh::from_wire_levels(
-                h.clone(),
-                b.ss.capacity,
-                parse_levels(b.ss.levels)?,
-                b.updates,
-                frame.total,
-            )
-            .map(RestoredDetector::Rhhh),
-            Body::MvPipe(b) => {
-                let rows = b
-                    .rows
-                    .iter()
-                    .map(|(p, c, v)| Ok((parse_prefix(p, "entries")?, *c, *v)))
-                    .collect::<Result<Vec<_>, SnapshotError>>()?;
-                crate::MvPipeHhh::from_wire_rows(h.clone(), b.buckets, rows, frame.total)
-                    .map(RestoredDetector::MvPipe)
-            }
-            Body::Tdbf(b) => {
-                let cfg = crate::TdbfHhhConfig {
-                    cells_per_level: b.cells_per_level as usize,
-                    hashes: b.hashes as usize,
-                    half_life: hhh_nettypes::TimeSpan::from_nanos(b.half_life_ns),
-                    candidates_per_level: b.candidates_per_level as usize,
-                    admit_fraction: b.admit_fraction,
-                    seed: b.seed,
-                };
-                let counter = |(v, ns): (f64, u64)| {
-                    hhh_sketches::DecayedCounter::from_raw(v, Nanos::from_nanos(ns))
-                };
-                let filters = b
-                    .filters
-                    .into_iter()
-                    .map(|cells| cells.into_iter().map(counter).collect())
-                    .collect();
-                let candidates = b
-                    .candidates
-                    .iter()
-                    .map(|table| {
-                        table
-                            .iter()
-                            .map(|(p, ts)| {
-                                Ok((parse_prefix(p, "candidates")?, Nanos::from_nanos(*ts)))
-                            })
-                            .collect::<Result<Vec<_>, SnapshotError>>()
-                    })
-                    .collect::<Result<Vec<_>, SnapshotError>>()?;
-                crate::TdbfHhh::from_wire(
-                    h.clone(),
-                    cfg,
-                    b.observed,
-                    counter(b.total),
-                    filters,
-                    candidates,
-                    frame.total,
-                )
-                .map(RestoredDetector::Tdbf)
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -57,6 +57,16 @@
 //! / [`DetectorSnapshot::from_frame`] transcode between the two;
 //! [`RestoredDetector::from_frame`] decodes a frame straight into a
 //! live detector without touching JSON.
+//!
+//! ## One model, two renderings
+//!
+//! Each kind's wire state has one model, its crate-private *body*: the
+//! rows both formats carry, in the order they carry them. A detector
+//! builds its body once per snapshot and renders it as a v1 JSON state
+//! ([`MergeableDetector::snapshot`]) or encodes it as a v2 frame
+//! ([`MergeableDetector::to_frame`]) — never one format through the
+//! other. Both decoders parse into the same body, and one body →
+//! detector match rebuilds the detector from either.
 
 use core::fmt::Write as _;
 use core::fmt::{self, Display};
@@ -66,11 +76,11 @@ use hhh_nettypes::Nanos;
 use std::borrow::Cow;
 
 pub mod binary;
-pub mod encode;
+mod body;
 pub mod json;
 
 pub use binary::{SnapshotFrame, WireFormat};
-pub use encode::FrameEncode;
+pub(crate) use body::{Body, ExactBody, MvPipeBody, RhhhBody, SsBody, SsLevelBody, TdbfBody};
 
 use crate::report::{HhhReport, Threshold};
 use crate::{
@@ -151,6 +161,20 @@ impl DetectorSnapshot {
     /// Parse the state body.
     pub fn state(&self) -> Result<Json, SnapshotError> {
         Json::parse(&self.state_json)
+    }
+
+    /// Transcode this (JSON-bodied) snapshot into a v2 frame carrying
+    /// the report-window geometry `start..=at`. Unknown kinds are
+    /// [`SnapshotError::Kind`].
+    pub fn to_frame(&self, start: Nanos, at: Nanos) -> Result<SnapshotFrame, SnapshotError> {
+        Body::from_snapshot(self)?.to_frame(self.total, start, at)
+    }
+
+    /// Transcode a v2 frame back into the canonical JSON-bodied
+    /// snapshot — for any frame [`to_frame`](Self::to_frame) wrote,
+    /// `from_frame(to_frame(s)) == s` byte-for-byte.
+    pub fn from_frame(frame: &SnapshotFrame) -> Result<DetectorSnapshot, SnapshotError> {
+        Ok(Body::from_frame(frame)?.into_snapshot(frame.total))
     }
 }
 
@@ -272,61 +296,6 @@ pub fn json_string(s: impl Display) -> String {
     }
     out.push('"');
     out
-}
-
-/// Render `[[key, v1, v2, …], …]` rows as a JSON array of arrays with
-/// the key as a JSON string. Rows must already be sorted by the caller
-/// (snapshots are deterministic by contract).
-pub fn json_keyed_rows<K: Display>(rows: &[(K, Vec<u64>)]) -> String {
-    let mut out = String::from("[");
-    for (i, (key, vals)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        out.push_str(&json_string(key));
-        for v in vals {
-            let _ = write!(out, ",{v}");
-        }
-        out.push(']');
-    }
-    out.push(']');
-    out
-}
-
-/// Decode `[[key, v…], …]` rows (the [`json_keyed_rows`] shape) into
-/// `(parsed key, values)` pairs. `expect_vals` is the per-row value
-/// count (excluding the key).
-pub fn parse_keyed_rows<K: FromStr>(
-    rows: &Json,
-    field: &'static str,
-    expect_vals: usize,
-) -> Result<Vec<(K, Vec<u64>)>, SnapshotError> {
-    let rows =
-        rows.as_arr().ok_or(SnapshotError::Invalid { field, what: "rows are not an array" })?;
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let row =
-            row.as_arr().ok_or(SnapshotError::Invalid { field, what: "row is not an array" })?;
-        if row.len() != expect_vals + 1 {
-            return Err(SnapshotError::Invalid { field, what: "row has the wrong arity" });
-        }
-        let key = row[0]
-            .as_str()
-            .ok_or(SnapshotError::Invalid { field, what: "row key is not a string" })?;
-        let key = key
-            .parse::<K>()
-            .map_err(|_| SnapshotError::Invalid { field, what: "row key does not parse" })?;
-        let vals = row[1..]
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or(SnapshotError::Invalid { field, what: "row value is not an integer" })
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
-        out.push((key, vals));
-    }
-    Ok(out)
 }
 
 /// A snapshot tagged with its report point and window geometry, as
@@ -487,16 +456,16 @@ where
 {
     /// Rebuild a live detector from a snapshot, dispatching on `kind`.
     pub fn from_snapshot(h: &H, snap: &DetectorSnapshot) -> Result<Self, SnapshotError> {
-        match &*snap.kind {
-            "exact" => ExactHhh::from_snapshot(h.clone(), snap).map(RestoredDetector::Exact),
-            "ss-hhh" => {
-                SpaceSavingHhh::from_snapshot(h.clone(), snap).map(RestoredDetector::SpaceSaving)
-            }
-            "rhhh" => Rhhh::from_snapshot(h.clone(), snap).map(RestoredDetector::Rhhh),
-            "mvpipe" => MvPipeHhh::from_snapshot(h.clone(), snap).map(RestoredDetector::MvPipe),
-            "tdbf-hhh" => TdbfHhh::from_snapshot(h.clone(), snap).map(RestoredDetector::Tdbf),
-            other => Err(SnapshotError::Kind(other.to_owned())),
-        }
+        Self::from_body(h, Body::from_snapshot(snap)?, snap.total)
+    }
+
+    /// Rebuild a live detector straight from a v2 frame — no JSON
+    /// anywhere on the path, which is what buys the aggregation tier
+    /// its decode speedup. Shares every validation with
+    /// [`from_snapshot`](Self::from_snapshot), plus the frame's
+    /// config-digest check.
+    pub fn from_frame(h: &H, frame: &SnapshotFrame) -> Result<Self, SnapshotError> {
+        Self::from_body(h, Body::from_frame(frame)?, frame.total)
     }
 
     /// Rebuild a live detector from either wire encoding.
@@ -608,29 +577,16 @@ where
     /// same state would emit in-process, so aggregator output can feed
     /// another aggregation tier.
     pub fn snapshot(&self) -> DetectorSnapshot {
-        let snap = match self {
-            RestoredDetector::Exact(d) => d.snapshot(),
-            RestoredDetector::SpaceSaving(d) => d.snapshot(),
-            RestoredDetector::Rhhh(d) => d.snapshot(),
-            RestoredDetector::MvPipe(d) => d.snapshot(),
-            RestoredDetector::Tdbf(d) => d.snapshot(),
-        };
-        snap.expect("every restorable detector serializes")
+        self.body().into_snapshot(self.total())
     }
 
-    /// Natively encode the (merged) state as a v2 frame carrying the
-    /// window geometry `start..=at` — the [`FrameEncode`] path, byte-
-    /// identical to `snapshot().to_frame(start, at)` without the JSON
-    /// detour. This is what lets a binary aggregation tier re-emit
-    /// states as cheaply as it decodes them.
+    /// Encode the (merged) state as a v2 frame carrying the window
+    /// geometry `start..=at`, straight from its body — byte-identical
+    /// to `snapshot().to_frame(start, at)` without rendering or parsing
+    /// JSON. This is what lets a binary aggregation tier re-emit states
+    /// as cheaply as it decodes them.
     pub fn to_frame(&self, start: Nanos, at: Nanos) -> Result<SnapshotFrame, SnapshotError> {
-        match self {
-            RestoredDetector::Exact(d) => d.encode_frame(start, at),
-            RestoredDetector::SpaceSaving(d) => d.encode_frame(start, at),
-            RestoredDetector::Rhhh(d) => d.encode_frame(start, at),
-            RestoredDetector::MvPipe(d) => d.encode_frame(start, at),
-            RestoredDetector::Tdbf(d) => d.encode_frame(start, at),
-        }
+        self.body().to_frame(self.total(), start, at)
     }
 
     /// The HHH report of the merged state. Windowed detectors report
@@ -743,19 +699,5 @@ mod tests {
     fn string_escaping() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("10.0.0.0/8"), "\"10.0.0.0/8\"");
-    }
-
-    #[test]
-    fn keyed_rows_render_and_parse() {
-        let rows = vec![("a", vec![1, 2]), ("b", vec![3])];
-        assert_eq!(json_keyed_rows(&rows), "[[\"a\",1,2],[\"b\",3]]");
-        let back: Vec<(String, Vec<u64>)> =
-            parse_keyed_rows(&Json::parse("[[\"a\",1,2]]").unwrap(), "rows", 2).unwrap();
-        assert_eq!(back, vec![("a".to_string(), vec![1, 2])]);
-        // Arity mismatch is a typed error.
-        assert!(matches!(
-            parse_keyed_rows::<String>(&Json::parse("[[\"a\",1,2],[\"b\",3]]").unwrap(), "rows", 2),
-            Err(SnapshotError::Invalid { field: "rows", .. })
-        ));
     }
 }

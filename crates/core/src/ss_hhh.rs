@@ -12,7 +12,11 @@
 use crate::detector::{HhhDetector, MergeableDetector};
 use crate::exact::discount_bottom_up;
 use crate::report::{HhhReport, Threshold};
+use crate::snapshot::{
+    Body, DetectorSnapshot, SnapshotError, SnapshotFrame, SsBody, SsLevelBody, MAX_WIRE_CAPACITY,
+};
 use hhh_hierarchy::Hierarchy;
+use hhh_nettypes::Nanos;
 use hhh_sketches::SpaceSaving;
 use std::collections::HashMap;
 
@@ -156,126 +160,60 @@ impl<H: Hierarchy> MergeableDetector for SpaceSavingHhh<H> {
     /// error], …]}, …]}`, one object per hierarchy level (level 0
     /// first), rows sorted by the prefix's display form. The body is
     /// self-contained — capacity and per-level totals ride along — so
-    /// an aggregator can rebuild the summaries
-    /// ([`from_snapshot`](Self::from_snapshot)) and fold them with the
+    /// an aggregator can rebuild the summaries and fold them with the
     /// mergeable-summaries union-then-prune per level, the same recipe
     /// as [`merge`](Self::merge).
-    fn snapshot(&self) -> Option<crate::snapshot::DetectorSnapshot> {
-        Some(crate::snapshot::DetectorSnapshot {
-            kind: "ss-hhh".into(),
-            total: self.total,
-            state_json: format!(
-                "{{\"capacity\":{},\"levels\":{}}}",
-                self.capacity(),
-                levels_json(&self.levels)
-            ),
-        })
+    fn snapshot(&self) -> Option<DetectorSnapshot> {
+        Some(self.body().into_snapshot(self.total))
     }
 
-    /// Native v2 encode ([`FrameEncode`]) — byte-identical to
-    /// transcoding [`snapshot`](MergeableDetector::snapshot), without
-    /// rendering or parsing JSON.
-    fn to_frame(
-        &self,
-        start: hhh_nettypes::Nanos,
-        at: hhh_nettypes::Nanos,
-    ) -> Option<crate::snapshot::SnapshotFrame> {
-        crate::snapshot::FrameEncode::encode_frame(self, start, at).ok()
+    /// The same body as [`snapshot`](MergeableDetector::snapshot),
+    /// encoded as a v2 frame with no JSON on the path.
+    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<SnapshotFrame> {
+        self.body().to_frame(self.total, start, at).ok()
     }
 }
 
-impl<H: Hierarchy> crate::snapshot::FrameEncode for SpaceSavingHhh<H> {
-    fn frame_kind(&self) -> &'static str {
-        "ss-hhh"
+impl<H: Hierarchy> SpaceSavingHhh<H> {
+    /// The wire body: capacity plus the per-level rows.
+    pub(crate) fn body(&self) -> Body<'_> {
+        Body::Ss(levels_body(&self.levels))
     }
 
-    fn frame_total(&self) -> u64 {
-        self.total
-    }
-
-    fn frame_digest(&self) -> u64 {
-        crate::snapshot::binary::ss_config_digest("ss-hhh", self.capacity() as u64)
-    }
-
-    /// The v2 `ss-hhh` body straight from the level summaries:
-    /// capacity, then the shared per-level encoding.
-    fn write_frame_body(&self, out: &mut Vec<u8>) -> Result<(), crate::snapshot::SnapshotError> {
-        crate::snapshot::binary::put_uv(out, self.capacity() as u64);
-        encode_levels_body(out, &self.levels);
-        Ok(())
+    /// The validated decode core both wire formats share.
+    pub(crate) fn from_wire_levels(
+        hierarchy: H,
+        capacity: u64,
+        rows: WireLevelRows<H::Prefix>,
+        envelope_total: u64,
+    ) -> Result<Self, SnapshotError> {
+        let capacity = wire_capacity(capacity)?;
+        let levels = levels_from_rows(rows, capacity, hierarchy.levels())?;
+        Ok(SpaceSavingHhh { hierarchy, levels, total: envelope_total, scratch: Vec::new() })
     }
 }
 
-/// Append the v2 per-level summary encoding (level count, then each
-/// level's total and `(prefix, count, error)` entries) straight from
-/// live [`SpaceSaving`] summaries — the native counterpart of
-/// [`levels_json`], shared with the RHHH encoder. Rows ride in
-/// [`SpaceSaving::export_entries`] order (sorted by the prefix's
-/// display form), exactly like the JSON body, so the two encode paths
-/// produce identical bytes.
-pub(crate) fn encode_levels_body<P: std::fmt::Display + Copy + Eq + std::hash::Hash>(
-    out: &mut Vec<u8>,
+/// Per-level summaries as wire rows (shared with the RHHH body): the
+/// capacity, then each level's total and `(prefix, count, error)`
+/// entries in [`SpaceSaving::export_entries`] order (sorted by the
+/// prefix's display form).
+pub(crate) fn levels_body<P: std::fmt::Display + Copy + Eq + std::hash::Hash>(
     levels: &[SpaceSaving<P>],
-) {
-    use crate::snapshot::binary::{put_str, put_uv};
-    put_uv(out, levels.len() as u64);
-    for ss in levels {
-        put_uv(out, ss.total());
-        let rows = ss.export_entries(|p| p.to_string());
-        put_uv(out, rows.len() as u64);
-        for (key, e) in &rows {
-            put_str(out, key);
-            put_uv(out, e.count);
-            put_uv(out, e.error);
-        }
+) -> SsBody {
+    SsBody {
+        capacity: levels[0].capacity() as u64,
+        levels: levels
+            .iter()
+            .map(|ss| SsLevelBody {
+                total: ss.total(),
+                entries: ss
+                    .export_entries(|p| p.to_string())
+                    .into_iter()
+                    .map(|(key, e)| (key, e.count, e.error))
+                    .collect(),
+            })
+            .collect(),
     }
-}
-
-/// Render per-level Space-Saving summaries as the snapshot `levels`
-/// array (shared by the RHHH snapshot, which carries the same
-/// per-level structure).
-pub(crate) fn levels_json<P: std::fmt::Display + Copy + Eq + std::hash::Hash>(
-    levels: &[SpaceSaving<P>],
-) -> String {
-    let mut out = String::from("[");
-    for (i, ss) in levels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let rows: Vec<(String, Vec<u64>)> = ss
-            .export_entries(|p| p.to_string())
-            .into_iter()
-            .map(|(s, e)| (s, vec![e.count, e.error]))
-            .collect();
-        out.push_str(&format!(
-            "{{\"total\":{},\"entries\":{}}}",
-            ss.total(),
-            crate::snapshot::json_keyed_rows(&rows)
-        ));
-    }
-    out.push(']');
-    out
-}
-
-/// Decode the snapshot `levels` array back into per-level summaries
-/// (shared with the RHHH decoder).
-pub(crate) fn levels_from_json<P>(
-    state: &crate::snapshot::json::Json,
-    capacity: usize,
-    expected_levels: usize,
-) -> Result<Vec<SpaceSaving<P>>, crate::snapshot::SnapshotError>
-where
-    P: std::str::FromStr + Copy + Eq + std::hash::Hash,
-{
-    use crate::snapshot::{parse_keyed_rows, req, req_arr, req_u64};
-    let levels_json = req_arr(state, "levels")?;
-    let mut rows = Vec::with_capacity(levels_json.len());
-    for lv in levels_json {
-        let total = req_u64(lv, "total")?;
-        let entries: Vec<(P, Vec<u64>)> = parse_keyed_rows(req(lv, "entries")?, "entries", 2)?;
-        rows.push((total, entries.into_iter().map(|(k, v)| (k, v[0], v[1])).collect()));
-    }
-    levels_from_rows(rows, capacity, expected_levels)
 }
 
 /// Wire-decoded per-level summary rows: one `(level total, [(prefix,
@@ -290,11 +228,10 @@ pub(crate) fn levels_from_rows<P>(
     rows: WireLevelRows<P>,
     capacity: usize,
     expected_levels: usize,
-) -> Result<Vec<SpaceSaving<P>>, crate::snapshot::SnapshotError>
+) -> Result<Vec<SpaceSaving<P>>, SnapshotError>
 where
     P: Copy + Eq + std::hash::Hash,
 {
-    use crate::snapshot::SnapshotError;
     use hhh_sketches::SsEntry;
     if rows.len() != expected_levels {
         return Err(SnapshotError::Mismatch(format!(
@@ -331,53 +268,14 @@ where
 
 /// Validate a wire-supplied Space-Saving capacity (shared by the
 /// `ss-hhh` and `rhhh` decoders of both formats).
-pub(crate) fn wire_capacity(capacity: u64) -> Result<usize, crate::snapshot::SnapshotError> {
-    if capacity == 0 || capacity > crate::snapshot::MAX_WIRE_CAPACITY as u64 {
-        return Err(crate::snapshot::SnapshotError::Invalid {
+pub(crate) fn wire_capacity(capacity: u64) -> Result<usize, SnapshotError> {
+    if capacity == 0 || capacity > MAX_WIRE_CAPACITY as u64 {
+        return Err(SnapshotError::Invalid {
             field: "capacity",
             what: "must be non-zero and within MAX_WIRE_CAPACITY",
         });
     }
     Ok(capacity as usize)
-}
-
-impl<H: Hierarchy> SpaceSavingHhh<H>
-where
-    H::Prefix: std::str::FromStr,
-{
-    /// Rebuild a detector from a serialized
-    /// [`snapshot`](MergeableDetector::snapshot) — the decode half of
-    /// the round-trip codec. The restored detector reports and merges
-    /// identically to the one that emitted the snapshot (the summaries
-    /// are set-equal; merging is heap-order independent).
-    pub fn from_snapshot(
-        hierarchy: H,
-        snap: &crate::snapshot::DetectorSnapshot,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{req_u64, SnapshotError};
-        if snap.kind != "ss-hhh" {
-            return Err(SnapshotError::Mismatch(format!(
-                "expected kind `ss-hhh`, got `{}`",
-                snap.kind
-            )));
-        }
-        let state = snap.state()?;
-        let capacity = wire_capacity(req_u64(&state, "capacity")?)?;
-        let levels = levels_from_json(&state, capacity, hierarchy.levels())?;
-        Ok(SpaceSavingHhh { hierarchy, levels, total: snap.total, scratch: Vec::new() })
-    }
-
-    /// The validated decode core both wire formats share.
-    pub(crate) fn from_wire_levels(
-        hierarchy: H,
-        capacity: u64,
-        rows: WireLevelRows<H::Prefix>,
-        envelope_total: u64,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let capacity = wire_capacity(capacity)?;
-        let levels = levels_from_rows(rows, capacity, hierarchy.levels())?;
-        Ok(SpaceSavingHhh { hierarchy, levels, total: envelope_total, scratch: Vec::new() })
-    }
 }
 
 #[cfg(test)]

@@ -27,9 +27,13 @@
 use crate::detector::{ContinuousDetector, MergeableDetector};
 use crate::exact::discount_bottom_up;
 use crate::report::{HhhReport, Threshold};
+use crate::snapshot::{
+    Body, DetectorSnapshot, SnapshotError, SnapshotFrame, TdbfBody, MAX_WIRE_CAPACITY,
+};
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::{Nanos, TimeSpan};
 use hhh_sketches::{DecayRate, DecayedCounter, OnDemandTdbf};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Configuration for [`TdbfHhh`].
@@ -282,239 +286,58 @@ impl<H: Hierarchy> MergeableDetector for TdbfHhh<H> {
     /// `[value, last_ns]` counter, `"filters"` as per-level arrays of
     /// raw cells, `"candidates"` as per-level `[prefix, ts_ns]` rows
     /// sorted by prefix. Floats render in shortest round-trip form, so
-    /// a restored detector ([`TdbfHhh::from_snapshot`]) is
-    /// *bit-identical*: it decays, reports and merges exactly like the
-    /// original.
-    fn snapshot(&self) -> Option<crate::snapshot::DetectorSnapshot> {
-        use crate::snapshot::json::Json;
-        let counter_json = |c: &DecayedCounter| {
-            let (v, last) = c.raw();
-            Json::Arr(vec![Json::f64(v), Json::u64(last.as_nanos())])
-        };
-        let filters = Json::Arr(
-            self.filters
-                .iter()
-                .map(|f| Json::Arr(f.cells().iter().map(counter_json).collect()))
-                .collect(),
-        );
-        let candidates = Json::Arr(
-            self.candidates
+    /// a restored detector is *bit-identical*: it decays, reports and
+    /// merges exactly like the original.
+    fn snapshot(&self) -> Option<DetectorSnapshot> {
+        Some(self.body().into_snapshot(self.observed))
+    }
+
+    /// The same body as [`snapshot`](MergeableDetector::snapshot),
+    /// encoded as a v2 frame with no JSON on the path. This is the kind
+    /// that path pays off most for: a JSON detour would render and
+    /// re-parse 5 × cells_per_level × hashes float cells per report
+    /// point.
+    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<SnapshotFrame> {
+        self.body().to_frame(self.observed, start, at).ok()
+    }
+}
+
+impl<H: Hierarchy> TdbfHhh<H> {
+    /// The wire body: configuration, the raw decayed total, every
+    /// level's raw cells, and candidate rows sorted by the prefix's
+    /// display form.
+    pub(crate) fn body(&self) -> Body<'_> {
+        Body::Tdbf(TdbfBody {
+            cells_per_level: self.cfg.cells_per_level as u64,
+            hashes: self.cfg.hashes as u64,
+            half_life_ns: self.cfg.half_life.as_nanos(),
+            candidates_per_level: self.cfg.candidates_per_level as u64,
+            admit_fraction: self.cfg.admit_fraction,
+            seed: self.cfg.seed,
+            observed: self.observed,
+            total: self.total,
+            filters: self.filters.iter().map(|f| Cow::Borrowed(f.cells())).collect(),
+            candidates: self
+                .candidates
                 .iter()
                 .map(|table| {
-                    let mut rows: Vec<(String, Nanos)> =
-                        table.iter().map(|(p, &ts)| (p.to_string(), ts)).collect();
+                    let mut rows: Vec<(String, u64)> =
+                        table.iter().map(|(p, &ts)| (p.to_string(), ts.as_nanos())).collect();
                     rows.sort_by(|a, b| a.0.cmp(&b.0));
-                    Json::Arr(
-                        rows.into_iter()
-                            .map(|(p, ts)| Json::Arr(vec![Json::str(p), Json::u64(ts.as_nanos())]))
-                            .collect(),
-                    )
+                    rows
                 })
                 .collect(),
-        );
-        let state = Json::Obj(vec![
-            ("cells_per_level".into(), Json::u64(self.cfg.cells_per_level as u64)),
-            ("hashes".into(), Json::u64(self.cfg.hashes as u64)),
-            ("half_life_ns".into(), Json::u64(self.cfg.half_life.as_nanos())),
-            ("candidates_per_level".into(), Json::u64(self.cfg.candidates_per_level as u64)),
-            ("admit_fraction".into(), Json::f64(self.cfg.admit_fraction)),
-            ("seed".into(), Json::u64(self.cfg.seed)),
-            ("observed".into(), Json::u64(self.observed)),
-            ("total".into(), counter_json(&self.total)),
-            ("filters".into(), filters),
-            ("candidates".into(), candidates),
-        ]);
-        Some(crate::snapshot::DetectorSnapshot {
-            kind: "tdbf-hhh".into(),
-            total: self.observed,
-            state_json: state.render(),
         })
-    }
-
-    /// Native v2 encode ([`FrameEncode`]) — byte-identical to
-    /// transcoding [`snapshot`](MergeableDetector::snapshot), without
-    /// rendering or parsing JSON. This is the kind the native path
-    /// pays off most for: the JSON detour renders and re-parses
-    /// 5 × cells_per_level × hashes float cells per report point.
-    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<crate::snapshot::SnapshotFrame> {
-        crate::snapshot::FrameEncode::encode_frame(self, start, at).ok()
-    }
-}
-
-impl<H: Hierarchy> crate::snapshot::FrameEncode for TdbfHhh<H> {
-    fn frame_kind(&self) -> &'static str {
-        "tdbf-hhh"
-    }
-
-    fn frame_total(&self) -> u64 {
-        self.observed
-    }
-
-    fn frame_digest(&self) -> u64 {
-        crate::snapshot::binary::tdbf_config_digest(
-            self.cfg.cells_per_level as u64,
-            self.cfg.hashes as u64,
-            self.cfg.half_life.as_nanos(),
-            self.cfg.candidates_per_level as u64,
-            self.cfg.admit_fraction,
-            self.cfg.seed,
-        )
-    }
-
-    /// The v2 `tdbf-hhh` body straight from the live filters: config
-    /// fields, the raw decayed total, delta-encoded cells per level
-    /// (the shared [`encode_cells`](crate::snapshot::binary) recipe),
-    /// and candidate rows sorted by the prefix's display form — the
-    /// same order the JSON body uses.
-    fn write_frame_body(&self, out: &mut Vec<u8>) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::binary::{encode_cells, put_str, put_uv};
-        put_uv(out, self.cfg.cells_per_level as u64);
-        put_uv(out, self.cfg.hashes as u64);
-        put_uv(out, self.cfg.half_life.as_nanos());
-        put_uv(out, self.cfg.candidates_per_level as u64);
-        out.extend_from_slice(&self.cfg.admit_fraction.to_le_bytes());
-        out.extend_from_slice(&self.cfg.seed.to_le_bytes());
-        put_uv(out, self.observed);
-        let (total_v, total_ns) = self.total.raw();
-        out.extend_from_slice(&total_v.to_le_bytes());
-        put_uv(out, total_ns.as_nanos());
-
-        put_uv(out, self.filters.len() as u64);
-        let mut cells: Vec<(f64, u64)> = Vec::new();
-        for f in &self.filters {
-            cells.clear();
-            cells.extend(f.cells().iter().map(|c| {
-                let (v, last) = c.raw();
-                (v, last.as_nanos())
-            }));
-            encode_cells(out, &cells)?;
-        }
-        put_uv(out, self.candidates.len() as u64);
-        for table in &self.candidates {
-            let mut rows: Vec<(String, u64)> =
-                table.iter().map(|(p, &ts)| (p.to_string(), ts.as_nanos())).collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            put_uv(out, rows.len() as u64);
-            for (prefix, ts) in &rows {
-                put_str(out, prefix);
-                put_uv(out, *ts);
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<H: Hierarchy> TdbfHhh<H>
-where
-    H::Prefix: std::str::FromStr,
-{
-    /// Rebuild a detector from a serialized
-    /// [`snapshot`](MergeableDetector::snapshot) — the decode half of
-    /// the round-trip codec. The snapshot carries its own
-    /// configuration, so nothing but the hierarchy is needed; the
-    /// restored detector is bit-identical to the original.
-    pub fn from_snapshot(
-        hierarchy: H,
-        snap: &crate::snapshot::DetectorSnapshot,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::json::Json;
-        use crate::snapshot::{req, req_arr, req_f64, req_u64, SnapshotError};
-
-        fn counter_from_json(
-            v: &Json,
-            field: &'static str,
-        ) -> Result<DecayedCounter, SnapshotError> {
-            let pair =
-                v.as_arr().ok_or(SnapshotError::Invalid { field, what: "cell is not a pair" })?;
-            if pair.len() != 2 {
-                return Err(SnapshotError::Invalid { field, what: "cell is not a pair" });
-            }
-            let value = pair[0]
-                .as_f64()
-                .filter(|f| f.is_finite())
-                .ok_or(SnapshotError::Invalid { field, what: "cell value is not finite" })?;
-            let last = pair[1].as_u64().ok_or(SnapshotError::Invalid {
-                field,
-                what: "cell timestamp is not an integer",
-            })?;
-            Ok(DecayedCounter::from_raw(value, Nanos::from_nanos(last)))
-        }
-
-        if snap.kind != "tdbf-hhh" {
-            return Err(SnapshotError::Mismatch(format!(
-                "expected kind `tdbf-hhh`, got `{}`",
-                snap.kind
-            )));
-        }
-        let state = snap.state()?;
-        let cfg = TdbfHhhConfig {
-            cells_per_level: req_u64(&state, "cells_per_level")? as usize,
-            hashes: req_u64(&state, "hashes")? as usize,
-            half_life: TimeSpan::from_nanos(req_u64(&state, "half_life_ns")?),
-            candidates_per_level: req_u64(&state, "candidates_per_level")? as usize,
-            admit_fraction: req_f64(&state, "admit_fraction")?,
-            seed: req_u64(&state, "seed")?,
-        };
-
-        let filters_json = req_arr(&state, "filters")?;
-        let mut filters = Vec::with_capacity(filters_json.len());
-        for cells_json in filters_json {
-            let cells_json = cells_json.as_arr().ok_or(SnapshotError::Invalid {
-                field: "filters",
-                what: "level is not an array",
-            })?;
-            let cells = cells_json
-                .iter()
-                .map(|c| counter_from_json(c, "filters"))
-                .collect::<Result<Vec<_>, _>>()?;
-            filters.push(cells);
-        }
-
-        let candidates_json = req_arr(&state, "candidates")?;
-        let mut candidates = Vec::with_capacity(candidates_json.len());
-        for rows in candidates_json {
-            let rows = rows.as_arr().ok_or(SnapshotError::Invalid {
-                field: "candidates",
-                what: "level is not an array",
-            })?;
-            let mut table = Vec::with_capacity(rows.len());
-            for row in rows {
-                let row = row.as_arr().filter(|r| r.len() == 2).ok_or(SnapshotError::Invalid {
-                    field: "candidates",
-                    what: "row is not a pair",
-                })?;
-                let prefix = row[0]
-                    .as_str()
-                    .ok_or(SnapshotError::Invalid {
-                        field: "candidates",
-                        what: "prefix is not a string",
-                    })?
-                    .parse::<H::Prefix>()
-                    .map_err(|_| SnapshotError::Invalid {
-                        field: "candidates",
-                        what: "prefix does not parse",
-                    })?;
-                let ts = row[1].as_u64().ok_or(SnapshotError::Invalid {
-                    field: "candidates",
-                    what: "timestamp is not an integer",
-                })?;
-                table.push((prefix, Nanos::from_nanos(ts)));
-            }
-            candidates.push(table);
-        }
-
-        let total = counter_from_json(req(&state, "total")?, "total")?;
-        let observed = req_u64(&state, "observed")?;
-        Self::from_wire(hierarchy, cfg, observed, total, filters, candidates, snap.total)
     }
 
     /// The validated decode core both wire formats share: build a
     /// detector from already-parsed configuration and state. Wire
-    /// input is untrusted — geometry is bounded *before* it drives any
-    /// allocation, cell counts must match the geometry, candidate
-    /// tables must fit their capacity and carry no duplicates, every
-    /// float must be finite, and the envelope total must equal the
-    /// observed weight.
+    /// input is untrusted — geometry is bounded, and the state checked
+    /// against it (one cell array of the configured size and one
+    /// candidate table per hierarchy level), *before* it drives any
+    /// allocation; candidate tables must fit their capacity and carry
+    /// no duplicates, every float must be finite, and the envelope
+    /// total must equal the observed weight.
     pub(crate) fn from_wire(
         hierarchy: H,
         cfg: TdbfHhhConfig,
@@ -523,8 +346,7 @@ where
         filters: Vec<Vec<DecayedCounter>>,
         candidates: Vec<Vec<(H::Prefix, Nanos)>>,
         envelope_total: u64,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
+    ) -> Result<Self, SnapshotError> {
         if !(cfg.admit_fraction > 0.0 && cfg.admit_fraction < 1.0) {
             return Err(SnapshotError::Invalid {
                 field: "admit_fraction",
@@ -537,9 +359,9 @@ where
                 what: "geometry and half-life must be non-zero",
             });
         }
-        if cfg.cells_per_level.saturating_mul(cfg.hashes) > crate::snapshot::MAX_WIRE_CAPACITY
+        if cfg.cells_per_level.saturating_mul(cfg.hashes) > MAX_WIRE_CAPACITY
             || cfg.hashes > 64
-            || cfg.candidates_per_level > crate::snapshot::MAX_WIRE_CAPACITY
+            || cfg.candidates_per_level > MAX_WIRE_CAPACITY
         {
             return Err(SnapshotError::Invalid {
                 field: "cells_per_level",
@@ -555,32 +377,38 @@ where
         };
         finite(&total, "total")?;
 
-        let mut detector = TdbfHhh::new(hierarchy, cfg);
-        let levels = detector.filters.len();
+        // The detector allocates `levels × cells_per_level × hashes`
+        // counters, so the state must supply that geometry before it
+        // is built: a small body claiming a large geometry is refused
+        // here, not after the allocation.
+        let levels = hierarchy.levels();
         if filters.len() != levels {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot has {} levels, hierarchy has {levels}",
                 filters.len()
             )));
         }
-        for (filter, cells) in detector.filters.iter_mut().zip(filters) {
-            if cells.len() != filter.cell_count() {
+        for cells in &filters {
+            if cells.len() != cfg.cells_per_level * cfg.hashes {
                 return Err(SnapshotError::Invalid {
                     field: "filters",
                     what: "cell count does not match the geometry",
                 });
             }
-            for c in &cells {
+            for c in cells {
                 finite(c, "filters")?;
             }
-            filter.restore_cells(cells);
         }
-
         if candidates.len() != levels {
             return Err(SnapshotError::Invalid {
                 field: "candidates",
                 what: "one table per level required",
             });
+        }
+
+        let mut detector = TdbfHhh::new(hierarchy, cfg);
+        for (filter, cells) in detector.filters.iter_mut().zip(filters) {
+            filter.restore_cells(cells);
         }
         for (table, rows) in detector.candidates.iter_mut().zip(candidates) {
             if rows.len() > detector.cfg.candidates_per_level {

@@ -483,8 +483,8 @@ pub fn codec_bench(scale: Scale, ks: &[usize]) -> Vec<CodecBenchRow> {
         let snap = sample_snapshot(kind, packets);
         let line = snap.to_json();
         let frame_bytes = snap.to_frame(window_start, window_end).expect("transcodes").encode();
-        // A live detector holding the same state, for the native
-        // (`FrameEncode`) encode path.
+        // A live detector holding the same state, for the direct
+        // (detector body -> frame) encode path.
         let restored = hhh_core::RestoredDetector::from_snapshot(&h, &snap).expect("restores");
         assert_eq!(
             restored.to_frame(window_start, window_end).expect("native-encodes").encode(),
@@ -494,8 +494,8 @@ pub fn codec_bench(scale: Scale, ks: &[usize]) -> Vec<CodecBenchRow> {
 
         // encode: detector state -> wire bytes. v1 renders JSON;
         // `encode-transcode` is the PR-4 v2 path (render the JSON
-        // body, parse it back, pack a frame); `encode-native` is the
-        // FrameEncode path (detector state -> frame body directly).
+        // body, parse it back, pack a frame); `encode-native` encodes
+        // the detector's wire body as a frame directly.
         let (s, n) = timed(|| snap.to_json());
         rows.push(CodecBenchRow {
             detector: kind.label(),

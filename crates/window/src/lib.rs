@@ -42,7 +42,7 @@
 //!   [`collect_streams`](FrameHub::collect_streams) barrier), and
 //!   in-process channels ([`mem_transport`]), with
 //!   [`TransportSink`]/[`TransportSource`] as the pipeline faces.
-//!   Frames carry detectors' **native** encodes (`FrameEncode`) — no
+//!   Frames are encoded straight from each detector's wire body — no
 //!   JSON between a shard's state and the aggregator's fold.
 //!
 //! ## Exactness of the sliding engines

@@ -63,12 +63,11 @@ use std::str::FromStr;
 
 /// Deliver a merged detector's state to the sink at a report point.
 ///
-/// Frame-consuming sinks ([`ReportSink::wants_frames`]) get the
-/// **natively encoded** v2 frame
-/// ([`MergeableDetector::to_frame`], the `FrameEncode` path) — no JSON
-/// rendered or parsed; everything else gets the JSON-bodied
-/// [`snapshot`](MergeableDetector::snapshot) as before. Shared by
-/// every sharded engine.
+/// Frame-consuming sinks ([`ReportSink::wants_frames`]) get the v2
+/// frame ([`MergeableDetector::to_frame`]) — no JSON rendered or
+/// parsed; everything else gets the JSON-bodied
+/// [`snapshot`](MergeableDetector::snapshot). Both render the
+/// detector's one wire body. Shared by every sharded engine.
 fn emit_state<P, D: MergeableDetector, K: ReportSink<P>>(
     sink: &mut K,
     detector: &D,

@@ -54,9 +54,9 @@ pub trait ReportSink<P> {
     }
 
     /// Does this sink consume states as **v2 frames**? When `true`,
-    /// engines encode states natively
+    /// engines encode states as frames
     /// ([`MergeableDetector::to_frame`](hhh_core::MergeableDetector::to_frame),
-    /// the `FrameEncode` path) and call
+    /// no JSON on the path) and call
     /// [`state_frame`](Self::state_frame) instead of building a
     /// JSON-bodied snapshot for [`state`](Self::state) — the binary
     /// sinks and the snapshot transports opt in.

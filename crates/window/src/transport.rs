@@ -18,10 +18,10 @@
 //! encoded frames — [`FrameWrite`] pushes them, [`FrameRead`] pulls
 //! them, and the pipeline faces ([`TransportSink`](crate::TransportSink),
 //! [`TransportSource`]) adapt either end to the `Pipeline` API. The
-//! write side hands detectors' **natively encoded** frames through
-//! (`MergeableDetector::to_frame`, the `FrameEncode` path) — no JSON
-//! is rendered or parsed anywhere between a shard's detector state and
-//! the aggregator's restored detector.
+//! write side hands through frames encoded straight from detector
+//! state (`MergeableDetector::to_frame`) — no JSON is rendered or
+//! parsed anywhere between a shard's detector state and the
+//! aggregator's restored detector.
 //!
 //! ## TCP specifics
 //!
@@ -1131,10 +1131,10 @@ fn hub_connection(conn: TcpStream, tx: &mpsc::Sender<HubEvent>, held: &Mutex<Has
 // ---------------------------------------------------------------------
 
 /// A [`ReportSink`] that streams pipeline output through any
-/// [`FrameWrite`]: reports as report frames, states as **natively
-/// encoded** v2 frames (it advertises
-/// [`wants_frames`](ReportSink::wants_frames), so engines hand it
-/// `MergeableDetector::to_frame` output — no JSON on the path).
+/// [`FrameWrite`]: reports as report frames, states as v2 frames (it
+/// advertises [`wants_frames`](ReportSink::wants_frames), so engines
+/// hand it `MergeableDetector::to_frame` output — no JSON on the
+/// path).
 ///
 /// The first transport error is kept and returned from
 /// [`finish`](ReportSink::finish), mirroring

@@ -120,8 +120,8 @@ fn main() {
     println!("binary + JSON shards folded to the byte-identical merged state");
 
     // --- 5. the same shards over a live transport: each pipeline
-    // streams natively encoded v2 frames (`FrameEncode`, no JSON on
-    // the shard side) over localhost TCP; the hub's barrier returns
+    // streams v2 frames encoded straight from detector state (no JSON
+    // on the shard side) over localhost TCP; the hub's barrier returns
     // them in hello-id order. `distagg shard --connect` / `hhh-agg
     // --listen` run exactly this across real processes and hosts.
     let hub = FrameHub::bind("127.0.0.1:0").expect("bind an ephemeral localhost port");

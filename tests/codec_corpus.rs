@@ -8,12 +8,12 @@
 //!
 //! A structure-aware fuzz smoke rides along: random byte mutations and
 //! truncations of valid frames must never panic the decoder or drive
-//! it past its wire-size caps — the same hostile-input guarantee the
-//! v1 JSON path has always made.
+//! it past its wire-size caps, and its v1 twin holds the committed
+//! JSON lines to the same hostile-input guarantee.
 
 use hidden_hhh::agg::transcode;
 use hidden_hhh::core::snapshot::binary::{SnapshotFrame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
-use hidden_hhh::core::{RestoredDetector, SnapshotError, WireFormat};
+use hidden_hhh::core::{RestoredDetector, SnapshotError, WireFormat, WireSnapshot};
 use hidden_hhh::experiments::corpus::{corpus_stream, write_corpus, CORPUS_KINDS, MALFORMED_CASES};
 use hidden_hhh::prelude::*;
 use hidden_hhh::window::SnapshotSource;
@@ -243,5 +243,42 @@ proptest! {
             prop_assert_eq!((&mut src).count(), 0);
             prop_assert!(src.error().is_some());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The v1 twin of `mutated_frames_never_panic_the_decoder`:
+    /// flipping bytes of a committed `*.v1.jsonl` file (or truncating
+    /// it anywhere) must never panic the line decoder, the restorer or
+    /// the transcoder — only `Ok` or a typed error.
+    #[test]
+    fn mutated_v1_lines_never_panic_the_decoder(
+        seed in 0usize..1_000_000,
+        cut in 0u32..=1,
+        mutations in prop::collection::vec((any::<u64>(), any::<u8>()), 1..8),
+    ) {
+        let kind = CORPUS_KINDS[seed % CORPUS_KINDS.len()];
+        let mut bytes = read(&format!("{kind}.v1.jsonl"));
+        for (pos, val) in mutations {
+            let at = (pos as usize) % bytes.len();
+            bytes[at] ^= val | 1; // always flips at least one bit
+        }
+        if cut == 1 {
+            let keep = (seed * 31) % (bytes.len() + 1);
+            bytes.truncate(keep);
+        }
+        let h = Ipv4Hierarchy::bytes();
+        let mut src = SnapshotSource::new(bytes.as_slice());
+        let mut decoded = 0;
+        for state in &mut src {
+            decoded += 1;
+            let _ = RestoredDetector::from_wire(&h, &state);
+            if let WireSnapshot::Json(stamped) = &state {
+                let _ = stamped.to_frame();
+            }
+        }
+        prop_assert!(decoded <= 1, "a file with one state line cannot multiply");
     }
 }

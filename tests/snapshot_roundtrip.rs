@@ -286,11 +286,12 @@ proptest! {
         }
     }
 
-    /// Differential contract #4 (PR 5): for arbitrary detector states
-    /// of every kind, the **native** frame encode
-    /// (`MergeableDetector::to_frame`, the `FrameEncode` path — no
-    /// JSON rendered or parsed) is byte-identical to the
-    /// `snapshot()`-then-transcode reference, frame header included.
+    /// Differential contract #4: for arbitrary detector states of
+    /// every kind, the JSON rendering of the detector's wire body loses
+    /// nothing its v2 encoding keeps — `MergeableDetector::to_frame`
+    /// (the body encoded directly, no JSON rendered or parsed) is
+    /// byte-identical to `snapshot()` transcoded to a frame, header
+    /// included.
     #[test]
     fn native_frame_encode_matches_the_transcode_reference(
         seed in 0u64..1_000_000,
@@ -332,7 +333,7 @@ proptest! {
             prop_assert_eq!(
                 native,
                 transcoded,
-                "kind {}: native FrameEncode must write the transcode path's exact bytes",
+                "kind {}: the direct frame encode must write the transcode path's exact bytes",
                 kind
             );
         }
