@@ -39,8 +39,7 @@
 //! stream v1 ⇄ v2, byte-identically round-trippable). The `hhh-agg`
 //! binary wraps them for files, pipes, and `--listen ADDR` sockets —
 //! a socket fold is byte-identical to the file fold of the same
-//! shards; the `FoldSnapshots` engine in `hhh-window` wraps the same
-//! fold as a `Pipeline` stage for a single stream. Failures are typed
+//! shards, and a single stream folds the same way. Failures are typed
 //! end to end: [`AggError`] `source()`-chains to [`SnapshotError`] or
 //! [`TransportError`] (and through it to the underlying
 //! [`std::io::Error`]).

@@ -8,7 +8,7 @@ use hhh_core::Threshold;
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::{PacketRecord, TimeSpan};
 use hhh_trace::{scenarios, TraceGenerator};
-use hhh_window::{shard_of, JsonSnapshotSink, Pipeline, ShardedDisjoint};
+use hhh_window::{shard_of, Pipeline, ShardedDisjoint, SnapshotSink};
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -25,7 +25,7 @@ fn shard_stream(trace: &[PacketRecord], horizon: TimeSpan, k: usize, shard: usiz
             &[Threshold::percent(1.0)],
             |p| p.src,
         ))
-        .sink(JsonSnapshotSink::new(Vec::new()))
+        .sink(SnapshotSink::new(Vec::new()))
         .run();
     assert!(err.is_none());
     bytes

@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn usage_lists_every_kind() {
         let listed = USAGE.lines().last().expect("usage ends with the kinds line");
-        for kind in scenario::KINDS {
+        for kind in Kind::ALL {
             assert!(
                 listed.split_whitespace().any(|k| k == kind.label()),
                 "usage omits kind `{}`",

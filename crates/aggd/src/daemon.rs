@@ -15,7 +15,7 @@ use crate::http::{self, HttpShared};
 use crate::metrics::Metrics;
 use crate::registry::Registry;
 use hhh_core::snapshot::binary::REPORT_KIND;
-use hhh_core::{Threshold, WireSnapshot};
+use hhh_core::{Kind, Threshold, WireSnapshot};
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_mitigate::{Action, PolicyConfig, PolicyEngine};
 use hhh_nettypes::{Ipv4Prefix, Nanos};
@@ -56,9 +56,8 @@ pub struct DaemonConfig {
 /// attack for classifying matched bytes.
 #[derive(Clone, Debug)]
 pub struct MitigateConfig {
-    /// Kind label whose merged points feed the engine (a shard label
-    /// like `exact/0of2` — each label is one merged series).
-    pub kind: String,
+    /// The detector kind whose merged points feed the engine.
+    pub kind: Kind,
     /// Policy knobs.
     pub policy: PolicyConfig,
     /// Planted attack prefixes; when non-empty, matched bytes are
@@ -218,7 +217,7 @@ pub fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
 #[derive(Clone)]
 struct MitigateCtx {
     shared: Arc<MitigateShared>,
-    kind: String,
+    kind: Kind,
     threshold: Threshold,
 }
 
@@ -265,7 +264,7 @@ fn feed_policy(registry: &Registry, ctx: &MitigateCtx, seen_through: &mut Nanos)
     let windows: Vec<WindowReport<Ipv4Prefix>> = {
         let fold = registry.fold.lock().expect("fold lock");
         let mut points: Vec<_> =
-            fold.points().filter(|p| p.kind == ctx.kind && p.at > *seen_through).collect();
+            fold.points().filter(|p| p.kind == ctx.kind.label() && p.at > *seen_through).collect();
         points.sort_by_key(|p| p.at);
         points.iter().map(|p| p.report(0, ctx.threshold)).collect()
     };

@@ -15,18 +15,19 @@
 //! | `GET /rules` | the mitigation rule table (JSON; `?text=1` for the CLI render) — 404 unless the daemon runs a policy engine |
 //!
 //! `/hhh` query parameters: `kind=<label>` filters to one detector
-//! kind; `all=1` renders every retained report point instead of the
-//! latest per kind; `state=1` also emits the folded state line per
-//! point (the stream another aggregation tier would ingest);
-//! `threshold=PCT` overrides the daemon's report threshold(s). Query
-//! keys and values are percent-decoded (`%XX` and `+`) before
-//! matching; a malformed escape is a 400.
+//! kind (a label that names no kind is a 400); `all=1` renders every
+//! retained report point instead of the latest per kind; `state=1`
+//! also emits the folded state line per point (the stream another
+//! aggregation tier would ingest); `threshold=PCT` overrides the
+//! daemon's report threshold(s). Query keys and values are
+//! percent-decoded (`%XX` and `+`) before matching; a malformed escape
+//! is a 400.
 
 use crate::daemon::MitigateShared;
 use crate::metrics::Metrics;
 use crate::registry::Registry;
 use hhh_agg::{write_merged, MergedPoint};
-use hhh_core::{Threshold, WireFormat};
+use hhh_core::{Kind, Threshold, WireFormat};
 use hhh_hierarchy::Ipv4Hierarchy;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -298,7 +299,7 @@ fn render_rules(shared: &HttpShared, query: &str) -> Result<(Vec<u8>, &'static s
 /// file-based fold is the daemon's acceptance check.
 fn render_hhh(shared: &HttpShared, query: &str) -> Result<Vec<u8>, String> {
     let params = parse_query(query, &["kind", "all", "state", "threshold"])?;
-    let kind = params.get("kind").cloned();
+    let kind = params.get("kind").map(String::as_str).map(parse_kind).transpose()?;
     let all = params.get("all").is_some_and(|v| v == "1");
     let state = params.get("state").is_some_and(|v| v == "1");
     let thresholds = match params.get("threshold") {
@@ -313,7 +314,7 @@ fn render_hhh(shared: &HttpShared, query: &str) -> Result<Vec<u8>, String> {
     };
 
     let fold = shared.registry.fold.lock().expect("fold lock");
-    let wanted = |p: &&MergedPoint<Ipv4Hierarchy>| kind.as_deref().is_none_or(|k| p.kind == k);
+    let wanted = |p: &&MergedPoint<Ipv4Hierarchy>| kind.is_none_or(|k| p.kind == k.label());
     let mut body = Vec::new();
     let result = if all {
         write_merged(&mut body, fold.points().filter(wanted), &thresholds, state, WireFormat::Json)
@@ -328,6 +329,14 @@ fn render_hhh(shared: &HttpShared, query: &str) -> Result<Vec<u8>, String> {
     };
     result.map_err(|e| e.to_string())?;
     Ok(body)
+}
+
+/// The kind a `kind=` value names, or an error listing every kind.
+fn parse_kind(label: &str) -> Result<Kind, String> {
+    Kind::parse(label).ok_or_else(|| {
+        let kinds: Vec<_> = Kind::ALL.iter().map(|k| k.label()).collect();
+        format!("unknown kind `{label}`; kinds: {}", kinds.join(" "))
+    })
 }
 
 /// Decode one query component: `+` is a space, `%XX` is the escaped

@@ -18,7 +18,7 @@
 //! the real addresses.
 
 use hhh_aggd::{spawn_daemon, DaemonConfig, MitigateConfig};
-use hhh_core::Threshold;
+use hhh_core::{Kind, Threshold};
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_mitigate::PolicyConfig;
 use hhh_nettypes::TimeSpan;
@@ -39,8 +39,8 @@ const USAGE: &str = "usage: hhh-aggd [--listen ADDR] [--http ADDR] \
                      (GET /metrics) on --http. Shards may join, leave, crash, and resume\n\
                      at any time; restarted shards replay from their last acked frame.\n\
                      --mitigate KIND runs the hhh-mitigate policy engine over KIND's\n\
-                     merged reports (a shard label like exact/0of2) and serves the rule\n\
-                     table on GET /rules; --mitigate-truth attaches planted attack\n\
+                     merged reports (a detector kind label, e.g. exact) and serves the\n\
+                     rule table on GET /rules; --mitigate-truth attaches planted attack\n\
                      prefixes so /metrics classes matched bytes attack vs legit.\n\
                      Defaults: --listen 127.0.0.1:4710, --http 127.0.0.1:4711,\n\
                      --hierarchy ipv4-bytes, --threshold 1, --retain 720,\n\
@@ -54,7 +54,7 @@ fn parse_args() -> Result<DaemonConfig, String> {
         log: true,
         ..DaemonConfig::default()
     };
-    let mut mitigate_kind: Option<String> = None;
+    let mut mitigate_kind: Option<Kind> = None;
     let mut policy = PolicyConfig::default();
     let mut truth: Vec<hhh_nettypes::Ipv4Prefix> = Vec::new();
     let mut argv = std::env::args().skip(1);
@@ -103,7 +103,9 @@ fn parse_args() -> Result<DaemonConfig, String> {
             }
             "--quiet" => config.log = false,
             "--mitigate" => {
-                let kind = argv.next().ok_or("--mitigate needs a kind label")?;
+                let v = argv.next().ok_or("--mitigate needs a kind label")?;
+                let kind =
+                    Kind::parse(&v).ok_or_else(|| format!("--mitigate: unknown kind `{v}`"))?;
                 mitigate_kind = Some(kind);
             }
             "--mitigate-hysteresis" => {

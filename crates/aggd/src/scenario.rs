@@ -12,6 +12,12 @@
 //! the hub's position dedupe (or the spool replay) resumes the fold as
 //! if nothing happened.
 //!
+//! Each kind's detectors are built in one place, a private constructor
+//! table with one row per [`Kind`] at the scenario's sizing. It hands
+//! them to a sharded runner (a shard's own pipeline, or the in-process
+//! K-shard reference) or to an unsharded one (the single-process
+//! reference on the plain [`Disjoint`] and [`Continuous`] engines).
+//!
 //! The module lives in `hhh-aggd` (not `hhh-experiments`) so the
 //! daemon's binaries and integration tests can drive scenario shards
 //! without a dependency cycle; `hhh_experiments::distagg` re-exports
@@ -28,6 +34,7 @@ use hhh_window::{
     shard_of, Continuous, Disjoint, PacketSource, Pipeline, ReportSink, ShardedContinuous,
     ShardedDisjoint, SnapshotSink, TcpTransport, TransportError, TransportSink, WindowReport,
 };
+use std::ops::Range;
 
 /// Report window / probe cadence of the scenario.
 pub const DISTAGG_WINDOW: TimeSpan = TimeSpan::from_secs(5);
@@ -45,60 +52,9 @@ pub const DISTAGG_CAPACITY: usize = 512;
 /// (`DISTAGG_CAPACITY` counters × the hierarchy's non-root levels).
 pub const DISTAGG_MVPIPE_BUCKETS: usize = 2048;
 
-/// The detector kinds the scenario exercises — every kind the snapshot
-/// codec can round-trip.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kind {
-    /// [`ExactHhh`] in disjoint windows (lossless merges).
-    Exact,
-    /// [`SpaceSavingHhh`] in disjoint windows.
-    SsHhh,
-    /// [`Rhhh`] in disjoint windows (per-shard sampling seeds).
-    Rhhh,
-    /// [`TdbfHhh`] probed continuously.
-    Tdbf,
-    /// [`MvPipeHhh`] in disjoint windows (single bottom-level pipe).
-    MvPipe,
-}
-
-/// All five kinds, in fixed order.
-pub const KINDS: [Kind; 5] = [Kind::Exact, Kind::SsHhh, Kind::Rhhh, Kind::Tdbf, Kind::MvPipe];
-
-impl Kind {
-    /// The wire `kind` label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Kind::Exact => "exact",
-            Kind::SsHhh => "ss-hhh",
-            Kind::Rhhh => "rhhh",
-            Kind::Tdbf => "tdbf-hhh",
-            Kind::MvPipe => "mvpipe",
-        }
-    }
-
-    /// Parse a CLI label.
-    pub fn parse(s: &str) -> Option<Kind> {
-        match s {
-            "exact" => Some(Kind::Exact),
-            "ss-hhh" => Some(Kind::SsHhh),
-            "rhhh" => Some(Kind::Rhhh),
-            "tdbf-hhh" => Some(Kind::Tdbf),
-            "mvpipe" => Some(Kind::MvPipe),
-            _ => None,
-        }
-    }
-
-    /// This kind's index within [`KINDS`].
-    pub fn index(self) -> u64 {
-        match self {
-            Kind::Exact => 0,
-            Kind::SsHhh => 1,
-            Kind::Rhhh => 2,
-            Kind::Tdbf => 3,
-            Kind::MvPipe => 4,
-        }
-    }
-}
+/// The detector kinds the scenario exercises: every row of the kind
+/// table, [`hhh_core::Kind`].
+pub use hhh_core::Kind;
 
 /// The scenario hierarchy (IPv4 source prefixes weighted by bytes).
 pub fn hierarchy() -> Ipv4Hierarchy {
@@ -130,14 +86,16 @@ pub fn probes(horizon: TimeSpan) -> Vec<Nanos> {
 }
 
 /// The **globally unique stream id** for `(kind, shard)` in a K-shard
-/// all-kinds topology: `kind.index() * k + shard`. The hub and the
-/// daemon identify a logical stream by its id alone — for its whole
-/// lifetime, across reconnects — so two different streams must never
-/// share one. Single-kind topologies may keep the bare shard index
-/// (what [`shard_to_addr_on`] does); anything driving more than one
-/// kind at the same daemon uses this.
+/// all-kinds topology: `index * k + shard`, where `index` is the kind's
+/// position in [`Kind::ALL`]. The hub and the daemon identify a logical
+/// stream by its id alone — for its whole lifetime, across reconnects —
+/// so two different streams must never share one. Single-kind
+/// topologies may keep the bare shard index (what [`shard_to_addr_on`]
+/// does); anything driving more than one kind at the same daemon uses
+/// this.
 pub fn stream_id(kind: Kind, k: usize, shard: usize) -> u64 {
-    kind.index() * k as u64 + shard as u64
+    let index = Kind::ALL.iter().position(|&row| row == kind).expect("every kind is a row");
+    (index * k + shard) as u64
 }
 
 /// The hello label for `(kind, shard)` — `exact/0of3` style.
@@ -145,100 +103,110 @@ pub fn shard_label(kind: Kind, k: usize, shard: usize) -> String {
     format!("{}/{shard}of{k}", kind.label())
 }
 
-/// Run the scenario's windowed sharded pipeline over an arbitrary
-/// packet [`PacketSource`] into an arbitrary sink — the source decides
-/// where packets come from (a slice, a bounded live feed), the sink
-/// decides the medium (byte buffer, file, socket, in-process channel).
-fn windowed_source_into<Src, D, S>(
+/// What runs a kind's detectors once [`run_kind`] has built them: the
+/// windowed kinds go to [`windowed`](Self::windowed), the windowless
+/// TDBF to [`continuous`](Self::continuous).
+trait Runner {
+    type Output;
+
+    fn windowed<D>(self, detectors: Vec<D>) -> Self::Output
+    where
+        D: HhhDetector<Ipv4Hierarchy> + MergeableDetector + Clone + Send;
+
+    fn continuous(self, detectors: Vec<TdbfHhh<Ipv4Hierarchy>>) -> Self::Output;
+}
+
+/// The scenario's one constructor table: build `kind`'s detectors at
+/// the scenario's sizing, one per shard in `shards` (RHHH seeds by
+/// shard index), and hand them to `runner`.
+fn run_kind<R: Runner>(kind: Kind, shards: Range<usize>, runner: R) -> R::Output {
+    let h = hierarchy();
+    match kind {
+        Kind::Exact => runner.windowed(shards.map(|_| ExactHhh::new(h)).collect()),
+        Kind::SsHhh => {
+            runner.windowed(shards.map(|_| SpaceSavingHhh::new(h, DISTAGG_CAPACITY)).collect())
+        }
+        Kind::Rhhh => {
+            runner.windowed(shards.map(|s| Rhhh::new(h, DISTAGG_CAPACITY, rhhh_seed(s))).collect())
+        }
+        Kind::Tdbf => runner.continuous(shards.map(|_| TdbfHhh::new(h, tdbf_config())).collect()),
+        Kind::MvPipe => {
+            runner.windowed(shards.map(|_| MvPipeHhh::new(h, DISTAGG_MVPIPE_BUCKETS)).collect())
+        }
+    }
+}
+
+/// The scenario's sharded pipeline (one worker per detector) from any
+/// packet [`PacketSource`] into any sink: the source decides where
+/// packets come from (a slice, a bounded live feed), the sink decides
+/// the medium (byte buffer, file, socket, in-process channel).
+struct Sharded<Src, S> {
     source: Src,
     horizon: TimeSpan,
-    detectors: Vec<D>,
     sink: S,
-) -> S::Output
-where
-    Src: PacketSource,
-    D: HhhDetector<Ipv4Hierarchy> + MergeableDetector + Clone + Send,
-    S: ReportSink<Ipv4Prefix>,
-{
-    Pipeline::new(source)
-        .engine(ShardedDisjoint::new(
-            detectors,
-            horizon,
-            DISTAGG_WINDOW,
-            &[distagg_threshold()],
-            |p| p.src,
-        ))
-        .sink(sink)
-        .run()
 }
 
-/// [`windowed_source_into`] over an in-memory packet slice.
-fn windowed_into<D, S>(
-    packets: &[PacketRecord],
-    horizon: TimeSpan,
-    detectors: Vec<D>,
-    sink: S,
-) -> S::Output
-where
-    D: HhhDetector<Ipv4Hierarchy> + MergeableDetector + Clone + Send,
-    S: ReportSink<Ipv4Prefix>,
-{
-    windowed_source_into(packets.iter().copied(), horizon, detectors, sink)
+impl<Src: PacketSource, S: ReportSink<Ipv4Prefix>> Runner for Sharded<Src, S> {
+    type Output = S::Output;
+
+    fn windowed<D>(self, detectors: Vec<D>) -> S::Output
+    where
+        D: HhhDetector<Ipv4Hierarchy> + MergeableDetector + Clone + Send,
+    {
+        let threshold = [distagg_threshold()];
+        Pipeline::new(self.source)
+            .engine(ShardedDisjoint::new(
+                detectors,
+                self.horizon,
+                DISTAGG_WINDOW,
+                &threshold,
+                |p| p.src,
+            ))
+            .sink(self.sink)
+            .run()
+    }
+
+    fn continuous(self, detectors: Vec<TdbfHhh<Ipv4Hierarchy>>) -> S::Output {
+        let probes = probes(self.horizon);
+        Pipeline::new(self.source)
+            .engine(ShardedContinuous::new(detectors, &probes, distagg_threshold(), |p| p.src))
+            .sink(self.sink)
+            .run()
+    }
 }
 
-/// The continuous (TDBF) counterpart of [`windowed_source_into`].
-fn continuous_source_into<Src, S>(
-    source: Src,
+/// The unsharded single-process engines ([`Disjoint`], [`Continuous`])
+/// over a packet slice, collecting series 0.
+struct Unsharded<'a> {
+    packets: &'a [PacketRecord],
     horizon: TimeSpan,
-    shards: usize,
-    sink: S,
-) -> S::Output
-where
-    Src: PacketSource,
-    S: ReportSink<Ipv4Prefix>,
-{
-    let detectors: Vec<_> = (0..shards).map(|_| TdbfHhh::new(hierarchy(), tdbf_config())).collect();
-    Pipeline::new(source)
-        .engine(ShardedContinuous::new(detectors, &probes(horizon), distagg_threshold(), |p| p.src))
-        .sink(sink)
-        .run()
 }
 
-/// [`continuous_source_into`] over an in-memory packet slice.
-fn continuous_into<S: ReportSink<Ipv4Prefix>>(
-    packets: &[PacketRecord],
-    horizon: TimeSpan,
-    shards: usize,
-    sink: S,
-) -> S::Output {
-    continuous_source_into(packets.iter().copied(), horizon, shards, sink)
-}
+impl Runner for Unsharded<'_> {
+    type Output = Vec<WindowReport<Ipv4Prefix>>;
 
-fn windowed_stream<D>(
-    packets: &[PacketRecord],
-    horizon: TimeSpan,
-    detectors: Vec<D>,
-    format: WireFormat,
-) -> Vec<u8>
-where
-    D: HhhDetector<Ipv4Hierarchy> + MergeableDetector + Clone + Send,
-{
-    let (bytes, err) =
-        windowed_into(packets, horizon, detectors, SnapshotSink::with_format(Vec::new(), format));
-    assert!(err.is_none(), "Vec<u8> writes cannot fail");
-    bytes
-}
+    fn windowed<D>(self, detectors: Vec<D>) -> Self::Output
+    where
+        D: HhhDetector<Ipv4Hierarchy> + MergeableDetector + Clone + Send,
+    {
+        let detector = detectors.into_iter().next().expect("one unsharded detector");
+        let threshold = [distagg_threshold()];
+        Pipeline::new(self.packets.iter().copied())
+            .engine(Disjoint::new(detector, self.horizon, DISTAGG_WINDOW, &threshold, |p| p.src))
+            .collect()
+            .run()
+            .remove(0)
+    }
 
-fn continuous_stream(
-    packets: &[PacketRecord],
-    horizon: TimeSpan,
-    shards: usize,
-    format: WireFormat,
-) -> Vec<u8> {
-    let (bytes, err) =
-        continuous_into(packets, horizon, shards, SnapshotSink::with_format(Vec::new(), format));
-    assert!(err.is_none(), "Vec<u8> writes cannot fail");
-    bytes
+    fn continuous(self, detectors: Vec<TdbfHhh<Ipv4Hierarchy>>) -> Self::Output {
+        let detector = detectors.into_iter().next().expect("one unsharded detector");
+        let probes = probes(self.horizon);
+        Pipeline::new(self.packets.iter().copied())
+            .engine(Continuous::new(detector, &probes, distagg_threshold(), |p| p.src))
+            .collect()
+            .run()
+            .remove(0)
+    }
 }
 
 /// The sub-stream [`shard_of`] assigns to `shard` among `k`.
@@ -263,30 +231,7 @@ where
     Src: PacketSource,
     S: ReportSink<Ipv4Prefix>,
 {
-    match kind {
-        Kind::Exact => {
-            windowed_source_into(source, horizon, vec![ExactHhh::new(hierarchy())], sink)
-        }
-        Kind::SsHhh => windowed_source_into(
-            source,
-            horizon,
-            vec![SpaceSavingHhh::new(hierarchy(), DISTAGG_CAPACITY)],
-            sink,
-        ),
-        Kind::Rhhh => windowed_source_into(
-            source,
-            horizon,
-            vec![Rhhh::new(hierarchy(), DISTAGG_CAPACITY, rhhh_seed(shard))],
-            sink,
-        ),
-        Kind::Tdbf => continuous_source_into(source, horizon, 1, sink),
-        Kind::MvPipe => windowed_source_into(
-            source,
-            horizon,
-            vec![MvPipeHhh::new(hierarchy(), DISTAGG_MVPIPE_BUCKETS)],
-            sink,
-        ),
-    }
+    run_kind(kind, shard..shard + 1, Sharded { source, horizon, sink })
 }
 
 /// [`shard_source_into`] over the shard's already-partitioned
@@ -381,34 +326,11 @@ pub fn inprocess_sharded_jsonl_on(
     horizon: TimeSpan,
     k: usize,
 ) -> Vec<u8> {
-    let format = WireFormat::Json;
-    match kind {
-        Kind::Exact => windowed_stream(
-            packets,
-            horizon,
-            (0..k).map(|_| ExactHhh::new(hierarchy())).collect(),
-            format,
-        ),
-        Kind::SsHhh => windowed_stream(
-            packets,
-            horizon,
-            (0..k).map(|_| SpaceSavingHhh::new(hierarchy(), DISTAGG_CAPACITY)).collect(),
-            format,
-        ),
-        Kind::Rhhh => windowed_stream(
-            packets,
-            horizon,
-            (0..k).map(|s| Rhhh::new(hierarchy(), DISTAGG_CAPACITY, rhhh_seed(s))).collect(),
-            format,
-        ),
-        Kind::Tdbf => continuous_stream(packets, horizon, k, format),
-        Kind::MvPipe => windowed_stream(
-            packets,
-            horizon,
-            (0..k).map(|_| MvPipeHhh::new(hierarchy(), DISTAGG_MVPIPE_BUCKETS)).collect(),
-            format,
-        ),
-    }
+    let sink = SnapshotSink::with_format(Vec::new(), WireFormat::Json);
+    let (bytes, err) =
+        run_kind(kind, 0..k, Sharded { source: packets.iter().copied(), horizon, sink });
+    assert!(err.is_none(), "Vec<u8> writes cannot fail");
+    bytes
 }
 
 /// The unsharded single-process reference reports (series 0 at the
@@ -418,58 +340,7 @@ pub fn single_process_reports_on(
     packets: &[PacketRecord],
     horizon: TimeSpan,
 ) -> Vec<WindowReport<Ipv4Prefix>> {
-    let mut reports = match kind {
-        Kind::Exact => Pipeline::new(packets.iter().copied())
-            .engine(Disjoint::new(
-                ExactHhh::new(hierarchy()),
-                horizon,
-                DISTAGG_WINDOW,
-                &[distagg_threshold()],
-                |p| p.src,
-            ))
-            .collect()
-            .run(),
-        Kind::SsHhh => Pipeline::new(packets.iter().copied())
-            .engine(Disjoint::new(
-                SpaceSavingHhh::new(hierarchy(), DISTAGG_CAPACITY),
-                horizon,
-                DISTAGG_WINDOW,
-                &[distagg_threshold()],
-                |p| p.src,
-            ))
-            .collect()
-            .run(),
-        Kind::Rhhh => Pipeline::new(packets.iter().copied())
-            .engine(Disjoint::new(
-                Rhhh::new(hierarchy(), DISTAGG_CAPACITY, rhhh_seed(0)),
-                horizon,
-                DISTAGG_WINDOW,
-                &[distagg_threshold()],
-                |p| p.src,
-            ))
-            .collect()
-            .run(),
-        Kind::Tdbf => Pipeline::new(packets.iter().copied())
-            .engine(Continuous::new(
-                TdbfHhh::new(hierarchy(), tdbf_config()),
-                &probes(horizon),
-                distagg_threshold(),
-                |p| p.src,
-            ))
-            .collect()
-            .run(),
-        Kind::MvPipe => Pipeline::new(packets.iter().copied())
-            .engine(Disjoint::new(
-                MvPipeHhh::new(hierarchy(), DISTAGG_MVPIPE_BUCKETS),
-                horizon,
-                DISTAGG_WINDOW,
-                &[distagg_threshold()],
-                |p| p.src,
-            ))
-            .collect()
-            .run(),
-    };
-    reports.remove(0)
+    run_kind(kind, 0..1, Unsharded { packets, horizon })
 }
 
 /// Fold K shard streams (bytes, as the shard processes wrote them)
@@ -482,4 +353,21 @@ pub fn fold_shard_streams(
         parsed.push(read_stream(i, bytes.as_slice())?);
     }
     fold_streams(&hierarchy(), parsed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stream_ids_are_pinned_per_kind() {
+        // perfbench's mitigate workload streams its two MVPipe shards
+        // as ids 8 and 9.
+        let ids = |kind| [stream_id(kind, 2, 0), stream_id(kind, 2, 1)];
+        assert_eq!(ids(Kind::Exact), [0, 1]);
+        assert_eq!(ids(Kind::SsHhh), [2, 3]);
+        assert_eq!(ids(Kind::Rhhh), [4, 5]);
+        assert_eq!(ids(Kind::Tdbf), [6, 7]);
+        assert_eq!(ids(Kind::MvPipe), [8, 9]);
+    }
 }

@@ -3,8 +3,9 @@
 //! read timeout) must not starve `/metrics` scrapes, the in-flight
 //! handler cap must answer 503 instead of spawning past its bound, an
 //! accept-churn storm must leave the server alive (the old accept loop
-//! died on the first transient error), and query percent-escapes must
-//! decode end-to-end.
+//! died on the first transient error), query percent-escapes must
+//! decode end-to-end, and a kind label that names no kind is refused
+//! by `/hhh` and by `hhh-aggd --mitigate`.
 
 use hhh_aggd::{spawn_daemon, DaemonConfig, DaemonHandle};
 use hhh_window::http_get;
@@ -135,8 +136,15 @@ fn query_edge_cases_are_400_not_silently_ignored() {
     let (status, body) = get(&addr, &long);
     assert_eq!(status, 400, "overlong query must be a 400");
     assert!(body.contains("longer than"), "error should say why, got {body:?}");
+    // A label that names no kind is an error, not an empty answer
+    // (which would look like "nothing detected yet").
+    let (status, body) = get(&addr, "/hhh?kind=tdbf");
+    assert_eq!(status, 400, "unknown kind must be a 400, got {body:?}");
+    assert!(body.contains("`tdbf`") && body.contains("tdbf-hhh"), "{body:?}");
     // The legitimate forms still work.
     let (status, _) = get(&addr, "/hhh?kind=exact&all=1&threshold=2.5");
+    assert_eq!(status, 200);
+    let (status, _) = get(&addr, "/hhh?kind=tdbf-hhh");
     assert_eq!(status, 200);
     handle.shutdown();
 }
@@ -157,7 +165,7 @@ fn rules_endpoint_serves_json_and_text_when_enabled() {
     let handle = spawn_daemon(DaemonConfig {
         retain: None,
         mitigate: Some(MitigateConfig {
-            kind: "exact/0of1".into(),
+            kind: hhh_core::Kind::Exact,
             policy: hhh_mitigate::PolicyConfig::default(),
             truth: vec!["38.2.0.0/16".parse().expect("prefix")],
         }),
@@ -203,4 +211,17 @@ fn query_percent_escapes_decode_end_to_end() {
         assert_eq!(status, 400, "{bad} must be rejected");
     }
     handle.shutdown();
+}
+
+#[test]
+fn unknown_mitigate_kind_fails_at_argument_parsing() {
+    // The unusable --listen port makes a daemon that wrongly accepted
+    // the kind exit on bind instead of serving forever.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hhh-aggd"))
+        .args(["--listen", "127.0.0.1:99999", "--mitigate", "mvpip"])
+        .output()
+        .expect("hhh-aggd runs");
+    assert!(!out.status.success(), "an unknown --mitigate kind must not start the daemon");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`mvpip`"), "the error names the label: {stderr}");
 }

@@ -10,7 +10,7 @@
 //! a duplicated window, not a reordered line, not a digit.
 
 use hhh_agg::{read_stream, write_merged, FoldState, MergedPoint};
-use hhh_aggd::scenario::{self, Kind, KINDS};
+use hhh_aggd::scenario::{self, Kind};
 use hhh_core::WireFormat;
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::TimeSpan;
@@ -124,7 +124,7 @@ fn reference_fold() -> FoldState<Ipv4Hierarchy> {
     let horizon = TimeSpan::from_secs(SECONDS);
     let trace = scenario::scenario_trace(horizon);
     let mut fold = FoldState::new();
-    for &kind in &KINDS {
+    for kind in Kind::ALL {
         for shard in 0..K {
             let stream =
                 scenario::shard_stream_on(kind, &trace, horizon, K, shard, WireFormat::Binary);
@@ -161,7 +161,7 @@ fn killed_shard_resumes_byte_exactly() {
 
     // Every other shard of every kind, as 11 concurrent processes.
     let mut children: Vec<(Kind, usize, Child)> = Vec::new();
-    for &kind in &KINDS {
+    for kind in Kind::ALL {
         for shard in 0..K {
             if kind == Kind::Exact && shard == 1 {
                 continue;
@@ -195,7 +195,7 @@ fn killed_shard_resumes_byte_exactly() {
     poll_until_equal(&daemon.http, "/hhh?all=1&state=1", &expected);
 
     // Per-kind filtering matches a filtered render of the same fold.
-    let expected_exact = render(fold.points().filter(|p| p.kind == "exact"));
+    let expected_exact = render(fold.points().filter(|p| p.kind == Kind::Exact.label()));
     let (status, body) = get(&daemon.http, "/hhh?kind=exact&all=1&state=1");
     assert_eq!(status, 200);
     assert_eq!(body, expected_exact, "kind filter must render the same bytes per kind");
@@ -214,7 +214,7 @@ fn killed_shard_resumes_byte_exactly() {
     ] {
         assert!(text.contains(needle), "missing {needle:?} in /metrics:\n{text}");
     }
-    for &kind in &KINDS {
+    for kind in Kind::ALL {
         for shard in 0..K {
             let series = format!(
                 "aggd_stream_lag_seconds{{stream=\"{}\",label=\"{}\"}}",

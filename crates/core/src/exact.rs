@@ -9,6 +9,7 @@
 //! for the exact per-level counts.
 
 use crate::detector::{HhhDetector, MergeableDetector};
+use crate::kind::Kind;
 use crate::report::{HhhReport, Threshold};
 use crate::snapshot::{Body, DetectorSnapshot, ExactBody, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
@@ -171,7 +172,7 @@ impl<H: Hierarchy> HhhDetector<H> for ExactHhh<H> {
     }
 
     fn name(&self) -> &'static str {
-        "exact"
+        Kind::Exact.label()
     }
 }
 

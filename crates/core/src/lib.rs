@@ -30,7 +30,9 @@
 //!
 //! Windowed detectors implement [`HhhDetector`]; the windowless one
 //! implements [`ContinuousDetector`]. The window engine in `hhh-window`
-//! drives either.
+//! drives either. The five that snapshot (exact, Space-Saving, RHHH,
+//! TDBF, MVPipe) are the rows of the kind table, [`Kind`], which names
+//! each one's wire label once.
 //!
 //! ## Semantics (normative)
 //!
@@ -47,6 +49,7 @@
 mod detector;
 mod exact;
 mod hashpipe;
+mod kind;
 mod memento;
 mod mvpipe;
 mod report;
@@ -60,6 +63,7 @@ mod univmon;
 pub use detector::{ContinuousDetector, HhhDetector, MergeableDetector};
 pub use exact::{discount_bottom_up, ExactHhh};
 pub use hashpipe::HashPipe;
+pub use kind::Kind;
 pub use memento::MementoHhh;
 pub use mvpipe::{MvBucket, MvPipeHhh};
 pub use report::{HhhReport, Threshold};

@@ -21,6 +21,7 @@
 
 use crate::detector::{HhhDetector, MergeableDetector};
 use crate::exact::discount_bottom_up;
+use crate::kind::Kind;
 use crate::report::{HhhReport, Threshold};
 use crate::snapshot::{Body, DetectorSnapshot, MvPipeBody, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
@@ -213,7 +214,7 @@ impl<H: Hierarchy> HhhDetector<H> for MvPipeHhh<H> {
     }
 
     fn name(&self) -> &'static str {
-        "mvpipe"
+        Kind::MvPipe.label()
     }
 }
 

@@ -17,6 +17,7 @@
 
 use crate::detector::{HhhDetector, MergeableDetector};
 use crate::exact::discount_bottom_up;
+use crate::kind::Kind;
 use crate::report::{HhhReport, Threshold};
 use crate::snapshot::{Body, DetectorSnapshot, RhhhBody, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
@@ -166,7 +167,7 @@ impl<H: Hierarchy> HhhDetector<H> for Rhhh<H> {
     }
 
     fn name(&self) -> &'static str {
-        "rhhh"
+        Kind::Rhhh.label()
     }
 }
 

@@ -33,6 +33,7 @@ use super::{
     req, req_arr, req_f64, req_u64, DetectorSnapshot, RestoredDetector, SnapshotError,
     MAX_WIRE_CAPACITY,
 };
+use crate::Kind;
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::Nanos;
 use hhh_sketches::DecayedCounter;
@@ -50,14 +51,14 @@ pub(crate) enum Body<'a> {
 }
 
 impl Body<'_> {
-    /// The wire `kind` label.
-    fn kind(&self) -> &'static str {
+    /// The kind whose state this is.
+    fn kind(&self) -> Kind {
         match self {
-            Body::Exact(_) => "exact",
-            Body::Ss(_) => "ss-hhh",
-            Body::Rhhh(_) => "rhhh",
-            Body::MvPipe(_) => "mvpipe",
-            Body::Tdbf(_) => "tdbf-hhh",
+            Body::Exact(_) => Kind::Exact,
+            Body::Ss(_) => Kind::SsHhh,
+            Body::Rhhh(_) => Kind::Rhhh,
+            Body::MvPipe(_) => Kind::MvPipe,
+            Body::Tdbf(_) => Kind::Tdbf,
         }
     }
 
@@ -65,7 +66,7 @@ impl Body<'_> {
     /// label, then (after a NUL) the body's configuration fields.
     /// `exact` has no configuration and digests its bare label.
     fn digest(&self) -> u64 {
-        let mut cfg = self.kind().as_bytes().to_vec();
+        let mut cfg = self.kind().label().as_bytes().to_vec();
         match self {
             Body::Exact(_) => {}
             Body::Ss(SsBody { capacity, .. })
@@ -91,7 +92,7 @@ impl Body<'_> {
 
     /// v1: render as a JSON-bodied snapshot covering `total`.
     pub(crate) fn into_snapshot(self, total: u64) -> DetectorSnapshot {
-        let kind = Cow::Borrowed(self.kind());
+        let kind = Cow::Borrowed(self.kind().label());
         let state_json = match self {
             Body::Exact(b) => b.into_json().render(),
             Body::Ss(b) => Json::Obj(b.into_fields()).render(),
@@ -123,20 +124,19 @@ impl Body<'_> {
             Body::MvPipe(b) => b.encode(&mut body),
             Body::Tdbf(b) => b.encode(&mut body)?,
         }
-        let kind = Cow::Borrowed(self.kind());
+        let kind = Cow::Borrowed(self.kind().label());
         Ok(SnapshotFrame { start, at, kind, total, digest: self.digest(), body })
     }
 
     /// v1: parse a snapshot's JSON state body per its `kind`. Unknown
     /// kinds are [`SnapshotError::Kind`].
     pub(crate) fn from_snapshot(snap: &DetectorSnapshot) -> Result<Body<'static>, SnapshotError> {
-        let parse: fn(&Json) -> Result<Body<'static>, SnapshotError> = match &*snap.kind {
-            "exact" => |s| ExactBody::from_json(s).map(Body::Exact),
-            "ss-hhh" => |s| SsBody::from_json(s).map(Body::Ss),
-            "rhhh" => |s| RhhhBody::from_json(s).map(Body::Rhhh),
-            "mvpipe" => |s| MvPipeBody::from_json(s).map(Body::MvPipe),
-            "tdbf-hhh" => |s| TdbfBody::from_json(s).map(Body::Tdbf),
-            other => return Err(SnapshotError::Kind(other.to_owned())),
+        let parse: fn(&Json) -> Result<Body<'static>, SnapshotError> = match kind_of(&snap.kind)? {
+            Kind::Exact => |s| ExactBody::from_json(s).map(Body::Exact),
+            Kind::SsHhh => |s| SsBody::from_json(s).map(Body::Ss),
+            Kind::Rhhh => |s| RhhhBody::from_json(s).map(Body::Rhhh),
+            Kind::MvPipe => |s| MvPipeBody::from_json(s).map(Body::MvPipe),
+            Kind::Tdbf => |s| TdbfBody::from_json(s).map(Body::Tdbf),
         };
         parse(&snap.state()?)
     }
@@ -145,13 +145,12 @@ impl Body<'_> {
     /// trailing bytes and a config digest that does not match the body.
     pub(crate) fn from_frame(frame: &SnapshotFrame) -> Result<Body<'static>, SnapshotError> {
         let mut r = ByteReader::new(&frame.body);
-        let body = match &*frame.kind {
-            "exact" => Body::Exact(ExactBody::decode(&mut r)?),
-            "ss-hhh" => Body::Ss(SsBody::decode(&mut r)?),
-            "rhhh" => Body::Rhhh(RhhhBody::decode(&mut r)?),
-            "mvpipe" => Body::MvPipe(MvPipeBody::decode(&mut r)?),
-            "tdbf-hhh" => Body::Tdbf(TdbfBody::decode(&mut r)?),
-            other => return Err(SnapshotError::Kind(other.to_owned())),
+        let body = match kind_of(&frame.kind)? {
+            Kind::Exact => Body::Exact(ExactBody::decode(&mut r)?),
+            Kind::SsHhh => Body::Ss(SsBody::decode(&mut r)?),
+            Kind::Rhhh => Body::Rhhh(RhhhBody::decode(&mut r)?),
+            Kind::MvPipe => Body::MvPipe(MvPipeBody::decode(&mut r)?),
+            Kind::Tdbf => Body::Tdbf(TdbfBody::decode(&mut r)?),
         };
         if !r.rest().is_empty() {
             return Err(SnapshotError::Invalid {
@@ -164,6 +163,12 @@ impl Body<'_> {
         }
         Ok(body)
     }
+}
+
+/// The kind a wire `kind` string names; an unknown one is
+/// [`SnapshotError::Kind`].
+fn kind_of(label: &str) -> Result<Kind, SnapshotError> {
+    Kind::parse(label).ok_or_else(|| SnapshotError::Kind(label.to_owned()))
 }
 
 pub(crate) struct ExactBody {

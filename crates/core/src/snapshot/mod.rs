@@ -84,8 +84,8 @@ pub(crate) use body::{Body, ExactBody, MvPipeBody, RhhhBody, SsBody, SsLevelBody
 
 use crate::report::{HhhReport, Threshold};
 use crate::{
-    ContinuousDetector, ExactHhh, HhhDetector, MergeableDetector, MvPipeHhh, Rhhh, SpaceSavingHhh,
-    TdbfHhh,
+    ContinuousDetector, ExactHhh, HhhDetector, Kind, MergeableDetector, MvPipeHhh, Rhhh,
+    SpaceSavingHhh, TdbfHhh,
 };
 use json::Json;
 
@@ -554,12 +554,13 @@ where
     /// The wire `kind` of the restored detector.
     pub fn kind(&self) -> &'static str {
         match self {
-            RestoredDetector::Exact(_) => "exact",
-            RestoredDetector::SpaceSaving(_) => "ss-hhh",
-            RestoredDetector::Rhhh(_) => "rhhh",
-            RestoredDetector::MvPipe(_) => "mvpipe",
-            RestoredDetector::Tdbf(_) => "tdbf-hhh",
+            RestoredDetector::Exact(_) => Kind::Exact,
+            RestoredDetector::SpaceSaving(_) => Kind::SsHhh,
+            RestoredDetector::Rhhh(_) => Kind::Rhhh,
+            RestoredDetector::MvPipe(_) => Kind::MvPipe,
+            RestoredDetector::Tdbf(_) => Kind::Tdbf,
         }
+        .label()
     }
 
     /// Total (undecayed) weight covered by the state.

@@ -11,6 +11,7 @@
 
 use crate::detector::{HhhDetector, MergeableDetector};
 use crate::exact::discount_bottom_up;
+use crate::kind::Kind;
 use crate::report::{HhhReport, Threshold};
 use crate::snapshot::{
     Body, DetectorSnapshot, SnapshotError, SnapshotFrame, SsBody, SsLevelBody, MAX_WIRE_CAPACITY,
@@ -138,7 +139,7 @@ impl<H: Hierarchy> HhhDetector<H> for SpaceSavingHhh<H> {
     }
 
     fn name(&self) -> &'static str {
-        "ss-hhh"
+        Kind::SsHhh.label()
     }
 }
 

@@ -26,6 +26,7 @@
 
 use crate::detector::{ContinuousDetector, MergeableDetector};
 use crate::exact::discount_bottom_up;
+use crate::kind::Kind;
 use crate::report::{HhhReport, Threshold};
 use crate::snapshot::{
     Body, DetectorSnapshot, SnapshotError, SnapshotFrame, TdbfBody, MAX_WIRE_CAPACITY,
@@ -244,7 +245,7 @@ impl<H: Hierarchy> ContinuousDetector<H> for TdbfHhh<H> {
     }
 
     fn name(&self) -> &'static str {
-        "tdbf-hhh"
+        Kind::Tdbf.label()
     }
 }
 

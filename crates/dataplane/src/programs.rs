@@ -3,7 +3,7 @@
 //!
 //! Both programs are functionally cross-checked (in this module's tests
 //! and in the workspace integration tests) against their unconstrained
-//! reference implementations: [`hhh_core::HashPipe`] must match
+//! reference implementations: `hhh_core::HashPipe` must match
 //! *exactly* (same hashes, same slots, same counts), and the TDBF
 //! program must track [`hhh_sketches::OnDemandTdbf`] within the
 //! quantization error of its integer arithmetic.
@@ -33,7 +33,7 @@ const COUNT_MASK: u64 = 0xFFFF_FFFF;
 
 impl DpHashPipe {
     /// A `stages × slots` HashPipe. Seeds match
-    /// [`hhh_core::HashPipe::new`] given the same master seed.
+    /// `hhh_core::HashPipe::new` given the same master seed.
     pub fn new(stages: usize, slots: usize, seed: u64) -> Self {
         assert!(stages > 0 && slots > 0, "dimensions must be non-zero");
         let specs: Vec<StageSpec> = (0..stages)

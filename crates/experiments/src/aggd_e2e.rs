@@ -20,7 +20,7 @@
 use crate::distagg::distagg_trace;
 use crate::Scale;
 use hhh_agg::{read_stream, write_merged, FoldState};
-use hhh_aggd::scenario::{self, KINDS};
+use hhh_aggd::scenario::{self, Kind};
 use hhh_aggd::{spawn_daemon, DaemonConfig};
 use hhh_analysis::{fmt_f, Table};
 use hhh_core::WireFormat;
@@ -73,7 +73,7 @@ pub fn run_aggd_on(
     // Pre-encode every stream and build the byte-exact expectation.
     let mut streams: Vec<(u64, String, Vec<u8>)> = Vec::new();
     let mut fold = FoldState::new();
-    for &kind in &KINDS {
+    for kind in Kind::ALL {
         for shard in 0..k {
             let id = scenario::stream_id(kind, k, shard);
             let bytes =

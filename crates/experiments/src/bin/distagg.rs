@@ -26,7 +26,8 @@
 //! cargo run --release -p hhh-experiments --bin distagg -- corpus <dir>
 //! ```
 //!
-//! `<kind>` is one of `exact`, `ss-hhh`, `rhhh`, `mvpipe`, `tdbf-hhh`.
+//! `<kind>` is one of `exact`, `ss-hhh`, `rhhh`, `tdbf-hhh`, `mvpipe`
+//! (the rows of `hhh_core::Kind`).
 
 use hhh_core::WireFormat;
 use hhh_experiments::corpus::write_corpus;
@@ -41,15 +42,17 @@ fn scale_at(args: &[String], n: usize) -> Scale {
     args.get(n).and_then(|a| Scale::parse(a)).unwrap_or(Scale::Smoke)
 }
 
+const USAGE: &str = "usage: distagg run [scale]\n\
+                     \x20      distagg socket [scale]\n\
+                     \x20      distagg shard <kind> <k> <i> [scale] [--format json|binary] \
+                     [--connect ADDR]\n\
+                     \x20      distagg bench [scale] [out.json]\n\
+                     \x20      distagg corpus <dir>\n\
+                     kinds: exact ss-hhh rhhh tdbf-hhh mvpipe; \
+                     scales: smoke quick paper (default smoke)";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: distagg run [scale]\n\
-         \x20      distagg socket [scale]\n\
-         \x20      distagg shard <kind> <k> <i> [scale] [--format json|binary] [--connect ADDR]\n\
-         \x20      distagg bench [scale] [out.json]\n\
-         \x20      distagg corpus <dir>\n\
-         kinds: exact ss-hhh rhhh mvpipe tdbf-hhh; scales: smoke quick paper (default smoke)"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -103,7 +106,7 @@ fn main() {
                 .filter(|r| {
                     !r.state_identical
                         || !r.state_identical_v2
-                        || (r.detector == "exact" && !r.reports_identical)
+                        || (r.detector == Kind::Exact && !r.reports_identical)
                 })
                 .collect();
             if !bad.is_empty() {
@@ -162,5 +165,22 @@ fn main() {
             eprintln!("wrote codec corpus under {dir}");
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_kind() {
+        let listed = USAGE.lines().last().expect("usage ends with the kinds line");
+        for kind in Kind::ALL {
+            assert!(
+                listed.split([' ', ';']).any(|k| k == kind.label()),
+                "usage omits kind `{}`",
+                kind.label()
+            );
+        }
     }
 }

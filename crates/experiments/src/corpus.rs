@@ -17,12 +17,12 @@
 
 use hhh_core::snapshot::binary::SnapshotFrame;
 use hhh_core::{
-    DetectorSnapshot, ExactHhh, MvPipeHhh, Rhhh, SpaceSavingHhh, TdbfHhh, TdbfHhhConfig, Threshold,
-    WireFormat,
+    DetectorSnapshot, ExactHhh, HhhDetector, Kind, MergeableDetector, MvPipeHhh, Rhhh,
+    SpaceSavingHhh, TdbfHhh, TdbfHhhConfig, Threshold, WireFormat,
 };
 use hhh_hierarchy::Ipv4Hierarchy;
-use hhh_nettypes::{Nanos, PacketRecord, TimeSpan};
-use hhh_window::{Pipeline, ShardedContinuous, ShardedDisjoint, SnapshotSink};
+use hhh_nettypes::{Ipv4Prefix, Nanos, PacketRecord, TimeSpan};
+use hhh_window::{Pipeline, ReportSink, ShardedContinuous, ShardedDisjoint, SnapshotSink};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -65,68 +65,48 @@ fn tdbf_config() -> TdbfHhhConfig {
     }
 }
 
+/// Report threshold of the corpus streams.
+fn threshold() -> Threshold {
+    Threshold::percent(5.0)
+}
+
 /// One corpus stream: the tiny trace through the real pipeline and the
-/// real sink, in the requested format. `kind` must be one of the five
-/// snapshot-capable labels.
-pub fn corpus_stream(kind: &str, format: WireFormat) -> Vec<u8> {
+/// real sink, in the requested format.
+pub fn corpus_stream(kind: Kind, format: WireFormat) -> Vec<u8> {
     let h = Ipv4Hierarchy::bytes();
     let trace = corpus_trace();
-    let threshold = [Threshold::percent(5.0)];
     let sink = SnapshotSink::with_format(Vec::new(), format);
     let (bytes, err) = match kind {
-        "exact" => Pipeline::new(trace.iter().copied())
-            .engine(ShardedDisjoint::new(vec![ExactHhh::new(h)], WINDOW, WINDOW, &threshold, |p| {
-                p.src
-            }))
-            .sink(sink)
-            .run(),
-        "ss-hhh" => Pipeline::new(trace.iter().copied())
-            .engine(ShardedDisjoint::new(
-                vec![SpaceSavingHhh::new(h, CAPACITY)],
-                WINDOW,
-                WINDOW,
-                &threshold,
-                |p| p.src,
-            ))
-            .sink(sink)
-            .run(),
-        "rhhh" => Pipeline::new(trace.iter().copied())
-            .engine(ShardedDisjoint::new(
-                vec![Rhhh::new(h, CAPACITY, 0x5EED)],
-                WINDOW,
-                WINDOW,
-                &threshold,
-                |p| p.src,
-            ))
-            .sink(sink)
-            .run(),
-        "mvpipe" => Pipeline::new(trace.iter().copied())
-            .engine(ShardedDisjoint::new(
-                vec![MvPipeHhh::new(h, MVPIPE_BUCKETS)],
-                WINDOW,
-                WINDOW,
-                &threshold,
-                |p| p.src,
-            ))
-            .sink(sink)
-            .run(),
-        "tdbf-hhh" => Pipeline::new(trace.iter().copied())
+        Kind::Exact => windowed(&trace, ExactHhh::new(h), sink),
+        Kind::SsHhh => windowed(&trace, SpaceSavingHhh::new(h, CAPACITY), sink),
+        Kind::Rhhh => windowed(&trace, Rhhh::new(h, CAPACITY, 0x5EED), sink),
+        Kind::Tdbf => Pipeline::new(trace.iter().copied())
             .engine(ShardedContinuous::new(
                 vec![TdbfHhh::new(h, tdbf_config())],
                 &[Nanos::ZERO + WINDOW],
-                threshold[0],
+                threshold(),
                 |p| p.src,
             ))
             .sink(sink)
             .run(),
-        other => panic!("unknown corpus kind `{other}`"),
+        Kind::MvPipe => windowed(&trace, MvPipeHhh::new(h, MVPIPE_BUCKETS), sink),
     };
     assert!(err.is_none(), "Vec<u8> writes cannot fail");
     bytes
 }
 
-/// The five corpus detector kinds, in file order.
-pub const CORPUS_KINDS: [&str; 5] = ["exact", "ss-hhh", "rhhh", "mvpipe", "tdbf-hhh"];
+/// The corpus trace through one windowed detector: a single report
+/// window, one shard.
+fn windowed<D, S>(trace: &[PacketRecord], detector: D, sink: S) -> S::Output
+where
+    D: HhhDetector<Ipv4Hierarchy> + MergeableDetector + Clone + Send,
+    S: ReportSink<Ipv4Prefix>,
+{
+    Pipeline::new(trace.iter().copied())
+        .engine(ShardedDisjoint::new(vec![detector], WINDOW, WINDOW, &[threshold()], |p| p.src))
+        .sink(sink)
+        .run()
+}
 
 /// The malformed-case file names under `malformed/`.
 pub const MALFORMED_CASES: [&str; 7] = [
@@ -141,12 +121,12 @@ pub const MALFORMED_CASES: [&str; 7] = [
 
 /// The state frame of a kind's v2 corpus stream (skipping any report
 /// frames in front of it).
-fn state_frame_of(kind: &str) -> SnapshotFrame {
+fn state_frame_of(kind: Kind) -> SnapshotFrame {
     let stream = corpus_stream(kind, WireFormat::Binary);
     let mut rest = &stream[..];
     loop {
         let (frame, used) = SnapshotFrame::decode(rest).expect("corpus stream decodes");
-        if frame.kind == kind {
+        if frame.kind == kind.label() {
             return frame;
         }
         rest = &rest[used..];
@@ -157,7 +137,7 @@ fn state_frame_of(kind: &str) -> SnapshotFrame {
 /// the generic malformed cases (it is the kind with the most
 /// configuration to corrupt).
 fn donor_state_frame() -> (SnapshotFrame, Vec<u8>) {
-    let frame = state_frame_of("tdbf-hhh");
+    let frame = state_frame_of(Kind::Tdbf);
     let bytes = frame.encode();
     (frame, bytes)
 }
@@ -169,9 +149,10 @@ pub fn write_corpus(dir: &Path) -> io::Result<()> {
     let malformed = dir.join("malformed");
     fs::create_dir_all(&malformed)?;
 
-    for kind in CORPUS_KINDS {
-        fs::write(dir.join(format!("{kind}.v1.jsonl")), corpus_stream(kind, WireFormat::Json))?;
-        fs::write(dir.join(format!("{kind}.v2.bin")), corpus_stream(kind, WireFormat::Binary))?;
+    for kind in Kind::ALL {
+        let label = kind.label();
+        fs::write(dir.join(format!("{label}.v1.jsonl")), corpus_stream(kind, WireFormat::Json))?;
+        fs::write(dir.join(format!("{label}.v2.bin")), corpus_stream(kind, WireFormat::Binary))?;
     }
 
     let (frame, good) = donor_state_frame();
@@ -205,16 +186,16 @@ pub fn write_corpus(dir: &Path) -> io::Result<()> {
     // Envelope-total skew: a well-formed mvpipe frame whose header
     // total no longer equals the sum of its bucket counts — the frame
     // decodes, but rebuilding the detector must refuse it.
-    let mut skewed = state_frame_of("mvpipe");
+    let mut skewed = state_frame_of(Kind::MvPipe);
     skewed.total += 1;
     fs::write(malformed.join("mvpipe_total_skew.v2.bin"), skewed.encode())?;
 
     // Vote overflow: an mvpipe body claiming a vote margin larger than
     // its bucket count — impossible from an honest encoder, so the
     // restorer must reject the row.
-    let geometry = state_frame_of("mvpipe");
+    let geometry = state_frame_of(Kind::MvPipe);
     let overflow = DetectorSnapshot {
-        kind: "mvpipe".into(),
+        kind: Kind::MvPipe.label().into(),
         total: 5,
         state_json: "{\"buckets\":8,\"entries\":[[\"10.1.1.1/32\",5,9]]}".to_owned(),
     };
@@ -230,16 +211,17 @@ mod tests {
 
     #[test]
     fn corpus_is_deterministic() {
-        for kind in CORPUS_KINDS {
+        for kind in Kind::ALL {
+            let label = kind.label();
             assert_eq!(
                 corpus_stream(kind, WireFormat::Json),
                 corpus_stream(kind, WireFormat::Json),
-                "{kind} v1"
+                "{label} v1"
             );
             assert_eq!(
                 corpus_stream(kind, WireFormat::Binary),
                 corpus_stream(kind, WireFormat::Binary),
-                "{kind} v2"
+                "{label} v2"
             );
         }
     }
@@ -247,14 +229,15 @@ mod tests {
     #[test]
     fn corpus_streams_hold_one_state_record() {
         use hhh_window::SnapshotSource;
-        for kind in CORPUS_KINDS {
+        for kind in Kind::ALL {
+            let label = kind.label();
             for format in [WireFormat::Json, WireFormat::Binary] {
                 let bytes = corpus_stream(kind, format);
                 let mut src = SnapshotSource::new(bytes.as_slice());
                 let states: Vec<_> = (&mut src).collect();
-                assert!(src.error().is_none(), "{kind} {format:?}: {:?}", src.error());
-                assert_eq!(states.len(), 1, "{kind} {format:?}");
-                assert_eq!(states[0].kind(), kind);
+                assert!(src.error().is_none(), "{label} {format:?}: {:?}", src.error());
+                assert_eq!(states.len(), 1, "{label} {format:?}");
+                assert_eq!(states[0].kind(), label);
             }
         }
     }

@@ -36,9 +36,7 @@
 use crate::Scale;
 use hhh_agg::{collect_socket_streams, fold_streams, read_stream, write_merged, MergedPoint};
 use hhh_analysis::{fmt_f, jaccard, Table};
-use hhh_core::{
-    ExactHhh, HhhDetector, MergeableDetector, MvPipeHhh, Rhhh, SpaceSavingHhh, TdbfHhh, WireFormat,
-};
+use hhh_core::WireFormat;
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::{Nanos, PacketRecord, TimeSpan};
 use hhh_trace::{scenarios, TraceGenerator};
@@ -48,7 +46,7 @@ pub use hhh_aggd::scenario::{
     distagg_threshold, fold_shard_streams, hierarchy, inprocess_sharded_jsonl_on, probes,
     rhhh_seed, scenario_trace, shard_into, shard_jsonl_on, shard_label, shard_packets,
     shard_stream_on, shard_to_addr_on, shard_to_addr_with, single_process_reports_on, stream_id,
-    tdbf_config, Kind, DISTAGG_CAPACITY, DISTAGG_MVPIPE_BUCKETS, DISTAGG_WINDOW, KINDS,
+    tdbf_config, Kind, DISTAGG_CAPACITY, DISTAGG_MVPIPE_BUCKETS, DISTAGG_WINDOW,
 };
 
 /// The scenario trace: the acceptance day trace at this scale (day 0;
@@ -116,8 +114,8 @@ pub fn single_process_reports(
 /// One `(kind, K)` verdict of the scenario.
 #[derive(Clone, Debug)]
 pub struct DistAggRow {
-    /// Detector kind label.
-    pub detector: &'static str,
+    /// Detector kind.
+    pub detector: Kind,
     /// Shard/process count.
     pub shards: usize,
     /// Packets in the trace.
@@ -146,7 +144,7 @@ pub struct DistAggRow {
 /// Run the full scenario at `scale` for every kind at each shard count
 /// in `ks`.
 pub fn run_distagg(scale: Scale, ks: &[usize]) -> Vec<DistAggRow> {
-    run_distagg_on(distagg_trace(scale), scale.compare_duration(), ks, &KINDS)
+    run_distagg_on(distagg_trace(scale), scale.compare_duration(), ks, &Kind::ALL)
 }
 
 /// [`run_distagg`] over an explicit trace and kind subset.
@@ -207,7 +205,7 @@ pub fn run_distagg_on(
                     && merged.end == s.end;
             }
             rows.push(DistAggRow {
-                detector: kind.label(),
+                detector: kind,
                 shards: k,
                 packets,
                 points: points.len(),
@@ -236,14 +234,18 @@ pub fn distagg_table(rows: &[DistAggRow]) -> String {
     ]);
     for r in rows {
         t.row(vec![
-            r.detector.to_string(),
+            r.detector.label().to_string(),
             r.shards.to_string(),
             r.points.to_string(),
             r.folded.to_string(),
             r.state_identical.to_string(),
             r.state_identical_v2.to_string(),
             fmt_f(r.jaccard_vs_single, 4),
-            if r.detector == "exact" { r.reports_identical.to_string() } else { "-".to_string() },
+            if r.detector == Kind::Exact {
+                r.reports_identical.to_string()
+            } else {
+                "-".to_string()
+            },
         ]);
     }
     t.render()
@@ -258,8 +260,8 @@ pub fn distagg_table(rows: &[DistAggRow]) -> String {
 /// TCP.
 #[derive(Clone, Debug)]
 pub struct SocketRow {
-    /// Detector kind label.
-    pub detector: &'static str,
+    /// Detector kind.
+    pub detector: Kind,
     /// Shard (connection) count.
     pub shards: usize,
     /// Report points folded from the socket streams.
@@ -281,7 +283,7 @@ pub struct SocketRow {
 /// compared byte-for-byte against the file-based fold and the
 /// in-process sharded run.
 pub fn run_socket(scale: Scale, ks: &[usize]) -> Vec<SocketRow> {
-    run_socket_on(distagg_trace(scale), scale.compare_duration(), ks, &KINDS)
+    run_socket_on(distagg_trace(scale), scale.compare_duration(), ks, &Kind::ALL)
 }
 
 /// [`run_socket`] over an explicit trace and kind subset.
@@ -347,7 +349,7 @@ pub fn run_socket_on(
                 });
 
             rows.push(SocketRow {
-                detector: kind.label(),
+                detector: kind,
                 shards: k,
                 points: socket_points.len(),
                 folded,
@@ -365,7 +367,7 @@ pub fn socket_table(rows: &[SocketRow]) -> String {
         Table::new(vec!["detector", "shards", "points", "folded", "socket==file", "state==inproc"]);
     for r in rows {
         t.row(vec![
-            r.detector.to_string(),
+            r.detector.label().to_string(),
             r.shards.to_string(),
             r.points.to_string(),
             r.folded.to_string(),
@@ -383,8 +385,8 @@ pub fn socket_table(rows: &[SocketRow]) -> String {
 /// One measured codec operation.
 #[derive(Clone, Debug)]
 pub struct CodecBenchRow {
-    /// Detector kind label.
-    pub detector: &'static str,
+    /// Detector kind.
+    pub detector: Kind,
     /// `encode` (state → wire), `decode` (wire → restored detector),
     /// or `fold/K` (parse + fold K shard streams).
     pub op: String,
@@ -417,53 +419,37 @@ fn timed<T>(mut f: impl FnMut() -> T) -> (f64, u64) {
     }
 }
 
-/// A representative per-report-point snapshot for a kind: the state
-/// a detector holds after one report window of the scenario trace.
-fn sample_snapshot(kind: Kind, packets: &[PacketRecord]) -> hhh_core::DetectorSnapshot {
-    let in_window = packets.iter().take_while(|p| p.ts < Nanos::ZERO + DISTAGG_WINDOW).copied();
-    match kind {
-        Kind::Exact => {
-            let mut d = ExactHhh::new(hierarchy());
-            for p in in_window {
-                HhhDetector::<Ipv4Hierarchy>::observe(&mut d, p.src, u64::from(p.wire_len));
-            }
-            d.snapshot()
-        }
-        Kind::SsHhh => {
-            let mut d = SpaceSavingHhh::new(hierarchy(), DISTAGG_CAPACITY);
-            for p in in_window {
-                HhhDetector::<Ipv4Hierarchy>::observe(&mut d, p.src, u64::from(p.wire_len));
-            }
-            d.snapshot()
-        }
-        Kind::Rhhh => {
-            let mut d = Rhhh::new(hierarchy(), DISTAGG_CAPACITY, rhhh_seed(0));
-            for p in in_window {
-                HhhDetector::<Ipv4Hierarchy>::observe(&mut d, p.src, u64::from(p.wire_len));
-            }
-            d.snapshot()
-        }
-        Kind::Tdbf => {
-            let mut d = TdbfHhh::new(hierarchy(), tdbf_config());
-            for p in in_window {
-                hhh_core::ContinuousDetector::<Ipv4Hierarchy>::observe(
-                    &mut d,
-                    p.ts,
-                    p.src,
-                    u64::from(p.wire_len),
-                );
-            }
-            MergeableDetector::snapshot(&d)
-        }
-        Kind::MvPipe => {
-            let mut d = MvPipeHhh::new(hierarchy(), DISTAGG_MVPIPE_BUCKETS);
-            for p in in_window {
-                HhhDetector::<Ipv4Hierarchy>::observe(&mut d, p.src, u64::from(p.wire_len));
-            }
-            d.snapshot()
-        }
+/// One single-snapshot encode or decode row from a [`timed`]
+/// `(seconds, items)` measurement over `bytes` of wire.
+fn codec_row(
+    detector: Kind,
+    op: &str,
+    format: &'static str,
+    (seconds, items): (f64, u64),
+    bytes: usize,
+) -> CodecBenchRow {
+    let per_sec = items as f64 / seconds;
+    CodecBenchRow {
+        detector,
+        op: op.into(),
+        format,
+        shards: 1,
+        items,
+        seconds,
+        per_sec,
+        bytes: bytes as u64,
     }
-    .expect("all five kinds serialize")
+}
+
+/// A representative per-report-point snapshot for a kind: the first
+/// state record the scenario's one-shard pipeline writes, i.e. the
+/// state a detector holds after one report window of the trace.
+fn sample_snapshot(kind: Kind, packets: &[PacketRecord]) -> hhh_core::DetectorSnapshot {
+    let window: Vec<PacketRecord> =
+        packets.iter().take_while(|p| p.ts < Nanos::ZERO + DISTAGG_WINDOW).copied().collect();
+    let stream = shard_jsonl_on(kind, &window, DISTAGG_WINDOW, 1, 0);
+    let first = read_stream(0, stream.as_slice()).expect("own stream parses").swap_remove(0);
+    first.to_stamped().expect("a v1 state record").snapshot
 }
 
 /// Measure snapshot encode/decode cost per detector **in both wire
@@ -479,7 +465,7 @@ pub fn codec_bench(scale: Scale, ks: &[usize]) -> Vec<CodecBenchRow> {
     let mut rows = Vec::new();
     let window_start = Nanos::ZERO;
     let window_end = Nanos::ZERO + DISTAGG_WINDOW;
-    for &kind in &KINDS {
+    for kind in Kind::ALL {
         let snap = sample_snapshot(kind, packets);
         let line = snap.to_json();
         let frame_bytes = snap.to_frame(window_start, window_end).expect("transcodes").encode();
@@ -496,71 +482,25 @@ pub fn codec_bench(scale: Scale, ks: &[usize]) -> Vec<CodecBenchRow> {
         // `encode-transcode` is the PR-4 v2 path (render the JSON
         // body, parse it back, pack a frame); `encode-native` encodes
         // the detector's wire body as a frame directly.
-        let (s, n) = timed(|| snap.to_json());
-        rows.push(CodecBenchRow {
-            detector: kind.label(),
-            op: "encode".into(),
-            format: "json",
-            shards: 1,
-            items: n,
-            seconds: s,
-            per_sec: n as f64 / s,
-            bytes: line.len() as u64 + 1,
-        });
-        let (s, n) =
-            timed(|| snap.to_frame(window_start, window_end).expect("transcodes").encode());
-        rows.push(CodecBenchRow {
-            detector: kind.label(),
-            op: "encode-transcode".into(),
-            format: "binary",
-            shards: 1,
-            items: n,
-            seconds: s,
-            per_sec: n as f64 / s,
-            bytes: frame_bytes.len() as u64,
-        });
-        let (s, n) =
-            timed(|| restored.to_frame(window_start, window_end).expect("native-encodes").encode());
-        rows.push(CodecBenchRow {
-            detector: kind.label(),
-            op: "encode-native".into(),
-            format: "binary",
-            shards: 1,
-            items: n,
-            seconds: s,
-            per_sec: n as f64 / s,
-            bytes: frame_bytes.len() as u64,
-        });
+        let (json_len, frame_len) = (line.len() + 1, frame_bytes.len());
+        rows.push(codec_row(kind, "encode", "json", timed(|| snap.to_json()), json_len));
+        let transcode = || snap.to_frame(window_start, window_end).expect("transcodes").encode();
+        rows.push(codec_row(kind, "encode-transcode", "binary", timed(transcode), frame_len));
+        let native =
+            || restored.to_frame(window_start, window_end).expect("native-encodes").encode();
+        rows.push(codec_row(kind, "encode-native", "binary", timed(native), frame_len));
 
         // decode: wire bytes -> restored live detector.
-        let (s, n) = timed(|| {
+        let from_json = || {
             let parsed = hhh_core::DetectorSnapshot::from_json(&line).expect("parses");
             hhh_core::RestoredDetector::from_snapshot(&h, &parsed).expect("restores")
-        });
-        rows.push(CodecBenchRow {
-            detector: kind.label(),
-            op: "decode".into(),
-            format: "json",
-            shards: 1,
-            items: n,
-            seconds: s,
-            per_sec: n as f64 / s,
-            bytes: line.len() as u64 + 1,
-        });
-        let (s, n) = timed(|| {
+        };
+        rows.push(codec_row(kind, "decode", "json", timed(from_json), json_len));
+        let from_frame = || {
             let (frame, _) = hhh_core::SnapshotFrame::decode(&frame_bytes).expect("frame decodes");
             hhh_core::RestoredDetector::from_frame(&h, &frame).expect("restores")
-        });
-        rows.push(CodecBenchRow {
-            detector: kind.label(),
-            op: "decode".into(),
-            format: "binary",
-            shards: 1,
-            items: n,
-            seconds: s,
-            per_sec: n as f64 / s,
-            bytes: frame_bytes.len() as u64,
-        });
+        };
+        rows.push(codec_row(kind, "decode", "binary", timed(from_frame), frame_len));
 
         // fold/K: parse + fold K whole shard streams, per format.
         for &k in ks {
@@ -583,7 +523,7 @@ pub fn codec_bench(scale: Scale, ks: &[usize]) -> Vec<CodecBenchRow> {
                 }
                 let s = start.elapsed().as_secs_f64();
                 rows.push(CodecBenchRow {
-                    detector: kind.label(),
+                    detector: kind,
                     op: format!("fold/{k}"),
                     format: format.label(),
                     shards: k,
@@ -607,7 +547,7 @@ pub fn codec_bench_json(rows: &[CodecBenchRow], scale: Scale) -> String {
              \"op\": \"{}\", \"format\": \"{}\", \"shards\": {}, \"items\": {}, \
              \"seconds\": {:.6}, \"per_sec\": {:.1}, \"bytes\": {}}}\n",
             scale.label(),
-            r.detector,
+            r.detector.label(),
             r.op,
             r.format,
             r.shards,
@@ -627,7 +567,7 @@ pub fn codec_bench_table(rows: &[CodecBenchRow]) -> String {
     ]);
     for r in rows {
         t.row(vec![
-            r.detector.to_string(),
+            r.detector.label().to_string(),
             r.op.clone(),
             r.format.to_string(),
             r.shards.to_string(),

@@ -41,7 +41,7 @@
 use crate::Scale;
 use hhh_analysis::{fmt_f, SetAccuracy, Table};
 use hhh_core::{
-    ContinuousDetector, ExactHhh, HhhDetector, MvPipeHhh, Rhhh, SpaceSavingHhh, TdbfHhh,
+    ContinuousDetector, ExactHhh, HhhDetector, Kind, MvPipeHhh, Rhhh, SpaceSavingHhh, TdbfHhh,
     TdbfHhhConfig, Threshold,
 };
 use hhh_hierarchy::{Hierarchy, Ipv4Hierarchy, Ipv6Hierarchy};
@@ -75,7 +75,7 @@ pub struct FairnessRow {
     /// Trace label (`zipf` or `attack`).
     pub trace: &'static str,
     /// Detector kind under test.
-    pub detector: &'static str,
+    pub detector: Kind,
     /// Byte budget the kind was fitted under (0 for the unbudgeted
     /// exact reference).
     pub budget_bytes: usize,
@@ -124,7 +124,7 @@ pub struct FairnessResults {
 
 impl FairnessResults {
     /// The row for a detector on a trace, if measured.
-    pub fn row(&self, detector: &str, trace: &str) -> Option<&FairnessRow> {
+    pub fn row(&self, detector: Kind, trace: &str) -> Option<&FairnessRow> {
         self.rows.iter().find(|r| r.detector == detector && r.trace == trace)
     }
 
@@ -153,7 +153,7 @@ impl FairnessResults {
         for r in &self.rows {
             t.row(vec![
                 r.trace.to_string(),
-                r.detector.to_string(),
+                r.detector.label().to_string(),
                 r.budget_bytes.to_string(),
                 r.state_bytes.to_string(),
                 r.packets.to_string(),
@@ -191,7 +191,7 @@ impl FairnessResults {
                  \"precision\": {:.6}, \"recall\": {:.6}, \"converge_seconds\": {:.3}}}\n",
                 self.scale.label(),
                 r.trace,
-                r.detector,
+                r.detector.label(),
                 r.budget_bytes,
                 r.state_bytes,
                 r.packets,
@@ -290,95 +290,106 @@ fn converge_at(
     (tn - t0).as_secs_f64()
 }
 
-#[allow(clippy::too_many_arguments)] // internal helper; the arguments are the shoot-out's fixed context
-fn run_windowed<D: HhhDetector<Ipv4Hierarchy>>(
-    detector: &'static str,
+/// One trace's fixed shoot-out context: its packets (and their
+/// `(src, bytes)` items), the exact ground truth and the threshold.
+struct Shootout<'a> {
     trace: &'static str,
-    budget_bytes: usize,
-    packets: &[PacketRecord],
-    items: &[(u32, u64)],
-    truth: &BTreeSet<Ipv4Prefix>,
+    packets: &'a [PacketRecord],
+    items: &'a [(u32, u64)],
+    truth: &'a BTreeSet<Ipv4Prefix>,
     threshold: Threshold,
-    make: impl Fn() -> D,
-) -> FairnessRow {
-    let n = items.len() as u64;
-
-    // Timed pass: pure observe_batch, single core, nothing else.
-    let mut det = make();
-    let start = Instant::now();
-    for chunk in items.chunks(DEFAULT_BATCH) {
-        det.observe_batch(chunk);
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let acc = SetAccuracy::compare(truth, &report_set(&det, threshold));
-    let state_bytes = det.state_bytes();
-
-    // Untimed pass: fresh detector, checkpointed convergence.
-    let mut fresh = make();
-    let converge_seconds = converge_at(packets, truth, |chunk| {
-        let batch: Vec<(u32, u64)> = chunk.iter().map(|p| (p.src, p.wire_len as u64)).collect();
-        fresh.observe_batch(&batch);
-        report_set(&fresh, threshold)
-    });
-
-    FairnessRow {
-        trace,
-        detector,
-        budget_bytes,
-        state_bytes,
-        packets: n,
-        seconds,
-        pkts_per_sec: n as f64 / seconds,
-        precision: acc.precision(),
-        recall: acc.recall(),
-        converge_seconds,
-    }
 }
 
-fn run_continuous<D: ContinuousDetector<Ipv4Hierarchy>>(
-    detector: &'static str,
-    trace: &'static str,
-    budget_bytes: usize,
-    packets: &[PacketRecord],
-    truth: &BTreeSet<Ipv4Prefix>,
-    threshold: Threshold,
-    make: impl Fn() -> D,
-) -> FairnessRow {
-    let n = packets.len() as u64;
-    let stamped: Vec<(Nanos, u32, u64)> =
-        packets.iter().map(|p| (p.ts, p.src, p.wire_len as u64)).collect();
-    let at = packets.last().map(|p| p.ts).unwrap_or(Nanos::ZERO);
+impl Shootout<'_> {
+    /// Measure one windowed detector, built fresh by `make` for each
+    /// pass.
+    fn windowed<D: HhhDetector<Ipv4Hierarchy>>(
+        &self,
+        detector: Kind,
+        budget_bytes: usize,
+        make: impl Fn() -> D,
+    ) -> FairnessRow {
+        let (packets, items, truth, threshold) =
+            (self.packets, self.items, self.truth, self.threshold);
+        let n = items.len() as u64;
 
-    let mut det = make();
-    let start = Instant::now();
-    for chunk in stamped.chunks(DEFAULT_BATCH) {
-        det.observe_batch(chunk);
+        // Timed pass: pure observe_batch, single core, nothing else.
+        let mut det = make();
+        let start = Instant::now();
+        for chunk in items.chunks(DEFAULT_BATCH) {
+            det.observe_batch(chunk);
+        }
+        let seconds = start.elapsed().as_secs_f64();
+        let acc = SetAccuracy::compare(truth, &report_set(&det, threshold));
+        let state_bytes = det.state_bytes();
+
+        // Untimed pass: fresh detector, checkpointed convergence.
+        let mut fresh = make();
+        let converge_seconds = converge_at(packets, truth, |chunk| {
+            let batch: Vec<(u32, u64)> = chunk.iter().map(|p| (p.src, p.wire_len as u64)).collect();
+            fresh.observe_batch(&batch);
+            report_set(&fresh, threshold)
+        });
+
+        FairnessRow {
+            trace: self.trace,
+            detector,
+            budget_bytes,
+            state_bytes,
+            packets: n,
+            seconds,
+            pkts_per_sec: n as f64 / seconds,
+            precision: acc.precision(),
+            recall: acc.recall(),
+            converge_seconds,
+        }
     }
-    let seconds = start.elapsed().as_secs_f64();
-    let set: BTreeSet<Ipv4Prefix> = det.report_at(at, threshold).iter().map(|r| r.prefix).collect();
-    let acc = SetAccuracy::compare(truth, &set);
-    let state_bytes = det.state_bytes();
 
-    let mut fresh = make();
-    let converge_seconds = converge_at(packets, truth, |chunk| {
-        let batch: Vec<(Nanos, u32, u64)> =
-            chunk.iter().map(|p| (p.ts, p.src, p.wire_len as u64)).collect();
-        fresh.observe_batch(&batch);
-        let now = chunk.last().expect("non-empty chunk").ts;
-        fresh.report_at(now, threshold).iter().map(|r| r.prefix).collect()
-    });
+    /// Measure one continuous detector, probed at the last packet.
+    fn continuous<D: ContinuousDetector<Ipv4Hierarchy>>(
+        &self,
+        detector: Kind,
+        budget_bytes: usize,
+        make: impl Fn() -> D,
+    ) -> FairnessRow {
+        let (packets, truth, threshold) = (self.packets, self.truth, self.threshold);
+        let n = packets.len() as u64;
+        let stamped: Vec<(Nanos, u32, u64)> =
+            packets.iter().map(|p| (p.ts, p.src, p.wire_len as u64)).collect();
+        let at = packets.last().map(|p| p.ts).unwrap_or(Nanos::ZERO);
 
-    FairnessRow {
-        trace,
-        detector,
-        budget_bytes,
-        state_bytes,
-        packets: n,
-        seconds,
-        pkts_per_sec: n as f64 / seconds,
-        precision: acc.precision(),
-        recall: acc.recall(),
-        converge_seconds,
+        let mut det = make();
+        let start = Instant::now();
+        for chunk in stamped.chunks(DEFAULT_BATCH) {
+            det.observe_batch(chunk);
+        }
+        let seconds = start.elapsed().as_secs_f64();
+        let set: BTreeSet<Ipv4Prefix> =
+            det.report_at(at, threshold).iter().map(|r| r.prefix).collect();
+        let acc = SetAccuracy::compare(truth, &set);
+        let state_bytes = det.state_bytes();
+
+        let mut fresh = make();
+        let converge_seconds = converge_at(packets, truth, |chunk| {
+            let batch: Vec<(Nanos, u32, u64)> =
+                chunk.iter().map(|p| (p.ts, p.src, p.wire_len as u64)).collect();
+            fresh.observe_batch(&batch);
+            let now = chunk.last().expect("non-empty chunk").ts;
+            fresh.report_at(now, threshold).iter().map(|r| r.prefix).collect()
+        });
+
+        FairnessRow {
+            trace: self.trace,
+            detector,
+            budget_bytes,
+            state_bytes,
+            packets: n,
+            seconds,
+            pkts_per_sec: n as f64 / seconds,
+            precision: acc.precision(),
+            recall: acc.recall(),
+            converge_seconds,
+        }
     }
 }
 
@@ -500,35 +511,17 @@ pub fn fairness(scale: Scale) -> FairnessResults {
         }
         let truth = report_set(&oracle, threshold);
 
-        rows.push(run_windowed("exact", label, 0, packets, &items, &truth, threshold, || {
-            ExactHhh::new(h)
-        }));
-        rows.push(run_windowed(
-            "ss-hhh",
-            label,
-            budget,
-            packets,
-            &items,
-            &truth,
-            threshold,
-            || SpaceSavingHhh::new(h, ss_cap),
-        ));
-        rows.push(run_windowed("rhhh", label, budget, packets, &items, &truth, threshold, || {
-            Rhhh::new(h, rhhh_cap, RHHH_SEED)
-        }));
-        rows.push(run_windowed(
-            "mvpipe",
-            label,
-            budget,
-            packets,
-            &items,
-            &truth,
-            threshold,
-            || MvPipeHhh::new(h, mv_buckets),
-        ));
-        rows.push(run_continuous("tdbf-hhh", label, budget, packets, &truth, threshold, || {
-            TdbfHhh::new(h, tdbf_config(tdbf_cells, horizon))
-        }));
+        let on = Shootout { trace: label, packets, items: &items, truth: &truth, threshold };
+        for kind in Kind::ALL {
+            rows.push(match kind {
+                Kind::Exact => on.windowed(kind, 0, || ExactHhh::new(h)),
+                Kind::SsHhh => on.windowed(kind, budget, || SpaceSavingHhh::new(h, ss_cap)),
+                Kind::Rhhh => on.windowed(kind, budget, || Rhhh::new(h, rhhh_cap, RHHH_SEED)),
+                Kind::Tdbf => on
+                    .continuous(kind, budget, || TdbfHhh::new(h, tdbf_config(tdbf_cells, horizon))),
+                Kind::MvPipe => on.windowed(kind, budget, || MvPipeHhh::new(h, mv_buckets)),
+            });
+        }
     }
 
     let depth = depth_rows(&traces[0].1, budget);
@@ -575,19 +568,19 @@ mod tests {
     #[test]
     fn shootout_covers_every_kind_on_both_traces() {
         let results = fairness(Scale::Smoke);
-        let kinds = ["exact", "ss-hhh", "rhhh", "mvpipe", "tdbf-hhh"];
-        assert_eq!(results.rows.len(), kinds.len() * 2);
-        for kind in kinds {
+        assert_eq!(results.rows.len(), Kind::ALL.len() * 2);
+        for kind in Kind::ALL {
             for trace in ["zipf", "attack"] {
                 let r = results.row(kind, trace).expect("row present");
-                assert!(r.packets > 0 && r.pkts_per_sec > 0.0, "{kind}/{trace}");
-                assert!((0.0..=1.0).contains(&r.precision), "{kind}/{trace}");
-                assert!((0.0..=1.0).contains(&r.recall), "{kind}/{trace}");
-                assert!(r.converge_seconds >= 0.0, "{kind}/{trace}");
-                if kind == "exact" {
+                let at = format!("{}/{trace}", kind.label());
+                assert!(r.packets > 0 && r.pkts_per_sec > 0.0, "{at}");
+                assert!((0.0..=1.0).contains(&r.precision), "{at}");
+                assert!((0.0..=1.0).contains(&r.recall), "{at}");
+                assert!(r.converge_seconds >= 0.0, "{at}");
+                if kind == Kind::Exact {
                     assert_eq!((r.precision, r.recall), (1.0, 1.0), "exact is its own truth");
                 } else {
-                    assert!(r.state_bytes <= r.budget_bytes, "{kind} over budget");
+                    assert!(r.state_bytes <= r.budget_bytes, "{at} over budget");
                 }
             }
         }

@@ -96,7 +96,7 @@ impl Target {
                     thresholds: vec![distagg_threshold()],
                     retain: None,
                     mitigate: Some(MitigateConfig {
-                        kind: kind.label().into(),
+                        kind,
                         policy: policy.clone(),
                         truth: truth.to_vec(),
                     }),

@@ -6,7 +6,7 @@
 //! tests can pin exact numbers.
 
 use hhh_analysis::SetAccuracy;
-use hhh_core::snapshot::json::Json;
+use hhh_mitigate::parse_policy_windows;
 use hhh_nettypes::{Ipv4Prefix, Nanos};
 use std::collections::BTreeSet;
 
@@ -24,36 +24,20 @@ pub struct ReportWindow {
 }
 
 /// Parse the daemon's `/hhh` body (one JSON object per line) into
-/// report windows, ignoring non-`report` lines.
+/// report windows sorted by start, ignoring non-`report` lines: the
+/// projection of [`parse_policy_windows`]'s full reports onto what the
+/// scorer compares.
 pub fn parse_report_windows(body: &str) -> Result<Vec<ReportWindow>, String> {
-    let mut out = Vec::new();
-    for line in body.lines().filter(|l| !l.trim().is_empty()) {
-        let v = Json::parse(line).map_err(|e| format!("bad report line: {e}: {line}"))?;
-        if v.get("type").and_then(Json::as_str) != Some("report") {
-            continue;
-        }
-        let field = |name: &str| {
-            v.get(name).and_then(Json::as_u64).ok_or_else(|| format!("missing {name}: {line}"))
-        };
-        let start = Nanos::from_nanos(field("start_ns")?);
-        let end = Nanos::from_nanos(field("end_ns")?);
-        let total = field("total")?;
-        let mut prefixes = BTreeSet::new();
-        if let Some(hhhs) = v.get("hhhs").and_then(Json::as_arr) {
-            for h in hhhs {
-                let text = h
-                    .get("prefix")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("hhh entry without prefix: {line}"))?;
-                let prefix: Ipv4Prefix =
-                    text.parse().map_err(|e| format!("bad prefix {text:?}: {e}"))?;
-                prefixes.insert(prefix);
-            }
-        }
-        out.push(ReportWindow { start, end, total, prefixes });
-    }
-    out.sort_by_key(|w| w.start);
-    Ok(out)
+    let windows = parse_policy_windows(body)?;
+    Ok(windows
+        .into_iter()
+        .map(|w| ReportWindow {
+            start: w.start,
+            end: w.end,
+            total: w.total,
+            prefixes: w.hhhs.iter().map(|h| h.prefix).collect(),
+        })
+        .collect())
 }
 
 /// Score observed windows against a reference schedule, matching by

@@ -2,6 +2,7 @@
 //! run the policy engine against its `/hhh` answers, and render the
 //! resulting rule table; or just fetch a daemon's own `/rules`.
 
+use hhh_core::Kind;
 use hhh_mitigate::{parse_policy_windows, rules_text, PolicyConfig, PolicyEngine};
 use hhh_nettypes::{Nanos, TimeSpan};
 use hhh_window::http_get;
@@ -20,7 +21,7 @@ common options:
   --daemon-http ADDR   the daemon's HTTP address (required)
 
 watch options:
-  --kind LABEL         follow one detector kind label (e.g. exact/0of2);
+  --kind LABEL         follow one detector kind (e.g. exact);
                        default: whichever kinds the daemon serves
   --threshold PCT      re-threshold reports at PCT percent
   --interval MS        poll interval (default 1000)
@@ -50,7 +51,7 @@ fn main() -> ExitCode {
     }
 
     let mut daemon_http: Option<String> = None;
-    let mut kind: Option<String> = None;
+    let mut kind: Option<Kind> = None;
     let mut threshold: Option<f64> = None;
     let mut interval_ms: u64 = 1_000;
     let mut cycles: Option<u64> = None;
@@ -66,8 +67,9 @@ fn main() -> ExitCode {
                 Ok(v) => daemon_http = Some(v),
                 Err(e) => return fail(&e),
             },
-            "--kind" => match value("--kind") {
-                Ok(v) => kind = Some(v),
+            "--kind" => match value("--kind").map(|v| (Kind::parse(&v), v)) {
+                Ok((Some(k), _)) => kind = Some(k),
+                Ok((None, v)) => return fail(&format!("--kind: unknown kind `{v}`\n{USAGE}")),
                 Err(e) => return fail(&e),
             },
             "--threshold" => match value("--threshold").map(|v| v.parse::<f64>()) {
@@ -125,16 +127,16 @@ fn main() -> ExitCode {
 
 fn watch(
     addr: &str,
-    kind: Option<String>,
+    kind: Option<Kind>,
     threshold: Option<f64>,
     interval_ms: u64,
     cycles: Option<u64>,
     cfg: PolicyConfig,
 ) -> ExitCode {
     let mut path = String::from("/hhh?all=1");
-    if let Some(k) = &kind {
+    if let Some(k) = kind {
         path.push_str("&kind=");
-        path.push_str(k);
+        path.push_str(k.label());
     }
     if let Some(t) = threshold {
         path.push_str(&format!("&threshold={t}"));

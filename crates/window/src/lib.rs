@@ -24,11 +24,9 @@
 //!   [`ShardedDisjoint`], [`ShardedSliding`] and [`ShardedContinuous`]
 //!   hash-partition the stream by key across worker threads and merge
 //!   shard states at report points ([`sharded`] holds the one worker
-//!   pool all three share: one detector per worker); [`FoldSnapshots`]
-//!   consumes *snapshots* instead of packets and folds every report
-//!   point's states with the round-trip codec — cross-process
-//!   aggregation as a pipeline stage (the `hhh-agg` crate drives the
-//!   same fold over many streams).
+//!   pool all three share: one detector per worker). Folding the
+//!   snapshot streams those engines write — cross-process aggregation
+//!   — is the `hhh-agg` crate's `FoldState`.
 //! * **Sinks** ([`sink`]) — collect to `Vec`s ([`CollectSink`]),
 //!   stream into a closure ([`FnSink`]), or write the snapshot wire
 //!   stream — serialized merged-detector state for cross-process
@@ -72,14 +70,12 @@ pub mod transport;
 
 pub use filter::{PacketGate, RuleFilter};
 pub use pipeline::{
-    Continuous, Disjoint, Engine, FoldSnapshots, MicroVaried, Pipeline, ShardedContinuous,
-    ShardedDisjoint, ShardedSliding, SlidingExact,
+    Continuous, Disjoint, Engine, MicroVaried, Pipeline, ShardedContinuous, ShardedDisjoint,
+    ShardedSliding, SlidingExact,
 };
 pub use report::{PrefixSet, WindowReport};
 pub use sharded::{shard_of, with_shards, Observation, ShardPool, DEFAULT_BATCH};
-pub use sink::{
-    render_report_line, CollectSink, FnSink, JsonSnapshotSink, ReportSink, SnapshotSink,
-};
+pub use sink::{render_report_line, CollectSink, FnSink, ReportSink, SnapshotSink};
 pub use source::{
     bounded, ChannelSource, FeederStats, PacketFeeder, PacketSource, SnapshotSource, Source,
     StreamRecord, DEFAULT_CHUNK,

@@ -26,8 +26,8 @@
 //! assert_eq!(reports[0].len(), 2, "two 500 ms windows");
 //! ```
 //!
-//! * the **source** ([`PacketSource`]) is any packet iterator, a
-//!   bounded channel fed from other threads
+//! * the **source** ([`PacketSource`](crate::PacketSource)) is any
+//!   packet iterator, a bounded channel fed from other threads
 //!   ([`source::bounded`](crate::source::bounded)), or a capture file
 //!   (`hhh-pcap`);
 //! * the **engine** ([`Engine`]) is the window model × execution
@@ -51,15 +51,11 @@ use crate::report::WindowReport;
 use crate::sharded::{with_shards, ShardPool, DEFAULT_BATCH};
 use crate::sink::{CollectSink, ReportSink};
 use crate::source::Source;
-use hhh_core::{
-    discount_bottom_up, ContinuousDetector, HhhDetector, MergeableDetector, RestoredDetector,
-    Threshold, WireSnapshot,
-};
+use hhh_core::{discount_bottom_up, ContinuousDetector, HhhDetector, MergeableDetector, Threshold};
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::{Measure, Nanos, PacketRecord, TimeSpan};
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
-use std::str::FromStr;
 
 /// Deliver a merged detector's state to the sink at a report point.
 ///
@@ -121,9 +117,8 @@ pub struct Pipeline<S, E, K> {
 pub struct Unset;
 
 impl<S: Source> Pipeline<S, Unset, Unset> {
-    /// Start a pipeline from a source (any `Iterator` qualifies — of
-    /// `PacketRecord`s for the packet engines, of [`WireSnapshot`]s
-    /// for [`FoldSnapshots`]).
+    /// Start a pipeline from a source (any `Iterator` of the engine's
+    /// input qualifies — `PacketRecord`s for every engine here).
     pub fn new(source: S) -> Self {
         Pipeline { source, engine: Unset, sink: Unset }
     }
@@ -169,8 +164,8 @@ where
 /// the source.
 pub trait Engine {
     /// The item type the engine consumes — [`PacketRecord`] for every
-    /// packet engine, [`WireSnapshot`] for [`FoldSnapshots`]. The
-    /// pipeline's source must yield exactly this type.
+    /// engine in this crate. The pipeline's source must yield exactly
+    /// this type.
     type In;
 
     /// The prefix type of the reports this engine emits.
@@ -1202,150 +1197,6 @@ where
                 next += 1;
             }
         });
-    }
-}
-
-// ---------------------------------------------------------------------
-// FoldSnapshots
-// ---------------------------------------------------------------------
-
-/// Replay a pipeline from **previously captured detector snapshots**
-/// instead of packets: the engine consumes [`WireSnapshot`]s (what a
-/// [`SnapshotSource`](crate::SnapshotSource) yields from a stream in
-/// either wire format), folds every snapshot taken at the same report
-/// point into one restored detector with the round-trip codec, and
-/// emits the merged report — the in-process face of cross-process
-/// aggregation (`hhh-agg` drives the same fold over many streams at
-/// once). Binary (v2) snapshots decode straight into detectors, no
-/// JSON detour.
-///
-/// Snapshots must arrive grouped by report point (`at`
-/// non-decreasing — **enforced**: an out-of-order snapshot panics, so
-/// concatenating shard streams cannot silently masquerade as merging
-/// them), which any stream a `SnapshotSink` wrote already satisfies;
-/// interleave K shard streams by merging them sorted by `at` (or let
-/// `hhh-agg` do it). One series per threshold. Report `index` is the
-/// 0-based report-point ordinal; `start`/`end` are the window bounds
-/// the snapshots carry (`start == end == at` only for windowless
-/// probes and pre-geometry v1 streams).
-///
-/// Folding applies the in-process merge algebra, so mixed kinds or
-/// mismatched configurations at one report point are programmer error —
-/// the engine panics with the underlying
-/// [`SnapshotError`](hhh_core::SnapshotError), exactly as the
-/// in-process merges panic on mismatched configuration. Use `hhh-agg`
-/// for the error-returning flavor.
-pub struct FoldSnapshots<'h, H> {
-    hierarchy: &'h H,
-    thresholds: Vec<Threshold>,
-}
-
-impl<'h, H: Hierarchy> FoldSnapshots<'h, H> {
-    /// Fold snapshots over `hierarchy`, reporting each of `thresholds`
-    /// (one output series per threshold, same order).
-    pub fn new(hierarchy: &'h H, thresholds: &[Threshold]) -> Self {
-        assert!(!thresholds.is_empty(), "need at least one threshold");
-        FoldSnapshots { hierarchy, thresholds: thresholds.to_vec() }
-    }
-}
-
-impl<H> Engine for FoldSnapshots<'_, H>
-where
-    H: Hierarchy,
-    H::Item: FromStr,
-    H::Prefix: FromStr,
-{
-    type In = WireSnapshot;
-    type Prefix = H::Prefix;
-
-    fn series(&self) -> usize {
-        self.thresholds.len()
-    }
-
-    fn run<S: Source<Item = WireSnapshot>, K: ReportSink<H::Prefix>>(
-        self,
-        source: S,
-        sink: &mut K,
-    ) {
-        let hierarchy = self.hierarchy;
-        let thresholds = &self.thresholds;
-        // Per-kind report ordinals — the same numbering `hhh-agg`
-        // renders, so `index` means "this kind's n-th report point" on
-        // both paths.
-        let mut ordinals: Vec<(&'static str, u64)> = Vec::new();
-        // All the folds in flight at the current report point, one per
-        // detector kind in first-seen order — a stream may carry
-        // several kinds side by side (hhh-agg accepts the same). Each
-        // fold keeps the window start its first snapshot carried.
-        let mut at: Option<Nanos> = None;
-        let mut folds: Vec<(Nanos, RestoredDetector<H>)> = Vec::new();
-
-        let flush = |ordinals: &mut Vec<(&'static str, u64)>,
-                     at: Nanos,
-                     folds: &mut Vec<(Nanos, RestoredDetector<H>)>,
-                     sink: &mut K| {
-            for (start, merged) in folds.drain(..) {
-                let kind = merged.kind();
-                let index = match ordinals.iter_mut().find(|(k, _)| *k == kind) {
-                    Some((_, n)) => n,
-                    None => {
-                        ordinals.push((kind, 0));
-                        &mut ordinals.last_mut().expect("just pushed").1
-                    }
-                };
-                for (ti, t) in thresholds.iter().enumerate() {
-                    sink.accept(
-                        ti,
-                        WindowReport {
-                            index: *index,
-                            start,
-                            end: at,
-                            total: merged.total(),
-                            hhhs: merged.report(at, *t),
-                        },
-                    );
-                }
-                if sink.wants_frames() {
-                    match merged.to_frame(start, at) {
-                        Ok(frame) => sink.state_frame(&frame),
-                        Err(e) => panic!("re-encoding a folded state at {at}: {e}"),
-                    }
-                } else {
-                    sink.state(start, at, &merged.snapshot());
-                }
-                *index += 1;
-            }
-        };
-
-        for_each_item(source, |s: WireSnapshot| {
-            if at != Some(s.at()) {
-                if let Some(prev) = at {
-                    assert!(
-                        s.at() > prev,
-                        "snapshots must arrive grouped by report point: {} after {prev} \
-                         (concatenated shard streams? interleave them sorted by at, \
-                         or use hhh-agg)",
-                        s.at(),
-                    );
-                    flush(&mut ordinals, prev, &mut folds, sink);
-                }
-                at = Some(s.at());
-            }
-            match folds.iter_mut().find(|(_, f)| f.kind() == s.kind()) {
-                Some((_, merged)) => merged
-                    .fold_wire(hierarchy, &s)
-                    .unwrap_or_else(|e| panic!("snapshot fold at {}: {e}", s.at())),
-                None => folds.push((
-                    s.start(),
-                    RestoredDetector::from_wire(hierarchy, &s)
-                        .unwrap_or_else(|e| panic!("snapshot restore at {}: {e}", s.at())),
-                )),
-            }
-            true
-        });
-        if let Some(prev) = at {
-            flush(&mut ordinals, prev, &mut folds, sink);
-        }
     }
 }
 

@@ -17,8 +17,7 @@
 //! the sharded engines, the wire format for cross-process aggregation
 //! — in either encoding:
 //! [`WireFormat::Json`] (v1 JSON lines) or [`WireFormat::Binary`] (v2
-//! frames, the hot aggregation path). `JsonSnapshotSink` survives as
-//! an alias for the JSON-defaulting constructor.
+//! frames, the hot aggregation path).
 
 use crate::report::WindowReport;
 use hhh_core::snapshot::{json_string, DetectorSnapshot, SnapshotFrame, StampedSnapshot};
@@ -163,10 +162,6 @@ pub struct SnapshotSink<W: Write> {
     /// skipped).
     error: Option<std::io::Error>,
 }
-
-/// Backward-compatible name for the JSON-writing [`SnapshotSink`]
-/// (`SnapshotSink::new` defaults to JSON).
-pub type JsonSnapshotSink<W> = SnapshotSink<W>;
 
 impl SnapshotSink<std::io::BufWriter<std::fs::File>> {
     /// Create (truncate) a snapshot stream file at `path` — the

@@ -16,8 +16,9 @@
 //! length-delimited v2 encoding (`hhh_core::snapshot::binary`) already
 //! self-describes and self-delimits, so every transport just moves
 //! encoded frames — [`FrameWrite`] pushes them, [`FrameRead`] pulls
-//! them, and the pipeline faces ([`TransportSink`](crate::TransportSink),
-//! [`TransportSource`]) adapt either end to the `Pipeline` API. The
+//! them; [`TransportSink`](crate::TransportSink) is a `Pipeline` sink
+//! and [`TransportSource`] reads the states back as [`WireSnapshot`]s,
+//! ready for `hhh-agg`'s fold. The
 //! write side hands through frames encoded straight from detector
 //! state (`MergeableDetector::to_frame`) — no JSON is rendered or
 //! parsed anywhere between a shard's detector state and the
@@ -54,7 +55,6 @@
 //!   writer's reconnect to resume the stream.
 
 use crate::sink::{render_report_line, ReportSink};
-use crate::source::Source;
 use crate::WindowReport;
 use hhh_core::snapshot::binary::{payload_len, FRAME_HEADER_LEN, REPORT_KIND};
 use hhh_core::snapshot::{DetectorSnapshot, SnapshotFrame};
@@ -256,8 +256,8 @@ impl<R: BufRead> FrameRead for FileTransport<R> {
 
 /// Create a bounded in-process frame channel: the [`MemFrameWriter`]
 /// half goes to the producing thread (a shard pipeline's
-/// [`TransportSink`]), the [`MemFrameReader`] half feeds a consuming
-/// pipeline (via [`TransportSource`]) — snapshots move between threads
+/// [`TransportSink`]), the [`MemFrameReader`] half feeds a consumer
+/// (via [`TransportSource`]) — snapshots move between threads
 /// with back-pressure and **zero** serialization (frames cross the
 /// channel decoded).
 ///
@@ -1198,8 +1198,8 @@ impl<P: Display, T: FrameWrite> ReportSink<P> for TransportSink<T> {
     }
 }
 
-/// A [`Source`] of [`WireSnapshot`]s pulled from any [`FrameRead`] —
-/// the read-side pipeline face. Report and hello frames are validated
+/// An iterator of [`WireSnapshot`]s pulled from any [`FrameRead`] —
+/// the read side, ready for `hhh-agg`'s fold. Report and hello frames are validated
 /// and skipped; state frames are yielded undecoded (the fold path goes
 /// binary body → detector). The stream ends at clean end-of-transport
 /// **or at the first error**, kept for inspection via
@@ -1245,13 +1245,6 @@ impl<T: FrameRead> Iterator for TransportSource<T> {
         }
     }
 }
-
-// `TransportSource` is a `Source<Item = WireSnapshot>` via the blanket
-// iterator impl in `source`, so `FoldSnapshots` consumes any transport.
-const _: fn() = || {
-    fn assert_source<S: Source<Item = WireSnapshot>>() {}
-    assert_source::<TransportSource<MemFrameReader>>();
-};
 
 #[cfg(test)]
 mod tests {

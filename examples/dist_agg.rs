@@ -2,18 +2,16 @@
 //!
 //! 1. split a trace across two "processes" (key-partitioned, the same
 //!    partition the sharded engines use) and run each through its own
-//!    pipeline with a [`JsonSnapshotSink`] — producing the snapshot
+//!    pipeline with a [`SnapshotSink`] — producing the snapshot
 //!    JSONL streams real shard processes would write;
 //! 2. fold the streams with `hhh-agg`'s library API and print the
 //!    merged per-window HHH counts next to a single-process reference —
 //!    they match exactly, because exact-detector merges are lossless
 //!    and the wire codec round-trips states bit-for-bit;
-//! 3. replay one stream through [`SnapshotSource`] → [`FoldSnapshots`]
-//!    to show snapshots are first-class pipeline input;
-//! 4. re-run one shard with the **binary (v2) wire format** — the
+//! 3. re-run one shard with the **binary (v2) wire format** — the
 //!    `--format binary` path — and show that the smaller frames fold
 //!    to the byte-identical merged state;
-//! 5. stream the shards over **transports** instead of buffers — both
+//! 4. stream the shards over **transports** instead of buffers — both
 //!    shard pipelines write natively encoded v2 frames over localhost
 //!    TCP into one `FrameHub` barrier (the `distagg shard --connect` /
 //!    `hhh-agg --listen` path) — and show the socket fold is
@@ -25,9 +23,7 @@
 use hidden_hhh::agg::{collect_socket_streams, fold_streams, read_stream};
 use hidden_hhh::core::WireFormat;
 use hidden_hhh::prelude::*;
-use hidden_hhh::window::{
-    shard_of, CollectLimits, FoldSnapshots, FrameHub, SnapshotSink, SnapshotSource,
-};
+use hidden_hhh::window::{shard_of, CollectLimits, FrameHub, SnapshotSink};
 
 fn main() {
     let h = Ipv4Hierarchy::bytes();
@@ -83,21 +79,11 @@ fn main() {
         assert_eq!(folded.hhhs, reference.hhhs, "exact aggregation is lossless");
     }
 
-    // --- 3. snapshots as pipeline input: replay one stream.
-    let mut source = SnapshotSource::new(streams[0].as_slice());
-    let replayed =
-        Pipeline::new(&mut source).engine(FoldSnapshots::new(&h, &[threshold])).collect().run();
-    assert!(source.error().is_none(), "own streams replay cleanly");
-    println!(
-        "\nreplayed shard 0's stream through FoldSnapshots: {} report points",
-        replayed[0].len()
-    );
-
-    // --- 4. the binary (v2) wire format: `hhh-agg --format binary`
+    // --- 3. the binary (v2) wire format: `hhh-agg --format binary`
     // territory. The same shard written as length-prefixed frames is
     // smaller on the wire and decodes straight into detectors — and
     // folding a binary shard with a JSON shard lands on the identical
-    // merged state (SnapshotSource sniffs the format per stream).
+    // merged state (`read_stream` sniffs the format per stream).
     let shard0_v2 = shard_stream(0, 2, WireFormat::Binary);
     println!(
         "\nshard 0 wire size: {} B as v1 JSONL, {} B as v2 frames ({:.1}x smaller)",
@@ -119,7 +105,7 @@ fn main() {
     }
     println!("binary + JSON shards folded to the byte-identical merged state");
 
-    // --- 5. the same shards over a live transport: each pipeline
+    // --- 4. the same shards over a live transport: each pipeline
     // streams v2 frames encoded straight from detector state (no JSON
     // on the shard side) over localhost TCP; the hub's barrier returns
     // them in hello-id order. `distagg shard --connect` / `hhh-agg

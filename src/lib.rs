@@ -98,8 +98,8 @@ pub mod prelude {
     pub use hhh_trace::{scenarios, TraceGenerator, TraceStats, TrafficModel};
     pub use hhh_window::{
         bounded, mem_transport, with_shards, CollectLimits, CollectSink, Continuous, Disjoint,
-        Engine, FnSink, FrameHub, JsonSnapshotSink, MicroVaried, PacketSource, Pipeline,
-        ReportSink, ShardedContinuous, ShardedDisjoint, ShardedSliding, SlidingExact, SnapshotSink,
+        Engine, FnSink, FrameHub, MicroVaried, PacketSource, Pipeline, ReportSink,
+        ShardedContinuous, ShardedDisjoint, ShardedSliding, SlidingExact, SnapshotSink,
         TcpTransport, TransportSink, TransportSource, WindowReport,
     };
 }

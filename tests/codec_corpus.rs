@@ -13,8 +13,8 @@
 
 use hidden_hhh::agg::transcode;
 use hidden_hhh::core::snapshot::binary::{SnapshotFrame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
-use hidden_hhh::core::{RestoredDetector, SnapshotError, WireFormat, WireSnapshot};
-use hidden_hhh::experiments::corpus::{corpus_stream, write_corpus, CORPUS_KINDS, MALFORMED_CASES};
+use hidden_hhh::core::{Kind, RestoredDetector, SnapshotError, WireFormat, WireSnapshot};
+use hidden_hhh::experiments::corpus::{corpus_stream, write_corpus, MALFORMED_CASES};
 use hidden_hhh::prelude::*;
 use hidden_hhh::window::SnapshotSource;
 use proptest::prelude::*;
@@ -32,7 +32,7 @@ fn read(name: &str) -> Vec<u8> {
 #[test]
 fn every_good_corpus_file_decodes_and_the_formats_agree() {
     let h = Ipv4Hierarchy::bytes();
-    for kind in CORPUS_KINDS {
+    for kind in Kind::ALL.map(Kind::label) {
         let decode_one = |bytes: &[u8], what: &str| {
             let mut src = SnapshotSource::new(bytes);
             let states: Vec<_> = (&mut src).collect();
@@ -61,7 +61,7 @@ fn every_good_corpus_file_decodes_and_the_formats_agree() {
 
 #[test]
 fn transcoding_maps_the_committed_files_onto_each_other() {
-    for kind in CORPUS_KINDS {
+    for kind in Kind::ALL.map(Kind::label) {
         let v1 = read(&format!("{kind}.v1.jsonl"));
         let v2 = read(&format!("{kind}.v2.bin"));
 
@@ -149,7 +149,7 @@ fn regenerating_the_corpus_reproduces_the_committed_bytes() {
         let fresh = std::fs::read(dir.join(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
         assert_eq!(fresh, read(&rel), "{rel}: regenerated corpus diverged from the committed one");
     };
-    for kind in CORPUS_KINDS {
+    for kind in Kind::ALL.map(Kind::label) {
         diff(format!("{kind}.v1.jsonl"));
         diff(format!("{kind}.v2.bin"));
     }
@@ -166,8 +166,8 @@ fn regenerating_the_corpus_reproduces_the_committed_bytes() {
 /// Valid frames of all five kinds, decoded from the corpus streams —
 /// the fuzz seeds.
 fn seed_frames() -> Vec<Vec<u8>> {
-    CORPUS_KINDS
-        .iter()
+    Kind::ALL
+        .into_iter()
         .flat_map(|kind| {
             let stream = corpus_stream(kind, WireFormat::Binary);
             let mut frames = Vec::new();
@@ -259,7 +259,7 @@ proptest! {
         cut in 0u32..=1,
         mutations in prop::collection::vec((any::<u64>(), any::<u8>()), 1..8),
     ) {
-        let kind = CORPUS_KINDS[seed % CORPUS_KINDS.len()];
+        let kind = Kind::ALL[seed % Kind::ALL.len()].label();
         let mut bytes = read(&format!("{kind}.v1.jsonl"));
         for (pos, val) in mutations {
             let at = (pos as usize) % bytes.len();

@@ -19,7 +19,7 @@
 //! job (`distagg run smoke`) re-checks all five on the full trace.
 
 use hhh_experiments::distagg::{
-    distagg_trace, fold_shard_streams, run_distagg_on, shard_jsonl_on, Kind, KINDS,
+    distagg_trace, fold_shard_streams, run_distagg_on, shard_jsonl_on, Kind,
 };
 use hhh_experiments::Scale;
 use hhh_trace::{scenarios, TraceGenerator};
@@ -47,52 +47,53 @@ fn all_kinds_fold_to_the_inprocess_state_at_k3() {
     let horizon = TimeSpan::from_secs(15);
     let trace: Vec<PacketRecord> =
         TraceGenerator::new(scenarios::day_trace(0, horizon), scenarios::day_seed(0)).collect();
-    let rows = run_distagg_on(&trace, horizon, &[1, 3], &KINDS);
-    assert_eq!(rows.len(), KINDS.len() * 2);
+    let rows = run_distagg_on(&trace, horizon, &[1, 3], &Kind::ALL);
+    assert_eq!(rows.len(), Kind::ALL.len() * 2);
     for r in &rows {
         assert!(
             r.state_identical,
             "{} at K={} folded state diverged from the in-process merge",
-            r.detector, r.shards
+            r.detector.label(),
+            r.shards
         );
         if r.shards == 1 {
             // One shard: the "distributed" run *is* the single-process
             // run behind a wire round-trip.
             assert_eq!(
-                r.jaccard_vs_single, 1.0,
+                r.jaccard_vs_single,
+                1.0,
                 "{} at K=1 must reproduce the single process exactly",
-                r.detector
+                r.detector.label()
             );
         }
         match r.detector {
-            "exact" => {
+            Kind::Exact => {
                 assert!(r.reports_identical, "exact reports diverged at K={}", r.shards);
             }
-            "ss-hhh" => assert!(
+            Kind::SsHhh => assert!(
                 r.jaccard_vs_single >= 0.9,
                 "ss-hhh K={} jaccard {}",
                 r.shards,
                 r.jaccard_vs_single
             ),
-            "rhhh" => assert!(
+            Kind::Rhhh => assert!(
                 r.jaccard_vs_single >= 0.5,
                 "rhhh K={} jaccard {}",
                 r.shards,
                 r.jaccard_vs_single
             ),
-            "mvpipe" => assert!(
+            Kind::MvPipe => assert!(
                 r.jaccard_vs_single >= 0.5,
                 "mvpipe K={} jaccard {}",
                 r.shards,
                 r.jaccard_vs_single
             ),
-            "tdbf-hhh" => assert!(
+            Kind::Tdbf => assert!(
                 r.jaccard_vs_single >= 0.9,
                 "tdbf-hhh K={} jaccard {}",
                 r.shards,
                 r.jaccard_vs_single
             ),
-            other => panic!("unexpected detector {other}"),
         }
     }
 }
@@ -141,18 +142,20 @@ fn socket_fold_is_byte_identical_to_the_file_fold_for_all_kinds() {
     let horizon = TimeSpan::from_secs(15);
     let trace: Vec<PacketRecord> =
         TraceGenerator::new(scenarios::day_trace(0, horizon), scenarios::day_seed(0)).collect();
-    let rows = run_socket_on(&trace, horizon, &[3], &KINDS);
-    assert_eq!(rows.len(), KINDS.len());
+    let rows = run_socket_on(&trace, horizon, &[3], &Kind::ALL);
+    assert_eq!(rows.len(), Kind::ALL.len());
     for r in &rows {
         assert!(
             r.socket_eq_file,
             "{} at K={}: socket fold output diverged from the file fold",
-            r.detector, r.shards
+            r.detector.label(),
+            r.shards
         );
         assert!(
             r.state_identical,
             "{} at K={}: socket-folded state diverged from the in-process merge",
-            r.detector, r.shards
+            r.detector.label(),
+            r.shards
         );
         assert_eq!(r.folded, r.points * r.shards, "one snapshot per connection per point");
     }

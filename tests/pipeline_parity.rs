@@ -248,7 +248,7 @@ fn sharded_engine_forwards_merged_snapshots() {
             &[Threshold::percent(5.0)],
             |p| p.src,
         ))
-        .sink(JsonSnapshotSink::new(Vec::new()))
+        .sink(SnapshotSink::new(Vec::new()))
         .run();
     assert!(err.is_none());
     let text = String::from_utf8(bytes).unwrap();

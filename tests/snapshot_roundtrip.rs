@@ -463,33 +463,10 @@ fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
 }
 
 #[test]
-#[should_panic(expected = "grouped by report point")]
-fn fold_snapshots_rejects_out_of_order_streams() {
-    use hidden_hhh::core::{StampedSnapshot, WireSnapshot};
-    use hidden_hhh::window::{FoldSnapshots, Pipeline};
-    let snap = |at_secs: u64, items: &[(u32, u64)]| {
-        let mut d = ExactHhh::new(h());
-        HhhDetector::<Ipv4Hierarchy>::observe_batch(&mut d, items);
-        WireSnapshot::Json(StampedSnapshot {
-            at: Nanos::from_secs(at_secs),
-            start: Nanos::from_secs(at_secs),
-            snapshot: d.snapshot().unwrap(),
-        })
-    };
-    // Concatenated shard streams: at goes 1, 2, then back to 1 —
-    // folding this as-is would report per-shard numbers as "merged".
-    let snaps = vec![snap(1, &[(7, 10)]), snap(2, &[(7, 5)]), snap(1, &[(9, 3)])];
-    let hier = h();
-    let _ = Pipeline::new(snaps.into_iter())
-        .engine(FoldSnapshots::new(&hier, &[Threshold::percent(1.0)]))
-        .collect()
-        .run();
-}
-
-#[test]
 fn fold_snapshots_handles_two_kinds_side_by_side() {
+    use hidden_hhh::agg::{fold_streams, render_merged};
+    use hidden_hhh::core::snapshot::json::Json;
     use hidden_hhh::core::{StampedSnapshot, WireSnapshot};
-    use hidden_hhh::window::{FoldSnapshots, Pipeline};
     // One operator process running two detector kinds writes both
     // state lines per report point — each kind folds and reports
     // separately, the same grouping hhh-agg applies.
@@ -517,17 +494,18 @@ fn fold_snapshots_handles_two_kinds_side_by_side() {
         exact_snap(2, &[(9, 4)]),
         ss_snap(2, &[(9, 4)]),
     ];
-    let hier = h();
-    let reports = Pipeline::new(snaps.into_iter())
-        .engine(FoldSnapshots::new(&hier, &[Threshold::percent(1.0)]))
-        .collect()
-        .run();
+    let points = fold_streams(&h(), vec![snaps]).unwrap();
+    let kinds: Vec<_> = points.iter().map(|p| p.kind.as_str()).collect();
+    assert_eq!(kinds, ["exact", "ss-hhh", "exact", "ss-hhh"], "sorted by (at, kind)");
     // One series (one threshold), two kinds × two report points, with
     // per-kind report-point ordinals (the numbering hhh-agg renders).
-    assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].len(), 4);
-    assert_eq!((reports[0][0].total, reports[0][0].index), (10, 0), "exact at t=1");
-    assert_eq!((reports[0][1].total, reports[0][1].index), (10, 0), "ss-hhh at t=1");
-    assert_eq!((reports[0][2].total, reports[0][2].index), (4, 1), "exact at t=2");
-    assert_eq!((reports[0][3].total, reports[0][3].index), (4, 1), "ss-hhh at t=2");
+    let lines = render_merged(&points, &[Threshold::percent(1.0)], false);
+    assert_eq!(lines.len(), 4);
+    let field = |i: usize, name: &str| {
+        Json::parse(&lines[i]).unwrap().get(name).and_then(Json::as_u64).unwrap()
+    };
+    assert_eq!((field(0, "total"), field(0, "index")), (10, 0), "exact at t=1");
+    assert_eq!((field(1, "total"), field(1, "index")), (10, 0), "ss-hhh at t=1");
+    assert_eq!((field(2, "total"), field(2, "index")), (4, 1), "exact at t=2");
+    assert_eq!((field(3, "total"), field(3, "index")), (4, 1), "ss-hhh at t=2");
 }

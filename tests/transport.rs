@@ -11,13 +11,13 @@
 //!   mutated or truncated frame streams never panic, hang, or drive
 //!   unbounded allocations.
 
-use hidden_hhh::agg::fold_streams;
+use hidden_hhh::agg::{fold_streams, render_merged};
 use hidden_hhh::core::snapshot::binary::SnapshotFrame;
 use hidden_hhh::core::{DetectorSnapshot, WireFormat, WireSnapshot};
 use hidden_hhh::prelude::*;
 use hidden_hhh::window::{
-    mem_transport, CollectLimits, FileTransport, FoldSnapshots, FrameHub, FrameRead, FrameWrite,
-    SnapshotSink, SnapshotSource, TcpTransport, TransportError, TransportSink, TransportSource,
+    mem_transport, CollectLimits, FileTransport, FrameHub, FrameRead, FrameWrite, SnapshotSink,
+    SnapshotSource, TcpTransport, TransportError, TransportSink, TransportSource,
 };
 use proptest::prelude::*;
 
@@ -114,17 +114,14 @@ fn tcp_transport_carries_the_file_bytes() {
 
 #[test]
 fn fold_snapshots_consumes_a_transport_source() {
-    // Snapshots as pipeline input, off a live channel instead of a
-    // file: the folded reports must equal folding the file stream.
+    // Snapshots off a live channel instead of a file: folding them
+    // must equal folding the file stream.
     let horizon = TimeSpan::from_secs(15);
     let packets = trace(15);
     let reference_bytes = file_bytes(&packets, horizon);
     let hier = h();
     let mut file_source = SnapshotSource::new(reference_bytes.as_slice());
-    let expected = Pipeline::new(&mut file_source)
-        .engine(FoldSnapshots::new(&hier, &[Threshold::percent(1.0)]))
-        .collect()
-        .run();
+    let expected = fold_streams(&hier, vec![(&mut file_source).collect()]).unwrap();
     assert!(file_source.error().is_none());
 
     let (writer, reader) = mem_transport(8);
@@ -136,13 +133,13 @@ fn fold_snapshots_consumes_a_transport_source() {
         }
     });
     let mut source = TransportSource::new(reader);
-    let folded = Pipeline::new(&mut source)
-        .engine(FoldSnapshots::new(&hier, &[Threshold::percent(1.0)]))
-        .collect()
-        .run();
+    let streamed = (&mut source).collect();
     producer.join().unwrap();
     assert!(source.error().is_none(), "{:?}", source.error());
-    assert_eq!(folded, expected);
+    let folded = fold_streams(&hier, vec![streamed]).unwrap();
+    let t = [Threshold::percent(1.0)];
+    assert!(!expected.is_empty());
+    assert_eq!(render_merged(&folded, &t, true), render_merged(&expected, &t, true));
 }
 
 #[test]
