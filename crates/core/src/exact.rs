@@ -82,13 +82,6 @@ impl<H: Hierarchy> ExactHhh<H> {
         ExactHhh { hierarchy, counts: HashMap::new(), total: 0 }
     }
 
-    /// Build directly from an item-count map (the window engine keeps
-    /// rolling per-epoch counts and materializes detectors from them).
-    pub fn from_counts(hierarchy: H, counts: HashMap<H::Item, u64>) -> Self {
-        let total = counts.values().sum();
-        ExactHhh { hierarchy, counts, total }
-    }
-
     /// The hierarchy in use.
     pub fn hierarchy(&self) -> &H {
         &self.hierarchy

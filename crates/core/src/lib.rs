@@ -26,7 +26,6 @@
 //! | [`TdbfHhh`] | approximate, **windowless** | the paper's §3 proposal: per-level on-demand time-decaying Bloom filters + decayed candidate tables |
 //! | [`HashPipe`] | HH baseline | "Heavy-Hitter Detection Entirely in the Data Plane" (SOSR 2017), the paper's ref. \[5\] |
 //! | [`UnivMonLite`] | HH baseline | UnivMon-style universal sketch (SIGCOMM 2016), the paper's ref. \[4\] |
-//! | [`TwoDimExactHhh`] | exact, 2-D | (src, dst) lattice HHH with full descendant exclusion |
 //!
 //! Windowed detectors implement [`HhhDetector`]; the windowless one
 //! implements [`ContinuousDetector`]. The window engine in `hhh-window`
@@ -57,7 +56,6 @@ mod rhhh;
 pub mod snapshot;
 mod ss_hhh;
 mod tdbf_hhh;
-mod twodim;
 mod univmon;
 
 pub use detector::{ContinuousDetector, HhhDetector, MergeableDetector};
@@ -74,5 +72,4 @@ pub use snapshot::{
 };
 pub use ss_hhh::SpaceSavingHhh;
 pub use tdbf_hhh::{TdbfHhh, TdbfHhhConfig};
-pub use twodim::TwoDimExactHhh;
 pub use univmon::UnivMonLite;

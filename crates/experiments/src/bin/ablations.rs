@@ -6,7 +6,7 @@
 use hhh_experiments::{ablations, Scale};
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args("ablations [smoke|quick|paper]", &[]);
     eprintln!("ablations: scale={} (10 s window, 5% threshold, probes every 1 s)", scale.label());
     let t0 = std::time::Instant::now();
     let res = ablations::run(scale);

@@ -38,8 +38,13 @@ use hhh_experiments::distagg::{
 use hhh_experiments::Scale;
 use std::io::Write;
 
+/// The scale at `args[n]`, `Smoke` when absent; anything else there
+/// is rejected.
 fn scale_at(args: &[String], n: usize) -> Scale {
-    args.get(n).and_then(|a| Scale::parse(a)).unwrap_or(Scale::Smoke)
+    match args.get(n) {
+        Some(a) => Scale::parse(a).unwrap_or_else(|| reject(a)),
+        None => Scale::Smoke,
+    }
 }
 
 const USAGE: &str = "usage: distagg run [scale]\n\
@@ -54,6 +59,13 @@ const USAGE: &str = "usage: distagg run [scale]\n\
 fn usage() -> ! {
     eprintln!("{USAGE}");
     std::process::exit(2)
+}
+
+/// Name an argument the command line does not take, print usage and
+/// exit 2.
+fn reject(arg: &str) -> ! {
+    eprintln!("distagg: unrecognized argument `{arg}`");
+    usage()
 }
 
 fn main() {
@@ -94,6 +106,16 @@ fn main() {
         // same bytes as a frame in a file.
         eprintln!("distagg: --connect always streams v2 frames; drop --format");
         usage();
+    }
+    // Every mode's last positional: anything after it is rejected.
+    let last = match mode.as_str() {
+        "run" | "socket" | "corpus" => 2,
+        "bench" => 3,
+        "shard" => 5,
+        _ => reject(&mode),
+    };
+    if let Some(extra) = args.get(last + 1) {
+        reject(extra);
     }
     match mode.as_str() {
         "run" => {
@@ -164,7 +186,7 @@ fn main() {
             write_corpus(std::path::Path::new(dir)).expect("write corpus");
             eprintln!("wrote codec corpus under {dir}");
         }
-        _ => usage(),
+        _ => unreachable!("unknown modes were rejected above"),
     }
 }
 

@@ -6,7 +6,7 @@
 use hhh_experiments::{fig2, Scale};
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args("fig2 [smoke|quick|paper] [--csv]", &["--csv"]);
     let csv = std::env::args().any(|a| a == "--csv");
     eprintln!(
         "fig2: hidden HHHs, scale={} (4 days × {} each; windows 5/10/20 s; step 1 s; thresholds 1/5/10%)",

@@ -8,7 +8,7 @@ use hhh_experiments::{fig3, Scale};
 use hhh_nettypes::TimeSpan;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args("fig3 [smoke|quick|paper] [--csv]", &["--csv"]);
     let csv = std::env::args().any(|a| a == "--csv");
     eprintln!(
         "fig3: window micro-variation, scale={} ({} trace; base 10 s; deltas 10–100 ms; threshold 5%)",

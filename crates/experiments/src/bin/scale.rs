@@ -22,18 +22,29 @@ use hhh_experiments::fairness::fairness;
 use hhh_experiments::{shard_sweep, sliding_scoreboard, Scale};
 use hhh_loadgen::{DriveOptions, LoadScale};
 
+const USAGE: &str = "usage: scale [sliding|aggd|fairness|loadgen|mitigate] \
+                     [smoke|quick|paper] [out.json]";
+
+/// Name an argument the command line does not take, print usage and
+/// exit 2.
+fn reject(arg: &str) -> ! {
+    eprintln!("scale: unrecognized argument `{arg}`\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match args.first().map(String::as_str) {
-        Some("sliding") => "sliding",
-        Some("aggd") => "aggd",
-        Some("fairness") => "fairness",
-        Some("loadgen") => "loadgen",
-        Some("mitigate") => "mitigate",
-        _ => "sweep",
+    let (mode, rest) = match args.first().map(String::as_str) {
+        Some(m @ ("sliding" | "aggd" | "fairness" | "loadgen" | "mitigate")) => (m, &args[1..]),
+        _ => ("sweep", &args[..]),
     };
-    let rest = if mode == "sweep" { &args[..] } else { &args[1..] };
-    let scale = rest.first().and_then(|a| Scale::parse(a)).unwrap_or(Scale::Quick);
+    let scale = match rest.first() {
+        Some(a) => Scale::parse(a).unwrap_or_else(|| reject(a)),
+        None => Scale::Quick,
+    };
+    if let Some(extra) = rest.get(2) {
+        reject(extra);
+    }
     let out = rest.get(1).cloned();
     eprintln!(
         "{} at scale '{}' on {} hardware thread(s)…",

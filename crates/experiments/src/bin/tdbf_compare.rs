@@ -7,7 +7,7 @@
 use hhh_experiments::{compare, Scale};
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args("tdbf_compare [smoke|quick|paper]", &[]);
     eprintln!(
         "tdbf_compare: scale={} ({} trace; 10 s window; 5% threshold; probes every 1 s)",
         scale.label(),

@@ -40,7 +40,7 @@ use hhh_core::WireFormat;
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::{Nanos, PacketRecord, TimeSpan};
 use hhh_trace::{scenarios, TraceGenerator};
-use hhh_window::{CollectLimits, FrameHub, TransportError, WindowReport};
+use hhh_window::{CollectLimits, FrameHub, TransportError};
 
 pub use hhh_aggd::scenario::{
     distagg_threshold, fold_shard_streams, hierarchy, inprocess_sharded_jsonl_on, probes,
@@ -80,11 +80,6 @@ pub fn shard_stream(
     shard_stream_on(kind, distagg_trace(scale), scale.compare_duration(), k, shard, format)
 }
 
-/// [`shard_stream`] in the v1 JSONL format.
-pub fn shard_jsonl(kind: Kind, scale: Scale, k: usize, shard: usize) -> Vec<u8> {
-    shard_stream(kind, scale, k, shard, WireFormat::Json)
-}
-
 /// One shard's run streamed **over TCP** to an aggregator at `addr` —
 /// what `distagg shard --connect` does ([`shard_to_addr_on`] over the
 /// cached scenario trace).
@@ -96,19 +91,6 @@ pub fn shard_to_addr(
     addr: &str,
 ) -> Result<(), TransportError> {
     shard_to_addr_on(kind, distagg_trace(scale), scale.compare_duration(), k, shard, addr)
-}
-
-/// The in-process K-shard reference stream at a [`Scale`].
-pub fn inprocess_sharded_jsonl(kind: Kind, scale: Scale, k: usize) -> Vec<u8> {
-    inprocess_sharded_jsonl_on(kind, distagg_trace(scale), scale.compare_duration(), k)
-}
-
-/// The unsharded single-process reference reports at a [`Scale`].
-pub fn single_process_reports(
-    kind: Kind,
-    scale: Scale,
-) -> Vec<WindowReport<hhh_nettypes::Ipv4Prefix>> {
-    single_process_reports_on(kind, distagg_trace(scale), scale.compare_duration())
 }
 
 /// One `(kind, K)` verdict of the scenario.

@@ -35,8 +35,7 @@
 //! IPv4 (H = 5) and hextet-level IPv6 (H = 9) must cost the same —
 //! within 15% — while every level-ancestry kind pays ~H× more as H
 //! grows. `scale -- fairness` prints the tables and writes the JSON
-//! lines committed as `BENCH_pr8.json`; the `fairness` criterion group
-//! in `hhh-bench` mirrors the throughput axis.
+//! lines committed as `BENCH_pr8.json`.
 
 use crate::Scale;
 use hhh_analysis::{fmt_f, SetAccuracy, Table};

@@ -1,9 +1,9 @@
 //! # hhh-experiments
 //!
 //! The experiment harness: one module per paper artifact, each with a
-//! library entry point (used by the integration tests and benches) and
-//! a binary (`fig2`, `fig3`, `tdbf_compare`, `workloads`) that prints
-//! the table/series the paper reports.
+//! library entry point (used by the integration tests) and a binary
+//! (`fig2`, `fig3`, `tdbf_compare`, `workloads`) that prints the
+//! table/series the paper reports.
 //!
 //! | Artifact | Module | Binary |
 //! |----------|--------|--------|

@@ -7,7 +7,7 @@ use hhh_core::{
     ExactHhh, HhhDetector, MementoHhh, MergeableDetector, Rhhh, SpaceSavingHhh, Threshold,
 };
 use hhh_hierarchy::Ipv4Hierarchy;
-use hhh_nettypes::{PacketRecord, TimeSpan};
+use hhh_nettypes::{Ipv4Prefix, PacketRecord, TimeSpan};
 use hhh_trace::{scenarios, TraceGenerator};
 use hhh_window::{
     source, Disjoint, Pipeline, ShardedDisjoint, ShardedSliding, SlidingExact, WindowReport,
@@ -39,9 +39,26 @@ impl Scale {
         }
     }
 
-    /// Read from argv (first positional arg), default `Quick`.
-    pub fn from_args() -> Scale {
-        std::env::args().nth(1).and_then(|a| Scale::parse(&a)).unwrap_or(Scale::Quick)
+    /// Read from argv, for a binary whose only positional argument is
+    /// the scale: the first argument that is not one of `flags` names
+    /// it, default `Quick`. Any other argument — a scale typo, a second
+    /// positional, an unknown flag — prints `usage` naming it and exits
+    /// 2.
+    pub fn from_args(usage: &str, flags: &[&str]) -> Scale {
+        let mut scale = None;
+        for arg in std::env::args().skip(1) {
+            if flags.contains(&arg.as_str()) {
+                continue;
+            }
+            match Scale::parse(&arg) {
+                Some(s) if scale.is_none() => scale = Some(s),
+                _ => {
+                    eprintln!("unrecognized argument `{arg}`\nusage: {usage}");
+                    std::process::exit(2);
+                }
+            }
+        }
+        scale.unwrap_or(Scale::Quick)
     }
 
     /// Duration of each of the four "day" traces (paper: 1 hour).
@@ -103,7 +120,10 @@ pub struct ShardSweepRow {
     /// Throughput in packets per second.
     pub pkts_per_sec: f64,
     /// Mean per-window Jaccard similarity of the HHH sets against the
-    /// per-packet single-detector reference (1.0 = identical).
+    /// exact oracle over the same trace, windows and threshold (1.0 =
+    /// identical): [`ExactHhh`] on the per-packet disjoint path in the
+    /// shard sweep, [`SlidingExact`] per position in the sliding
+    /// scoreboard.
     pub jaccard_vs_reference: f64,
 }
 
@@ -191,10 +211,12 @@ fn mean_jaccard<P: Ord + Copy>(a: &[WindowReport<P>], b: &[WindowReport<P>]) -> 
 ///   ([`source::bounded`]) from a producer thread, measuring the
 ///   channel hand-off overhead against the iterator source.
 ///
-/// Alongside throughput it reports HHH-set fidelity versus the
-/// per-packet reference: exactly 1.0 for `exact` at any K (merge is
-/// lossless), and within merge-error tolerance for the approximate
-/// detectors.
+/// Alongside throughput it reports HHH-set fidelity versus one exact
+/// oracle: the `exact` family's own `observe` run, an [`ExactHhh`] over
+/// the same trace, windows and threshold. Every row is scored against
+/// it, so `exact` reads 1.0 at any K (merge is lossless), and an
+/// approximate row's score is its own error plus any merge error —
+/// never agreement with another approximate run.
 pub fn shard_sweep(scale: Scale) -> ShardSweepResults {
     let horizon = scale.compare_duration();
     let window = TimeSpan::from_secs(5);
@@ -207,20 +229,26 @@ pub fn shard_sweep(scale: Scale) -> ShardSweepResults {
 
     // One closure per detector family, so each family controls its own
     // construction (seeds per shard for RHHH) without dynamic dispatch
-    // in the hot loop.
-    run_family("exact", &packets, horizon, window, &thresholds, n, &mut rows, |_shard| {
-        ExactHhh::new(h)
-    });
-    run_family("ss-hhh", &packets, horizon, window, &thresholds, n, &mut rows, |_shard| {
+    // in the hot loop. The exact family runs first: its `observe` run
+    // is the oracle every family is scored against.
+    let oracle =
+        run_family("exact", &packets, horizon, window, &thresholds, n, None, &mut rows, |_shard| {
+            ExactHhh::new(h)
+        });
+    let oracle = Some(oracle.as_slice());
+    run_family("ss-hhh", &packets, horizon, window, &thresholds, n, oracle, &mut rows, |_shard| {
         SpaceSavingHhh::new(h, 512)
     });
-    run_family("rhhh", &packets, horizon, window, &thresholds, n, &mut rows, |shard| {
+    run_family("rhhh", &packets, horizon, window, &thresholds, n, oracle, &mut rows, |shard| {
         Rhhh::new(h, 512, 0x5EED_0000 + shard as u64)
     });
 
     ShardSweepResults { rows, scale }
 }
 
+/// One family's rows of [`shard_sweep`], each scored against `oracle`;
+/// `None` makes this family's own `observe` run the oracle (only the
+/// exact family may pass it). Returns the `observe` run's reports.
 #[allow(clippy::too_many_arguments)] // internal helper; the arguments are the sweep's fixed context
 fn run_family<D>(
     name: &'static str,
@@ -229,19 +257,23 @@ fn run_family<D>(
     window: TimeSpan,
     thresholds: &[Threshold],
     n: u64,
+    oracle: Option<&[WindowReport<Ipv4Prefix>]>,
     rows: &mut Vec<ShardSweepRow>,
     make: impl Fn(usize) -> D,
-) where
+) -> Vec<WindowReport<Ipv4Prefix>>
+where
     D: HhhDetector<Ipv4Hierarchy> + MergeableDetector + Clone + Send,
 {
-    // Reference: the per-packet path through the Disjoint engine.
-    let mut reference_det = make(0);
+    // The per-packet path through the Disjoint engine.
+    let mut observe_det = make(0);
     let start = Instant::now();
-    let reference = Pipeline::new(packets.iter().copied())
-        .engine(Disjoint::new(&mut reference_det, horizon, window, thresholds, |p| p.src))
+    let observed = Pipeline::new(packets.iter().copied())
+        .engine(Disjoint::new(&mut observe_det, horizon, window, thresholds, |p| p.src))
         .collect()
-        .run();
+        .run()
+        .swap_remove(0);
     let secs = start.elapsed().as_secs_f64();
+    let oracle = oracle.unwrap_or(&observed);
     rows.push(ShardSweepRow {
         detector: name,
         mode: "observe".into(),
@@ -249,7 +281,7 @@ fn run_family<D>(
         packets: n,
         seconds: secs,
         pkts_per_sec: n as f64 / secs,
-        jaccard_vs_reference: 1.0,
+        jaccard_vs_reference: mean_jaccard(oracle, &observed),
     });
 
     // Batched single detector, then the sharded pipeline.
@@ -269,7 +301,7 @@ fn run_family<D>(
             packets: n,
             seconds: secs,
             pkts_per_sec: n as f64 / secs,
-            jaccard_vs_reference: mean_jaccard(&reference[0], &sharded[0]),
+            jaccard_vs_reference: mean_jaccard(oracle, &sharded[0]),
         });
     }
 
@@ -297,9 +329,10 @@ fn run_family<D>(
             packets: n,
             seconds: secs,
             pkts_per_sec: n as f64 / secs,
-            jaccard_vs_reference: mean_jaccard(&reference[0], &sharded[0]),
+            jaccard_vs_reference: mean_jaccard(oracle, &sharded[0]),
         });
     }
+    observed
 }
 
 /// Results of [`sliding_scoreboard`] — same row shape as the shard

@@ -11,12 +11,6 @@
 //! for IPv4: /32, /31, …, /0) and *byte-granularity* (5 levels: /32, /24,
 //! /16, /8, /0), both provided by [`Ipv4Hierarchy`].
 //!
-//! Two-dimensional HHH over (source, destination) pairs forms a lattice,
-//! not a chain — a node can have two parents (generalize source, or
-//! generalize destination). That structure is provided by
-//! [`TwoDimHierarchy`] with its own node type and parent enumeration, and
-//! `hhh-core` has a dedicated exact algorithm for it.
-//!
 //! ## Level numbering convention
 //!
 //! Level `0` is the most specific (the item itself); higher levels are
@@ -30,9 +24,7 @@
 mod chain;
 mod ipv4;
 mod ipv6;
-mod twodim;
 
 pub use chain::Hierarchy;
 pub use ipv4::Ipv4Hierarchy;
 pub use ipv6::Ipv6Hierarchy;
-pub use twodim::{TwoDimHierarchy, TwoDimNode};

@@ -5,18 +5,11 @@
 //!
 //! | Type | Answers | Paper it implements |
 //! |------|---------|---------------------|
-//! | [`CountMinSketch`] | point frequency, overestimate | Cormode & Muthukrishnan 2005 |
 //! | [`CountSketch`] | point frequency, unbiased | Charikar, Chen, Farach-Colton 2002 |
 //! | [`SpaceSaving`] | top-k + frequency with deterministic bounds | Metwally, Agrawal, El Abbadi 2005 |
-//! | [`MisraGries`] | frequent items, deterministic | Misra & Gries 1982 |
-//! | [`BloomFilter`] | set membership | Bloom 1970 |
-//! | [`LossyCounting`] | frequent items, deterministic, floating space | Manku & Motwani 2002 |
 //! | [`OnDemandTdbf`] | *time-decayed* frequency | Bianchi, d'Heureuse, Niccolini 2011 — the proof-of-concept the paper's §3 proposes |
-//! | [`SweepingTdbf`] | time-decayed frequency, periodic sweep | base variant of the above |
 //! | [`DecayedCounter`] | one time-decayed scalar | EWMA accumulator used for decayed totals |
-//! | [`SlidingWindowSummary`] | frequent items over the last `W` packets | frame-based summary in the spirit of WCSS (Ben-Basat et al. 2016, the paper's ref. \[1\]) |
-//! | [`SlidingSummary`] | frequent items over the last `W` packets, O(1) updates | lazy-expiry summary in the spirit of Memento (Ben-Basat et al., CoNEXT 2018) |
-//! | [`ExpHistogram`] | count over a sliding time window | Datar, Gionis, Indyk, Motwani 2002 |
+//! | [`SlidingSummary`] | frequent items over the last `W` packets, O(1) updates | lazy-expiry summary in the spirit of Memento (Ben-Basat et al., CoNEXT 2018), built on the frames of WCSS (Ben-Basat et al. 2016, the paper's ref. \[1\]) |
 //!
 //! ## Design rules
 //!
@@ -34,43 +27,28 @@
 //!   supports `merge(&mut self, &other)` over identically-configured
 //!   instances fed *disjoint* sub-streams, following the
 //!   mergeable-summaries framework (Agarwal et al., PODS 2012):
-//!   Count-Min and Count Sketch merge by counter-wise addition
-//!   (exact, by linearity), [`SpaceSaving`] and [`MisraGries`] by the
-//!   union-then-prune recipe that keeps their deterministic bounds
-//!   additive, and the TDBFs cell-wise after decaying both sides to a
-//!   common instant. This is the substrate of `hhh-window`'s sharded
+//!   [`CountSketch`] merges by counter-wise addition (exact, by
+//!   linearity), [`SpaceSaving`] by the union-then-prune recipe that
+//!   keeps its deterministic bound additive, [`OnDemandTdbf`] cell-wise
+//!   after decaying both sides to a common instant, and
+//!   [`SlidingSummary`] by folding the other side's live mass into its
+//!   current frame. This is the substrate of `hhh-window`'s sharded
 //!   pipeline: partition a stream by key, sketch each shard on its own
 //!   core, merge at report points.
-//!
-//! ## Omitted (deliberately)
-//!
-//! * The weighted exponential histogram (the unit-count DGIM variant is
-//!   provided; byte-weighted sliding sums in this workspace use the
-//!   epoch machinery of `hhh-window`, which is exact).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hash;
 
-mod bloom;
-mod count_min;
 mod count_sketch;
 mod decay;
-mod exp_histogram;
-mod lossy_counting;
-mod misra_gries;
 mod space_saving;
 mod tdbf;
 mod window_summary;
 
-pub use bloom::BloomFilter;
-pub use count_min::CountMinSketch;
 pub use count_sketch::CountSketch;
 pub use decay::{DecayRate, DecayedCounter};
-pub use exp_histogram::ExpHistogram;
-pub use lossy_counting::LossyCounting;
-pub use misra_gries::MisraGries;
 pub use space_saving::{SpaceSaving, SsEntry};
-pub use tdbf::{OnDemandTdbf, SweepingTdbf};
-pub use window_summary::{SlidingSummary, SlidingWindowSummary};
+pub use tdbf::OnDemandTdbf;
+pub use window_summary::SlidingSummary;

@@ -3,20 +3,19 @@
 //! "On-demand Time-decaying Bloom Filters for Telemarketer Detection",
 //! CCR 2011).
 //!
-//! Both variants keep an array of `m` *cells* addressed by `k` hashes,
-//! like a Bloom filter, but each cell holds an exponentially decayed
-//! count instead of a bit. A key's estimate is the **minimum** over its
-//! `k` cells (CMS-style), so collisions only ever *inflate* the
-//! estimate: the filters never under-report a flow's decayed rate.
+//! [`OnDemandTdbf`] keeps an array of `m` *cells* addressed by `k`
+//! hashes, like a Bloom filter, but each cell holds an exponentially
+//! decayed count instead of a bit. A key's estimate is the **minimum**
+//! over its `k` cells (CMS-style), so collisions only ever *inflate* the
+//! estimate: the filter never under-reports a flow's decayed rate.
 //!
-//! * [`SweepingTdbf`] is the base design: plain `f64` cells decayed by a
-//!   periodic multiplicative sweep over the whole array. Simple, but the
-//!   sweep is an O(m) hiccup and between sweeps old traffic is
-//!   over-weighted.
-//! * [`OnDemandTdbf`] is the paper's refinement: each cell carries its
-//!   own last-touch timestamp and is decayed *lazily* exactly when read
-//!   or written. No sweeps, no hiccups, exact exponential decay at any
-//!   query time — the property that makes the structure "windowless".
+//! The base design decays plain cells by a periodic multiplicative sweep
+//! over the whole array, an O(m) hiccup that over-weights old traffic
+//! between sweeps; the paper's on-demand refinement, the one here, gives
+//! each cell its own last-touch timestamp and decays it *lazily* exactly
+//! when read or written. No sweeps, no hiccups, exact exponential decay
+//! at any query time — the property that makes the structure
+//! "windowless".
 //!
 //! The estimate of a flow with steady rate `r` converges to `r/λ`
 //! (see [`DecayRate::steady_state`]); thresholding decayed counts is
@@ -26,7 +25,7 @@ use crate::decay::{DecayRate, DecayedCounter};
 use crate::hash::{hash_of, reduce, seed_sequence};
 use core::hash::Hash;
 use core::marker::PhantomData;
-use hhh_nettypes::{Nanos, TimeSpan};
+use hhh_nettypes::Nanos;
 
 /// On-demand (lazily decayed) time-decaying Bloom filter.
 ///
@@ -159,126 +158,10 @@ impl<K: Hash + Eq> OnDemandTdbf<K> {
     }
 }
 
-/// Periodic-sweep time-decaying Bloom filter (the pre-"on-demand"
-/// baseline design).
-///
-/// Cells are plain numbers; [`SweepingTdbf::maybe_sweep`] multiplies the
-/// whole array by the decay factor accumulated since the previous sweep.
-/// Between sweeps estimates are *stale upward* (old traffic has not yet
-/// been discounted), preserving the no-underestimate property. Sweeps
-/// cost O(m) — the operational drawback that motivated the on-demand
-/// variant, and which [`crate::SweepingTdbf::sweeps`] lets experiments
-/// quantify.
-#[derive(Clone, Debug)]
-pub struct SweepingTdbf<K> {
-    cells: Vec<f64>,
-    m: usize,
-    seeds: Vec<u64>,
-    rate: DecayRate,
-    sweep_every: TimeSpan,
-    last_sweep: Nanos,
-    sweeps: u64,
-    _key: PhantomData<K>,
-}
-
-impl<K: Hash + Eq> SweepingTdbf<K> {
-    /// A filter with `m` cells, `k` hashes, a decay rate, and a sweep
-    /// period. Panics if `m`, `k` or the period is zero.
-    pub fn new(m: usize, k: usize, rate: DecayRate, sweep_every: TimeSpan, seed: u64) -> Self {
-        assert!(m > 0 && k > 0, "TDBF parameters must be non-zero");
-        assert!(!sweep_every.is_zero(), "sweep period must be non-zero");
-        SweepingTdbf {
-            cells: vec![0.0; m * k],
-            m,
-            seeds: seed_sequence(seed, k),
-            rate,
-            sweep_every,
-            last_sweep: Nanos::ZERO,
-            sweeps: 0,
-            _key: PhantomData,
-        }
-    }
-
-    /// Total number of cells (`k` banks × `m` cells).
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// How many O(m) sweeps have run (the cost the on-demand variant
-    /// eliminates).
-    pub fn sweeps(&self) -> u64 {
-        self.sweeps
-    }
-
-    /// Heap footprint of the cell array in bytes.
-    pub fn state_bytes(&self) -> usize {
-        self.cells.len() * core::mem::size_of::<f64>()
-    }
-
-    /// Run a sweep if a full period has elapsed. Called automatically by
-    /// [`insert`](Self::insert); exposed so drivers can sweep on idle.
-    pub fn maybe_sweep(&mut self, now: Nanos) {
-        let elapsed = if now >= self.last_sweep { now - self.last_sweep } else { TimeSpan::ZERO };
-        if elapsed >= self.sweep_every {
-            let f = self.rate.factor(elapsed);
-            for c in &mut self.cells {
-                *c *= f;
-            }
-            self.last_sweep = now;
-            self.sweeps += 1;
-        }
-    }
-
-    /// Record `weight` for `key` at trace time `now`.
-    #[inline]
-    pub fn insert(&mut self, key: &K, weight: f64, now: Nanos) {
-        self.maybe_sweep(now);
-        for i in 0..self.seeds.len() {
-            let c = i * self.m + reduce(hash_of(key, self.seeds[i]), self.m);
-            self.cells[c] += weight;
-        }
-    }
-
-    /// Estimate as of the last sweep (cells between sweeps are stale
-    /// upward; the estimate remains an upper bound on the decayed
-    /// count).
-    pub fn estimate(&self, key: &K) -> f64 {
-        let mut est = f64::INFINITY;
-        for i in 0..self.seeds.len() {
-            let c = i * self.m + reduce(hash_of(key, self.seeds[i]), self.m);
-            est = est.min(self.cells[c]);
-        }
-        est
-    }
-
-    /// Reset every cell and the sweep clock.
-    pub fn clear(&mut self) {
-        self.cells.fill(0.0);
-        self.last_sweep = Nanos::ZERO;
-        self.sweeps = 0;
-    }
-
-    /// Merge another filter over a *disjoint* sub-stream (cell-wise
-    /// sum). The merged sweep clock is the *later* of the two, so the
-    /// earlier-swept side's cells are temporarily under-discounted —
-    /// stale *upward*, like everything between sweeps in this variant,
-    /// preserving the no-underestimate property.
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.m, other.m, "TDBF geometry mismatch");
-        assert_eq!(self.seeds, other.seeds, "TDBF seed mismatch");
-        assert_eq!(self.rate, other.rate, "TDBF decay-rate mismatch");
-        assert_eq!(self.sweep_every, other.sweep_every, "sweep period mismatch");
-        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
-            *a += *b;
-        }
-        self.last_sweep = self.last_sweep.max(other.last_sweep);
-        self.sweeps += other.sweeps;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hhh_nettypes::TimeSpan;
 
     fn hl(secs: u64) -> DecayRate {
         DecayRate::from_half_life(TimeSpan::from_secs(secs))
@@ -345,60 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn sweeping_matches_on_demand_at_sweep_instants() {
-        let rate = hl(10);
-        let mut od = OnDemandTdbf::<u64>::new(128, 3, rate, 5);
-        let mut sw = SweepingTdbf::<u64>::new(128, 3, rate, TimeSpan::from_secs(1), 5);
-        let mut t = Nanos::ZERO;
-        for i in 0..10_000u64 {
-            let key = i % 10;
-            od.insert(&key, 2.0, t);
-            sw.insert(&key, 2.0, t);
-            t += TimeSpan::from_millis(1);
-        }
-        // Force both to the same instant. The sweeping variant
-        // over-discounts arrivals that landed mid-period (they are
-        // decayed as if they arrived at the previous sweep), so the
-        // two agree only up to ~λ·period/2 ≈ 3.5% here.
-        sw.maybe_sweep(t);
-        for key in 0..10u64 {
-            let a = od.estimate(&key, t);
-            let b = sw.estimate(&key);
-            assert!(
-                (a - b).abs() / a < 0.06,
-                "variants diverged for {key}: on-demand {a}, sweeping {b}"
-            );
-            assert!(b <= a, "sweeping should over-discount, not under-discount");
-        }
-        assert!(sw.sweeps() >= 9, "expected ~10 sweeps, got {}", sw.sweeps());
-    }
-
-    #[test]
-    fn sweeping_is_stale_upward_between_sweeps() {
-        let rate = hl(1);
-        let mut sw = SweepingTdbf::<u64>::new(64, 2, rate, TimeSpan::from_secs(10), 6);
-        sw.insert(&1, 100.0, Nanos::ZERO);
-        // 5 s later, no sweep has run: estimate is still the raw 100,
-        // an over- (never under-) statement of the decayed truth ~3.1.
-        assert_eq!(sw.estimate(&1), 100.0);
-        sw.maybe_sweep(Nanos::from_secs(10));
-        let v = sw.estimate(&1);
-        assert!(v < 0.2, "after sweep at 10 half-lives: {v}");
-    }
-
-    #[test]
-    fn clear_resets_both() {
-        let rate = hl(1);
-        let mut od = OnDemandTdbf::<u64>::new(64, 2, rate, 7);
+    fn clear_resets_every_cell() {
+        let mut od = OnDemandTdbf::<u64>::new(64, 2, hl(1), 7);
         od.insert(&1, 5.0, Nanos::from_secs(1));
         od.clear();
         assert_eq!(od.estimate(&1, Nanos::from_secs(1)), 0.0);
-
-        let mut sw = SweepingTdbf::<u64>::new(64, 2, rate, TimeSpan::from_secs(1), 7);
-        sw.insert(&1, 5.0, Nanos::from_secs(1));
-        sw.clear();
-        assert_eq!(sw.estimate(&1), 0.0);
-        assert_eq!(sw.sweeps(), 0);
     }
 
     #[test]
@@ -407,7 +241,5 @@ mod tests {
         assert_eq!(od.cell_count(), 400); // 4 banks × 100 cells
         assert_eq!(od.hashes(), 4);
         assert_eq!(od.state_bytes(), 400 * 16); // f64 + Nanos per cell
-        let sw = SweepingTdbf::<u64>::new(100, 4, hl(1), TimeSpan::from_secs(1), 0);
-        assert_eq!(sw.state_bytes(), 3200); // f64 per cell, 4 banks
     }
 }

@@ -1,140 +1,28 @@
-//! Frame-based sliding-window frequent items, in the spirit of WCSS
-//! (Ben-Basat, Einziger, Friedman, Kassner, "Heavy hitters in streams
-//! and sliding windows", INFOCOM 2016 — the paper's reference [1]).
+//! Sliding-window frequent items over the last `W` *items*:
+//! [`SlidingSummary`], in the spirit of Memento (Ben Basat, Einziger,
+//! Friedman, Luizelli, Waisbard, CoNEXT 2018) and of the frame-based
+//! WCSS it builds on (Ben-Basat, Einziger, Friedman, Kassner, "Heavy
+//! hitters in streams and sliding windows", INFOCOM 2016 — the paper's
+//! reference [1]).
 //!
-//! The window covers the most recent `W` *items*. The stream is cut into
-//! frames of `⌈W/frames⌉` items; each frame gets its own Misra-Gries
-//! summary, and a query sums a key's estimates over the summaries that
-//! overlap the window. Two error sources, both bounded and both reported
-//! by [`SlidingWindowSummary::error_bound`]:
+//! As in WCSS, the stream is cut into frames of `⌈W/frames⌉` items, and
+//! a query sums a key's per-frame counts over the frames that overlap
+//! the window. Two error sources, both bounded and both reported by
+//! [`SlidingSummary::error_bound`]:
 //!
-//! * per-frame Misra-Gries undercount, at most `frame_len/(k+1)` per
-//!   frame;
+//! * Misra-Gries undercount, from the decrement passes a full table
+//!   runs;
 //! * window granularity: the oldest frame may straddle the window edge,
 //!   contributing up to `frame_len` items that are older than `W`.
 //!
-//! This is a simplification of WCSS proper (which shares one compact
-//! structure across frames to save space); the frame decomposition and
-//! the error structure are the same, the constant in front of the space
-//! is not. The simplification is documented here deliberately — it keeps
-//! the code reviewable while exercising the identical algorithmic idea.
-//!
-//! [`SlidingSummary`] is the hot-path successor: one shared counter
-//! table in the spirit of Memento (Ben Basat, Einziger, Friedman,
-//! Luizelli, Waisbard, CoNEXT 2018), where each counter carries
-//! per-frame sub-counts stamped with their frame number and window
-//! expiry happens *lazily* — a frame boundary is a single global
+//! As in Memento, there is one shared counter table, where each counter
+//! carries per-frame sub-counts stamped with their frame number and
+//! window expiry happens *lazily* — a frame boundary is a single global
 //! counter bump, never a scan, and stale sub-counts are skipped at
 //! query time and reclaimed the next time their counter is touched.
 
-use crate::misra_gries::MisraGries;
 use core::hash::Hash;
-use std::collections::{HashMap, VecDeque};
-
-/// Sliding-window frequent-items summary over the last `W` items.
-#[derive(Clone, Debug)]
-pub struct SlidingWindowSummary<K> {
-    window: usize,
-    frame_len: usize,
-    counters_per_frame: usize,
-    /// Newest frame at the back. Holds up to `frames + 1` summaries so
-    /// that the window is always covered.
-    frames: VecDeque<MisraGries<K>>,
-    in_current: usize,
-    items_seen: u64,
-}
-
-impl<K: Hash + Eq + Copy> SlidingWindowSummary<K> {
-    /// A summary over a window of `window` items, split into `frames`
-    /// frames, with `counters_per_frame` Misra-Gries counters each.
-    /// Panics if any parameter is zero or `frames > window`.
-    pub fn new(window: usize, frames: usize, counters_per_frame: usize) -> Self {
-        assert!(window > 0 && frames > 0 && counters_per_frame > 0, "parameters must be non-zero");
-        assert!(frames <= window, "cannot have more frames than window items");
-        let frame_len = window.div_ceil(frames);
-        let mut dq = VecDeque::with_capacity(frames + 2);
-        dq.push_back(MisraGries::new(counters_per_frame));
-        SlidingWindowSummary {
-            window,
-            frame_len,
-            counters_per_frame,
-            frames: dq,
-            in_current: 0,
-            items_seen: 0,
-        }
-    }
-
-    /// The window length in items.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Items per frame.
-    pub fn frame_len(&self) -> usize {
-        self.frame_len
-    }
-
-    /// Total items observed (not just those in the window).
-    pub fn items_seen(&self) -> u64 {
-        self.items_seen
-    }
-
-    /// Observe one item (sliding windows in the WCSS model are
-    /// item-counted, so updates are unweighted).
-    pub fn insert(&mut self, key: K) {
-        self.items_seen += 1;
-        self.frames.back_mut().expect("at least one frame").update(key, 1);
-        self.in_current += 1;
-        if self.in_current == self.frame_len {
-            self.frames.push_back(MisraGries::new(self.counters_per_frame));
-            self.in_current = 0;
-            let max_frames = self.window.div_ceil(self.frame_len) + 1;
-            while self.frames.len() > max_frames {
-                self.frames.pop_front();
-            }
-        }
-    }
-
-    /// Estimated occurrences of `key` in the last `window` items
-    /// (undercount, like Misra-Gries; see [`Self::error_bound`]).
-    pub fn estimate(&self, key: &K) -> u64 {
-        self.frames.iter().map(|f| f.estimate(key)).sum()
-    }
-
-    /// The maximum by which [`Self::estimate`] can deviate from the true
-    /// windowed count, in either direction.
-    pub fn error_bound(&self) -> u64 {
-        let mg_under = (self.frames.len() as u64) * (self.frame_len as u64)
-            / (self.counters_per_frame as u64 + 1);
-        let granularity_over = self.frame_len as u64;
-        mg_under.max(granularity_over)
-    }
-
-    /// Keys whose windowed estimate meets `threshold`, descending by
-    /// count (ties broken by key for reproducible output).
-    pub fn heavy_hitters(&self, threshold: u64) -> Vec<(K, u64)>
-    where
-        K: Ord,
-    {
-        let mut acc: std::collections::HashMap<K, u64> = Default::default();
-        for f in &self.frames {
-            for (k, c) in f.entries() {
-                *acc.entry(*k).or_default() += c;
-            }
-        }
-        let mut out: Vec<_> = acc.into_iter().filter(|(_, c)| *c >= threshold).collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0).reverse()));
-        out
-    }
-
-    /// Drop all state.
-    pub fn clear(&mut self) {
-        self.frames.clear();
-        self.frames.push_back(MisraGries::new(self.counters_per_frame));
-        self.in_current = 0;
-        self.items_seen = 0;
-    }
-}
+use std::collections::HashMap;
 
 /// One per-frame sub-count of a tracked key, stamped with the frame it
 /// belongs to. A sub-count is *live* when its frame is within the
@@ -156,13 +44,12 @@ struct SlidingEntry<K> {
 /// Memento-style sliding-window frequent-items summary: O(1) updates,
 /// query-time expiry.
 ///
-/// Same window model as [`SlidingWindowSummary`] (last `window` items,
-/// cut into frames of `⌈window/frames⌉` items, the oldest retained
-/// frame may straddle the window edge) and the *same retained frame
-/// span*, but a different execution strategy:
+/// The window is the last `window` items, cut into frames of
+/// `⌈window/frames⌉` items; the oldest retained frame may straddle the
+/// window edge. The execution strategy:
 ///
-/// * **One shared table** of `capacity` keys instead of per-frame
-///   summaries; each tracked key carries a ring of per-frame sub-counts
+/// * **One shared table** of `capacity` keys instead of WCSS's
+///   per-frame summaries; each tracked key carries a ring of per-frame sub-counts
 ///   stamped with their frame number.
 /// * **O(1) update**: a hit increments one ring slot; a frame boundary
 ///   bumps one global counter (no scan, no allocation, no frame
@@ -179,15 +66,15 @@ struct SlidingEntry<K> {
 /// sub-count never exceeds the key's true count in that frame, so any
 /// window sum never exceeds the frame-aligned truth. With `capacity` at
 /// least the number of distinct keys in the retained span the summary
-/// is exact per frame and agrees with [`SlidingWindowSummary`]
-/// estimate-for-estimate (pinned by tests).
+/// is exact per frame: every estimate equals the frame-aligned truth
+/// (pinned by tests).
 #[derive(Clone, Debug)]
 pub struct SlidingSummary<K> {
     window: usize,
     frame_len: usize,
     capacity: usize,
-    /// Retained frames: `(cur_frame - ring_len, cur_frame]`, matching
-    /// [`SlidingWindowSummary`]'s `frames + 1` retained summaries.
+    /// Retained frames: `(cur_frame - ring_len, cur_frame]`, the
+    /// `⌈window/frame_len⌉` frames that cover the window plus one.
     ring_len: usize,
     cur_frame: u64,
     in_current: usize,
@@ -267,9 +154,9 @@ impl<K: Hash + Eq + Copy> SlidingSummary<K> {
         self.in_current += 1;
         // Frame boundary: one global bump, no scan — the frame sliding
         // out of the retained span expires lazily at query time. The
-        // bump happens as the frame *fills* (not on the next insert) so
-        // the retained span matches [`SlidingWindowSummary`], which
-        // rotates eagerly at the same instant.
+        // bump happens as the frame *fills* (not on the next insert), so
+        // the oldest frame leaves the retained span at that instant: a
+        // query between the fill and the next insert no longer sees it.
         if self.in_current == self.frame_len {
             self.cur_frame += 1;
             self.in_current = 0;
@@ -407,8 +294,9 @@ impl<K: Hash + Eq + Copy> SlidingSummary<K> {
     /// decrement passes (each consumes `capacity + 1` units of retained
     /// mass, which regenerates at one unit per item, so passes touching
     /// the current window are bounded by the retained span over
-    /// `capacity + 1`) plus the frame-granularity slack shared with
-    /// [`SlidingWindowSummary`].
+    /// `capacity + 1`) plus the frame-granularity slack: the oldest
+    /// retained frame may hold up to `frame_len` items older than the
+    /// window.
     pub fn error_bound(&self) -> u64 {
         let span = (self.ring_len * self.frame_len) as u64;
         2 * span / (self.capacity as u64 + 1) + self.frame_len as u64
@@ -494,103 +382,38 @@ mod tests {
         }
     }
 
+    /// With capacity for every key the summary is exact per frame, so
+    /// every estimate equals the frame-aligned truth: the key's count
+    /// over the retained frames, the oldest of which may straddle the
+    /// window edge.
     #[test]
-    fn tracks_windowed_counts_within_bound() {
-        let window = 1000;
-        let mut s = SlidingWindowSummary::<u64>::new(window, 10, 50);
-        let mut exact = ExactWindow::new(window);
-        // Phase 1: key 1 dominates. Phase 2: key 2 takes over.
-        for i in 0..3000u64 {
-            let k = if i < 1500 {
-                if i % 2 == 0 {
-                    1
-                } else {
-                    i
-                }
-            } else if i % 2 == 0 {
-                2
-            } else {
-                i
-            };
-            s.insert(k);
-            exact.insert(k);
-        }
-        let bound = s.error_bound() + s.frame_len() as u64;
-        for k in [1u64, 2] {
-            let est = s.estimate(&k);
-            let t = exact.count(k);
-            assert!(est.abs_diff(t) <= bound, "key {k}: est {est} truth {t} bound {bound}");
-        }
-        // Key 1 has left the window almost entirely.
-        assert!(s.estimate(&1) <= bound);
-        // Key 2 is the current heavy hitter.
-        let hh = s.heavy_hitters(window as u64 / 4);
-        assert_eq!(hh.first().map(|e| e.0), Some(2));
-    }
-
-    #[test]
-    fn old_traffic_expires() {
-        let mut s = SlidingWindowSummary::<u64>::new(100, 5, 10);
-        for _ in 0..100 {
-            s.insert(7);
-        }
-        assert!(s.estimate(&7) >= 80);
-        for i in 0..200u64 {
-            s.insert(1000 + i % 7);
-        }
-        assert_eq!(s.estimate(&7), 0, "key 7 should have aged out completely");
-    }
-
-    #[test]
-    fn frame_rotation_keeps_coverage() {
-        let mut s = SlidingWindowSummary::<u64>::new(10, 2, 5);
-        assert_eq!(s.frame_len(), 5);
-        for i in 0..37u64 {
-            s.insert(i % 3);
-        }
-        assert_eq!(s.items_seen(), 37);
-        // Never more than frames+1 = 3 summaries.
-        assert!(s.frames.len() <= 3, "frames = {}", s.frames.len());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = SlidingWindowSummary::<u64>::new(10, 2, 5);
-        for _ in 0..20 {
-            s.insert(1);
-        }
-        s.clear();
-        assert_eq!(s.estimate(&1), 0);
-        assert_eq!(s.items_seen(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_window_rejected() {
-        let _ = SlidingWindowSummary::<u64>::new(0, 1, 1);
-    }
-
-    // ------------------------------------------------------------------
-    // SlidingSummary (Memento-style, lazy expiry)
-    // ------------------------------------------------------------------
-
-    /// With enough capacity both execution strategies are exact over
-    /// the same retained frame span, so the lazy summary must agree
-    /// with the eager one estimate-for-estimate at every step.
-    #[test]
-    fn lazy_matches_eager_when_exact() {
+    fn exact_when_capacity_covers_every_key() {
         let (window, frames) = (100, 5);
-        let mut eager = SlidingWindowSummary::<u64>::new(window, frames, 64);
-        let mut lazy = SlidingSummary::<u64>::new(window, frames, 64);
+        let mut s = SlidingSummary::<u64>::new(window, frames, 64);
+        // One count map per retained frame, newest at the back, rotated
+        // as each frame fills — the instant `insert` bumps the frame.
+        let frame_len = s.frame_len() as u64;
+        let retained = window.div_ceil(s.frame_len()) + 1;
+        let mut truth: Dq<HashMap<u64, u64>> = Dq::from([HashMap::new()]);
         for i in 0..1000u64 {
             let k = (i * i + i / 7) % 23; // 23 distinct keys < capacity
-            eager.insert(k);
-            lazy.insert(k);
-            if i % 37 == 0 {
-                for k in 0..23u64 {
-                    assert_eq!(lazy.estimate(&k), eager.estimate(&k), "key {k} at item {i}");
+            s.insert(k);
+            *truth.back_mut().unwrap().entry(k).or_default() += 1;
+            if (i + 1) % frame_len == 0 {
+                truth.push_back(HashMap::new());
+                if truth.len() > retained {
+                    truth.pop_front();
                 }
-                assert_eq!(lazy.heavy_hitters(5), eager.heavy_hitters(5), "item {i}");
+            }
+            if i % 37 == 0 {
+                let count = |k: u64| truth.iter().filter_map(|f| f.get(&k)).sum::<u64>();
+                for k in 0..23u64 {
+                    assert_eq!(s.estimate(&k), count(k), "key {k} at item {i}");
+                }
+                let mut hh: Vec<(u64, u64)> =
+                    (0..23).map(|k| (k, count(k))).filter(|&(_, c)| c >= 5).collect();
+                hh.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| b.0.cmp(&a.0)));
+                assert_eq!(s.heavy_hitters(5), hh, "item {i}");
             }
         }
     }

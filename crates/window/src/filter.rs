@@ -60,11 +60,6 @@ where
         &self.gate
     }
 
-    /// Mutable access to the gate (e.g. to swap rule generations).
-    pub fn gate_mut(&mut self) -> &mut G {
-        &mut self.gate
-    }
-
     /// Unwrap into the inner source and the gate.
     pub fn into_parts(self) -> (S, G) {
         (self.inner, self.gate)

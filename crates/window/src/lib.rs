@@ -60,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub mod filter;
-pub mod geometry;
 pub mod pipeline;
 mod report;
 pub mod sharded;

@@ -114,16 +114,6 @@ impl TransportError {
     fn io(op: &'static str, source: io::Error) -> Self {
         TransportError::Io { op, source }
     }
-
-    /// The lossy-but-`Clone` [`SnapshotError`] form, for surfaces that
-    /// carry decode errors (`SnapshotSource::error`-style).
-    pub fn to_snapshot_error(&self) -> SnapshotError {
-        match self {
-            TransportError::Io { op, source } => SnapshotError::transport(op, source),
-            TransportError::Frame(e) => e.clone(),
-            TransportError::Handshake(what) => SnapshotError::Invalid { field: "hello", what },
-        }
-    }
 }
 
 /// The write half of a snapshot transport: push v2 frames into a

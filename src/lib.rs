@@ -16,11 +16,10 @@
 //! * [`pcap`] — capture I/O (classic pcap + a native compact format);
 //! * [`trace`] — synthetic CAIDA-like traffic (the paper's traces are
 //!   proprietary);
-//! * [`hierarchy`] — 1-D bit/byte prefix hierarchies and the 2-D
-//!   (src, dst) lattice;
-//! * [`sketches`] — Count-Min, Count Sketch, Space-Saving,
-//!   Misra-Gries, Bloom, **time-decaying Bloom filters**, sliding-
-//!   window summaries, exponential histograms;
+//! * [`hierarchy`] — 1-D bit/byte prefix hierarchies over IPv4 and
+//!   IPv6;
+//! * [`sketches`] — Count Sketch, Space-Saving, **time-decaying Bloom
+//!   filters** and a Memento-style sliding-window summary;
 //! * [`core`] — HHH detectors: exact, Space-Saving full-ancestry,
 //!   RHHH, the windowless **TDBF-HHH**, plus HashPipe and
 //!   UnivMon-lite baselines;
@@ -92,7 +91,7 @@ pub mod prelude {
         ContinuousDetector, ExactHhh, HashPipe, HhhDetector, HhhReport, MergeableDetector,
         MvPipeHhh, Rhhh, SpaceSavingHhh, TdbfHhh, TdbfHhhConfig, Threshold, UnivMonLite,
     };
-    pub use hhh_hierarchy::{Hierarchy, Ipv4Hierarchy, Ipv6Hierarchy, TwoDimHierarchy};
+    pub use hhh_hierarchy::{Hierarchy, Ipv4Hierarchy, Ipv6Hierarchy};
     pub use hhh_nettypes::{Ipv4Prefix, Measure, Nanos, PacketRecord, Proto, TimeSpan};
     pub use hhh_sketches::{DecayRate, OnDemandTdbf, SpaceSaving};
     pub use hhh_trace::{scenarios, TraceGenerator, TraceStats, TrafficModel};
