@@ -1,9 +1,9 @@
 //! # hhh-agg
 //!
 //! The **cross-process aggregation** half of the snapshot wire format:
-//! where `hhh-window`'s `SnapshotSink` emits one serialized
-//! [`DetectorSnapshot`](hhh_core::DetectorSnapshot) per report point
-//! per process — as v1 JSON lines or v2 binary frames — this crate
+//! where `hhh-window`'s `SnapshotSink` writes one merged detector state
+//! per report point per process — the v2 frame the engine encoded, or
+//! its v1 JSON line — this crate
 //! reads N such streams back (sniffing the format per stream), groups
 //! the snapshots by report point and detector `kind`, folds each group
 //! with the round-trip codec (`hhh-core::RestoredDetector`), and emits
@@ -86,7 +86,7 @@ pub enum AggError {
     },
     /// An input file could not be opened, read, or written.
     Io(String),
-    /// A snapshot transport (socket listener, frame channel) failed.
+    /// The socket read side (`FrameHub`) failed.
     Transport(TransportError),
 }
 

@@ -2,13 +2,21 @@
 //!
 //! ```text
 //! hhh-aggd [--listen ADDR] [--http ADDR] [--hierarchy ipv4-bytes|ipv4-bits]
-//!          [--threshold PCT]... [--retain POINTS|none] [--http-inflight N] [--quiet]
+//!          [--threshold PCT]... [--retain POINTS|none]
+//!          [--http-inflight N] [--quiet]
+//!          [--mitigate KIND] [--mitigate-hysteresis M]
+//!          [--mitigate-ttl SECONDS] [--mitigate-max-rules N]
+//!          [--mitigate-truth PREFIX]...
 //! ```
 //!
 //! Shard pipelines connect their `TcpTransport`s to `--listen` and
 //! stream v2 snapshot frames; queries and scrapes go to `--http`
-//! (`GET /hhh`, `/healthz`, `/metrics`). The daemon runs until killed;
-//! on startup it prints one parseable line to stdout:
+//! (`GET /hhh`, `/healthz`, `/metrics`). `--mitigate KIND` runs the
+//! `hhh-mitigate` policy engine over KIND's merged reports and serves
+//! its rule table on `GET /rules`; `--mitigate-truth` attaches planted
+//! attack prefixes so `/metrics` classes matched bytes as attack or
+//! legit. The daemon runs until killed; on startup it prints one
+//! parseable line to stdout:
 //!
 //! ```text
 //! listening frames=127.0.0.1:4710 http=127.0.0.1:4711

@@ -139,7 +139,7 @@ fn run_kind<R: Runner>(kind: Kind, shards: Range<usize>, runner: R) -> R::Output
 /// The scenario's sharded pipeline (one worker per detector) from any
 /// packet [`PacketSource`] into any sink: the source decides where
 /// packets come from (a slice, a bounded live feed), the sink decides
-/// the medium (byte buffer, file, socket, in-process channel).
+/// the medium (byte buffer, file, socket).
 struct Sharded<Src, S> {
     source: Src,
     horizon: TimeSpan,

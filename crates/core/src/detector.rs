@@ -106,30 +106,31 @@ pub trait MergeableDetector {
     /// Fold `other`'s state into `self`. `other` is unchanged.
     fn merge(&mut self, other: &Self);
 
-    /// Serialize the mergeable state as a [`DetectorSnapshot`] — the
-    /// wire format for cross-process aggregation: ship the snapshot of
-    /// each process's merged shard state to an aggregator, rebuild
-    /// detectors there, and [`merge`](Self::merge) them.
+    /// Serialize the mergeable state as a v1 [`DetectorSnapshot`] (a
+    /// JSON state): the same wire body as [`to_frame`](Self::to_frame),
+    /// rendered the other way. Ship it to an aggregator, rebuild a
+    /// detector there, and [`merge`](Self::merge) it.
     ///
     /// The default says "not supported" (`None`); detectors opt in.
-    /// The sharded pipeline engines in `hhh-window` forward snapshots
-    /// to sinks at every report point when one is available.
+    /// The pipeline engines in `hhh-window` never call it: they hand
+    /// sinks frames, and a JSON sink transcodes each frame to its v1
+    /// state line.
     fn snapshot(&self) -> Option<DetectorSnapshot> {
         None
     }
 
     /// Serialize the mergeable state as a wire-format v2
     /// [`SnapshotFrame`] carrying the report-window geometry
-    /// `start..=at` — what frame-consuming sinks (binary files,
-    /// sockets, in-process channels) ask for at report points.
+    /// `start..=at` — what the sharded engines in `hhh-window` hand a
+    /// sink that keeps state, once per report point.
     ///
     /// The default goes through [`snapshot`](Self::snapshot) and the
     /// JSON → frame transcode, which is correct for any detector. The
     /// snapshot-capable detectors override both methods to render one
     /// wire body each way, so this frame carries the same state as
     /// `snapshot()` without rendering or parsing JSON. Returns `None`
-    /// when the detector does not snapshot (or its snapshot has no v2
-    /// body layout — callers fall back to [`snapshot`](Self::snapshot)).
+    /// when the detector has no wire format; the sink then gets no
+    /// state for that point.
     fn to_frame(&self, start: Nanos, at: Nanos) -> Option<SnapshotFrame> {
         self.snapshot().and_then(|s| s.to_frame(start, at).ok())
     }

@@ -50,10 +50,10 @@
 //! small, human-facing, and not worth a second schema — which makes
 //! whole-stream transcoding (v1 → v2 → v1) byte-identical.
 //!
-//! The encoding is **medium-independent**: a frame on a socket (or an
-//! in-process channel) is the same bytes as a frame in a file. Frames
-//! self-delimit via the length prefix and self-describe via the
-//! header, so the snapshot transports in `hhh-window` just move them —
+//! The encoding is **medium-independent**: a frame on a socket is the
+//! same bytes as a frame in a file. Frames self-delimit via the length
+//! prefix and self-describe via the header, so the snapshot sinks,
+//! sources and TCP transport in `hhh-window` just move them —
 //! and a capture of a TCP shard stream diffs clean against the same
 //! shard's stream file.
 //!

@@ -1,7 +1,7 @@
 //! Detector state snapshots: the **round-trip wire codec** for
 //! distributed aggregation.
 //!
-//! [`MergeableDetector::merge`](crate::MergeableDetector::merge) makes
+//! [`MergeableDetector::merge`] makes
 //! sharded ingestion work *inside* one process. To merge across
 //! processes or hosts, shard states must cross a wire — this module
 //! defines the serialized form **and** the decode + fold path back:

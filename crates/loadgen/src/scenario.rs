@@ -91,7 +91,7 @@ fn frac(d: TimeSpan, f: f64) -> TimeSpan {
 
 /// The /16 the trace generator places `network_offset`'s first network
 /// in: `oct1 = 1 + (offset % 40)`, `oct2 = offset / 40`. Keeping this
-/// in one place (and asserting it in [`compose`]) guards against the
+/// in one place (and asserting it in `compose`) guards against the
 /// generator's address derivation drifting under us.
 pub fn offset_net_prefix(offset: usize) -> Ipv4Prefix {
     let oct1 = 1 + (offset % 40) as u32;

@@ -7,8 +7,9 @@
 //! packet, and a blocked /24 inside a watched /16 resolves to the /24.
 //!
 //! The cap is enforced *at insert*: when full, the incoming rule
-//! displaces the table minimum under [`Rule::evict_key`] only if it
-//! would itself rank higher; otherwise the insert is refused. Either
+//! displaces the table minimum under the rules' eviction order (less
+//! severe, then lighter, then the smaller prefix evicts first) only if
+//! it would itself rank higher; otherwise the insert is refused. Either
 //! way the table never holds more than `cap` rules, and the outcome
 //! depends only on the table contents — no clocks, no hashing order.
 
@@ -111,8 +112,9 @@ impl RuleTable {
     /// Install a rule for a prefix not already in the table.
     ///
     /// Returns `true` if the rule went in. When the table is at cap,
-    /// the incoming rule must outrank the current minimum under
-    /// [`Rule::evict_key`]; the minimum is then evicted. A rule that
+    /// the incoming rule must outrank the current minimum in the
+    /// eviction order (severity, then EWMA bytes, then prefix); the
+    /// minimum is then evicted. A rule that
     /// doesn't outrank anything is refused — the cap is never
     /// exceeded, and which rule loses is deterministic.
     ///

@@ -83,12 +83,15 @@ impl DecayedCounter {
 
     /// Add `weight` at time `now` (decaying the stored value first).
     ///
-    /// `now` must not precede the last update; trace time is
-    /// monotone. (Debug-asserted: in release the decay factor would just
-    /// exceed 1, inflating instead of corrupting.)
+    /// A late arrival (`now` before the last update, as a capture file
+    /// can hold) is exact too: its weight is decayed forward to the
+    /// last update, `weight · e^(−λ·(last − now))`, and `last` stays.
     #[inline]
     pub fn add(&mut self, rate: DecayRate, now: Nanos, weight: f64) {
-        debug_assert!(now >= self.last, "time ran backwards: {now:?} < {:?}", self.last);
+        if now < self.last {
+            self.value += weight * rate.factor(self.last - now);
+            return;
+        }
         self.value = self.peek(rate, now) + weight;
         self.last = now;
     }
@@ -188,6 +191,36 @@ mod tests {
         c.add(r, Nanos::from_secs(1), 3.0);
         c.add(r, Nanos::from_secs(1), 4.0);
         assert!((c.peek(r, Nanos::from_secs(1)) - 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn late_arrivals_decay_from_their_own_time() {
+        // The closed form C(t) = Σ wᵢ·e^(−λ·(t − tᵢ)) does not depend on
+        // the order of the arrivals, so every order must read it.
+        let r = DecayRate::from_half_life(TimeSpan::from_secs(5));
+        let arrivals = [(10u64, 100.0), (5, 1.0), (7, 3.0), (12, 2.0), (0, 8.0)];
+        let at = Nanos::from_secs(20);
+        let exact: f64 =
+            arrivals.iter().map(|&(t, w)| w * r.factor(at - Nanos::from_secs(t))).sum();
+        let mut order: Vec<usize> = (0..arrivals.len()).collect();
+        for _ in 0..arrivals.len() {
+            order.rotate_left(1);
+            for seq in [order.clone(), order.iter().rev().copied().collect()] {
+                let mut c = DecayedCounter::new();
+                for &i in &seq {
+                    let (t, w) = arrivals[i];
+                    c.add(r, Nanos::from_secs(t), w);
+                }
+                let v = c.peek(r, at);
+                assert!((v - exact).abs() < 1e-9, "order {seq:?}: {v} vs {exact}");
+            }
+        }
+        // The documented case: 100 at 10 s, then 1 that is 5 s late.
+        let mut c = DecayedCounter::new();
+        c.add(r, Nanos::from_secs(10), 100.0);
+        c.add(r, Nanos::from_secs(5), 1.0);
+        assert!((c.peek(r, at) - 25.125).abs() < 1e-9, "{}", c.peek(r, at));
+        assert_eq!(c.raw().1, Nanos::from_secs(10), "a late arrival does not move `last`");
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! Pipeline::new(source).engine(engine).sink(sink).run()
 //! ```
 //!
-//! * **Sources** ([`source`]) — any `Iterator` ([`Source`] is generic
-//!   over its item type): packet iterators (generated traces, slices),
-//!   a bounded channel with back-pressure fed from other threads
-//!   ([`source::bounded`]), the chunked capture-file sources in
-//!   `hhh-pcap`, or [`SnapshotSource`] replaying previously captured
-//!   detector snapshots off a JSONL stream.
+//! * **Sources** ([`source`]) — any `Iterator` of packets ([`Source`]
+//!   is generic over its item type; engines take `PacketRecord`s):
+//!   generated traces, slices, a bounded channel with back-pressure
+//!   fed from other threads ([`source::bounded`]), or the chunked
+//!   capture-file sources in `hhh-pcap`. [`SnapshotSource`] reads a
+//!   snapshot stream back (either wire format) for `hhh-agg`'s fold.
 //! * **Engines** ([`pipeline`]) — the window model × execution
 //!   strategy:
 //!   [`Disjoint`] resets the detector at every boundary (the practice
@@ -31,17 +31,17 @@
 //!   stream into a closure ([`FnSink`]), or write the snapshot wire
 //!   stream — serialized merged-detector state for cross-process
 //!   aggregation — in either format ([`SnapshotSink`]): v1 JSON lines
-//!   or v2 binary frames (the hot aggregation path).
-//! * **Transports** ([`transport`]) — the snapshot stream over any
-//!   medium behind one [`FrameWrite`]/[`FrameRead`] interface: files
-//!   ([`FileTransport`]), TCP sockets ([`TcpTransport`] with
-//!   reconnect-with-backoff, [`FrameHub`] with multi-client accept,
-//!   hello/ack admission and a one-shot
-//!   [`collect_streams`](FrameHub::collect_streams) barrier), and
-//!   in-process channels ([`mem_transport`]), with
-//!   [`TransportSink`]/[`TransportSource`] as the pipeline faces.
-//!   Frames are encoded straight from each detector's wire body — no
-//!   JSON between a shard's state and the aggregator's fold.
+//!   or v2 binary frames (the hot aggregation path). A state reaches a
+//!   sink only as a v2 frame, and only a sink that keeps state
+//!   ([`ReportSink::wants_frames`]) makes an engine encode one.
+//! * **Transport** ([`transport`]) — the snapshot stream over TCP:
+//!   [`TcpTransport`] writes frames with reconnect-with-backoff behind
+//!   [`FrameWrite`], [`TransportSink`] is its pipeline face, and
+//!   [`FrameHub`] reads them with multi-client accept, hello/ack
+//!   admission and a one-shot
+//!   [`collect_streams`](FrameHub::collect_streams) barrier. Frames are
+//!   encoded straight from each detector's wire body — no JSON between
+//!   a shard's state and the aggregator's fold.
 //!
 //! ## Exactness of the sliding engines
 //!
@@ -80,8 +80,7 @@ pub use source::{
     StreamRecord, DEFAULT_CHUNK,
 };
 pub use transport::{
-    ack_frame, hello_frame, http_get, mem_transport, parse_ack, read_frame_from,
-    resume_hello_frame, CollectLimits, FileTransport, FrameHub, FrameRead, FrameSpool, FrameStream,
-    FrameWrite, HubEvent, HubHandle, MemFrameReader, MemFrameWriter, TcpTransport, TransportError,
-    TransportSink, TransportSource, ACK_KIND, HELLO_KIND,
+    ack_frame, hello_frame, http_get, parse_ack, read_frame_from, resume_hello_frame,
+    CollectLimits, FrameHub, FrameSpool, FrameStream, FrameWrite, HubEvent, HubHandle,
+    TcpTransport, TransportError, TransportSink, ACK_KIND, HELLO_KIND,
 };

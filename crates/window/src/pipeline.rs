@@ -34,13 +34,12 @@
 //!   strategy: [`Disjoint`], [`SlidingExact`], [`MicroVaried`],
 //!   [`Continuous`], and the multi-core [`ShardedDisjoint`],
 //!   [`ShardedSliding`], [`ShardedContinuous`];
-//! * the **sink** ([`ReportSink`](crate::ReportSink)) consumes reports
+//! * the **sink** ([`ReportSink`]) consumes reports
 //!   as windows close: collect to `Vec`s ([`collect`](Pipeline::collect)),
 //!   stream into a closure ([`FnSink`](crate::FnSink)), serialize the
 //!   snapshot wire stream in either format
 //!   ([`SnapshotSink`](crate::SnapshotSink)), or stream natively
-//!   encoded v2 frames through a snapshot transport — file, TCP
-//!   socket, or in-process channel
+//!   encoded v2 frames over a TCP socket
 //!   ([`TransportSink`](crate::TransportSink)).
 //!
 //! Every engine consumes the stream once, chunk at a time, and pushes
@@ -57,13 +56,10 @@ use hhh_nettypes::{Measure, Nanos, PacketRecord, TimeSpan};
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 
-/// Deliver a merged detector's state to the sink at a report point.
-///
-/// Frame-consuming sinks ([`ReportSink::wants_frames`]) get the v2
-/// frame ([`MergeableDetector::to_frame`]) — no JSON rendered or
-/// parsed; everything else gets the JSON-bodied
-/// [`snapshot`](MergeableDetector::snapshot). Both render the
-/// detector's one wire body. Shared by every sharded engine.
+/// Deliver a merged detector's state to the sink at a report point: a
+/// sink that keeps state ([`ReportSink::wants_frames`]) gets the v2
+/// frame ([`MergeableDetector::to_frame`]); any other sink costs no
+/// encode. Shared by every sharded engine.
 fn emit_state<P, D: MergeableDetector, K: ReportSink<P>>(
     sink: &mut K,
     detector: &D,
@@ -73,11 +69,7 @@ fn emit_state<P, D: MergeableDetector, K: ReportSink<P>>(
     if sink.wants_frames() {
         if let Some(frame) = detector.to_frame(start, at) {
             sink.state_frame(&frame);
-            return;
         }
-    }
-    if let Some(snap) = detector.snapshot() {
-        sink.state(start, at, &snap);
     }
 }
 
@@ -117,8 +109,8 @@ pub struct Pipeline<S, E, K> {
 pub struct Unset;
 
 impl<S: Source> Pipeline<S, Unset, Unset> {
-    /// Start a pipeline from a source (any `Iterator` of the engine's
-    /// input qualifies — `PacketRecord`s for every engine here).
+    /// Start a pipeline from a source (any `Iterator` of
+    /// `PacketRecord`s qualifies).
     pub fn new(source: S) -> Self {
         Pipeline { source, engine: Unset, sink: Unset }
     }
@@ -146,7 +138,7 @@ impl<S, E: Engine, K> Pipeline<S, E, K> {
 
 impl<S, E, K> Pipeline<S, E, K>
 where
-    S: Source<Item = E::In>,
+    S: Source<Item = PacketRecord>,
     E: Engine,
     K: ReportSink<E::Prefix>,
 {
@@ -163,21 +155,20 @@ where
 /// [`Pipeline`]. Engines are single-use: `run` consumes the engine and
 /// the source.
 pub trait Engine {
-    /// The item type the engine consumes — [`PacketRecord`] for every
-    /// engine in this crate. The pipeline's source must yield exactly
-    /// this type.
-    type In;
-
     /// The prefix type of the reports this engine emits.
     type Prefix;
 
     /// Number of report series emitted (see
-    /// [`ReportSink::accept`](crate::ReportSink::accept)).
+    /// [`ReportSink::accept`]).
     fn series(&self) -> usize;
 
     /// Drain the source, pushing reports into the sink as windows
     /// close.
-    fn run<S: Source<Item = Self::In>, K: ReportSink<Self::Prefix>>(self, source: S, sink: &mut K);
+    fn run<S: Source<Item = PacketRecord>, K: ReportSink<Self::Prefix>>(
+        self,
+        source: S,
+        sink: &mut K,
+    );
 }
 
 /// Drive `f` over every item of a chunked source; `f` returning
@@ -281,7 +272,6 @@ where
     D: HhhDetector<H>,
     F: Fn(&PacketRecord) -> H::Item,
 {
-    type In = PacketRecord;
     type Prefix = H::Prefix;
 
     fn series(&self) -> usize {
@@ -394,7 +384,6 @@ where
     H: Hierarchy,
     F: Fn(&PacketRecord) -> H::Item,
 {
-    type In = PacketRecord;
     type Prefix = H::Prefix;
 
     fn series(&self) -> usize {
@@ -556,7 +545,6 @@ where
     H: Hierarchy,
     F: Fn(&PacketRecord) -> H::Item,
 {
-    type In = PacketRecord;
     type Prefix = H::Prefix;
 
     fn series(&self) -> usize {
@@ -718,7 +706,6 @@ where
     C: ContinuousDetector<H>,
     F: Fn(&PacketRecord) -> H::Item,
 {
-    type In = PacketRecord;
     type Prefix = H::Prefix;
 
     fn series(&self) -> usize {
@@ -769,9 +756,9 @@ where
 
 /// Disjoint windows with ingestion hash-partitioned by key across one
 /// worker thread per shard detector, fed in batches; at every boundary
-/// the shard states are merged, the merged detector reports (and its
-/// [`snapshot`](MergeableDetector::snapshot), when supported, goes to
-/// the sink), and all shards reset.
+/// the shard states are merged, the merged detector reports (and, for
+/// a sink that keeps state, its v2 frame goes to the sink), and all
+/// shards reset.
 ///
 /// With exact detectors the output is identical to [`Disjoint`] on the
 /// same stream (merge is lossless); with approximate ones it is
@@ -815,7 +802,7 @@ where
     }
 
     /// Packets per scatter batch (default
-    /// [`DEFAULT_BATCH`](crate::sharded::DEFAULT_BATCH)).
+    /// [`DEFAULT_BATCH`]).
     pub fn batch(mut self, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be non-zero");
         self.batch = batch;
@@ -836,7 +823,6 @@ where
     D: HhhDetector<H> + MergeableDetector + Clone + Send,
     F: Fn(&PacketRecord) -> H::Item,
 {
-    type In = PacketRecord;
     type Prefix = H::Prefix;
 
     fn series(&self) -> usize {
@@ -963,7 +949,7 @@ where
     }
 
     /// Packets per scatter batch (default
-    /// [`DEFAULT_BATCH`](crate::sharded::DEFAULT_BATCH)).
+    /// [`DEFAULT_BATCH`]).
     pub fn batch(mut self, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be non-zero");
         self.batch = batch;
@@ -984,7 +970,6 @@ where
     D: HhhDetector<H> + MergeableDetector + Clone + Send,
     F: Fn(&PacketRecord) -> H::Item,
 {
-    type In = PacketRecord;
     type Prefix = H::Prefix;
 
     fn series(&self) -> usize {
@@ -1083,8 +1068,8 @@ where
 /// Sharded counterpart of [`Continuous`]: ingestion hash-partitioned by
 /// key across one worker thread per windowless shard detector; at each
 /// probe instant the shard states are merged (decaying both sides to a
-/// common time) and the merged detector answers — plus its
-/// [`snapshot`](MergeableDetector::snapshot) when supported.
+/// common time) and the merged detector answers — plus its v2 frame,
+/// for a sink that keeps state.
 ///
 /// Requires a continuous detector that is also mergeable, e.g.
 /// [`TdbfHhh`](hhh_core::TdbfHhh). Key-partitioning keeps per-prefix
@@ -1124,7 +1109,7 @@ where
     }
 
     /// Packets per scatter batch (default
-    /// [`DEFAULT_BATCH`](crate::sharded::DEFAULT_BATCH)).
+    /// [`DEFAULT_BATCH`]).
     pub fn batch(mut self, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be non-zero");
         self.batch = batch;
@@ -1145,7 +1130,6 @@ where
     C: ContinuousDetector<H> + MergeableDetector + Clone + Send,
     F: Fn(&PacketRecord) -> H::Item,
 {
-    type In = PacketRecord;
     type Prefix = H::Prefix;
 
     fn series(&self) -> usize {

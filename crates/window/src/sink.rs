@@ -13,11 +13,16 @@
 //! Three sinks cover the common shapes: [`CollectSink`] gathers
 //! everything into `Vec`s, any `FnMut(usize, WindowReport<P>)` closure
 //! streams reports as they appear, and [`SnapshotSink`] writes the
-//! snapshot stream — including serialized [`DetectorSnapshot`]s from
-//! the sharded engines, the wire format for cross-process aggregation
-//! — in either encoding:
-//! [`WireFormat::Json`] (v1 JSON lines) or [`WireFormat::Binary`] (v2
-//! frames, the hot aggregation path).
+//! snapshot stream — reports plus the sharded engines' merged detector
+//! states, the wire format for cross-process aggregation — in either
+//! encoding: [`WireFormat::Json`] (v1 JSON lines) or
+//! [`WireFormat::Binary`] (v2 frames, the hot aggregation path).
+//!
+//! A detector state reaches a sink in one form only: the v2
+//! [`SnapshotFrame`] the engine encodes at a report point, handed to
+//! [`ReportSink::state_frame`]. Engines encode it only for sinks that
+//! keep state ([`ReportSink::wants_frames`]); the collecting and
+//! streaming sinks drop state, so they never pay for the encode.
 
 use crate::report::WindowReport;
 use hhh_core::snapshot::{json_string, DetectorSnapshot, SnapshotFrame, StampedSnapshot};
@@ -43,35 +48,32 @@ pub trait ReportSink<P> {
     /// in window order.
     fn accept(&mut self, series: usize, report: WindowReport<P>);
 
-    /// Serialized merged detector state at a report point (`at`),
-    /// covering the window starting at `start` (`start == at` for
-    /// windowless probes). Only engines whose detector opts into
-    /// [`MergeableDetector::snapshot`](hhh_core::MergeableDetector::snapshot)
-    /// call this; the default ignores it.
-    fn state(&mut self, start: Nanos, at: Nanos, snapshot: &DetectorSnapshot) {
-        let _ = (start, at, snapshot);
-    }
-
-    /// Does this sink consume states as **v2 frames**? When `true`,
-    /// engines encode states as frames
-    /// ([`MergeableDetector::to_frame`](hhh_core::MergeableDetector::to_frame),
-    /// no JSON on the path) and call
-    /// [`state_frame`](Self::state_frame) instead of building a
-    /// JSON-bodied snapshot for [`state`](Self::state) — the binary
-    /// sinks and the snapshot transports opt in.
+    /// Does this sink keep detector state? When `true`, engines encode
+    /// the merged state at each report point as a v2 frame
+    /// ([`MergeableDetector::to_frame`](hhh_core::MergeableDetector::to_frame))
+    /// and hand it to [`state_frame`](Self::state_frame); when `false`
+    /// (the default) they encode nothing. The name predates that
+    /// meaning and stays because the benchmark harness's sink wrappers
+    /// forward it.
     fn wants_frames(&self) -> bool {
         false
     }
 
-    /// A state already encoded as a v2 frame (carries its own window
-    /// geometry). The default transcodes back to the JSON-bodied
-    /// snapshot and forwards to [`state`](Self::state), so sinks that
-    /// never opted into [`wants_frames`](Self::wants_frames) still see
-    /// every state.
+    /// A merged detector state, encoded as a v2 frame that carries its
+    /// own window geometry (`start..=at`; `start == at` for windowless
+    /// probes). Engines call it once per report point, after the
+    /// point's reports, and only when [`wants_frames`](Self::wants_frames)
+    /// is `true`. The default ignores it.
     fn state_frame(&mut self, frame: &SnapshotFrame) {
-        if let Ok(snapshot) = DetectorSnapshot::from_frame(frame) {
-            self.state(frame.start, frame.at, &snapshot);
-        }
+        let _ = frame;
+    }
+
+    /// A no-op that nothing in this workspace calls: engines hand
+    /// states only as frames ([`state_frame`](Self::state_frame)). It
+    /// stays because the benchmark harness's sink wrappers override
+    /// it, and goes once they drop those overrides.
+    fn state(&mut self, start: Nanos, at: Nanos, snapshot: &DetectorSnapshot) {
+        let _ = (start, at, snapshot);
     }
 
     /// The stream is complete; produce the output.
@@ -135,7 +137,7 @@ impl<P, F: FnMut(usize, WindowReport<P>)> ReportSink<P> for FnSink<F> {
 /// Write pipeline output as a snapshot stream in either wire format.
 ///
 /// **JSON (v1)** — one `report` object per window report and one
-/// `state` object per detector snapshot, as JSON lines. The `state`
+/// `state` object per detector state, as JSON lines. The `state`
 /// lines carry the full serialized [`MergeableDetector`] state of the
 /// (merged) detector at each report point plus the report window's
 /// geometry — ship them to another process and fold states with the
@@ -153,6 +155,9 @@ impl<P, F: FnMut(usize, WindowReport<P>)> ReportSink<P> for FnSink<F> {
 /// magnitude cheaper to decode on the aggregation tier; transcodes
 /// back to v1 byte-identically.
 ///
+/// Both formats keep state, so engines hand this sink every state as a
+/// v2 frame; the JSON format transcodes it to its `state` line.
+///
 /// [`MergeableDetector`]: hhh_core::MergeableDetector
 #[derive(Debug)]
 pub struct SnapshotSink<W: Write> {
@@ -164,10 +169,9 @@ pub struct SnapshotSink<W: Write> {
 }
 
 impl SnapshotSink<std::io::BufWriter<std::fs::File>> {
-    /// Create (truncate) a snapshot stream file at `path` — the
-    /// path-based thin wrapper over the file transport. For sockets
-    /// and channels use [`TransportSink`](crate::TransportSink) over
-    /// the matching [`transport`](crate::transport) instead.
+    /// Create (truncate) a snapshot stream file at `path`. For a
+    /// socket use [`TransportSink`](crate::TransportSink) over a
+    /// [`TcpTransport`](crate::TcpTransport) instead.
     pub fn create(path: impl AsRef<std::path::Path>, format: WireFormat) -> std::io::Result<Self> {
         Ok(Self::with_format(std::io::BufWriter::new(std::fs::File::create(path)?), format))
     }
@@ -177,11 +181,6 @@ impl<W: Write> SnapshotSink<W> {
     /// Wrap a writer (`Vec<u8>`, `BufWriter<File>`, a socket…) in a
     /// **JSON (v1)** sink.
     pub fn new(out: W) -> Self {
-        Self::with_format(out, WireFormat::Json)
-    }
-
-    /// A JSON (v1) sink.
-    pub fn json(out: W) -> Self {
         Self::with_format(out, WireFormat::Json)
     }
 
@@ -267,37 +266,15 @@ impl<P: Display, W: Write> ReportSink<P> for SnapshotSink<W> {
         }
     }
 
-    fn state(&mut self, start: Nanos, at: Nanos, snapshot: &DetectorSnapshot) {
-        match self.format {
-            WireFormat::Json => {
-                // One renderer for the state line shape, borrowed — no
-                // clone of the (possibly megabyte) state body on the
-                // hot sink path.
-                let line = StampedSnapshot::render(start, at, snapshot);
-                self.write_line(&line);
-            }
-            WireFormat::Binary => match snapshot.to_frame(start, at) {
-                Ok(frame) => self.write_bytes(&frame.encode()),
-                Err(e) if self.error.is_none() => {
-                    self.error =
-                        Some(std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()));
-                }
-                Err(_) => {}
-            },
-        }
-    }
-
-    /// A binary sink takes states as frames, so engines use the
-    /// native encode path (no JSON rendered or parsed per state).
+    /// Both formats keep every state.
     fn wants_frames(&self) -> bool {
-        self.format == WireFormat::Binary
+        true
     }
 
     fn state_frame(&mut self, frame: &SnapshotFrame) {
         match self.format {
             WireFormat::Binary => self.write_bytes(&frame.encode()),
-            // A JSON sink fed a frame (a custom engine, say) still
-            // writes the canonical state line.
+            // The frame → JSON transcode: the canonical state line.
             WireFormat::Json => match DetectorSnapshot::from_frame(frame) {
                 Ok(snapshot) => {
                     let line = StampedSnapshot::render(frame.start, frame.at, &snapshot);
@@ -351,6 +328,10 @@ mod tests {
         }
     }
 
+    fn state_frame() -> SnapshotFrame {
+        snap().to_frame(Nanos::from_secs(2), Nanos::from_secs(3)).expect("transcodes")
+    }
+
     #[test]
     fn collect_sink_preserves_series_shape() {
         let mut sink: CollectSink<u32> = CollectSink::new();
@@ -383,7 +364,7 @@ mod tests {
         let mut sink = SnapshotSink::new(Vec::new());
         ReportSink::<u32>::begin(&mut sink, 1);
         sink.accept(0, report(2));
-        ReportSink::<u32>::state(&mut sink, Nanos::from_secs(2), Nanos::from_secs(3), &snap());
+        ReportSink::<u32>::state_frame(&mut sink, &state_frame());
         let (bytes, err) = ReportSink::<u32>::finish(sink);
         assert!(err.is_none());
         let text = String::from_utf8(bytes).unwrap();
@@ -401,7 +382,7 @@ mod tests {
         let mut sink = SnapshotSink::binary(Vec::new());
         ReportSink::<u32>::begin(&mut sink, 1);
         sink.accept(0, report(2));
-        ReportSink::<u32>::state(&mut sink, Nanos::from_secs(2), Nanos::from_secs(3), &snap());
+        ReportSink::<u32>::state_frame(&mut sink, &state_frame());
         let (bytes, err) = ReportSink::<u32>::finish(sink);
         assert!(err.is_none());
 

@@ -4,11 +4,11 @@
 //! The pipeline consumes its input **chunk at a time** through the
 //! generic [`Source`] trait, which keeps the engine loop batch-friendly
 //! (one virtual call per chunk, not per item) and makes the source
-//! swappable. A source carries its item type: packet engines consume
+//! swappable. A source carries its item type: every engine consumes
 //! `Source<Item = PacketRecord>` ([`PacketSource`] is the alias bound),
-//! and the snapshot-fold engine consumes
-//! `Source<Item = WireSnapshot>` — previously captured detector
-//! states replayed off the wire (v1 JSON lines or v2 binary frames).
+//! and [`SnapshotSource`] is an iterator of [`WireSnapshot`]s —
+//! previously captured detector states replayed off the wire (v1 JSON
+//! lines or v2 binary frames) for `hhh-agg`'s fold.
 //!
 //! * any `Iterator` is a source of its items (blanket impl) —
 //!   generated traces, slices, adapters;
@@ -24,11 +24,11 @@
 //!   `NativeSource`) over the capture formats.
 //!
 //! Packet sources must yield packets in non-decreasing timestamp order
-//! — every engine's contract. Snapshot
-//! sources must yield snapshots in non-decreasing `at` order (JSONL
-//! files written by a pipeline already are).
+//! — every engine's contract. A snapshot stream written by a pipeline
+//! holds its states in non-decreasing `at` order.
 
-use hhh_core::snapshot::binary::{self, SnapshotFrame, FRAME_HEADER_LEN, REPORT_KIND};
+use crate::transport::{read_frame_from, TransportError};
+use hhh_core::snapshot::binary::REPORT_KIND;
 use hhh_core::{parse_state_line, SnapshotError, WireFormat, WireSnapshot};
 use hhh_nettypes::PacketRecord;
 use std::io::BufRead;
@@ -49,8 +49,8 @@ pub const DEFAULT_CHUNK: usize = 8192;
 /// [`ChannelSource`], which must hand over partial chunks rather than
 /// block a live feed — implement `pull_chunk` directly.
 pub trait Source {
-    /// The item type the source yields (what the engine's
-    /// [`Engine::In`](crate::Engine::In) must match).
+    /// The item type the source yields (`PacketRecord` for a source
+    /// an engine consumes).
     type Item;
 
     /// Append the next chunk of items to `buf` (the caller hands in
@@ -290,10 +290,8 @@ pub struct SnapshotSource<R: BufRead> {
 }
 
 impl SnapshotSource<std::io::BufReader<std::fs::File>> {
-    /// Open a snapshot stream file at `path` — the path-based thin
-    /// wrapper over the file transport. For sockets and channels use
-    /// [`TransportSource`](crate::TransportSource) over the matching
-    /// [`transport`](crate::transport) instead.
+    /// Open a snapshot stream file at `path`. Socket streams arrive
+    /// through a [`FrameHub`](crate::FrameHub) instead.
     pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         Ok(Self::new(std::io::BufReader::new(std::fs::File::open(path)?)))
     }
@@ -341,14 +339,6 @@ impl<R: BufRead> SnapshotSource<R> {
             Some(b'{' | b' ' | b'\t' | b'\r' | b'\n') => Some(WireFormat::Json),
             Some(_) => Some(WireFormat::Binary),
         })
-    }
-
-    /// Read up to `buf.len()` bytes, tolerating short reads (the fill
-    /// loop shared with the transports). Returns the bytes actually
-    /// read (0 = clean end of stream).
-    fn read_fully(&mut self, buf: &mut [u8]) -> Result<usize, SnapshotError> {
-        crate::transport::fill_from(&mut self.input, buf)
-            .map_err(|e| SnapshotError::transport("read", &e))
     }
 
     /// The next record of the stream (reports included), or `None` at
@@ -415,42 +405,15 @@ impl<R: BufRead> SnapshotSource<R> {
     /// frame the caller did not ask for.
     fn next_frame_record(&mut self, want_reports: bool) -> Option<Option<StreamRecord>> {
         self.line_no += 1;
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        match self.read_fully(&mut header) {
-            Ok(0) => return None, // clean end at a frame boundary
-            Ok(n) if n < FRAME_HEADER_LEN => {
-                self.fail(SnapshotError::Parse { offset: n, what: "truncated frame" });
-                return None;
-            }
-            Ok(_) => {}
+        let frame = match read_frame_from(&mut self.input) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return None, // clean end at a frame boundary
             Err(e) => {
-                self.fail(e);
-                return None;
-            }
-        }
-        let len = match binary::payload_len(&header) {
-            Ok(len) => len,
-            Err(e) => {
-                self.fail(e);
-                return None;
-            }
-        };
-        let mut payload = vec![0u8; len];
-        match self.read_fully(&mut payload) {
-            Ok(n) if n < len => {
-                self.fail(SnapshotError::Parse { offset: n, what: "truncated frame" });
-                return None;
-            }
-            Ok(_) => {}
-            Err(e) => {
-                self.fail(e);
-                return None;
-            }
-        }
-        let frame = match SnapshotFrame::decode_payload(&payload) {
-            Ok(frame) => frame,
-            Err(e) => {
-                self.fail(e);
+                self.fail(match e {
+                    TransportError::Frame(e) => e,
+                    TransportError::Io { op, source } => SnapshotError::transport(op, &source),
+                    TransportError::Handshake(what) => SnapshotError::Parse { offset: 0, what },
+                });
                 return None;
             }
         };
@@ -485,6 +448,7 @@ impl<R: BufRead> Iterator for SnapshotSource<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hhh_core::snapshot::binary::SnapshotFrame;
     use hhh_nettypes::Nanos;
 
     fn pkt(i: u64) -> PacketRecord {

@@ -1,24 +1,18 @@
-//! **Snapshot transports**: one interface for moving v2 snapshot
-//! frames between processes — files, TCP sockets, and in-process
-//! channels.
+//! **Snapshot transport over TCP**: moving v2 snapshot frames between
+//! processes over sockets.
 //!
-//! Before this module, snapshot I/O was three ad-hoc pieces: the sink
-//! wrote files, the source read files, and `hhh-agg` folded file
-//! paths. The transport layer makes the *medium* a pluggable detail:
-//!
-//! | transport | write side | read side |
+//! | medium | write side | read side |
 //! |---|---|---|
-//! | [`FileTransport`] | any `io::Write` (files, pipes, `Vec<u8>`) | any `io::BufRead` |
-//! | [`TcpTransport`] / [`FrameHub`] | connect + reconnect-with-backoff | multi-client accept |
-//! | [`mem_transport`] | bounded in-process channel | same channel |
+//! | byte stream (file, pipe, `Vec<u8>`) | [`SnapshotSink`](crate::SnapshotSink) | [`SnapshotSource`](crate::SnapshotSource) |
+//! | TCP socket | [`TcpTransport`]: connect + reconnect-with-backoff | [`FrameHub`]: multi-client accept |
 //!
 //! A frame on a socket is **the same bytes** as a frame in a file: the
 //! length-delimited v2 encoding (`hhh_core::snapshot::binary`) already
-//! self-describes and self-delimits, so every transport just moves
-//! encoded frames — [`FrameWrite`] pushes them, [`FrameRead`] pulls
-//! them; [`TransportSink`](crate::TransportSink) is a `Pipeline` sink
-//! and [`TransportSource`] reads the states back as [`WireSnapshot`]s,
-//! ready for `hhh-agg`'s fold. The
+//! self-describes and self-delimits, so both media move the same
+//! encoded frames, and [`read_frame_from`] is the one reader that
+//! takes a frame off any byte stream (the hub, the TCP handshake and
+//! `SnapshotSource` all use it). [`FrameWrite`] pushes frames into a
+//! medium, and [`TransportSink`] is the `Pipeline` sink over it. The
 //! write side hands through frames encoded straight from detector
 //! state (`MergeableDetector::to_frame`) — no JSON is rendered or
 //! parsed anywhere between a shard's detector state and the
@@ -56,14 +50,14 @@
 
 use crate::sink::{render_report_line, ReportSink};
 use crate::WindowReport;
-use hhh_core::snapshot::binary::{payload_len, FRAME_HEADER_LEN, REPORT_KIND};
-use hhh_core::snapshot::{DetectorSnapshot, SnapshotFrame};
-use hhh_core::{SnapshotError, WireSnapshot};
+use hhh_core::snapshot::binary::{payload_len, FRAME_HEADER_LEN};
+use hhh_core::snapshot::SnapshotFrame;
+use hhh_core::SnapshotError;
 use hhh_nettypes::Nanos;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Display};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -77,8 +71,8 @@ pub enum TransportError {
     /// The underlying medium failed (socket reset, disk full, peer
     /// hung up, connect/accept exhausted its retries).
     Io {
-        /// What the transport was doing (`connect`, `accept`, `read`,
-        /// `write`, `send`).
+        /// What the transport was doing (`bind`, `connect`, `accept`,
+        /// `read`, `write`).
         op: &'static str,
         /// The I/O failure.
         source: io::Error,
@@ -118,8 +112,8 @@ impl TransportError {
 
 /// The write half of a snapshot transport: push v2 frames into a
 /// medium. Implementations must deliver each frame atomically from the
-/// reader's point of view (all transports here frame-delimit, so a
-/// reader never sees half a frame as success).
+/// reader's point of view (frames self-delimit, so a reader never sees
+/// half a frame as success).
 pub trait FrameWrite {
     /// Deliver one frame.
     fn write_frame(&mut self, frame: &SnapshotFrame) -> Result<(), TransportError>;
@@ -130,17 +124,9 @@ pub trait FrameWrite {
     }
 }
 
-/// The read half of a snapshot transport: pull v2 frames out of a
-/// medium. `Ok(None)` is a clean end-of-stream at a frame boundary.
-pub trait FrameRead {
-    /// The next frame, `Ok(None)` at clean end-of-stream, or a typed
-    /// error (torn frame, I/O failure).
-    fn read_frame(&mut self) -> Result<Option<SnapshotFrame>, TransportError>;
-}
-
 /// Read up to `buf.len()` bytes, tolerating short reads and EINTR —
-/// the one fill loop the transports and `SnapshotSource` share.
-pub(crate) fn fill_from<R: Read>(input: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+/// the one fill loop of [`read_frame_from`] and [`FrameSpool::open`].
+fn fill_from<R: Read>(input: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     let mut got = 0;
     while got < buf.len() {
         match input.read(&mut buf[got..]) {
@@ -158,9 +144,9 @@ fn read_fully<R: Read>(input: &mut R, buf: &mut [u8]) -> Result<usize, Transport
 }
 
 /// Read one length-delimited v2 frame off a byte stream: the one
-/// definition of "frame off a wire" every [`FrameRead`] implementation
-/// here shares. `Ok(None)` = clean end at a frame boundary; a partial
-/// header or payload is a typed truncation error.
+/// definition of "frame off a wire" that the hub, the TCP handshake and
+/// `SnapshotSource` share. `Ok(None)` = clean end at a frame boundary;
+/// a partial header or payload is a typed truncation error.
 pub fn read_frame_from<R: Read>(input: &mut R) -> Result<Option<SnapshotFrame>, TransportError> {
     let mut header = [0u8; hhh_core::snapshot::binary::FRAME_HEADER_LEN];
     match read_fully(input, &mut header)? {
@@ -183,113 +169,6 @@ pub fn read_frame_from<R: Read>(input: &mut R) -> Result<Option<SnapshotFrame>, 
         }));
     }
     SnapshotFrame::decode_payload(&payload).map(Some).map_err(TransportError::Frame)
-}
-
-// ---------------------------------------------------------------------
-// FileTransport
-// ---------------------------------------------------------------------
-
-/// Frames over any byte stream the standard library can write or read:
-/// files, pipes, `Vec<u8>` buffers, or an already-connected socket.
-/// Wrap a writer to get [`FrameWrite`], a buffered reader to get
-/// [`FrameRead`].
-#[derive(Debug)]
-pub struct FileTransport<T> {
-    inner: T,
-}
-
-impl<T> FileTransport<T> {
-    /// Wrap an already-open writer or reader.
-    pub fn new(inner: T) -> Self {
-        FileTransport { inner }
-    }
-
-    /// Unwrap the underlying stream.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-}
-
-impl FileTransport<BufWriter<std::fs::File>> {
-    /// Create (truncate) a frame file at `path` for writing.
-    pub fn create(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
-        Ok(FileTransport::new(BufWriter::new(std::fs::File::create(path)?)))
-    }
-}
-
-impl FileTransport<BufReader<std::fs::File>> {
-    /// Open a frame file at `path` for reading.
-    pub fn open(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
-        Ok(FileTransport::new(BufReader::new(std::fs::File::open(path)?)))
-    }
-}
-
-impl<W: Write> FrameWrite for FileTransport<W> {
-    fn write_frame(&mut self, frame: &SnapshotFrame) -> Result<(), TransportError> {
-        self.inner.write_all(&frame.encode()).map_err(|e| TransportError::io("write", e))
-    }
-
-    fn flush(&mut self) -> Result<(), TransportError> {
-        self.inner.flush().map_err(|e| TransportError::io("write", e))
-    }
-}
-
-impl<R: BufRead> FrameRead for FileTransport<R> {
-    fn read_frame(&mut self) -> Result<Option<SnapshotFrame>, TransportError> {
-        read_frame_from(&mut self.inner)
-    }
-}
-
-// ---------------------------------------------------------------------
-// MemTransport
-// ---------------------------------------------------------------------
-
-/// Create a bounded in-process frame channel: the [`MemFrameWriter`]
-/// half goes to the producing thread (a shard pipeline's
-/// [`TransportSink`]), the [`MemFrameReader`] half feeds a consumer
-/// (via [`TransportSource`]) — snapshots move between threads
-/// with back-pressure and **zero** serialization (frames cross the
-/// channel decoded).
-///
-/// `capacity` is the number of in-flight frames before
-/// [`write_frame`](FrameWrite::write_frame) blocks.
-pub fn mem_transport(capacity: usize) -> (MemFrameWriter, MemFrameReader) {
-    assert!(capacity > 0, "channel capacity must be non-zero");
-    let (tx, rx) = mpsc::sync_channel(capacity);
-    (MemFrameWriter { tx }, MemFrameReader { rx })
-}
-
-/// The producing half of [`mem_transport`].
-#[derive(Clone, Debug)]
-pub struct MemFrameWriter {
-    tx: mpsc::SyncSender<SnapshotFrame>,
-}
-
-impl FrameWrite for MemFrameWriter {
-    fn write_frame(&mut self, frame: &SnapshotFrame) -> Result<(), TransportError> {
-        self.tx.send(frame.clone()).map_err(|_| {
-            TransportError::io(
-                "send",
-                io::Error::new(io::ErrorKind::BrokenPipe, "frame channel receiver dropped"),
-            )
-        })
-    }
-}
-
-/// The consuming half of [`mem_transport`]: ends cleanly when the last
-/// [`MemFrameWriter`] clone is dropped.
-#[derive(Debug)]
-pub struct MemFrameReader {
-    rx: mpsc::Receiver<SnapshotFrame>,
-}
-
-impl FrameRead for MemFrameReader {
-    fn read_frame(&mut self) -> Result<Option<SnapshotFrame>, TransportError> {
-        match self.rx.recv() {
-            Ok(frame) => Ok(Some(frame)),
-            Err(_) => Ok(None), // all writers dropped: clean end
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1121,10 +1000,9 @@ fn hub_connection(conn: TcpStream, tx: &mpsc::Sender<HubEvent>, held: &Mutex<Has
 // ---------------------------------------------------------------------
 
 /// A [`ReportSink`] that streams pipeline output through any
-/// [`FrameWrite`]: reports as report frames, states as v2 frames (it
-/// advertises [`wants_frames`](ReportSink::wants_frames), so engines
-/// hand it `MergeableDetector::to_frame` output — no JSON on the
-/// path).
+/// [`FrameWrite`]: reports as report frames, states as the v2 frames
+/// the engines encode straight from detector state
+/// (`MergeableDetector::to_frame`) — no JSON on the path.
 ///
 /// The first transport error is kept and returned from
 /// [`finish`](ReportSink::finish), mirroring
@@ -1169,15 +1047,6 @@ impl<P: Display, T: FrameWrite> ReportSink<P> for TransportSink<T> {
         self.write(frame);
     }
 
-    fn state(&mut self, start: Nanos, at: Nanos, snapshot: &DetectorSnapshot) {
-        // Fallback for detectors without a native encoder: transcode.
-        match snapshot.to_frame(start, at) {
-            Ok(frame) => self.write(&frame),
-            Err(e) if self.error.is_none() => self.error = Some(TransportError::Frame(e)),
-            Err(_) => {}
-        }
-    }
-
     fn finish(mut self) -> Self::Output {
         if self.error.is_none() {
             if let Err(e) = self.out.flush() {
@@ -1188,57 +1057,10 @@ impl<P: Display, T: FrameWrite> ReportSink<P> for TransportSink<T> {
     }
 }
 
-/// An iterator of [`WireSnapshot`]s pulled from any [`FrameRead`] —
-/// the read side, ready for `hhh-agg`'s fold. Report and hello frames are validated
-/// and skipped; state frames are yielded undecoded (the fold path goes
-/// binary body → detector). The stream ends at clean end-of-transport
-/// **or at the first error**, kept for inspection via
-/// [`error`](Self::error) — the same strict-caller contract as
-/// [`SnapshotSource`](crate::SnapshotSource).
-#[derive(Debug)]
-pub struct TransportSource<T: FrameRead> {
-    input: T,
-    error: Option<TransportError>,
-}
-
-impl<T: FrameRead> TransportSource<T> {
-    /// Pull snapshots out of `input`.
-    pub fn new(input: T) -> Self {
-        TransportSource { input, error: None }
-    }
-
-    /// The first transport error, `None` after a clean end.
-    pub fn error(&self) -> Option<&TransportError> {
-        self.error.as_ref()
-    }
-}
-
-impl<T: FrameRead> Iterator for TransportSource<T> {
-    type Item = WireSnapshot;
-
-    fn next(&mut self) -> Option<WireSnapshot> {
-        if self.error.is_some() {
-            return None;
-        }
-        loop {
-            match self.input.read_frame() {
-                Ok(Some(frame)) if frame.kind == REPORT_KIND || frame.kind == HELLO_KIND => {
-                    continue;
-                }
-                Ok(Some(frame)) => return Some(WireSnapshot::Binary(frame)),
-                Ok(None) => return None,
-                Err(e) => {
-                    self.error = Some(e);
-                    return None;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hhh_core::snapshot::DetectorSnapshot;
     use std::sync::Barrier;
 
     fn state_frame(at_secs: u64, total: u64) -> SnapshotFrame {
@@ -1252,65 +1074,26 @@ mod tests {
     }
 
     #[test]
-    fn file_transport_roundtrips_frames() {
-        let mut w = FileTransport::new(Vec::new());
+    fn read_frame_from_roundtrips_frames() {
         let frames = [state_frame(1, 10), state_frame(2, 20)];
-        for f in &frames {
-            w.write_frame(f).unwrap();
-        }
-        FrameWrite::flush(&mut w).unwrap();
-        let bytes = w.into_inner();
+        let bytes: Vec<u8> = frames.iter().flat_map(SnapshotFrame::encode).collect();
 
-        let mut r = FileTransport::new(io::Cursor::new(bytes));
-        assert_eq!(r.read_frame().unwrap().as_ref(), Some(&frames[0]));
-        assert_eq!(r.read_frame().unwrap().as_ref(), Some(&frames[1]));
-        assert!(r.read_frame().unwrap().is_none(), "clean end at a frame boundary");
+        let mut r = io::Cursor::new(bytes);
+        assert_eq!(read_frame_from(&mut r).unwrap().as_ref(), Some(&frames[0]));
+        assert_eq!(read_frame_from(&mut r).unwrap().as_ref(), Some(&frames[1]));
+        assert!(read_frame_from(&mut r).unwrap().is_none(), "clean end at a frame boundary");
     }
 
     #[test]
-    fn file_transport_reports_torn_tails() {
-        let mut w = FileTransport::new(Vec::new());
-        w.write_frame(&state_frame(1, 10)).unwrap();
-        let mut bytes = w.into_inner();
+    fn read_frame_from_reports_torn_tails() {
+        let mut bytes = state_frame(1, 10).encode();
         bytes.truncate(bytes.len() - 3);
-        let mut r = FileTransport::new(io::Cursor::new(bytes));
-        match r.read_frame() {
+        match read_frame_from(&mut io::Cursor::new(bytes)) {
             Err(TransportError::Frame(SnapshotError::Parse { what, .. })) => {
                 assert_eq!(what, "truncated frame");
             }
             other => panic!("expected a torn-frame error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn mem_transport_moves_frames_between_threads() {
-        let (mut w, r) = mem_transport(4);
-        let frames: Vec<_> = (0..10).map(|i| state_frame(i, i * 10)).collect();
-        let expect = frames.clone();
-        let producer = std::thread::spawn(move || {
-            for f in &frames {
-                w.write_frame(f).unwrap();
-            }
-            // w drops: channel closes, reader ends cleanly.
-        });
-        let mut source = TransportSource::new(r);
-        let got: Vec<WireSnapshot> = (&mut source).collect();
-        producer.join().unwrap();
-        assert!(source.error().is_none());
-        assert_eq!(got.len(), 10);
-        for (g, e) in got.iter().zip(&expect) {
-            assert_eq!(g, &WireSnapshot::Binary(e.clone()));
-        }
-    }
-
-    #[test]
-    fn mem_transport_reports_hangup_to_the_writer() {
-        let (mut w, r) = mem_transport(1);
-        drop(r);
-        let err = w.write_frame(&state_frame(1, 1)).unwrap_err();
-        assert!(matches!(err, TransportError::Io { op: "send", .. }), "{err:?}");
-        // The error chains to the io::Error via source().
-        assert!(std::error::Error::source(&err).is_some());
     }
 
     #[test]
@@ -1610,12 +1393,9 @@ mod tests {
         strays.join().unwrap();
         assert_eq!(streams.iter().map(|s| s.id).collect::<Vec<_>>(), vec![0, 1]);
         for s in &streams {
-            let mut file = FileTransport::new(Vec::new());
-            for f in frames(s.id) {
-                file.write_frame(&f).unwrap();
-            }
+            let file: Vec<u8> = frames(s.id).iter().flat_map(SnapshotFrame::encode).collect();
             let socket: Vec<u8> = s.frames.iter().flat_map(SnapshotFrame::encode).collect();
-            assert_eq!(socket, file.into_inner(), "stream {} matches its file stream", s.id);
+            assert_eq!(socket, file, "stream {} matches its file stream", s.id);
         }
     }
 

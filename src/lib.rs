@@ -27,8 +27,8 @@
 //!   disjoint / sliding / micro-varied / continuous engines plus their
 //!   sharded multi-core variants (batch-fed, merge-at-report), channel
 //!   sources with back-pressure, snapshot sinks in both wire formats,
-//!   and the snapshot **transports** (file / TCP / in-process channel)
-//!   that stream natively encoded v2 frames between processes;
+//!   and the TCP snapshot **transport** that streams natively encoded
+//!   v2 frames between processes;
 //! * [`dataplane`] — a match-action pipeline model with resource
 //!   accounting;
 //! * [`analysis`] — Jaccard, hidden-HHH, ECDF, precision/recall,
@@ -96,10 +96,10 @@ pub mod prelude {
     pub use hhh_sketches::{DecayRate, OnDemandTdbf, SpaceSaving};
     pub use hhh_trace::{scenarios, TraceGenerator, TraceStats, TrafficModel};
     pub use hhh_window::{
-        bounded, mem_transport, with_shards, CollectLimits, CollectSink, Continuous, Disjoint,
-        Engine, FnSink, FrameHub, MicroVaried, PacketSource, Pipeline, ReportSink,
-        ShardedContinuous, ShardedDisjoint, ShardedSliding, SlidingExact, SnapshotSink,
-        TcpTransport, TransportSink, TransportSource, WindowReport,
+        bounded, with_shards, CollectLimits, CollectSink, Continuous, Disjoint, Engine, FnSink,
+        FrameHub, MicroVaried, PacketSource, Pipeline, ReportSink, ShardedContinuous,
+        ShardedDisjoint, ShardedSliding, SlidingExact, SnapshotSink, TcpTransport, TransportSink,
+        WindowReport,
     };
 }
 

@@ -8,13 +8,16 @@
 //! * **Source equivalence** — the bounded channel source feeds the
 //!   same reports as the iterator source.
 //! * **Snapshot plumbing** — sharded engines hand serialized merged
-//!   state to sinks whose totals match the reports.
+//!   state to sinks whose totals match the reports, as one v2 frame per
+//!   report point and only to sinks that keep state.
 
-use hidden_hhh::core::snapshot::DetectorSnapshot;
+use hidden_hhh::core::snapshot::{DetectorSnapshot, SnapshotFrame};
 use hidden_hhh::core::{TdbfHhh, TdbfHhhConfig};
 use hidden_hhh::prelude::*;
+use hidden_hhh::window::{FrameWrite, TransportError};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// The acceptance trace: day 0, 60 s, ≥ 1.36M packets (same trace the
 /// sharded-merge contract tests use).
@@ -207,8 +210,12 @@ fn sharded_engine_forwards_merged_snapshots() {
         fn accept(&mut self, _series: usize, report: WindowReport<Ipv4Prefix>) {
             self.reports.push(report);
         }
-        fn state(&mut self, start: Nanos, at: Nanos, snapshot: &DetectorSnapshot) {
-            self.states.push((start, at, snapshot.clone()));
+        fn wants_frames(&self) -> bool {
+            true
+        }
+        fn state_frame(&mut self, frame: &SnapshotFrame) {
+            let snapshot = DetectorSnapshot::from_frame(frame).expect("state frames decode");
+            self.states.push((frame.start, frame.at, snapshot));
         }
         fn finish(self) -> Self {
             self
@@ -255,6 +262,152 @@ fn sharded_engine_forwards_merged_snapshots() {
     assert_eq!(text.lines().filter(|l| l.starts_with("{\"type\":\"report\"")).count(), 3);
     assert_eq!(text.lines().filter(|l| l.starts_with("{\"type\":\"state\"")).count(), 3);
     assert!(text.contains("\"kind\":\"exact\""));
+}
+
+/// State encodes a detector sees, shared by all its clones.
+#[derive(Default)]
+struct Encodes {
+    snapshot: AtomicUsize,
+    to_frame: AtomicUsize,
+}
+
+/// A detector wrapper that counts [`Encodes`] and forwards everything.
+#[derive(Clone)]
+struct Counted<D> {
+    inner: D,
+    encodes: Arc<Encodes>,
+}
+
+impl<H: Hierarchy, D: HhhDetector<H>> HhhDetector<H> for Counted<D> {
+    fn observe(&mut self, item: H::Item, weight: u64) {
+        self.inner.observe(item, weight);
+    }
+    fn observe_batch(&mut self, batch: &[(H::Item, u64)]) {
+        self.inner.observe_batch(batch);
+    }
+    fn total(&self) -> u64 {
+        self.inner.total()
+    }
+    fn report(&self, threshold: Threshold) -> Vec<HhhReport<H::Prefix>> {
+        self.inner.report(threshold)
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+    fn state_bytes(&self) -> usize {
+        self.inner.state_bytes()
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+impl<H: Hierarchy, D: ContinuousDetector<H>> ContinuousDetector<H> for Counted<D> {
+    fn observe(&mut self, ts: Nanos, item: H::Item, weight: u64) {
+        self.inner.observe(ts, item, weight);
+    }
+    fn observe_batch(&mut self, batch: &[(Nanos, H::Item, u64)]) {
+        self.inner.observe_batch(batch);
+    }
+    fn decayed_total(&self, now: Nanos) -> f64 {
+        self.inner.decayed_total(now)
+    }
+    fn report_at(&self, now: Nanos, threshold: Threshold) -> Vec<HhhReport<H::Prefix>> {
+        self.inner.report_at(now, threshold)
+    }
+    fn state_bytes(&self) -> usize {
+        self.inner.state_bytes()
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+impl<D: MergeableDetector> MergeableDetector for Counted<D> {
+    fn merge(&mut self, other: &Self) {
+        self.inner.merge(&other.inner);
+    }
+    fn snapshot(&self) -> Option<DetectorSnapshot> {
+        self.encodes.snapshot.fetch_add(1, Ordering::Relaxed);
+        self.inner.snapshot()
+    }
+    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<SnapshotFrame> {
+        self.encodes.to_frame.fetch_add(1, Ordering::Relaxed);
+        self.inner.to_frame(start, at)
+    }
+    fn retract(&mut self, other: &Self) -> bool {
+        self.inner.retract(&other.inner)
+    }
+}
+
+/// A frame transport that drops every frame.
+struct Discard;
+
+impl FrameWrite for Discard {
+    fn write_frame(&mut self, _frame: &SnapshotFrame) -> Result<(), TransportError> {
+        Ok(())
+    }
+}
+
+/// Run one engine into one sink: `(snapshot() calls, to_frame() calls)`.
+fn count_encodes<E, K>(
+    pkts: &[PacketRecord],
+    engine: &impl Fn(Arc<Encodes>) -> E,
+    sink: K,
+) -> (usize, usize)
+where
+    E: Engine<Prefix = Ipv4Prefix>,
+    K: ReportSink<Ipv4Prefix>,
+{
+    let counts = Arc::new(Encodes::default());
+    Pipeline::new(pkts.iter().copied()).engine(engine(counts.clone())).sink(sink).run();
+    (counts.snapshot.load(Ordering::Relaxed), counts.to_frame.load(Ordering::Relaxed))
+}
+
+/// Every sink against one engine: sinks that drop state cost no
+/// encode, sinks that keep it get one frame per report point, and no
+/// sink makes the engine render a JSON snapshot.
+fn assert_state_handoff<E: Engine<Prefix = Ipv4Prefix>>(
+    name: &str,
+    points: usize,
+    engine: impl Fn(Arc<Encodes>) -> E,
+) {
+    let pkts = small_trace(6, 41);
+    let discard = |_series: usize, _report: WindowReport<Ipv4Prefix>| {};
+    assert_eq!(count_encodes(&pkts, &engine, CollectSink::new()), (0, 0), "{name}: CollectSink");
+    assert_eq!(count_encodes(&pkts, &engine, FnSink(discard)), (0, 0), "{name}: FnSink");
+    let json = SnapshotSink::new(Vec::new());
+    assert_eq!(count_encodes(&pkts, &engine, json), (0, points), "{name}: JSON SnapshotSink");
+    let binary = SnapshotSink::binary(Vec::new());
+    assert_eq!(count_encodes(&pkts, &engine, binary), (0, points), "{name}: binary SnapshotSink");
+    let transport = TransportSink::new(Discard);
+    assert_eq!(count_encodes(&pkts, &engine, transport), (0, points), "{name}: TransportSink");
+}
+
+#[test]
+fn engines_encode_state_only_for_sinks_that_keep_it() {
+    let h = Ipv4Hierarchy::bytes();
+    let horizon = TimeSpan::from_secs(6);
+    let window = TimeSpan::from_secs(2);
+    let thresholds = [Threshold::percent(5.0)];
+    let exact =
+        |encodes: &Arc<Encodes>| Counted { inner: ExactHhh::new(h), encodes: encodes.clone() };
+    assert_state_handoff("ShardedDisjoint", 3, |encodes| {
+        let shards = (0..2).map(|_| exact(&encodes)).collect();
+        ShardedDisjoint::new(shards, horizon, window, &thresholds, |p| p.src)
+    });
+    assert_state_handoff("ShardedSliding", 5, |encodes| {
+        let step = TimeSpan::from_secs(1);
+        ShardedSliding::new(2, |_| exact(&encodes), horizon, window, step, &thresholds, |p| p.src)
+    });
+    let probes: Vec<Nanos> = (1..=6).map(Nanos::from_secs).collect();
+    assert_state_handoff("ShardedContinuous", probes.len(), |encodes| {
+        let cfg = TdbfHhhConfig { half_life: window, ..TdbfHhhConfig::default() };
+        let shards = (0..2)
+            .map(|_| Counted { inner: TdbfHhh::new(h, cfg.clone()), encodes: encodes.clone() })
+            .collect();
+        ShardedContinuous::new(shards, &probes, thresholds[0], |p| p.src)
+    });
 }
 
 proptest! {

@@ -1,23 +1,23 @@
-//! Transport-layer contract: **a frame on a socket (or channel) is the
-//! same bytes as a frame in a file.**
+//! Transport-layer contract: **a frame on a socket is the same bytes
+//! as a frame in a file.**
 //!
 //! * the identical pipeline run writes the identical frame sequence
-//!   through `SnapshotSink` (bytes), `TransportSink` over an
-//!   in-process channel, and `TransportSink` over localhost TCP;
+//!   through `SnapshotSink` (bytes) and `TransportSink` over localhost
+//!   TCP;
 //! * the path-based `SnapshotSink::create` / `SnapshotSource::open`
-//!   wrappers round-trip through a real file;
+//!   constructors round-trip through a real file;
 //! * torn/short streams fail with typed errors — the byte-mutation
-//!   fuzz from the codec corpus, extended to the transport framing:
-//!   mutated or truncated frame streams never panic, hang, or drive
-//!   unbounded allocations.
+//!   fuzz from the codec corpus, extended to the frame reader every
+//!   medium shares (`read_frame_from`): mutated or truncated frame
+//!   streams never panic, hang, or drive unbounded allocations.
 
-use hidden_hhh::agg::{fold_streams, render_merged};
+use hidden_hhh::agg::fold_streams;
 use hidden_hhh::core::snapshot::binary::SnapshotFrame;
 use hidden_hhh::core::{DetectorSnapshot, WireFormat, WireSnapshot};
 use hidden_hhh::prelude::*;
 use hidden_hhh::window::{
-    mem_transport, CollectLimits, FileTransport, FrameHub, FrameRead, FrameWrite, SnapshotSink,
-    SnapshotSource, TcpTransport, TransportError, TransportSink, TransportSource,
+    read_frame_from, CollectLimits, FrameHub, FrameWrite, SnapshotSink, SnapshotSource,
+    TcpTransport, TransportError, TransportSink,
 };
 use proptest::prelude::*;
 
@@ -66,28 +66,6 @@ fn run_through<T: FrameWrite>(
 }
 
 #[test]
-fn channel_transport_carries_the_file_bytes() {
-    let horizon = TimeSpan::from_secs(15);
-    let packets = trace(15);
-    let reference = file_bytes(&packets, horizon);
-
-    let (writer, mut reader) = mem_transport(8);
-    let producer = std::thread::spawn({
-        let packets = packets.clone();
-        move || {
-            let (_w, err) = run_through(&packets, horizon, writer);
-            assert!(err.is_none(), "{err:?}");
-        }
-    });
-    let mut streamed = Vec::new();
-    while let Some(frame) = reader.read_frame().expect("channel frames decode") {
-        streamed.extend_from_slice(&frame.encode());
-    }
-    producer.join().unwrap();
-    assert_eq!(streamed, reference, "a frame on a channel is the same bytes as in a file");
-}
-
-#[test]
 fn tcp_transport_carries_the_file_bytes() {
     let horizon = TimeSpan::from_secs(15);
     let packets = trace(15);
@@ -110,36 +88,6 @@ fn tcp_transport_carries_the_file_bytes() {
     assert_eq!(streams.len(), 1);
     let streamed: Vec<u8> = streams[0].frames.iter().flat_map(SnapshotFrame::encode).collect();
     assert_eq!(streamed, reference, "a frame on a socket is the same bytes as in a file");
-}
-
-#[test]
-fn fold_snapshots_consumes_a_transport_source() {
-    // Snapshots off a live channel instead of a file: folding them
-    // must equal folding the file stream.
-    let horizon = TimeSpan::from_secs(15);
-    let packets = trace(15);
-    let reference_bytes = file_bytes(&packets, horizon);
-    let hier = h();
-    let mut file_source = SnapshotSource::new(reference_bytes.as_slice());
-    let expected = fold_streams(&hier, vec![(&mut file_source).collect()]).unwrap();
-    assert!(file_source.error().is_none());
-
-    let (writer, reader) = mem_transport(8);
-    let producer = std::thread::spawn({
-        let packets = packets.clone();
-        move || {
-            let (_w, err) = run_through(&packets, horizon, writer);
-            assert!(err.is_none(), "{err:?}");
-        }
-    });
-    let mut source = TransportSource::new(reader);
-    let streamed = (&mut source).collect();
-    producer.join().unwrap();
-    assert!(source.error().is_none(), "{:?}", source.error());
-    let folded = fold_streams(&hier, vec![streamed]).unwrap();
-    let t = [Threshold::percent(1.0)];
-    assert!(!expected.is_empty());
-    assert_eq!(render_merged(&folded, &t, true), render_merged(&expected, &t, true));
 }
 
 #[test]
@@ -170,10 +118,10 @@ fn path_constructors_roundtrip_through_a_real_file() {
     let points = fold_streams(&h(), vec![snaps]).unwrap();
     assert_eq!(points.len(), 2);
 
-    // And the FileTransport reader sees the identical frames.
-    let mut reader = FileTransport::open(&path).unwrap();
+    // And the frame reader sees the identical frames.
+    let mut reader = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
     let mut frames = 0usize;
-    while reader.read_frame().expect("file frames decode").is_some() {
+    while read_frame_from(&mut reader).expect("file frames decode").is_some() {
         frames += 1;
     }
     assert!(frames >= 4, "reports + states all frame-decode, got {frames}");
@@ -210,8 +158,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Byte-mutation fuzz, extended to the transport framing: any
-    /// single-byte corruption of a valid frame stream read through a
-    /// transport terminates with frames and/or one typed error —
+    /// single-byte corruption of a valid frame stream read through the
+    /// frame reader terminates with frames and/or one typed error —
     /// never a panic or a hang.
     #[test]
     fn mutated_streams_fail_typed_through_transports(
@@ -221,10 +169,10 @@ proptest! {
         let mut bytes = valid_stream();
         let pos = pos % bytes.len();
         bytes[pos] ^= byte;
-        let mut reader = FileTransport::new(std::io::Cursor::new(bytes));
+        let mut reader = std::io::Cursor::new(bytes);
         let mut frames = 0usize;
         loop {
-            match reader.read_frame() {
+            match read_frame_from(&mut reader) {
                 Ok(Some(_)) => frames += 1,
                 Ok(None) => break,
                 Err(e) => {
@@ -261,9 +209,9 @@ proptest! {
             ends.contains(&cut)
         };
         bytes.truncate(cut);
-        let mut reader = FileTransport::new(std::io::Cursor::new(bytes));
+        let mut reader = std::io::Cursor::new(bytes);
         let outcome = loop {
-            match reader.read_frame() {
+            match read_frame_from(&mut reader) {
                 Ok(Some(_)) => continue,
                 Ok(None) => break Ok(()),
                 Err(e) => break Err(e),
