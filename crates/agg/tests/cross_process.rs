@@ -1,7 +1,7 @@
 //! Cross-process smoke: spawn the real `hhh-agg` binary on real shard
 //! stream files and check its stdout against the library fold — the
-//! in-repo twin of the CI job that pipes K `distagg shard` processes
-//! into `hhh-agg` and diffs a committed golden.
+//! in-repo twin of the CI job that pipes K `aggd-shard` processes into
+//! `hhh-agg` and diffs a committed golden.
 
 use hhh_agg::{fold_streams, read_stream, render_merged};
 use hhh_core::Threshold;

@@ -1,16 +1,23 @@
-//! `aggd-shard` — one deterministic scenario shard streaming to a
-//! running `hhh-aggd`.
+//! `aggd-shard` — one deterministic scenario shard's snapshot stream,
+//! written to stdout or streamed to a running aggregator.
 //!
 //! ```text
+//! aggd-shard <kind> <k> <shard> <seconds> [--format json|binary]
 //! aggd-shard <kind> <k> <shard> <seconds> --connect ADDR
 //!            [--id N] [--spool PATH] [--die-after FRAMES]
 //! ```
 //!
-//! Regenerates the scenario's day trace over a `<seconds>` horizon,
-//! filters it to `<shard>`'s key partition, runs the per-shard
-//! pipeline, and streams its v2 snapshot frames to the daemon. The
-//! stream is a pure function of the arguments, which is what makes
-//! restarts exact:
+//! Regenerates the scenario's day trace over a `<seconds>` horizon
+//! (at least one 5 s report window), filters it to `<shard>`'s key
+//! partition, and runs the per-shard pipeline. The stream is a pure
+//! function of the four positionals: `aggd-shard exact 4 0 60` writes
+//! the same bytes every time, wherever it runs.
+//!
+//! Without `--connect` the stream goes to stdout, as v1 JSON lines by
+//! default or as v2 frames with `--format binary`; CI spawns K of these
+//! and pipes the files into `hhh-agg`. With `--connect` the shard
+//! streams v2 frames over TCP to `hhh-aggd` or `hhh-agg --listen`, and
+//! that determinism is what makes restarts exact:
 //!
 //! * `--spool PATH` journals every frame to a spool file; on restart
 //!   the transport recovers the spool, claims it in a resume hello,
@@ -25,13 +32,17 @@
 //!   the shard index; use `scenario::stream_id`'s `kind_index*k +
 //!   shard` convention when one daemon folds several kinds).
 
-use hhh_aggd::scenario::{self, Kind};
-use hhh_core::SnapshotFrame;
+use hhh_aggd::scenario::{self, Kind, DISTAGG_WINDOW};
+use hhh_core::{SnapshotFrame, WireFormat};
 use hhh_nettypes::TimeSpan;
-use hhh_window::{FrameSpool, FrameWrite, TcpTransport, TransportError, TransportSink};
+use hhh_window::{
+    FrameSpool, FrameWrite, SnapshotSink, TcpTransport, TransportError, TransportSink,
+};
+use std::io::BufWriter;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: aggd-shard <kind> <k> <shard> <seconds> --connect ADDR\n\
+const USAGE: &str = "usage: aggd-shard <kind> <k> <shard> <seconds> [--format json|binary]\n\
+                     \x20      aggd-shard <kind> <k> <shard> <seconds> --connect ADDR\n\
                      \x20                 [--id N] [--spool PATH] [--die-after FRAMES]\n\
                      kinds: exact ss-hhh rhhh tdbf-hhh mvpipe";
 
@@ -64,19 +75,25 @@ impl<W: FrameWrite> FrameWrite for DieAfter<W> {
     }
 }
 
+/// Where the shard's stream goes.
+enum Out {
+    /// Stdout, in the given wire format.
+    Stdout(WireFormat),
+    /// v2 frames over TCP to `addr`, opening with a hello for `id`.
+    Connect { addr: String, id: u64, spool: Option<String>, die_after: Option<u64> },
+}
+
 struct Args {
     kind: Kind,
     k: usize,
     shard: usize,
     seconds: u64,
-    connect: String,
-    id: u64,
-    spool: Option<String>,
-    die_after: Option<u64>,
+    out: Out,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut positional = Vec::new();
+    let mut format = None;
     let mut connect = None;
     let mut id = None;
     let mut spool = None;
@@ -84,6 +101,11 @@ fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
+            "--format" => {
+                let v = argv.next().ok_or("--format needs json or binary")?;
+                format =
+                    Some(WireFormat::parse(&v).ok_or_else(|| format!("unknown --format `{v}`"))?);
+            }
             "--connect" => connect = Some(argv.next().ok_or("--connect needs an address")?),
             "--id" => {
                 let v = argv.next().ok_or("--id needs a stream id")?;
@@ -110,28 +132,59 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!("shard {shard} out of range for k={k}"));
     }
     let seconds: u64 = seconds.parse().map_err(|_| format!("seconds `{seconds}` not a number"))?;
-    if seconds == 0 {
-        return Err("seconds must be at least 1".into());
+    // A horizon with no whole report window writes no frame at all.
+    if seconds < DISTAGG_WINDOW.as_secs() {
+        return Err(format!(
+            "seconds {seconds} is shorter than one report window ({DISTAGG_WINDOW})"
+        ));
     }
-    let connect = connect.ok_or("--connect ADDR is required")?;
-    Ok(Args { kind, k, shard, seconds, connect, id: id.unwrap_or(shard as u64), spool, die_after })
+    let out = match connect {
+        Some(addr) => {
+            if format.is_some() {
+                // A frame on a socket is the same bytes as a frame in a file.
+                return Err("--connect always streams v2 frames; drop --format".into());
+            }
+            Out::Connect { addr, id: id.unwrap_or(shard as u64), spool, die_after }
+        }
+        None => {
+            let given = [
+                ("--id", id.is_some()),
+                ("--spool", spool.is_some()),
+                ("--die-after", die_after.is_some()),
+            ];
+            if let Some((flag, _)) = given.into_iter().find(|&(_, set)| set) {
+                return Err(format!("{flag} only applies with --connect"));
+            }
+            Out::Stdout(format.unwrap_or(WireFormat::Json))
+        }
+    };
+    Ok(Args { kind, k, shard, seconds, out })
 }
 
-fn run(args: &Args) -> Result<(), String> {
+fn run(args: Args) -> Result<(), String> {
     let horizon = TimeSpan::from_secs(args.seconds);
     let trace = scenario::scenario_trace(horizon);
     let packets = scenario::shard_packets(&trace, args.k, args.shard);
-    let label = scenario::shard_label(args.kind, args.k, args.shard);
-    let mut transport = TcpTransport::connect(&args.connect).with_hello(args.id, label);
-    if let Some(path) = &args.spool {
-        let spool = FrameSpool::open(path).map_err(|e| format!("spool {path}: {e}"))?;
-        transport = transport.with_spool(spool);
-    }
-    let sink = TransportSink::new(DieAfter { inner: transport, left: args.die_after });
-    let (_writer, err) = scenario::shard_into(args.kind, &packets, horizon, args.shard, sink);
-    match err {
-        None => Ok(()),
-        Some(e) => Err(format!("{} -> {}: {e}", args.shard, args.connect)),
+    let source = packets.iter().copied();
+    match args.out {
+        Out::Stdout(format) => {
+            let sink = SnapshotSink::with_format(BufWriter::new(std::io::stdout()), format);
+            let (_out, err) =
+                scenario::shard_source_into(args.kind, source, horizon, args.shard, sink);
+            err.map_or(Ok(()), |e| Err(format!("stdout: {e}")))
+        }
+        Out::Connect { addr, id, spool, die_after } => {
+            let label = scenario::shard_label(args.kind, args.k, args.shard);
+            let mut transport = TcpTransport::connect(&addr).with_hello(id, label);
+            if let Some(path) = &spool {
+                let spool = FrameSpool::open(path).map_err(|e| format!("spool {path}: {e}"))?;
+                transport = transport.with_spool(spool);
+            }
+            let sink = TransportSink::new(DieAfter { inner: transport, left: die_after });
+            let (_writer, err) =
+                scenario::shard_source_into(args.kind, source, horizon, args.shard, sink);
+            err.map_or(Ok(()), |e| Err(format!("{} -> {addr}: {e}", args.shard)))
+        }
     }
 }
 
@@ -147,7 +200,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run(&args) {
+    match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("aggd-shard: {msg}");

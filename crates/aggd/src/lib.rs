@@ -24,9 +24,11 @@
 //! restarts included.
 //!
 //! Two binaries ship with the crate: `hhh-aggd` (the daemon) and
-//! `aggd-shard` (a deterministic scenario shard driver with `--spool`
-//! and `--die-after`, used by the restart-resume integration test, the
-//! CI smoke topology, and `docker-compose.yml`).
+//! `aggd-shard`, the one scenario shard writer. It writes a
+//! deterministic shard stream to stdout (the CI file smokes pipe it
+//! into `hhh-agg`) or streams it over TCP with `--spool` and
+//! `--die-after` (the restart-resume integration test, the CI smoke
+//! topologies, `docker-compose.yml` and `deploy/k8s.yaml`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,10 @@
 //! The **distributed-aggregation scenario** shared by the `distagg`
-//! experiment (in `hhh-experiments`) and the daemon's shard driver
-//! (`aggd-shard`): one day trace split K ways by the sharded
-//! pipeline's own key partition ([`shard_of`]), K independent
-//! per-shard pipelines writing their per-report-point detector
-//! snapshots, and the reference runs the folds are checked against.
+//! experiment (in `hhh-experiments`), the daemon's shard writer
+//! (`aggd-shard`) and the load generator: one day trace split K ways
+//! by the sharded pipeline's own key partition ([`shard_of`]), K
+//! independent per-shard pipelines writing their per-report-point
+//! detector snapshots, and the reference runs the folds are checked
+//! against.
 //!
 //! Everything here is **deterministic**: the same
 //! `(kind, trace, k, shard)` always produces the same stream bytes.
@@ -17,6 +18,15 @@
 //! them to a sharded runner (a shard's own pipeline, or the in-process
 //! K-shard reference) or to an unsharded one (the single-process
 //! reference on the plain [`Disjoint`] and [`Continuous`] engines).
+//!
+//! [`shard_source_into`] runs one shard's pipeline from any packet
+//! source into any sink (stdout, a byte buffer, a
+//! [`TransportSink`](hhh_window::TransportSink) over TCP), and
+//! [`shard_stream_on`] is that run into a byte buffer. `aggd-shard` is
+//! the one binary that writes a shard's stream, to stdout or to a
+//! socket. [`inprocess_sharded_jsonl_on`], [`single_process_reports_on`]
+//! and [`fold_shard_streams`] are the references a fold is checked
+//! against.
 //!
 //! The module lives in `hhh-aggd` (not `hhh-experiments`) so the
 //! daemon's binaries and integration tests can drive scenario shards
@@ -32,7 +42,7 @@ use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::{Ipv4Prefix, Nanos, PacketRecord, TimeSpan};
 use hhh_window::{
     shard_of, Continuous, Disjoint, PacketSource, Pipeline, ReportSink, ShardedContinuous,
-    ShardedDisjoint, SnapshotSink, TcpTransport, TransportError, TransportSink, WindowReport,
+    ShardedDisjoint, SnapshotSink, WindowReport,
 };
 use std::ops::Range;
 
@@ -90,8 +100,8 @@ pub fn probes(horizon: TimeSpan) -> Vec<Nanos> {
 /// position in [`Kind::ALL`]. The hub and the daemon identify a logical
 /// stream by its id alone — for its whole lifetime, across reconnects —
 /// so two different streams must never share one. Single-kind
-/// topologies may keep the bare shard index (what [`shard_to_addr_on`]
-/// does); anything driving more than one kind at the same daemon uses
+/// topologies may keep the bare shard index (`aggd-shard`'s default
+/// id); anything driving more than one kind at the same daemon uses
 /// this.
 pub fn stream_id(kind: Kind, k: usize, shard: usize) -> u64 {
     let index = Kind::ALL.iter().position(|&row| row == kind).expect("every kind is a row");
@@ -216,9 +226,10 @@ pub fn shard_packets(trace: &[PacketRecord], k: usize, shard: usize) -> Vec<Pack
 
 /// One shard's pipeline of the scenario over an arbitrary
 /// [`PacketSource`] into an arbitrary sink — the medium-agnostic core
-/// everything shares. [`shard_into`] wraps it for in-memory slices;
-/// live drivers (like `hhh-loadgen`) hand it the consuming half of a
-/// [`bounded`](hhh_window::source::bounded) channel so a producer
+/// every shard run shares. `aggd-shard` hands it the shard's
+/// partition of the trace (see [`shard_packets`]) and a stdout or TCP
+/// sink; live feeds (like `hhh-loadgen`) hand it the consuming half
+/// of a [`bounded`](hhh_window::source::bounded) channel so a producer
 /// thread feeds the shard with back-pressure.
 pub fn shard_source_into<Src, S>(
     kind: Kind,
@@ -234,22 +245,10 @@ where
     run_kind(kind, shard..shard + 1, Sharded { source, horizon, sink })
 }
 
-/// [`shard_source_into`] over the shard's already-partitioned
-/// in-memory sub-stream (see [`shard_packets`]).
-pub fn shard_into<S: ReportSink<Ipv4Prefix>>(
-    kind: Kind,
-    packets: &[PacketRecord],
-    horizon: TimeSpan,
-    shard: usize,
-    sink: S,
-) -> S::Output {
-    shard_source_into(kind, packets.iter().copied(), horizon, shard, sink)
-}
-
 /// One shard's run of the distributed scenario: filter the trace to
 /// the keys [`shard_of`] assigns to `shard` among `k`, run the
 /// per-shard pipeline, and return its snapshot stream in `format` —
-/// exactly what that shard's *process* would write.
+/// exactly the bytes `aggd-shard` writes to stdout.
 pub fn shard_stream_on(
     kind: Kind,
     trace: &[PacketRecord],
@@ -260,60 +259,10 @@ pub fn shard_stream_on(
 ) -> Vec<u8> {
     assert!(shard < k, "shard index out of range");
     let packets = shard_packets(trace, k, shard);
-    let (bytes, err) =
-        shard_into(kind, &packets, horizon, shard, SnapshotSink::with_format(Vec::new(), format));
+    let sink = SnapshotSink::with_format(Vec::new(), format);
+    let (bytes, err) = shard_source_into(kind, packets.iter().copied(), horizon, shard, sink);
     assert!(err.is_none(), "Vec<u8> writes cannot fail");
     bytes
-}
-
-/// [`shard_stream_on`] in the v1 JSONL format.
-pub fn shard_jsonl_on(
-    kind: Kind,
-    trace: &[PacketRecord],
-    horizon: TimeSpan,
-    k: usize,
-    shard: usize,
-) -> Vec<u8> {
-    shard_stream_on(kind, trace, horizon, k, shard, WireFormat::Json)
-}
-
-/// One shard's run streamed **over TCP** to an aggregator at `addr`
-/// with an explicit stream id — what `aggd-shard` and the aggd e2e
-/// driver use ([`stream_id`] for multi-kind topologies). The transport
-/// opens with a hello frame carrying `id`, so the aggregator folds in
-/// stream-id order no matter who connects first; frames are the
-/// detector's **native** encodes (no JSON anywhere on the shard side).
-pub fn shard_to_addr_with(
-    kind: Kind,
-    trace: &[PacketRecord],
-    horizon: TimeSpan,
-    k: usize,
-    shard: usize,
-    addr: &str,
-    id: u64,
-) -> Result<(), TransportError> {
-    assert!(shard < k, "shard index out of range");
-    let transport = TcpTransport::connect(addr).with_hello(id, shard_label(kind, k, shard));
-    let packets = shard_packets(trace, k, shard);
-    let (_transport, err) =
-        shard_into(kind, &packets, horizon, shard, TransportSink::new(transport));
-    match err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-/// [`shard_to_addr_with`] with the single-kind id convention
-/// (`id == shard`) — what `distagg shard --connect` does.
-pub fn shard_to_addr_on(
-    kind: Kind,
-    trace: &[PacketRecord],
-    horizon: TimeSpan,
-    k: usize,
-    shard: usize,
-    addr: &str,
-) -> Result<(), TransportError> {
-    shard_to_addr_with(kind, trace, horizon, k, shard, addr, shard as u64)
 }
 
 /// The in-process K-shard reference stream: one sharded pipeline over

@@ -11,13 +11,6 @@
 //! # file-based fold and the in-process sharded run:
 //! cargo run --release -p hhh-experiments --bin distagg -- socket [scale]
 //!
-//! # one shard's snapshot stream on stdout (the CI cross-process smoke
-//! # spawns K of these and pipes them into the hhh-agg binary), or —
-//! # with --connect — streamed as v2 frames over TCP to a listening
-//! # aggregator (`hhh-agg --listen ADDR --expect K`):
-//! cargo run --release -p hhh-experiments --bin distagg -- \
-//!     shard <kind> <k> <i> [scale] [--format json|binary] [--connect ADDR]
-//!
 //! # snapshot encode/decode + aggregator fold throughput, v1 vs v2
 //! # (including native vs transcode v2 encode):
 //! cargo run --release -p hhh-experiments --bin distagg -- bench [scale] [out.json]
@@ -26,17 +19,17 @@
 //! cargo run --release -p hhh-experiments --bin distagg -- corpus <dir>
 //! ```
 //!
-//! `<kind>` is one of `exact`, `ss-hhh`, `rhhh`, `tdbf-hhh`, `mvpipe`
-//! (the rows of `hhh_core::Kind`).
+//! One shard's snapshot stream, as its own process, is `aggd-shard
+//! <kind> <k> <i> <seconds> [--format json|binary] [--connect ADDR]`
+//! (in `hhh-aggd`); `aggd-shard <kind> <k> <i> 60` is shard `i` of the
+//! `smoke` scenario these modes run.
 
-use hhh_core::WireFormat;
 use hhh_experiments::corpus::write_corpus;
 use hhh_experiments::distagg::{
     codec_bench, codec_bench_json, codec_bench_table, distagg_table, run_distagg, run_socket,
-    shard_stream, shard_to_addr, socket_table, Kind,
+    socket_table, Kind,
 };
 use hhh_experiments::Scale;
-use std::io::Write;
 
 /// The scale at `args[n]`, `Smoke` when absent; anything else there
 /// is rejected.
@@ -49,11 +42,8 @@ fn scale_at(args: &[String], n: usize) -> Scale {
 
 const USAGE: &str = "usage: distagg run [scale]\n\
                      \x20      distagg socket [scale]\n\
-                     \x20      distagg shard <kind> <k> <i> [scale] [--format json|binary] \
-                     [--connect ADDR]\n\
                      \x20      distagg bench [scale] [out.json]\n\
                      \x20      distagg corpus <dir>\n\
-                     kinds: exact ss-hhh rhhh tdbf-hhh mvpipe; \
                      scales: smoke quick paper (default smoke)";
 
 fn usage() -> ! {
@@ -69,49 +59,12 @@ fn reject(arg: &str) -> ! {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    // --format / --connect may appear anywhere; pull them out of the
-    // positionals.
-    let mut format = WireFormat::Json;
-    let mut format_given = false;
-    if let Some(pos) = args.iter().position(|a| a == "--format") {
-        if pos + 1 >= args.len() {
-            usage();
-        }
-        format = WireFormat::parse(&args[pos + 1]).unwrap_or_else(|| usage());
-        format_given = true;
-        args.drain(pos..=pos + 1);
-    }
-    let mut connect: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--connect") {
-        if pos + 1 >= args.len() {
-            usage();
-        }
-        connect = Some(args[pos + 1].clone());
-        args.drain(pos..=pos + 1);
-    }
+    let args: Vec<String> = std::env::args().collect();
     let mode = args.get(1).cloned().unwrap_or_else(|| "run".into());
-    if format_given && mode != "shard" {
-        // Only `shard` emits a stream; silently accepting the flag
-        // elsewhere would let a user believe they picked a format.
-        eprintln!("distagg: --format only applies to `shard`");
-        usage();
-    }
-    if connect.is_some() && mode != "shard" {
-        eprintln!("distagg: --connect only applies to `shard`");
-        usage();
-    }
-    if format_given && connect.is_some() {
-        // Sockets carry v2 frames, period — a frame on a socket is the
-        // same bytes as a frame in a file.
-        eprintln!("distagg: --connect always streams v2 frames; drop --format");
-        usage();
-    }
     // Every mode's last positional: anything after it is rejected.
     let last = match mode.as_str() {
         "run" | "socket" | "corpus" => 2,
         "bench" => 3,
-        "shard" => 5,
         _ => reject(&mode),
     };
     if let Some(extra) = args.get(last + 1) {
@@ -147,30 +100,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "shard" => {
-            if args.len() < 5 {
-                usage();
-            }
-            let kind = Kind::parse(&args[2]).unwrap_or_else(|| usage());
-            let k: usize = args[3].parse().unwrap_or_else(|_| usage());
-            let shard: usize = args[4].parse().unwrap_or_else(|_| usage());
-            if k == 0 || shard >= k {
-                usage();
-            }
-            let scale = scale_at(&args, 5);
-            match connect {
-                Some(addr) => {
-                    if let Err(e) = shard_to_addr(kind, scale, k, shard, &addr) {
-                        eprintln!("distagg: shard {shard}/{k} -> {addr}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-                None => {
-                    let bytes = shard_stream(kind, scale, k, shard, format);
-                    std::io::stdout().write_all(&bytes).expect("write stdout");
-                }
-            }
-        }
         "bench" => {
             let scale = scale_at(&args, 2);
             eprintln!("snapshot codec bench at scale '{}'…", scale.label());
@@ -187,22 +116,5 @@ fn main() {
             eprintln!("wrote codec corpus under {dir}");
         }
         _ => unreachable!("unknown modes were rejected above"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn usage_lists_every_kind() {
-        let listed = USAGE.lines().last().expect("usage ends with the kinds line");
-        for kind in Kind::ALL {
-            assert!(
-                listed.split([' ', ';']).any(|k| k == kind.label()),
-                "usage omits kind `{}`",
-                kind.label()
-            );
-        }
     }
 }

@@ -8,22 +8,20 @@
 //! cargo run --release -p hhh-experiments --bin scale -- sliding [smoke|quick|paper] [out.json]
 //! cargo run --release -p hhh-experiments --bin scale -- aggd [smoke|quick|paper] [out.json]
 //! cargo run --release -p hhh-experiments --bin scale -- fairness [smoke|quick|paper] [out.json]
-//! cargo run --release -p hhh-experiments --bin scale -- loadgen [smoke|quick|paper] [out.json]
-//! cargo run --release -p hhh-experiments --bin scale -- mitigate [smoke|quick|paper] [out.json]
 //! ```
 //!
 //! Prints the throughput/fidelity table; with an output path, also
 //! writes the rows as JSON lines (the formats committed as
-//! `BENCH_pr1.json`, `BENCH_pr6.json`, `BENCH_pr7.json`,
-//! `BENCH_pr8.json`, `BENCH_pr9.json`, and `BENCH_pr10.json`).
+//! `BENCH_pr1.json`, `BENCH_pr6.json`, `BENCH_pr7.json` and
+//! `BENCH_pr8.json`). The closed-loop sweeps behind `BENCH_pr9.json`
+//! and `BENCH_pr10.json` are `hhh-loadgen <scale> [--mitigate] --out
+//! FILE`.
 
 use hhh_experiments::aggd_e2e::{aggd_json, aggd_table, run_aggd};
 use hhh_experiments::fairness::fairness;
 use hhh_experiments::{shard_sweep, sliding_scoreboard, Scale};
-use hhh_loadgen::{DriveOptions, LoadScale};
 
-const USAGE: &str = "usage: scale [sliding|aggd|fairness|loadgen|mitigate] \
-                     [smoke|quick|paper] [out.json]";
+const USAGE: &str = "usage: scale [sliding|aggd|fairness] [smoke|quick|paper] [out.json]";
 
 /// Name an argument the command line does not take, print usage and
 /// exit 2.
@@ -35,7 +33,7 @@ fn reject(arg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mode, rest) = match args.first().map(String::as_str) {
-        Some(m @ ("sliding" | "aggd" | "fairness" | "loadgen" | "mitigate")) => (m, &args[1..]),
+        Some(m @ ("sliding" | "aggd" | "fairness")) => (m, &args[1..]),
         _ => ("sweep", &args[..]),
     };
     let scale = match rest.first() {
@@ -52,8 +50,6 @@ fn main() {
             "sliding" => "sliding scoreboard",
             "aggd" => "daemon e2e",
             "fairness" => "fairness shoot-out",
-            "loadgen" => "closed-loop scenario suite",
-            "mitigate" => "mitigation closed loop",
             _ => "shard sweep",
         },
         scale.label(),
@@ -70,39 +66,6 @@ fn main() {
         }
         "fairness" => {
             let results = fairness(scale);
-            (results.table(), results.json_lines())
-        }
-        "loadgen" => {
-            let load_scale = match scale {
-                Scale::Smoke => LoadScale::Smoke,
-                Scale::Quick => LoadScale::Quick,
-                Scale::Paper => LoadScale::Paper,
-            };
-            let results = hhh_loadgen::sweep(
-                load_scale,
-                hhh_loadgen::SUITE_SEED,
-                None,
-                &DriveOptions::default(),
-                |msg| eprintln!("loadgen: {msg}"),
-            )
-            .expect("closed-loop sweep");
-            (results.table(), results.json_lines())
-        }
-        "mitigate" => {
-            let load_scale = match scale {
-                Scale::Smoke => LoadScale::Smoke,
-                Scale::Quick => LoadScale::Quick,
-                Scale::Paper => LoadScale::Paper,
-            };
-            let results = hhh_loadgen::mitigate_sweep(
-                load_scale,
-                hhh_loadgen::SUITE_SEED,
-                None,
-                &DriveOptions::default(),
-                &hhh_mitigate::PolicyConfig::default(),
-                |msg| eprintln!("loadgen: {msg}"),
-            )
-            .expect("mitigation sweep");
             (results.table(), results.json_lines())
         }
         _ => {

@@ -22,31 +22,33 @@
 //!   bounded Jaccard agreement for the approximate detectors (the
 //!   merge-error growth the sharding tests already quantify).
 //!
-//! The `distagg` binary exposes each shard's run on stdout
-//! (`distagg shard <kind> <k> <i>`) so CI can spawn K real processes
-//! and pipe their streams into the `hhh-agg` binary — the
-//! cross-process smoke test.
+//! One shard's run as a real process is `aggd-shard <kind> <k> <i>
+//! <seconds>` (in `hhh-aggd`): it writes the same bytes as
+//! [`shard_stream_on`] to stdout, so CI can spawn K real processes and
+//! pipe their streams into the `hhh-agg` binary — the cross-process
+//! smoke test. `aggd-shard <kind> 4 <i> 60` is shard `i` of the
+//! `Smoke` scenario.
 //!
 //! The scenario **core** (kinds, constants, per-shard pipelines,
-//! reference runs) lives in [`hhh_aggd::scenario`] so the daemon's
-//! shard driver (`aggd-shard`) and its restart-resume tests share the
+//! reference runs) lives in [`hhh_aggd::scenario`] so the shard writer
+//! (`aggd-shard`) and the daemon's restart-resume tests share the
 //! exact definitions; this module re-exports every name and adds the
-//! [`Scale`]-aware wrappers, verdict tables, and the codec bench.
+//! [`Scale`]-aware runs, verdict tables, and the codec bench.
 
 use crate::Scale;
 use hhh_agg::{collect_socket_streams, fold_streams, read_stream, write_merged, MergedPoint};
+use hhh_aggd::scenario::shard_source_into;
 use hhh_analysis::{fmt_f, jaccard, Table};
 use hhh_core::WireFormat;
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::{Nanos, PacketRecord, TimeSpan};
-use hhh_trace::{scenarios, TraceGenerator};
-use hhh_window::{CollectLimits, FrameHub, TransportError};
+use hhh_window::{CollectLimits, FrameHub, TcpTransport, TransportSink};
 
 pub use hhh_aggd::scenario::{
     distagg_threshold, fold_shard_streams, hierarchy, inprocess_sharded_jsonl_on, probes,
-    rhhh_seed, scenario_trace, shard_into, shard_jsonl_on, shard_label, shard_packets,
-    shard_stream_on, shard_to_addr_on, shard_to_addr_with, single_process_reports_on, stream_id,
-    tdbf_config, Kind, DISTAGG_CAPACITY, DISTAGG_MVPIPE_BUCKETS, DISTAGG_WINDOW,
+    rhhh_seed, scenario_trace, shard_label, shard_packets, shard_stream_on,
+    single_process_reports_on, stream_id, tdbf_config, Kind, DISTAGG_CAPACITY,
+    DISTAGG_MVPIPE_BUCKETS, DISTAGG_WINDOW,
 };
 
 /// The scenario trace: the acceptance day trace at this scale (day 0;
@@ -62,35 +64,7 @@ pub fn distagg_trace(scale: Scale) -> &'static [PacketRecord] {
         Scale::Quick => 1,
         Scale::Paper => 2,
     };
-    TRACES[slot].get_or_init(|| {
-        let horizon = scale.compare_duration();
-        TraceGenerator::new(scenarios::day_trace(0, horizon), scenarios::day_seed(0)).collect()
-    })
-}
-
-/// One shard's run of the distributed scenario at a [`Scale`]:
-/// [`shard_stream_on`] over the cached scenario trace.
-pub fn shard_stream(
-    kind: Kind,
-    scale: Scale,
-    k: usize,
-    shard: usize,
-    format: WireFormat,
-) -> Vec<u8> {
-    shard_stream_on(kind, distagg_trace(scale), scale.compare_duration(), k, shard, format)
-}
-
-/// One shard's run streamed **over TCP** to an aggregator at `addr` —
-/// what `distagg shard --connect` does ([`shard_to_addr_on`] over the
-/// cached scenario trace).
-pub fn shard_to_addr(
-    kind: Kind,
-    scale: Scale,
-    k: usize,
-    shard: usize,
-    addr: &str,
-) -> Result<(), TransportError> {
-    shard_to_addr_on(kind, distagg_trace(scale), scale.compare_duration(), k, shard, addr)
+    TRACES[slot].get_or_init(|| scenario_trace(scale.compare_duration()))
 }
 
 /// One `(kind, K)` verdict of the scenario.
@@ -141,8 +115,9 @@ pub fn run_distagg_on(
     for &kind in kinds {
         let single = single_process_reports_on(kind, trace, horizon);
         for &k in ks {
-            let streams: Vec<Vec<u8>> =
-                (0..k).map(|i| shard_jsonl_on(kind, trace, horizon, k, i)).collect();
+            let streams: Vec<Vec<u8>> = (0..k)
+                .map(|i| shard_stream_on(kind, trace, horizon, k, i, WireFormat::Json))
+                .collect();
             let points = fold_shard_streams(&streams).expect("shard streams fold");
             let folded = points.iter().map(|p| p.folded).sum();
 
@@ -286,17 +261,25 @@ pub fn run_socket_on(
             };
 
             // K concurrent shard pipelines, each its own connection —
-            // exactly what K shard processes would do.
+            // exactly what K `aggd-shard --connect` processes do.
             let streams = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..k)
                     .map(|i| {
                         let addr = addr.clone();
-                        s.spawn(move || shard_to_addr_on(kind, trace, horizon, k, i, &addr))
+                        s.spawn(move || {
+                            let transport = TcpTransport::connect(&addr)
+                                .with_hello(i as u64, shard_label(kind, k, i));
+                            let packets = shard_packets(trace, k, i);
+                            let sink = TransportSink::new(transport);
+                            shard_source_into(kind, packets.into_iter(), horizon, i, sink).1
+                        })
                     })
                     .collect();
                 let streams = collect_socket_streams(hub, k, limits).expect("socket streams");
                 for h in handles {
-                    h.join().expect("shard thread").expect("shard transport");
+                    if let Some(e) = h.join().expect("shard thread") {
+                        panic!("shard transport: {e}");
+                    }
                 }
                 streams
             });
@@ -429,12 +412,12 @@ fn codec_row(
 fn sample_snapshot(kind: Kind, packets: &[PacketRecord]) -> hhh_core::DetectorSnapshot {
     let window: Vec<PacketRecord> =
         packets.iter().take_while(|p| p.ts < Nanos::ZERO + DISTAGG_WINDOW).copied().collect();
-    let stream = shard_jsonl_on(kind, &window, DISTAGG_WINDOW, 1, 0);
+    let stream = shard_stream_on(kind, &window, DISTAGG_WINDOW, 1, 0, WireFormat::Json);
     let first = read_stream(0, stream.as_slice()).expect("own stream parses").swap_remove(0);
     first.to_stamped().expect("a v1 state record").snapshot
 }
 
-/// Measure snapshot encode/decode cost per detector **in both wire
+/// Time snapshot encode/decode per detector **in both wire
 /// formats** and aggregator fold throughput (state records per second)
 /// at each shard count in `ks` — the numbers `BENCH_pr5.json` commits.
 /// The PR-4 acceptance line was the `decode` pair for `tdbf-hhh` (v2
@@ -487,8 +470,9 @@ pub fn codec_bench(scale: Scale, ks: &[usize]) -> Vec<CodecBenchRow> {
         // fold/K: parse + fold K whole shard streams, per format.
         for &k in ks {
             for format in [WireFormat::Json, WireFormat::Binary] {
-                let streams: Vec<Vec<u8>> =
-                    (0..k).map(|i| shard_stream(kind, scale, k, i, format)).collect();
+                let streams: Vec<Vec<u8>> = (0..k)
+                    .map(|i| shard_stream_on(kind, packets, scale.compare_duration(), k, i, format))
+                    .collect();
                 let records: u64 = streams
                     .iter()
                     .map(|b| read_stream(0, b.as_slice()).expect("stream parses").len() as u64)

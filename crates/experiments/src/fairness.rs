@@ -300,8 +300,8 @@ struct Shootout<'a> {
 }
 
 impl Shootout<'_> {
-    /// Measure one windowed detector, built fresh by `make` for each
-    /// pass.
+    /// Time and score one windowed detector, built fresh by `make` for
+    /// each pass.
     fn windowed<D: HhhDetector<Ipv4Hierarchy>>(
         &self,
         detector: Kind,
@@ -344,7 +344,8 @@ impl Shootout<'_> {
         }
     }
 
-    /// Measure one continuous detector, probed at the last packet.
+    /// Time and score one continuous detector, probed at the last
+    /// packet.
     fn continuous<D: ContinuousDetector<Ipv4Hierarchy>>(
         &self,
         detector: Kind,

@@ -3,7 +3,7 @@
 //! Network primitive types shared by every crate in the `hidden-hhh`
 //! workspace: nanosecond timestamps, IPv4/IPv6 prefixes with the masking
 //! and containment algebra that hierarchical heavy-hitter algorithms are
-//! built on, compact packet records, and traffic measures.
+//! built on, and compact packet records.
 //!
 //! The types here follow the smoltcp design ethos: plain data, no heap
 //! allocation, no clever type-level machinery, and every invariant
@@ -28,12 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod count;
 mod packet;
 mod prefix;
 mod time;
 
-pub use count::{Measure, RunningTotal};
 pub use packet::{PacketRecord, Proto};
 pub use prefix::{Ipv4Prefix, Ipv6Prefix, PrefixParseError};
 pub use time::{Nanos, TimeSpan};

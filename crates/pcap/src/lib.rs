@@ -14,12 +14,8 @@
 //!   (with 802.1Q VLAN), IPv4, IPv6, TCP and UDP headers, condensing a
 //!   frame into the [`PacketRecord`](hhh_nettypes::PacketRecord) that
 //!   every detector consumes.
-//! * **Native trace format** ([`NativeReader`], [`NativeWriter`]): a
-//!   fixed-width binary record stream that skips header parsing
-//!   entirely — what the experiment harness uses for its large
-//!   synthetic traces.
-//! * **Pipeline sources** ([`PcapSource`], [`NativeSource`]): chunked
-//!   packet iterators over either format, pluggable straight into
+//! * **Pipeline source** ([`PcapSource`]): a chunked packet iterator
+//!   over a pcap stream, pluggable straight into
 //!   `hhh_window::Pipeline::new` (I/O in record bursts, torn captures
 //!   end the stream early with the error kept for inspection).
 //!
@@ -44,14 +40,12 @@
 #![warn(missing_docs)]
 
 mod error;
-mod native;
 pub mod parse;
 mod reader;
 pub mod source;
 mod writer;
 
 pub use error::PcapError;
-pub use native::{NativeReader, NativeWriter, NATIVE_MAGIC, NATIVE_RECORD_LEN};
 pub use reader::{PcapReader, RawFrame, TsResolution};
-pub use source::{ChunkedRecordSource, NativeSource, PcapSource, RecordReader, DEFAULT_READ_CHUNK};
+pub use source::PcapSource;
 pub use writer::PcapWriter;

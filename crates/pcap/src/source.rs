@@ -1,9 +1,9 @@
-//! Chunked capture-file packet sources for the `hhh-window` pipeline.
+//! A chunked pcap packet source for the `hhh-window` pipeline.
 //!
-//! [`PcapSource`] and [`NativeSource`] adapt the two capture readers to
-//! plain `Iterator<Item = PacketRecord>`s, which is all it takes to be
-//! a `hhh_window::PacketSource` (the pipeline's chunked pull protocol
-//! is blanket-implemented over packet iterators):
+//! [`PcapSource`] adapts a [`PcapReader`] to a plain
+//! `Iterator<Item = PacketRecord>`, which is all it takes to be a
+//! `hhh_window::PacketSource` (the pipeline's chunked pull protocol is
+//! blanket-implemented over packet iterators):
 //!
 //! ```no_run
 //! use hhh_pcap::PcapSource;
@@ -18,74 +18,38 @@
 //!
 //! Feed the pipeline `&mut source` (every `&mut Iterator` is itself an
 //! iterator, hence a source) rather than moving the source in: after
-//! the run, [`ChunkedRecordSource::error`] is still reachable to check
-//! whether the stream ended at end-of-file or at a tear.
+//! the run, [`PcapSource::error`] is still reachable to check whether
+//! the stream ended at end-of-file or at a tear.
 //!
-//! Both are instances of one [`ChunkedRecordSource`] state machine:
-//! records are read ahead in **chunks** (default [`DEFAULT_READ_CHUNK`])
-//! so file I/O happens in bursts instead of one syscall-sized dribble
-//! per packet, and errors are handled the way a streaming analysis
-//! wants — the stream ends early and the error is kept for inspection
-//! ([`ChunkedRecordSource::error`]) rather than panicking mid-pipeline;
-//! a torn capture still yields every complete record before the tear.
+//! Records are read ahead in **chunks** of 4096 so file I/O happens in
+//! bursts instead of one syscall-sized dribble per packet, and errors
+//! are handled the way a streaming analysis wants — the stream ends
+//! early and the error is kept for inspection ([`PcapSource::error`])
+//! rather than panicking mid-pipeline; a torn capture still yields
+//! every complete record before the tear.
 
 use crate::error::PcapError;
-use crate::native::NativeReader;
 use crate::reader::PcapReader;
 use hhh_nettypes::PacketRecord;
 use std::collections::VecDeque;
 use std::io::Read;
 
-/// Records read per file burst by the capture sources.
-pub const DEFAULT_READ_CHUNK: usize = 4096;
+/// Records read per file burst.
+const READ_CHUNK: usize = 4096;
 
-/// A record-at-a-time capture reader that a [`ChunkedRecordSource`] can
-/// drive. Sealed: the two capture formats of this crate implement it.
-pub trait RecordReader: private::Sealed {
-    /// Read the next record; `Ok(None)` at clean end-of-file.
-    fn next_record(&mut self) -> Result<Option<PacketRecord>, PcapError>;
-}
-
-mod private {
-    pub trait Sealed {}
-    impl<R: std::io::Read> Sealed for crate::reader::PcapReader<R> {}
-    impl<R: std::io::Read> Sealed for crate::native::NativeReader<R> {}
-}
-
-impl<R: Read> RecordReader for PcapReader<R> {
-    fn next_record(&mut self) -> Result<Option<PacketRecord>, PcapError> {
-        PcapReader::next_record(self)
-    }
-}
-
-impl<R: Read> RecordReader for NativeReader<R> {
-    fn next_record(&mut self) -> Result<Option<PacketRecord>, PcapError> {
-        NativeReader::next_record(self)
-    }
-}
-
-/// A chunked packet source over a classic pcap file; see the
+/// A chunked packet source over a classic pcap stream; see the
 /// [module docs](self).
-pub type PcapSource<R> = ChunkedRecordSource<PcapReader<R>>;
-
-/// A chunked packet source over the native compact trace format; see
-/// the [module docs](self).
-pub type NativeSource<R> = ChunkedRecordSource<NativeReader<R>>;
-
-/// The shared chunked read-ahead state machine behind [`PcapSource`]
-/// and [`NativeSource`].
 ///
 /// The read-ahead buffer here is in addition to the pipeline's own
 /// chunk buffer (records flow through both, one `pop_front` each) — a
-/// deliberate trade: keeping these sources plain `Iterator`s is what
-/// lets them double as ordinary record iterators (`collect()`,
-/// adapters) while the pipeline's blanket `PacketSource` impl handles
-/// chunking. The per-record hand-off is trivial next to the file read
-/// and header parse on this path.
+/// deliberate trade: keeping the source a plain `Iterator` is what lets
+/// it double as an ordinary record iterator (`collect()`, adapters)
+/// while the pipeline's blanket `PacketSource` impl handles chunking.
+/// The per-record hand-off is trivial next to the file read and header
+/// parse on this path.
 #[derive(Debug)]
-pub struct ChunkedRecordSource<Rdr> {
-    reader: Rdr,
-    chunk: usize,
+pub struct PcapSource<R> {
+    reader: PcapReader<R>,
     pending: VecDeque<PacketRecord>,
     error: Option<PcapError>,
     done: bool,
@@ -94,34 +58,12 @@ pub struct ChunkedRecordSource<Rdr> {
 impl<R: Read> PcapSource<R> {
     /// Open a classic pcap stream (validates the global header).
     pub fn open(inner: R) -> Result<Self, PcapError> {
-        Ok(ChunkedRecordSource::new(PcapReader::new(inner)?))
-    }
-}
-
-impl<R: Read> NativeSource<R> {
-    /// Open a native trace stream (validates the header).
-    pub fn open(inner: R) -> Result<Self, PcapError> {
-        Ok(ChunkedRecordSource::new(NativeReader::new(inner)?))
-    }
-}
-
-impl<Rdr: RecordReader> ChunkedRecordSource<Rdr> {
-    /// Wrap an already-opened reader.
-    pub fn new(reader: Rdr) -> Self {
-        ChunkedRecordSource {
-            reader,
-            chunk: DEFAULT_READ_CHUNK,
+        Ok(PcapSource {
+            reader: PcapReader::new(inner)?,
             pending: VecDeque::new(),
             error: None,
             done: false,
-        }
-    }
-
-    /// Records per read burst (default [`DEFAULT_READ_CHUNK`]).
-    pub fn read_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "read chunk must be non-zero");
-        self.chunk = chunk;
-        self
+        })
     }
 
     /// The error that ended the stream early, if any. `None` after a
@@ -131,12 +73,12 @@ impl<Rdr: RecordReader> ChunkedRecordSource<Rdr> {
     }
 
     /// The underlying reader (frame counts, snaplen, resolution…).
-    pub fn reader(&self) -> &Rdr {
+    pub fn reader(&self) -> &PcapReader<R> {
         &self.reader
     }
 
     fn refill(&mut self) {
-        while self.pending.len() < self.chunk {
+        while self.pending.len() < READ_CHUNK {
             match self.reader.next_record() {
                 Ok(Some(rec)) => self.pending.push_back(rec),
                 Ok(None) => {
@@ -153,7 +95,7 @@ impl<Rdr: RecordReader> ChunkedRecordSource<Rdr> {
     }
 }
 
-impl<Rdr: RecordReader> Iterator for ChunkedRecordSource<Rdr> {
+impl<R: Read> Iterator for PcapSource<R> {
     type Item = PacketRecord;
 
     fn next(&mut self) -> Option<PacketRecord> {
@@ -168,48 +110,34 @@ impl<Rdr: RecordReader> Iterator for ChunkedRecordSource<Rdr> {
 mod tests {
     use super::*;
     use crate::writer::PcapWriter;
-    use crate::NativeWriter;
     use hhh_nettypes::Nanos;
 
-    fn packets(n: u64) -> Vec<PacketRecord> {
-        (0..n).map(|i| PacketRecord::new(Nanos::from_micros(i * 10), i as u32, 1, 120)).collect()
-    }
-
-    #[test]
-    fn pcap_source_round_trips_all_records() {
-        let pkts = packets(10_000);
+    fn capture(n: u64) -> (Vec<PacketRecord>, Vec<u8>) {
+        let pkts: Vec<PacketRecord> = (0..n)
+            .map(|i| PacketRecord::new(Nanos::from_micros(i * 10), i as u32, 1, 120))
+            .collect();
         let mut buf = Vec::new();
         let mut w = PcapWriter::new(&mut buf).unwrap();
         w.write_all_records(&pkts).unwrap();
         w.flush().unwrap();
+        (pkts, buf)
+    }
 
-        let got: Vec<PacketRecord> = PcapSource::open(&buf[..]).unwrap().read_chunk(777).collect();
+    #[test]
+    fn pcap_source_round_trips_all_records() {
+        // More than two read chunks, ending mid-chunk.
+        let (pkts, buf) = capture(2 * READ_CHUNK as u64 + 777);
+        let got: Vec<PacketRecord> = PcapSource::open(&buf[..]).unwrap().collect();
         assert_eq!(got.len(), pkts.len());
         assert!(got.iter().zip(&pkts).all(|(a, b)| a.src == b.src && a.ts == b.ts));
     }
 
     #[test]
-    fn native_source_round_trips_all_records() {
-        let pkts = packets(5_000);
-        let mut buf = Vec::new();
-        let mut w = NativeWriter::new(&mut buf).unwrap();
-        w.write_all_records(&pkts).unwrap();
-        w.into_inner().unwrap();
+    fn truncated_capture_ends_early_with_error() {
+        let (_, mut buf) = capture(100);
+        buf.truncate(buf.len() - 7); // tear the last frame
 
-        let got: Vec<PacketRecord> = NativeSource::open(&buf[..]).unwrap().collect();
-        assert_eq!(got, pkts);
-    }
-
-    #[test]
-    fn truncated_native_trace_ends_early_with_error() {
-        let pkts = packets(100);
-        let mut buf = Vec::new();
-        let mut w = NativeWriter::new(&mut buf).unwrap();
-        w.write_all_records(&pkts).unwrap();
-        w.into_inner().unwrap();
-        buf.truncate(buf.len() - 7); // tear the last record
-
-        let mut src = NativeSource::open(&buf[..]).unwrap();
+        let mut src = PcapSource::open(&buf[..]).unwrap();
         let got: Vec<PacketRecord> = src.by_ref().collect();
         assert_eq!(got.len(), 99, "every complete record before the tear is delivered");
         assert!(src.error().is_some(), "the tear is kept for inspection");

@@ -1,32 +1,11 @@
-//! Trace persistence: save/load generated traffic in the native format
-//! (fast, dense) or classic pcap (interoperable with standard tools).
+//! Trace persistence: save/load generated traffic as classic pcap
+//! (interoperable with standard tools).
 
 use hhh_nettypes::PacketRecord;
-use hhh_pcap::{NativeReader, NativeWriter, PcapError, PcapReader, PcapWriter};
+use hhh_pcap::{PcapError, PcapReader, PcapWriter};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
-
-/// Write a packet stream to a native `.hhht` trace file.
-pub fn save_native<I>(path: &Path, stream: I) -> Result<u64, PcapError>
-where
-    I: Iterator<Item = PacketRecord>,
-{
-    let file = File::create(path)?;
-    let mut w = NativeWriter::new(BufWriter::new(file))?;
-    for p in stream {
-        w.write_record(&p)?;
-    }
-    let n = w.written();
-    w.into_inner()?;
-    Ok(n)
-}
-
-/// Load every record from a native trace file.
-pub fn load_native(path: &Path) -> Result<Vec<PacketRecord>, PcapError> {
-    let file = File::open(path)?;
-    NativeReader::new(BufReader::new(file))?.read_all_records()
-}
 
 /// Write a packet stream as a classic pcap file (nanosecond, Ethernet).
 pub fn save_pcap<I>(path: &Path, stream: I) -> Result<u64, PcapError>
@@ -73,17 +52,6 @@ mod tests {
     }
 
     #[test]
-    fn native_roundtrip() {
-        let trace = small_trace();
-        let path = tmp("native.hhht");
-        let n = save_native(&path, trace.iter().copied()).unwrap();
-        assert_eq!(n as usize, trace.len());
-        let back = load_native(&path).unwrap();
-        assert_eq!(back, trace);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn pcap_roundtrip_preserves_analysis_fields() {
         let trace = small_trace();
         let path = tmp("trace.pcap");
@@ -102,6 +70,6 @@ mod tests {
 
     #[test]
     fn load_missing_file_errors() {
-        assert!(load_native(Path::new("/nonexistent/definitely/missing.hhht")).is_err());
+        assert!(load_pcap(Path::new("/nonexistent/definitely/missing.pcap")).is_err());
     }
 }

@@ -46,7 +46,7 @@ pub mod scenarios;
 mod stats;
 
 pub use gen::{merge_streams, shift_stream, MergeStreams, TraceGenerator};
-pub use io::{load_native, load_pcap, save_native, save_pcap};
+pub use io::{load_pcap, save_pcap};
 pub use model::{BurstProfile, PacketSizeMix, TrafficModel};
 pub use rng::{DiscreteMix, Exponential, Geometric, Pareto, ZipfTable};
 pub use stats::TraceStats;

@@ -11,7 +11,7 @@
 //!   is generic over its item type; engines take `PacketRecord`s):
 //!   generated traces, slices, a bounded channel with back-pressure
 //!   fed from other threads ([`source::bounded`]), or the chunked
-//!   capture-file sources in `hhh-pcap`. [`SnapshotSource`] reads a
+//!   pcap source in `hhh-pcap`. [`SnapshotSource`] reads a
 //!   snapshot stream back (either wire format) for `hhh-agg`'s fold.
 //! * **Engines** ([`pipeline`]) — the window model × execution
 //!   strategy:

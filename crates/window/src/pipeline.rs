@@ -6,7 +6,7 @@
 //! ```
 //! use hhh_core::{ExactHhh, Threshold};
 //! use hhh_hierarchy::Ipv4Hierarchy;
-//! use hhh_nettypes::{Measure, Nanos, PacketRecord, TimeSpan};
+//! use hhh_nettypes::{Nanos, PacketRecord, TimeSpan};
 //! use hhh_window::{Disjoint, Pipeline};
 //!
 //! let packets: Vec<PacketRecord> =
@@ -42,7 +42,8 @@
 //!   encoded v2 frames over a TCP socket
 //!   ([`TransportSink`](crate::TransportSink)).
 //!
-//! Every engine consumes the stream once, chunk at a time, and pushes
+//! Every engine consumes the stream once, chunk at a time, weighs each
+//! packet by its bytes (`wire_len`, the paper's measure), and pushes
 //! each report the moment its window closes — so a sink can alert with
 //! zero buffering while the stream is still flowing.
 
@@ -52,7 +53,7 @@ use crate::sink::{CollectSink, ReportSink};
 use crate::source::Source;
 use hhh_core::{discount_bottom_up, ContinuousDetector, HhhDetector, MergeableDetector, Threshold};
 use hhh_hierarchy::Hierarchy;
-use hhh_nettypes::{Measure, Nanos, PacketRecord, TimeSpan};
+use hhh_nettypes::{Nanos, PacketRecord, TimeSpan};
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 
@@ -227,7 +228,6 @@ pub struct Disjoint<H, D, F> {
     horizon: TimeSpan,
     window: TimeSpan,
     thresholds: Vec<Threshold>,
-    measure: Measure,
     key: F,
     _hierarchy: PhantomData<H>,
 }
@@ -253,16 +253,9 @@ where
             horizon,
             window,
             thresholds: thresholds.to_vec(),
-            measure: Measure::Bytes,
             key,
             _hierarchy: PhantomData,
         }
-    }
-
-    /// Weigh packets by bytes (default) or packets.
-    pub fn measure(mut self, measure: Measure) -> Self {
-        self.measure = measure;
-        self
     }
 }
 
@@ -305,7 +298,6 @@ where
             detector.reset();
         };
 
-        let measure = self.measure;
         let key = &self.key;
         for_each_item(source, |p| {
             let w = p.ts.bin_index(window);
@@ -316,7 +308,7 @@ where
                 flush(cur, detector, sink);
                 cur += 1;
             }
-            detector.observe(key(&p), measure.weight(&p));
+            detector.observe(key(&p), p.wire_len as u64);
             true
         });
         while cur < n_windows {
@@ -340,7 +332,6 @@ pub struct SlidingExact<'h, H, F> {
     window: TimeSpan,
     step: TimeSpan,
     thresholds: Vec<Threshold>,
-    measure: Measure,
     key: F,
 }
 
@@ -361,21 +352,7 @@ where
         assert!(!step.is_zero() && !window.is_zero(), "window and step must be non-zero");
         assert!(window % step == TimeSpan::ZERO, "step must divide the window length exactly");
         assert!(window <= horizon, "window longer than the horizon");
-        SlidingExact {
-            hierarchy,
-            horizon,
-            window,
-            step,
-            thresholds: thresholds.to_vec(),
-            measure: Measure::Bytes,
-            key,
-        }
-    }
-
-    /// Weigh packets by bytes (default) or packets.
-    pub fn measure(mut self, measure: Measure) -> Self {
-        self.measure = measure;
-        self
+        SlidingExact { hierarchy, horizon, window, step, thresholds: thresholds.to_vec(), key }
     }
 }
 
@@ -449,7 +426,6 @@ where
             }
         };
 
-        let measure = self.measure;
         let key = &self.key;
         for_each_item(source, |p| {
             let e = p.ts.bin_index(step);
@@ -467,7 +443,7 @@ where
                 );
                 cur_epoch += 1;
             }
-            *cur_map.entry(key(&p)).or_default() += measure.weight(&p);
+            *cur_map.entry(key(&p)).or_default() += p.wire_len as u64;
             true
         });
         while cur_epoch < n_epochs {
@@ -501,7 +477,6 @@ pub struct MicroVaried<'h, H, F> {
     base: TimeSpan,
     deltas: Vec<TimeSpan>,
     threshold: Threshold,
-    measure: Measure,
     key: F,
 }
 
@@ -522,21 +497,7 @@ where
     ) -> Self {
         assert!(!deltas.is_empty(), "need at least one delta");
         assert!(deltas.iter().all(|d| *d < base), "delta must be < base window");
-        MicroVaried {
-            hierarchy,
-            horizon,
-            base,
-            deltas: deltas.to_vec(),
-            threshold,
-            measure: Measure::Bytes,
-            key,
-        }
-    }
-
-    /// Weigh packets by bytes (default) or packets.
-    pub fn measure(mut self, measure: Measure) -> Self {
-        self.measure = measure;
-        self
+        MicroVaried { hierarchy, horizon, base, deltas: deltas.to_vec(), threshold, key }
     }
 }
 
@@ -628,7 +589,6 @@ where
             *total = 0;
         };
 
-        let measure = self.measure;
         let key = &self.key;
         for_each_item(source, |p| {
             let w = p.ts.bin_index(base);
@@ -640,7 +600,7 @@ where
                 cur += 1;
             }
             let item = key(&p);
-            let weight = measure.weight(&p);
+            let weight = p.wire_len as u64;
             *counts.entry(item).or_default() += weight;
             total += weight;
             let window_end = Nanos::ZERO + base * (w + 1);
@@ -668,7 +628,6 @@ pub struct Continuous<H, C, F> {
     detector: C,
     probes: Vec<Nanos>,
     threshold: Threshold,
-    measure: Measure,
     key: F,
     _hierarchy: PhantomData<H>,
 }
@@ -683,20 +642,7 @@ where
     /// through it.
     pub fn new(detector: C, probes: &[Nanos], threshold: Threshold, key: F) -> Self {
         assert!(probes.windows(2).all(|w| w[0] <= w[1]), "probe instants must be sorted");
-        Continuous {
-            detector,
-            probes: probes.to_vec(),
-            threshold,
-            measure: Measure::Bytes,
-            key,
-            _hierarchy: PhantomData,
-        }
-    }
-
-    /// Weigh packets by bytes (default) or packets.
-    pub fn measure(mut self, measure: Measure) -> Self {
-        self.measure = measure;
-        self
+        Continuous { detector, probes: probes.to_vec(), threshold, key, _hierarchy: PhantomData }
     }
 }
 
@@ -733,14 +679,13 @@ where
                 },
             );
         };
-        let measure = self.measure;
         let key = &self.key;
         for_each_item(source, |p| {
             while next < probes.len() && probes[next] <= p.ts {
                 probe(next, detector, sink);
                 next += 1;
             }
-            detector.observe(p.ts, key(&p), measure.weight(&p));
+            detector.observe(p.ts, key(&p), p.wire_len as u64);
             true
         });
         while next < probes.len() {
@@ -769,7 +714,6 @@ pub struct ShardedDisjoint<H, D, F> {
     window: TimeSpan,
     thresholds: Vec<Threshold>,
     batch: usize,
-    measure: Measure,
     key: F,
     _hierarchy: PhantomData<H>,
 }
@@ -795,7 +739,6 @@ where
             window,
             thresholds: thresholds.to_vec(),
             batch: DEFAULT_BATCH,
-            measure: Measure::Bytes,
             key,
             _hierarchy: PhantomData,
         }
@@ -806,12 +749,6 @@ where
     pub fn batch(mut self, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be non-zero");
         self.batch = batch;
-        self
-    }
-
-    /// Weigh packets by bytes (default) or packets.
-    pub fn measure(mut self, measure: Measure) -> Self {
-        self.measure = measure;
         self
     }
 }
@@ -837,7 +774,6 @@ where
         let n_windows = self.horizon / self.window;
         let window = self.window;
         let thresholds = &self.thresholds;
-        let measure = self.measure;
         let key = &self.key;
 
         with_shards(self.detectors, self.batch, |pool| {
@@ -858,7 +794,7 @@ where
                     flush_window(cur, pool, sink);
                     cur += 1;
                 }
-                pool.push((key(&p), measure.weight(&p)));
+                pool.push((key(&p), p.wire_len as u64));
                 true
             });
             while cur < n_windows {
@@ -908,7 +844,6 @@ pub struct ShardedSliding<H, D, F> {
     step: TimeSpan,
     thresholds: Vec<Threshold>,
     batch: usize,
-    measure: Measure,
     key: F,
     _hierarchy: PhantomData<H>,
 }
@@ -942,7 +877,6 @@ where
             step,
             thresholds: thresholds.to_vec(),
             batch: DEFAULT_BATCH,
-            measure: Measure::Bytes,
             key,
             _hierarchy: PhantomData,
         }
@@ -953,12 +887,6 @@ where
     pub fn batch(mut self, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be non-zero");
         self.batch = batch;
-        self
-    }
-
-    /// Weigh packets by bytes (default) or packets.
-    pub fn measure(mut self, measure: Measure) -> Self {
-        self.measure = measure;
         self
     }
 }
@@ -985,7 +913,6 @@ where
         let n_epochs = self.horizon / self.step;
         let (window, step) = (self.window, self.step);
         let thresholds = &self.thresholds;
-        let measure = self.measure;
         let key = &self.key;
 
         // Probe retract support once, on an empty detector (kinds
@@ -1050,7 +977,7 @@ where
                     boundary(cur_epoch, pool, sink, &mut ring, &mut rolling);
                     cur_epoch += 1;
                 }
-                pool.push((key(&p), measure.weight(&p)));
+                pool.push((key(&p), p.wire_len as u64));
                 true
             });
             while cur_epoch < n_epochs {
@@ -1082,7 +1009,6 @@ pub struct ShardedContinuous<H, C, F> {
     probes: Vec<Nanos>,
     threshold: Threshold,
     batch: usize,
-    measure: Measure,
     key: F,
     _hierarchy: PhantomData<H>,
 }
@@ -1102,7 +1028,6 @@ where
             probes: probes.to_vec(),
             threshold,
             batch: DEFAULT_BATCH,
-            measure: Measure::Bytes,
             key,
             _hierarchy: PhantomData,
         }
@@ -1113,12 +1038,6 @@ where
     pub fn batch(mut self, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be non-zero");
         self.batch = batch;
-        self
-    }
-
-    /// Weigh packets by bytes (default) or packets.
-    pub fn measure(mut self, measure: Measure) -> Self {
-        self.measure = measure;
         self
     }
 }
@@ -1143,7 +1062,6 @@ where
     ) {
         let probes = &self.probes;
         let threshold = self.threshold;
-        let measure = self.measure;
         let key = &self.key;
 
         with_shards(self.detectors, self.batch, |pool| {
@@ -1173,7 +1091,7 @@ where
                     probe(next, pool, sink);
                     next += 1;
                 }
-                pool.push((p.ts, key(&p), measure.weight(&p)));
+                pool.push((p.ts, key(&p), p.wire_len as u64));
                 true
             });
             while next < probes.len() {

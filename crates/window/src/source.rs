@@ -20,8 +20,8 @@
 //!   (what a [`SnapshotSink`](crate::SnapshotSink) wrote, or what
 //!   `hhh-agg` re-emitted), sniffing v1 JSONL vs v2 binary frames off
 //!   the first byte, and yields the [`WireSnapshot`]s in it;
-//! * `hhh-pcap` provides chunked file sources (`PcapSource`,
-//!   `NativeSource`) over the capture formats.
+//! * `hhh-pcap` provides a chunked file source (`PcapSource`) over
+//!   classic pcap captures.
 //!
 //! Packet sources must yield packets in non-decreasing timestamp order
 //! — every engine's contract. A snapshot stream written by a pipeline

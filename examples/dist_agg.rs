@@ -13,7 +13,7 @@
 //!    to the byte-identical merged state;
 //! 4. stream the shards over **transports** instead of buffers — both
 //!    shard pipelines write natively encoded v2 frames over localhost
-//!    TCP into one `FrameHub` barrier (the `distagg shard --connect` /
+//!    TCP into one `FrameHub` barrier (the `aggd-shard --connect` /
 //!    `hhh-agg --listen` path) — and show the socket fold is
 //!    byte-identical to the file fold: a frame on a socket is the
 //!    same bytes as a frame in a file.
@@ -108,7 +108,7 @@ fn main() {
     // --- 4. the same shards over a live transport: each pipeline
     // streams v2 frames encoded straight from detector state (no JSON
     // on the shard side) over localhost TCP; the hub's barrier returns
-    // them in hello-id order. `distagg shard --connect` / `hhh-agg
+    // them in hello-id order. `aggd-shard --connect` / `hhh-agg
     // --listen` run exactly this across real processes and hosts.
     let hub = FrameHub::bind("127.0.0.1:0").expect("bind an ephemeral localhost port");
     let addr = hub.local_addr().expect("bound address").to_string();

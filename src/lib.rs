@@ -92,7 +92,7 @@ pub mod prelude {
         MvPipeHhh, Rhhh, SpaceSavingHhh, TdbfHhh, TdbfHhhConfig, Threshold, UnivMonLite,
     };
     pub use hhh_hierarchy::{Hierarchy, Ipv4Hierarchy, Ipv6Hierarchy};
-    pub use hhh_nettypes::{Ipv4Prefix, Measure, Nanos, PacketRecord, Proto, TimeSpan};
+    pub use hhh_nettypes::{Ipv4Prefix, Nanos, PacketRecord, Proto, TimeSpan};
     pub use hhh_sketches::{DecayRate, OnDemandTdbf, SpaceSaving};
     pub use hhh_trace::{scenarios, TraceGenerator, TraceStats, TrafficModel};
     pub use hhh_window::{

@@ -18,8 +18,9 @@
 //! on a shorter trace in debug-friendly time, and the release-mode CI
 //! job (`distagg run smoke`) re-checks all five on the full trace.
 
+use hhh_core::WireFormat;
 use hhh_experiments::distagg::{
-    distagg_trace, fold_shard_streams, run_distagg_on, shard_jsonl_on, Kind,
+    distagg_trace, fold_shard_streams, run_distagg_on, shard_stream_on, Kind,
 };
 use hhh_experiments::Scale;
 use hhh_trace::{scenarios, TraceGenerator};
@@ -168,8 +169,7 @@ fn folded_reports_reconstruct_exact_window_bounds() {
     // With `start_ns` in both formats, the aggregator's report lines
     // must carry exactly the window bounds the in-process run printed.
     use hhh_agg::fold_streams;
-    use hhh_core::WireFormat;
-    use hhh_experiments::distagg::{distagg_threshold, shard_stream_on, single_process_reports_on};
+    use hhh_experiments::distagg::{distagg_threshold, single_process_reports_on};
 
     let horizon = TimeSpan::from_secs(15);
     let trace: Vec<PacketRecord> =
@@ -204,8 +204,8 @@ fn shard_streams_are_deterministic() {
     let horizon = TimeSpan::from_secs(10);
     let trace: Vec<PacketRecord> =
         TraceGenerator::new(scenarios::day_trace(0, horizon), scenarios::day_seed(0)).collect();
-    let a = shard_jsonl_on(Kind::Rhhh, &trace, horizon, 2, 0);
-    let b = shard_jsonl_on(Kind::Rhhh, &trace, horizon, 2, 0);
+    let a = shard_stream_on(Kind::Rhhh, &trace, horizon, 2, 0, WireFormat::Json);
+    let b = shard_stream_on(Kind::Rhhh, &trace, horizon, 2, 0, WireFormat::Json);
     assert_eq!(a, b);
 }
 
@@ -217,8 +217,9 @@ fn aggregator_output_feeds_another_tier() {
     let horizon = TimeSpan::from_secs(10);
     let trace: Vec<PacketRecord> =
         TraceGenerator::new(scenarios::day_trace(0, horizon), scenarios::day_seed(0)).collect();
-    let streams: Vec<Vec<u8>> =
-        (0..4).map(|i| shard_jsonl_on(Kind::Exact, &trace, horizon, 4, i)).collect();
+    let streams: Vec<Vec<u8>> = (0..4)
+        .map(|i| shard_stream_on(Kind::Exact, &trace, horizon, 4, i, WireFormat::Json))
+        .collect();
 
     let flat = fold_shard_streams(&streams).expect("flat fold");
 

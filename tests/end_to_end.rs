@@ -2,7 +2,7 @@
 //! analysis → metrics, across crate boundaries.
 
 use hidden_hhh::analysis::hidden::hidden_hhh;
-use hidden_hhh::pcap::{NativeReader, NativeWriter, PcapReader, PcapWriter};
+use hidden_hhh::pcap::{PcapReader, PcapWriter};
 use hidden_hhh::prelude::*;
 
 fn small_day(seed: u64) -> Vec<PacketRecord> {
@@ -44,17 +44,6 @@ fn pcap_pipeline_preserves_hhh_answers() {
     // wire_len can grow to header size for tiny packets; the generator
     // never emits sub-42-byte packets, so reports must match exactly.
     assert_eq!(report(&pkts), report(&back));
-}
-
-#[test]
-fn native_trace_pipeline_is_lossless() {
-    let pkts = small_day(4);
-    let mut buf = Vec::new();
-    let mut w = NativeWriter::new(&mut buf).unwrap();
-    w.write_all_records(&pkts).unwrap();
-    w.into_inner().unwrap();
-    let back = NativeReader::new(&buf[..]).unwrap().read_all_records().unwrap();
-    assert_eq!(back, pkts);
 }
 
 #[test]
