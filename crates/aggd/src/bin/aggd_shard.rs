@@ -9,7 +9,8 @@
 //!
 //! Regenerates the scenario's day trace over a `<seconds>` horizon
 //! (at least one 5 s report window), filters it to `<shard>`'s key
-//! partition, and runs the per-shard pipeline. The stream is a pure
+//! partition as it is generated, and runs the per-shard pipeline, in
+//! memory that does not grow with the horizon. The stream is a pure
 //! function of the four positionals: `aggd-shard exact 4 0 60` writes
 //! the same bytes every time, wherever it runs.
 //!
@@ -36,7 +37,7 @@ use hhh_aggd::scenario::{self, Kind, DISTAGG_WINDOW};
 use hhh_core::{SnapshotFrame, WireFormat};
 use hhh_nettypes::TimeSpan;
 use hhh_window::{
-    FrameSpool, FrameWrite, SnapshotSink, TcpTransport, TransportError, TransportSink,
+    shard_of, FrameSpool, FrameWrite, SnapshotSink, TcpTransport, TransportError, TransportSink,
 };
 use std::io::BufWriter;
 use std::process::ExitCode;
@@ -163,9 +164,10 @@ fn parse_args() -> Result<Args, String> {
 
 fn run(args: Args) -> Result<(), String> {
     let horizon = TimeSpan::from_secs(args.seconds);
-    let trace = scenario::scenario_trace(horizon);
-    let packets = scenario::shard_packets(&trace, args.k, args.shard);
-    let source = packets.iter().copied();
+    // Streamed, never collected: the shard's memory stays flat in the
+    // horizon.
+    let (k, shard) = (args.k, args.shard);
+    let source = scenario::scenario_packets(horizon).filter(move |p| shard_of(&p.src, k) == shard);
     match args.out {
         Out::Stdout(format) => {
             let sink = SnapshotSink::with_format(BufWriter::new(std::io::stdout()), format);

@@ -40,6 +40,7 @@ use hhh_core::{
 };
 use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::{Ipv4Prefix, Nanos, PacketRecord, TimeSpan};
+use hhh_trace::{scenarios, TraceGenerator};
 use hhh_window::{
     shard_of, Continuous, Disjoint, PacketSource, Pipeline, ReportSink, ShardedContinuous,
     ShardedDisjoint, SnapshotSink, WindowReport,
@@ -82,12 +83,18 @@ pub fn tdbf_config() -> TdbfHhhConfig {
     TdbfHhhConfig { half_life: DISTAGG_WINDOW / 2, ..TdbfHhhConfig::default() }
 }
 
-/// The scenario's day trace over an explicit horizon — day 0 of the
-/// acceptance traces, the same generator and seed at every scale, so
-/// two processes that agree on the horizon agree on every packet.
+/// The scenario's day trace over an explicit horizon, as a stream —
+/// day 0 of the acceptance traces, the same generator and seed at every
+/// scale, so two processes that agree on the horizon agree on every
+/// packet. It holds no packets: a shard that filters it (see
+/// [`shard_of`]) runs in memory flat in the horizon.
+pub fn scenario_packets(horizon: TimeSpan) -> TraceGenerator {
+    TraceGenerator::new(scenarios::day_trace(0, horizon), scenarios::day_seed(0))
+}
+
+/// [`scenario_packets`], collected.
 pub fn scenario_trace(horizon: TimeSpan) -> Vec<PacketRecord> {
-    use hhh_trace::{scenarios, TraceGenerator};
-    TraceGenerator::new(scenarios::day_trace(0, horizon), scenarios::day_seed(0)).collect()
+    scenario_packets(horizon).collect()
 }
 
 /// TDBF probe instants: every window boundary in the horizon.
@@ -227,8 +234,9 @@ pub fn shard_packets(trace: &[PacketRecord], k: usize, shard: usize) -> Vec<Pack
 /// One shard's pipeline of the scenario over an arbitrary
 /// [`PacketSource`] into an arbitrary sink — the medium-agnostic core
 /// every shard run shares. `aggd-shard` hands it the shard's
-/// partition of the trace (see [`shard_packets`]) and a stdout or TCP
-/// sink; live feeds (like `hhh-loadgen`) hand it the consuming half
+/// partition of the trace, [`scenario_packets`] filtered through
+/// [`shard_of`] as it is generated, and a stdout or TCP sink; live
+/// feeds (like `hhh-loadgen`) hand it the consuming half
 /// of a [`bounded`](hhh_window::source::bounded) channel so a producer
 /// thread feeds the shard with back-pressure.
 pub fn shard_source_into<Src, S>(

@@ -387,44 +387,74 @@ pub(super) fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Delta-encode one filter level's cells against a baseline: the most
-/// common `(value bits, last_ns)` pair is stored once, then only the
-/// cells that differ, as `(index gap, f64 bits, zigzag Δns)` triples.
+/// common `(value bits, last_ns)` pair (the first one met, on a tie) is
+/// stored once, then only the cells that differ, as `(index gap, f64
+/// bits, zigzag Δns)` triples.
+///
+/// The baseline is found without hashing when it can be: a Boyer–Moore
+/// majority vote names one candidate pair in a pass, and a second pass
+/// counts it. A pair held by more than half the cells is the unique
+/// most common one, so it is the baseline. Only a level with no
+/// majority pair (a densely written one) has its pairs counted in a
+/// map.
 pub(super) fn encode_cells(out: &mut Vec<u8>, cells: &[(f64, u64)]) -> Result<(), SnapshotError> {
     put_uv(out, cells.len() as u64);
-    // First-encountered most-common pair: deterministic regardless of
-    // hash-map iteration order.
-    let mut counts: HashMap<(u64, u64), u32> = HashMap::with_capacity(cells.len().min(1024));
-    for &(v, ns) in cells {
-        *counts.entry((v.to_bits(), ns)).or_insert(0) += 1;
-    }
-    let max = counts.values().copied().max().unwrap_or(0);
-    let baseline = cells
-        .iter()
-        .copied()
-        .find(|&(v, ns)| counts[&(v.to_bits(), ns)] == max)
-        .unwrap_or((0.0, 0));
-    out.extend_from_slice(&baseline.0.to_le_bytes());
-    put_uv(out, baseline.1);
+    let (base, base_count) = baseline(cells);
+    out.extend_from_slice(&base.0.to_le_bytes());
+    put_uv(out, base.1);
 
-    let explicit: Vec<(usize, f64, u64)> = cells
-        .iter()
-        .enumerate()
-        .filter(|&(_, &(v, ns))| v.to_bits() != baseline.0.to_bits() || ns != baseline.1)
-        .map(|(i, &(v, ns))| (i, v, ns))
-        .collect();
-    put_uv(out, explicit.len() as u64);
-    let mut prev = 0usize;
-    for (rank, &(i, v, ns)) in explicit.iter().enumerate() {
-        let gap = if rank == 0 { i } else { i - prev };
-        prev = i;
+    put_uv(out, (cells.len() - base_count) as u64);
+    let mut prev = None;
+    for (i, &(v, ns)) in cells.iter().enumerate() {
+        if cell_bits((v, ns)) == base {
+            continue;
+        }
+        let gap = prev.map_or(i, |p| i - p);
+        prev = Some(i);
         put_uv(out, gap as u64);
         out.extend_from_slice(&v.to_le_bytes());
-        let delta = i64::try_from(ns as i128 - baseline.1 as i128).map_err(|_| {
+        let delta = i64::try_from(ns as i128 - base.1 as i128).map_err(|_| {
             SnapshotError::Invalid { field: "filters", what: "timestamp delta overflows" }
         })?;
         put_uv(out, zigzag(delta));
     }
     Ok(())
+}
+
+/// A cell as the baseline compares it: value bits, so `0.0` and `-0.0`
+/// are different pairs.
+fn cell_bits((v, ns): (f64, u64)) -> (u64, u64) {
+    (v.to_bits(), ns)
+}
+
+/// [`encode_cells`]'s baseline as bits, with the number of cells that
+/// hold it; `(0.0, 0)` for no cells.
+fn baseline(cells: &[(f64, u64)]) -> ((u64, u64), usize) {
+    let mut candidate = cell_bits((0.0, 0));
+    let mut votes = 0usize;
+    for &c in cells {
+        let c = cell_bits(c);
+        if votes == 0 {
+            candidate = c;
+        }
+        votes = if c == candidate { votes + 1 } else { votes - 1 };
+    }
+    let held = cells.iter().filter(|&&c| cell_bits(c) == candidate).count();
+    if held * 2 > cells.len() {
+        return (candidate, held);
+    }
+    // No majority: count every pair, and take the first-encountered
+    // most common one (deterministic whatever the map's order).
+    let mut counts: HashMap<(u64, u64), usize> = HashMap::with_capacity(cells.len().min(1024));
+    for &c in cells {
+        *counts.entry(cell_bits(c)).or_insert(0) += 1;
+    }
+    let max = counts.values().copied().max().unwrap_or(0);
+    cells
+        .iter()
+        .map(|&c| cell_bits(c))
+        .find(|c| counts[c] == max)
+        .map_or((cell_bits((0.0, 0)), 0), |c| (c, max))
 }
 
 /// Invert [`encode_cells`]: rebuild the full cell array. `expected` is
@@ -481,6 +511,7 @@ pub(super) fn decode_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn varints_roundtrip() {
@@ -594,6 +625,94 @@ mod tests {
         let back = decode_cells(&mut r, cells.len()).unwrap();
         assert_eq!(back, cells);
         assert!(out.len() < 64, "baseline must absorb the common pair, got {}", out.len());
+    }
+
+    /// The reference encoder: every pair counted in a map, the
+    /// first-encountered most common one the baseline, the differing
+    /// cells collected and then written.
+    fn encode_cells_by_counting(cells: &[(f64, u64)]) -> ((u64, u64), Vec<u8>) {
+        let mut out = Vec::new();
+        put_uv(&mut out, cells.len() as u64);
+        let bits = |&(v, ns): &(f64, u64)| (v.to_bits(), ns);
+        let mut counts: HashMap<(u64, u64), u32> = HashMap::new();
+        for c in cells {
+            *counts.entry(bits(c)).or_insert(0) += 1;
+        }
+        let max = counts.values().copied().max().unwrap_or(0);
+        let base = cells.iter().map(bits).find(|c| counts[c] == max).unwrap_or((0, 0));
+        out.extend_from_slice(&base.0.to_le_bytes());
+        put_uv(&mut out, base.1);
+        let explicit: Vec<(usize, (f64, u64))> =
+            cells.iter().copied().enumerate().filter(|(_, c)| bits(c) != base).collect();
+        put_uv(&mut out, explicit.len() as u64);
+        let mut prev = 0;
+        for (rank, &(i, (v, ns))) in explicit.iter().enumerate() {
+            put_uv(&mut out, if rank == 0 { i } else { i - prev } as u64);
+            prev = i;
+            out.extend_from_slice(&v.to_le_bytes());
+            put_uv(&mut out, zigzag((ns as i128 - base.1 as i128) as i64));
+        }
+        (base, out)
+    }
+
+    /// Pairs the generated levels draw from: zeros of both signs, at
+    /// two timestamps, and values that share a timestamp or a value.
+    const PAIRS: [(f64, u64); 8] = [
+        (0.0, 0),
+        (-0.0, 0),
+        (0.0, 5_000),
+        (-0.0, 5_000),
+        (1.5, 5_000),
+        (1.5, 0),
+        (f64::MIN_POSITIVE, 3),
+        (2.5e9, 1 << 60),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The vote picks the baseline the count map picks, so the
+        /// encoded bytes do not change: on levels with a majority pair,
+        /// with none, and with two pairs tied at exactly half.
+        #[test]
+        fn the_vote_encodes_what_the_count_map_encoded(
+            draws in prop::collection::vec((0usize..PAIRS.len(), 0u64..100), 0..160),
+            shape in 0u64..4,
+            dominant in 0usize..PAIRS.len(),
+            other in 0usize..PAIRS.len(),
+        ) {
+            let n = draws.len();
+            let cells: Vec<(f64, u64)> = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &(pick, roll))| match shape {
+                    // A majority is likely (each cell 70 % dominant).
+                    0 if roll < 70 => PAIRS[dominant],
+                    // `other, dominant, dominant, other, …`: at an
+                    // even length no strict majority, so a tie the count
+                    // map breaks toward `other`, which came first —
+                    // while the vote ends on `dominant` when the length
+                    // is a multiple of 4.
+                    1 => PAIRS[if i % 4 == 0 || i % 4 == 3 { other } else { dominant }],
+                    // One more than half: a bare majority.
+                    2 if i <= n / 2 => PAIRS[dominant],
+                    _ => PAIRS[pick],
+                })
+                .collect();
+            let (want_base, want) = encode_cells_by_counting(&cells);
+            let (base, held) = baseline(&cells);
+            prop_assert_eq!(base, want_base);
+            let held_by = |pair: (u64, u64)| {
+                cells.iter().filter(|&&(v, ns)| (v.to_bits(), ns) == pair).count()
+            };
+            prop_assert_eq!(held, held_by(base));
+            let mut got = Vec::new();
+            encode_cells(&mut got, &cells).unwrap();
+            prop_assert_eq!(&got, &want);
+            let back = decode_cells(&mut ByteReader::new(&got), n).unwrap();
+            let bits = |cs: &[(f64, u64)]| cs.iter().map(|&(v, ns)| (v.to_bits(), ns)).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back), bits(&cells));
+        }
     }
 
     #[test]

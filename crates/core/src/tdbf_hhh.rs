@@ -33,7 +33,7 @@ use crate::snapshot::{
 };
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::{Nanos, TimeSpan};
-use hhh_sketches::{DecayRate, DecayedCounter, OnDemandTdbf};
+use hhh_sketches::{DecayFactors, DecayRate, DecayedCounter, OnDemandTdbf};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -89,22 +89,28 @@ impl<H: Hierarchy> TdbfHhh<H> {
     /// Build from a hierarchy and configuration.
     pub fn new(hierarchy: H, cfg: TdbfHhhConfig) -> Self {
         assert!(cfg.admit_fraction > 0.0 && cfg.admit_fraction < 1.0, "admit_fraction in (0,1)");
+        let cells = vec![DecayedCounter::new(); cfg.cells_per_level * cfg.hashes];
+        let filters = vec![cells; hierarchy.levels()];
+        Self::with_cells(hierarchy, cfg, filters)
+    }
+
+    /// An empty detector (no candidates, zero total) whose level `l`
+    /// filter is `filters[l]`, used as it is.
+    fn with_cells(hierarchy: H, cfg: TdbfHhhConfig, filters: Vec<Vec<DecayedCounter>>) -> Self {
         let rate = DecayRate::from_half_life(cfg.half_life);
-        let levels = hierarchy.levels();
+        let filters: Vec<_> = filters
+            .into_iter()
+            .enumerate()
+            .map(|(l, cells)| {
+                let seed = cfg.seed.wrapping_add(l as u64);
+                OnDemandTdbf::from_cells(cells, cfg.cells_per_level, cfg.hashes, rate, seed)
+            })
+            .collect();
         TdbfHhh {
             hierarchy,
             rate,
-            filters: (0..levels)
-                .map(|l| {
-                    OnDemandTdbf::new(
-                        cfg.cells_per_level,
-                        cfg.hashes,
-                        rate,
-                        cfg.seed.wrapping_add(l as u64),
-                    )
-                })
-                .collect(),
-            candidates: vec![HashMap::new(); levels],
+            candidates: vec![HashMap::new(); filters.len()],
+            filters,
             total: DecayedCounter::new(),
             observed: 0,
             cfg,
@@ -148,7 +154,9 @@ impl<H: Hierarchy> TdbfHhh<H> {
     fn admit(&mut self, level: usize, p: H::Prefix, ts: Nanos, est: f64, total_now: f64) {
         let table = &mut self.candidates[level];
         if let Some(last) = table.get_mut(&p) {
-            *last = ts;
+            // A late packet (a capture file can hold them) does not
+            // move the last touch back, as `merge` keeps the later too.
+            *last = (*last).max(ts);
             return;
         }
         if est < self.cfg.admit_fraction * total_now {
@@ -188,14 +196,23 @@ impl<H: Hierarchy> TdbfHhh<H> {
 }
 
 impl<H: Hierarchy> ContinuousDetector<H> for TdbfHhh<H> {
+    /// One packet: the decayed total takes `weight`, and at each level
+    /// the item's prefix is inserted into that level's filter, whose
+    /// [`insert`](OnDemandTdbf::insert) also returns the prefix's
+    /// estimate — one pass over its `k` cells — for the candidate
+    /// table's admission test. The total and every level share one
+    /// [`DecayFactors`]: their counters were mostly last touched by the
+    /// same earlier packets, so a packet pays one `exp` per distinct
+    /// decay span (under two on the scenario traces), not one per
+    /// counter.
     fn observe(&mut self, ts: Nanos, item: H::Item, weight: u64) {
         self.observed += weight;
-        self.total.add(self.rate, ts, weight as f64);
+        let mut factors = DecayFactors::new(self.rate);
+        self.total.add_with(ts, weight as f64, &mut factors);
         let total_now = self.total.peek(self.rate, ts);
         for level in 0..self.filters.len() {
             let p = self.hierarchy.generalize(item, level);
-            self.filters[level].insert(&p, weight as f64, ts);
-            let est = self.filters[level].estimate(&p, ts);
+            let est = self.filters[level].insert(&p, weight as f64, ts, &mut factors);
             self.admit(level, p, ts, est, total_now);
         }
     }
@@ -332,13 +349,14 @@ impl<H: Hierarchy> TdbfHhh<H> {
     }
 
     /// The validated decode core both wire formats share: build a
-    /// detector from already-parsed configuration and state. Wire
-    /// input is untrusted — geometry is bounded, and the state checked
-    /// against it (one cell array of the configured size and one
-    /// candidate table per hierarchy level), *before* it drives any
-    /// allocation; candidate tables must fit their capacity and carry
-    /// no duplicates, every float must be finite, and the envelope
-    /// total must equal the observed weight.
+    /// detector from already-parsed configuration and state, its level
+    /// filters over the decoded cell arrays themselves. Wire input is
+    /// untrusted — geometry is bounded, and the state checked against
+    /// it (one cell array of the configured size and one candidate
+    /// table per hierarchy level), *before* it drives any allocation;
+    /// candidate tables must fit their capacity and carry no
+    /// duplicates, every float must be finite, and the envelope total
+    /// must equal the observed weight.
     pub(crate) fn from_wire(
         hierarchy: H,
         cfg: TdbfHhhConfig,
@@ -378,10 +396,9 @@ impl<H: Hierarchy> TdbfHhh<H> {
         };
         finite(&total, "total")?;
 
-        // The detector allocates `levels × cells_per_level × hashes`
-        // counters, so the state must supply that geometry before it
-        // is built: a small body claiming a large geometry is refused
-        // here, not after the allocation.
+        // The detector's filters are the decoded cell arrays
+        // themselves, so each must be exactly the configured geometry,
+        // one per level: nothing is allocated to fill a short one.
         let levels = hierarchy.levels();
         if filters.len() != levels {
             return Err(SnapshotError::Mismatch(format!(
@@ -407,10 +424,7 @@ impl<H: Hierarchy> TdbfHhh<H> {
             });
         }
 
-        let mut detector = TdbfHhh::new(hierarchy, cfg);
-        for (filter, cells) in detector.filters.iter_mut().zip(filters) {
-            filter.restore_cells(cells);
-        }
+        let mut detector = TdbfHhh::with_cells(hierarchy, cfg, filters);
         for (table, rows) in detector.candidates.iter_mut().zip(candidates) {
             if rows.len() > detector.cfg.candidates_per_level {
                 return Err(SnapshotError::Invalid {
@@ -665,6 +679,25 @@ mod tests {
         let pa: Vec<_> = a.iter().map(|r| r.prefix).collect();
         let pb: Vec<_> = b.iter().map(|r| r.prefix).collect();
         assert_eq!(pa, pb, "sharded TDBF-HHH report diverged");
+    }
+
+    #[test]
+    fn a_late_packet_keeps_the_later_last_touch() {
+        let mut d = TdbfHhh::new(Ipv4Hierarchy::bytes(), cfg());
+        let src = ip("10.1.2.3");
+        let late = Nanos::from_secs(2);
+        let latest = Nanos::from_secs(3);
+        d.observe(Nanos::from_secs(1), src, 500);
+        d.observe(latest, src, 500);
+        d.observe(late, src, 500);
+        for level in 0..d.filters.len() {
+            let p = d.hierarchy.generalize(src, level);
+            assert_eq!(d.candidates[level].get(&p), Some(&latest), "level {level}: {p}");
+        }
+        // The decayed total keeps the later time too.
+        let (_, last) = d.total.raw();
+        assert_eq!(last, latest);
+        assert_eq!(d.observed_weight(), 1500);
     }
 
     #[test]

@@ -269,7 +269,7 @@ fn decay_fixed(value: u64, elapsed_ticks: u64, factor_per_tick: u64) -> u64 {
 mod tests {
     use super::*;
     use hhh_core::HashPipe;
-    use hhh_sketches::OnDemandTdbf;
+    use hhh_sketches::{DecayFactors, OnDemandTdbf};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -320,7 +320,7 @@ mod tests {
         for _ in 0..30_000 {
             let key = 1 + rng.gen_range(0..50u32);
             dp.insert(key, 100, t).unwrap();
-            reference.insert(&key, 100.0, t);
+            reference.insert(&key, 100.0, t, &mut DecayFactors::new(rate));
             t += TimeSpan::from_micros(300);
         }
         for key in 1..=50u32 {

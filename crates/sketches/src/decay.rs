@@ -88,22 +88,43 @@ impl DecayedCounter {
     /// last update, `weight · e^(−λ·(last − now))`, and `last` stays.
     #[inline]
     pub fn add(&mut self, rate: DecayRate, now: Nanos, weight: f64) {
+        self.add_with(now, weight, &mut DecayFactors::new(rate));
+    }
+
+    /// [`add`](Self::add) at the rate of `factors`, taking the decay
+    /// factor from them: how the counters one packet updates share
+    /// their `exp` calls. No factor is needed for a zero counter or a
+    /// zero span.
+    #[inline]
+    pub fn add_with(&mut self, now: Nanos, weight: f64, factors: &mut DecayFactors) {
         if now < self.last {
-            self.value += weight * rate.factor(self.last - now);
+            self.value += weight * factors.factor(self.last - now);
             return;
         }
-        self.value = self.peek(rate, now) + weight;
+        self.value = self.decayed(now, |span| factors.factor(span)) + weight;
         self.last = now;
     }
 
     /// The decayed value as of `now`, without mutating.
+    ///
+    /// A zero counter reads zero, and a read at or before the last
+    /// update reads the stored value: neither calls `exp`, and both are
+    /// the bits a multiply by `e^0 = 1` would give.
     #[inline]
     pub fn peek(&self, rate: DecayRate, now: Nanos) -> f64 {
+        self.decayed(now, |span| rate.factor(span))
+    }
+
+    /// [`peek`](Self::peek) with the decay factor taken from `factor`.
+    #[inline]
+    fn decayed(&self, now: Nanos, factor: impl FnOnce(TimeSpan) -> f64) -> f64 {
         if self.value == 0.0 {
-            return 0.0;
+            0.0
+        } else if now <= self.last {
+            self.value
+        } else {
+            self.value * factor(now - self.last)
         }
-        let elapsed = if now >= self.last { now - self.last } else { TimeSpan::ZERO };
-        self.value * rate.factor(elapsed)
     }
 
     /// The raw stored (un-decayed) value and its timestamp.
@@ -135,6 +156,50 @@ impl DecayedCounter {
     pub fn clear(&mut self) {
         self.value = 0.0;
         self.last = Nanos::ZERO;
+    }
+}
+
+/// Decay factors `e^(−λ·span)` at one rate, each distinct span
+/// computed once: a memo for the counters one packet updates.
+///
+/// Those counters were mostly last touched together, by the same
+/// earlier packet — a key's `k` filter cells by the key's previous
+/// packet, the decayed total and the root level's cells by the
+/// previous packet of all — so their spans repeat, and one `exp` serves
+/// each span. The memo holds the first four distinct spans; any later
+/// one is computed every time it is asked for.
+#[derive(Clone, Debug)]
+pub struct DecayFactors {
+    rate: DecayRate,
+    seen: [(TimeSpan, f64); 4],
+    len: usize,
+}
+
+impl DecayFactors {
+    /// An empty memo at `rate`.
+    #[inline]
+    pub fn new(rate: DecayRate) -> Self {
+        DecayFactors { rate, seen: [(TimeSpan::ZERO, 1.0); 4], len: 0 }
+    }
+
+    /// The rate the factors are computed at.
+    pub(crate) fn rate(&self) -> DecayRate {
+        self.rate
+    }
+
+    /// [`DecayRate::factor`] of `span`, bit for bit; `exp` runs only
+    /// for a span not seen before.
+    #[inline]
+    pub fn factor(&mut self, span: TimeSpan) -> f64 {
+        if let Some(&(_, f)) = self.seen[..self.len].iter().find(|&&(s, _)| s == span) {
+            return f;
+        }
+        let f = self.rate.factor(span);
+        if let Some(slot) = self.seen.get_mut(self.len) {
+            *slot = (span, f);
+            self.len += 1;
+        }
+        f
     }
 }
 
@@ -221,6 +286,45 @@ mod tests {
         c.add(r, Nanos::from_secs(5), 1.0);
         assert!((c.peek(r, at) - 25.125).abs() < 1e-9, "{}", c.peek(r, at));
         assert_eq!(c.raw().1, Nanos::from_secs(10), "a late arrival does not move `last`");
+    }
+
+    #[test]
+    fn decay_factors_are_the_rate_s_bits_for_any_span() {
+        let r = DecayRate::from_half_life(TimeSpan::from_millis(700));
+        let mut factors = DecayFactors::new(r);
+        // More distinct spans than the memo holds, each asked for twice.
+        for round in 0..2 {
+            for ms in [0u64, 3, 3, 9, 1, 250, 9, 4_000, 17, 3] {
+                let span = TimeSpan::from_millis(ms);
+                assert_eq!(
+                    factors.factor(span).to_bits(),
+                    r.factor(span).to_bits(),
+                    "{round}/{ms}"
+                );
+            }
+        }
+        // A shared memo updates counters exactly as `add` does.
+        let (mut a, mut b) = (DecayedCounter::new(), DecayedCounter::new());
+        for (t, w) in [(5u64, 2.0), (9, 1.0), (7, 4.0), (9, 0.5), (30, 8.0)] {
+            a.add(r, Nanos::from_secs(t), w);
+            b.add_with(Nanos::from_secs(t), w, &mut factors);
+            assert_eq!(a.raw().0.to_bits(), b.raw().0.to_bits());
+            assert_eq!(a.raw().1, b.raw().1);
+        }
+    }
+
+    #[test]
+    fn peek_at_the_last_update_is_the_stored_value() {
+        let r = DecayRate::per_second(3.0);
+        let mut c = DecayedCounter::new();
+        c.add(r, Nanos::from_secs(2), 0.1);
+        let (v, last) = c.raw();
+        assert_eq!(c.peek(r, last).to_bits(), v.to_bits());
+        assert_eq!(c.peek(r, Nanos::from_secs(1)).to_bits(), v.to_bits(), "reads before `last`");
+        assert_eq!(
+            c.peek(r, Nanos::from_secs(3)).to_bits(),
+            (v * r.factor(TimeSpan::from_secs(1))).to_bits()
+        );
     }
 
     #[test]

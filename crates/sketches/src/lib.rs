@@ -9,6 +9,7 @@
 //! | [`SpaceSaving`] | top-k + frequency with deterministic bounds | Metwally, Agrawal, El Abbadi 2005 |
 //! | [`OnDemandTdbf`] | *time-decayed* frequency | Bianchi, d'Heureuse, Niccolini 2011 — the proof-of-concept the paper's §3 proposes |
 //! | [`DecayedCounter`] | one time-decayed scalar | EWMA accumulator used for decayed totals |
+//! | [`DecayFactors`] | decay factors `e^(−λ·span)`, one `exp` per distinct span | the memo the counters one packet updates share |
 //! | [`SlidingSummary`] | frequent items over the last `W` packets, O(1) updates | lazy-expiry summary in the spirit of Memento (Ben-Basat et al., CoNEXT 2018), built on the frames of WCSS (Ben-Basat et al. 2016, the paper's ref. \[1\]) |
 //!
 //! ## Design rules
@@ -48,7 +49,7 @@ mod tdbf;
 mod window_summary;
 
 pub use count_sketch::CountSketch;
-pub use decay::{DecayRate, DecayedCounter};
+pub use decay::{DecayFactors, DecayRate, DecayedCounter};
 pub use space_saving::{SpaceSaving, SsEntry};
 pub use tdbf::OnDemandTdbf;
 pub use window_summary::SlidingSummary;

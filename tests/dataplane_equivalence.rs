@@ -35,7 +35,7 @@ fn dp_tdbf_tracks_reference_on_real_traffic() {
     let mut last = Nanos::ZERO;
     for p in &pkts {
         dp.insert(p.src, p.wire_len as u64, p.ts).expect("discipline violation");
-        reference.insert(&p.src, p.wire_len as f64, p.ts);
+        reference.insert(&p.src, p.wire_len as f64, p.ts, &mut DecayFactors::new(rate));
         last = p.ts;
     }
     // Every source whose decayed estimate is non-trivial must agree
