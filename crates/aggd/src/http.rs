@@ -34,7 +34,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// First retry delay after a transient accept failure; doubles per
 /// consecutive failure up to [`ACCEPT_BACKOFF_MAX`]. EMFILE-style
@@ -113,13 +113,7 @@ pub(crate) fn serve(listener: TcpListener, shared: Arc<HttpShared>, stop: Arc<At
                 let Some(guard) = try_admit(&shared) else {
                     shared.metrics.http_busy();
                     let mut conn = conn;
-                    // Take the request off the socket (bounded) before
-                    // answering: closing with unread bytes in the
-                    // receive buffer makes the kernel RST the 503 out
-                    // of the client's hands.
-                    let _ = conn.set_read_timeout(Some(Duration::from_millis(100)));
-                    let mut scratch = [0u8; 1024];
-                    let _ = io::Read::read(&mut conn, &mut scratch);
+                    drain_request_head(&mut conn);
                     respond(
                         &mut conn,
                         503,
@@ -152,6 +146,39 @@ pub(crate) fn serve(listener: TcpListener, shared: Arc<HttpShared>, stop: Arc<At
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
             }
+        }
+    }
+}
+
+/// How long the accept loop spends taking a refused request off its
+/// socket, in all.
+const REFUSED_READ_BUDGET: Duration = Duration::from_millis(100);
+
+/// The most bytes of a refused request the accept loop reads.
+const REFUSED_HEAD_CAP: usize = 8 * 1024;
+
+/// Read a refused request up to the blank line that ends its head,
+/// within [`REFUSED_READ_BUDGET`] and [`REFUSED_HEAD_CAP`], so the 503
+/// can be answered and the connection closed with nothing unread.
+/// Closing with unread bytes in the receive buffer — or with bytes
+/// still on their way, from a client that writes its request in
+/// pieces — makes the kernel RST the 503 out of the client's hands.
+fn drain_request_head(conn: &mut TcpStream) {
+    let deadline = Instant::now() + REFUSED_READ_BUDGET;
+    let mut head = Vec::new();
+    let mut scratch = [0u8; 1024];
+    while head.len() < REFUSED_HEAD_CAP {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match io::Read::read(conn, &mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => head.extend_from_slice(&scratch[..n]),
+        }
+        let ends = |end: &[u8]| head.windows(end.len()).any(|w| w == end);
+        if ends(b"\r\n\r\n") || ends(b"\n\n") {
+            return;
         }
     }
 }

@@ -1,14 +1,16 @@
 //! Regression tests for the daemon's HTTP front door under hostile
 //! load: a slow-loris swarm (half-open connections pinning the 5 s
 //! read timeout) must not starve `/metrics` scrapes, the in-flight
-//! handler cap must answer 503 instead of spawning past its bound, an
-//! accept-churn storm must leave the server alive (the old accept loop
-//! died on the first transient error), query percent-escapes must
-//! decode end-to-end, and a kind label that names no kind is refused
-//! by `/hhh` and by `hhh-aggd --mitigate`.
+//! handler cap must answer 503 instead of spawning past its bound
+//! (also to a request that arrives in pieces), an accept-churn storm
+//! must leave the server alive (the old accept loop died on the first
+//! transient error), query percent-escapes must decode end-to-end, and
+//! a kind label that names no kind is refused by `/hhh` and by
+//! `hhh-aggd --mitigate`.
 
 use hhh_aggd::{spawn_daemon, DaemonConfig, DaemonHandle};
 use hhh_window::http_get;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -82,6 +84,34 @@ fn handler_cap_answers_503_and_counts_busy() {
         assert!(Instant::now() < deadline, "server never recovered after the swarm left");
         std::thread::sleep(Duration::from_millis(50));
     }
+    handle.shutdown();
+}
+
+#[test]
+fn a_refused_request_written_in_pieces_still_reads_its_503() {
+    let handle = daemon(2);
+    let addr = handle.http_addr.to_string();
+    let swarm = slow_loris(&addr, 2);
+    let deadline = Instant::now() + Duration::from_secs(4);
+    while get(&addr, "/healthz").0 != 503 {
+        assert!(Instant::now() < deadline, "the loris swarm never filled the handler slots");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // The request head arrives in two writes 20 ms apart, the first
+    // longer than one socket read: the refusal must take all of it off
+    // the socket before answering and closing, or the close resets the
+    // connection under the 503.
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    let first = format!("GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n", "p".repeat(2048));
+    conn.write_all(first.as_bytes()).expect("first write");
+    std::thread::sleep(Duration::from_millis(20));
+    conn.write_all(b"Host: aggd\r\nConnection: close\r\n\r\n").expect("second write");
+    let mut raw = Vec::new();
+    conn.read_to_end(&mut raw).expect("the 503 arrives whole, not reset");
+    let status = String::from_utf8_lossy(&raw).lines().next().unwrap_or_default().to_string();
+    assert!(status.starts_with("HTTP/1.1 503 "), "got {status:?}");
+    drop(swarm);
     handle.shutdown();
 }
 

@@ -25,15 +25,17 @@
 //!
 //! * [`Action`] / [`Rule`] ([`rule`]) — block, rate-limit-to-N-bps,
 //!   or watch, with TTL, renewal count, and data-plane drop counters.
-//! * [`RuleTable`] ([`table`]) — capped, longest-prefix-match, with
-//!   deterministic eviction (severity, then EWMA weight).
+//! * [`RuleTable`] ([`table`]) — capped, longest-prefix-match over one
+//!   sorted rule list per prefix length, with deterministic eviction
+//!   (severity, then EWMA weight).
 //! * [`PolicyEngine`] ([`policy`]) — onset hysteresis (M consecutive
 //!   over-threshold windows), surge-vs-baseline discrimination so
 //!   steady heavy legitimate prefixes never fire, EWMA damping, TTL +
 //!   renewal (detector re-assertion *or* data-plane hits).
-//! * [`TableGate`] ([`gate`]) — the per-packet data plane: token
-//!   buckets in trace time, drop crediting, ground-truth byte
-//!   classification for collateral scoring.
+//! * [`TableGate`] ([`gate`]) — the data plane: one table lock per
+//!   chunk of packets, a verdict per packet, token buckets in trace
+//!   time kept with their rules, drops credited in place, ground-truth
+//!   byte classification for collateral scoring.
 //! * [`ingest`] / [`render`] — the `/hhh` wire format in, the
 //!   `/rules` JSON and CLI table out.
 //!

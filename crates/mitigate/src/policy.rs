@@ -539,7 +539,7 @@ mod tests {
         // Blocked traffic vanishes from reports, but the data plane
         // keeps crediting drops — the rule must persist.
         for i in 4..8 {
-            table.lock().unwrap().credit_drop(atk, 10_000);
+            table.lock().unwrap().get_mut(atk).expect("installed").credit_drop(10_000);
             eng.ingest(&report(i, 1000, vec![]));
             assert!(table.lock().unwrap().get(atk).is_some(), "hit-renewed rule must stay");
         }

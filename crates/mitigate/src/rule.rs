@@ -63,6 +63,19 @@ pub struct Rule {
     pub dropped_bytes: u64,
     /// Packets the data plane dropped under this rule.
     pub dropped_packets: u64,
+    /// The token bucket of a rate-limit verdict, made by the first
+    /// packet the rule limits. It lives and dies with the rule, so a
+    /// re-installed prefix starts from a full burst.
+    pub(crate) limiter: Option<TokenBucket>,
+}
+
+/// Token-bucket state for one rate-limit rule (trace time).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TokenBucket {
+    /// Spendable bytes.
+    pub(crate) tokens: f64,
+    /// Last refill instant.
+    pub(crate) last: Nanos,
 }
 
 impl Rule {
@@ -83,7 +96,14 @@ impl Rule {
             ewma_bytes,
             dropped_bytes: 0,
             dropped_packets: 0,
+            limiter: None,
         }
+    }
+
+    /// Count one dropped packet of `bytes` against this rule.
+    pub(crate) fn credit_drop(&mut self, bytes: u64) {
+        self.dropped_bytes += bytes;
+        self.dropped_packets += 1;
     }
 
     /// The deterministic eviction key: less severe, lighter, and (as a

@@ -1,10 +1,18 @@
 //! The rule table: a capped, longest-prefix-match map from source
 //! prefixes to [`Rule`]s.
 //!
-//! Lookup probes only the prefix lengths actually present (tracked in
-//! a 33-slot occupancy array), most specific first — with the byte
-//! hierarchy's five levels that is at most five `BTreeMap` probes per
-//! packet, and a blocked /24 inside a watched /16 resolves to the /24.
+//! The table is flat: one `Vec` of rules per prefix length, each
+//! sorted by network address, plus a 33-bit occupancy mask naming the
+//! lengths that hold a rule. A lookup walks the occupied lengths from
+//! most to least specific and binary-searches each one — with the byte
+//! hierarchy's five levels that is at most five searches of a few
+//! rules, and a blocked /24 inside a watched /16 resolves to the /24.
+//! The match comes back as `&mut Rule`, so the data plane credits a
+//! drop (and spends a rate limiter's tokens) in place.
+//!
+//! [`Ipv4Prefix`] orders by `(len, bits)`, so walking the lengths in
+//! ascending order yields the rules in prefix order: [`RuleTable::iter`]
+//! and [`RuleTable::expire`] keep that order.
 //!
 //! The cap is enforced *at insert*: when full, the incoming rule
 //! displaces the table minimum under the rules' eviction order (less
@@ -15,15 +23,14 @@
 
 use crate::rule::Rule;
 use hhh_nettypes::{Ipv4Prefix, Nanos};
-use std::collections::BTreeMap;
 
 /// The capped LPM rule table. See the module docs for semantics.
 #[derive(Debug)]
 pub struct RuleTable {
-    rules: BTreeMap<Ipv4Prefix, Rule>,
-    /// How many rules exist at each prefix length; `lookup` probes
-    /// only the occupied lengths.
-    len_counts: [u32; 33],
+    /// The rules of each prefix length, sorted by network address.
+    by_len: [Vec<Rule>; 33],
+    /// Bit `len` is set exactly when `by_len[len]` is non-empty.
+    occupied: u64,
     cap: usize,
     inserts: u64,
     evictions: u64,
@@ -35,8 +42,8 @@ impl RuleTable {
     pub fn with_cap(cap: usize) -> Self {
         assert!(cap >= 1, "rule table cap must be at least 1");
         RuleTable {
-            rules: BTreeMap::new(),
-            len_counts: [0; 33],
+            by_len: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
             cap,
             inserts: 0,
             evictions: 0,
@@ -51,12 +58,12 @@ impl RuleTable {
 
     /// Installed rule count (always `<= cap`).
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.by_len.iter().map(Vec::len).sum()
     }
 
     /// `true` when no rules are installed.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.occupied == 0
     }
 
     /// Total membership churn so far: every insert, eviction, and
@@ -80,33 +87,43 @@ impl RuleTable {
         self.expirations
     }
 
-    /// The most specific rule whose prefix contains `addr`, if any.
-    pub fn lookup(&self, addr: u32) -> Option<&Rule> {
-        for len in (0..=32u8).rev() {
-            if self.len_counts[len as usize] == 0 {
-                continue;
-            }
-            if let Some(rule) = self.rules.get(&Ipv4Prefix::new(addr, len)) {
-                return Some(rule);
+    /// The most specific rule whose prefix contains `addr`, if any,
+    /// mutable so the caller can credit it in place.
+    pub fn lookup(&mut self, addr: u32) -> Option<&mut Rule> {
+        let mut lens = self.occupied;
+        while lens != 0 {
+            let len = 63 - lens.leading_zeros() as usize;
+            lens ^= 1 << len;
+            let net = addr & Ipv4Prefix::mask(len as u8);
+            if let Ok(at) = self.by_len[len].binary_search_by_key(&net, |r| r.prefix.addr()) {
+                return Some(&mut self.by_len[len][at]);
             }
         }
         None
     }
 
+    /// Where `prefix` sits in its length's rules: `Ok` if installed,
+    /// else `Err` with the insertion point.
+    fn position(&self, prefix: Ipv4Prefix) -> Result<usize, usize> {
+        self.by_len[prefix.len() as usize].binary_search_by_key(&prefix, |r| r.prefix)
+    }
+
     /// The rule installed for exactly `prefix`, if any.
     pub fn get(&self, prefix: Ipv4Prefix) -> Option<&Rule> {
-        self.rules.get(&prefix)
+        let at = self.position(prefix).ok()?;
+        Some(&self.by_len[prefix.len() as usize][at])
     }
 
     /// Mutable access to the rule for exactly `prefix` (renewals,
     /// escalation, EWMA refresh — membership stays fixed).
     pub fn get_mut(&mut self, prefix: Ipv4Prefix) -> Option<&mut Rule> {
-        self.rules.get_mut(&prefix)
+        let at = self.position(prefix).ok()?;
+        Some(&mut self.by_len[prefix.len() as usize][at])
     }
 
     /// All rules in prefix order.
     pub fn iter(&self) -> impl Iterator<Item = &Rule> {
-        self.rules.values()
+        self.by_len.iter().flatten()
     }
 
     /// Install a rule for a prefix not already in the table.
@@ -123,13 +140,12 @@ impl RuleTable {
     /// replace would double-count churn and lose drop counters).
     pub fn insert(&mut self, rule: Rule) -> bool {
         assert!(
-            !self.rules.contains_key(&rule.prefix),
+            self.position(rule.prefix).is_err(),
             "insert of an already-installed prefix; update via get_mut"
         );
-        if self.rules.len() >= self.cap {
+        if self.len() >= self.cap {
             let (victim, victim_key) = self
-                .rules
-                .values()
+                .iter()
                 .map(|r| (r.prefix, r.evict_key()))
                 .min_by(|a, b| a.1.cmp(&b.1))
                 .expect("cap >= 1, so a full table is non-empty");
@@ -139,41 +155,38 @@ impl RuleTable {
             self.remove(victim);
             self.evictions += 1;
         }
-        self.len_counts[rule.prefix.len() as usize] += 1;
+        let len = rule.prefix.len() as usize;
+        let at = self.position(rule.prefix).expect_err("checked absent above");
+        self.by_len[len].insert(at, rule);
+        self.occupied |= 1 << len;
         self.inserts += 1;
-        self.rules.insert(rule.prefix, rule);
         true
     }
 
-    /// Remove the rule for exactly `prefix`, returning it.
+    /// Remove the rule for exactly `prefix`, returning it (and with
+    /// it any rate-limiter state it carried).
     pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<Rule> {
-        let rule = self.rules.remove(&prefix)?;
-        self.len_counts[prefix.len() as usize] -= 1;
+        let at = self.position(prefix).ok()?;
+        let len = prefix.len() as usize;
+        let rule = self.by_len[len].remove(at);
+        if self.by_len[len].is_empty() {
+            self.occupied &= !(1 << len);
+        }
         Some(rule)
     }
 
     /// Drop every rule whose `expires_at <= now`, returning them in
     /// prefix order.
     pub fn expire(&mut self, now: Nanos) -> Vec<Rule> {
-        let lapsed: Vec<Ipv4Prefix> =
-            self.rules.values().filter(|r| r.expires_at <= now).map(|r| r.prefix).collect();
-        let mut out = Vec::with_capacity(lapsed.len());
-        for prefix in lapsed {
-            if let Some(rule) = self.remove(prefix) {
-                self.expirations += 1;
-                out.push(rule);
+        let mut out = Vec::new();
+        for (len, rules) in self.by_len.iter_mut().enumerate() {
+            out.extend(rules.extract_if(.., |r| r.expires_at <= now));
+            if rules.is_empty() {
+                self.occupied &= !(1 << len);
             }
         }
+        self.expirations += out.len() as u64;
         out
-    }
-
-    /// Credit a data-plane drop to the rule for exactly `prefix`
-    /// (no-op if the rule vanished between lookup and credit).
-    pub fn credit_drop(&mut self, prefix: Ipv4Prefix, bytes: u64) {
-        if let Some(rule) = self.rules.get_mut(&prefix) {
-            rule.dropped_bytes += bytes;
-            rule.dropped_packets += 1;
-        }
     }
 }
 
@@ -235,8 +248,8 @@ mod tests {
         let mut t = RuleTable::with_cap(4);
         let p = Ipv4Prefix::new(0x0A00_0000, 8);
         t.insert(rule(0x0A00_0000, 8, Action::Block, 1.0));
-        t.credit_drop(p, 1500);
-        t.credit_drop(p, 60);
+        t.lookup(0x0A00_0001).expect("installed").credit_drop(1500);
+        t.lookup(0x0A7F_0001).expect("installed").credit_drop(60);
         let r = t.get(p).unwrap();
         assert_eq!(r.dropped_bytes, 1560);
         assert_eq!(r.dropped_packets, 2);

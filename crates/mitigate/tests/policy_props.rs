@@ -10,6 +10,7 @@ use hhh_mitigate::{Action, GateTotals, PolicyConfig, PolicyEngine, Rule, RuleTab
 use hhh_nettypes::{Ipv4Prefix, Nanos, PacketRecord, TimeSpan};
 use hhh_window::{PacketGate, RuleFilter, Source, WindowReport};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const WINDOW: TimeSpan = TimeSpan::from_secs(5);
 
@@ -150,6 +151,106 @@ proptest! {
         }
     }
 
+    /// The flat table behaves like the ordered map it replaced: after
+    /// every step of a random mix of inserts (any length, any action,
+    /// at cap so eviction runs), removals, expiries and in-place
+    /// edits, lookup agrees with a naive longest-match scan, `iter`
+    /// walks the model's prefix order, and the counters agree.
+    #[test]
+    fn table_matches_an_ordered_map_model(
+        cap in 1usize..10,
+        bases in prop::collection::vec(0u32..u32::MAX, 4..5),
+        ops in prop::collection::vec(
+            ((0u8..8, 0usize..4), (0u8..=32, 0u8..3), (0u64..6, 1u64..40)),
+            1..80,
+        ),
+    ) {
+        let mut table = RuleTable::with_cap(cap);
+        let mut model = Model { cap, ..Model::default() };
+        for ((op, base), (len, sev), (weight, secs)) in ops {
+            let prefix = Ipv4Prefix::new(bases[base], len);
+            let now = Nanos::from_secs(secs);
+            // Remove and edit mostly aim at an installed rule.
+            let target = if sev > 0 && !model.rules.is_empty() {
+                *model.rules.keys().nth(weight as usize % model.rules.len()).unwrap()
+            } else {
+                prefix
+            };
+            match op {
+                0..=3 => {
+                    if model.rules.contains_key(&prefix) {
+                        continue;
+                    }
+                    let action = action_of(sev);
+                    let accepted = table.insert(Rule::new(
+                        prefix,
+                        action,
+                        Nanos::ZERO,
+                        now,
+                        weight as f64,
+                    ));
+                    prop_assert_eq!(accepted, model.insert(prefix, action, weight, now));
+                }
+                4 => {
+                    let got = table.remove(target).map(|r| r.prefix);
+                    prop_assert_eq!(got, model.rules.remove(&target).map(|_| target));
+                }
+                5 => {
+                    let got: Vec<Ipv4Prefix> = table.expire(now).iter().map(|r| r.prefix).collect();
+                    prop_assert_eq!(got, model.expire(now));
+                }
+                _ => {
+                    let got = table.get_mut(target).map(|rule| {
+                        rule.expires_at = now;
+                        rule.ewma_bytes = weight as f64;
+                        if action_of(sev).severity() > rule.action.severity() {
+                            rule.action = action_of(sev);
+                        }
+                        rule.prefix
+                    });
+                    let want = model.rules.get_mut(&target).map(|m| {
+                        m.expires_at = now;
+                        m.weight = weight;
+                        if action_of(sev).severity() > m.action.severity() {
+                            m.action = action_of(sev);
+                        }
+                        target
+                    });
+                    prop_assert_eq!(got, want);
+                }
+            }
+
+            let listed: Vec<(Ipv4Prefix, Action, Nanos)> =
+                table.iter().map(|r| (r.prefix, r.action, r.expires_at)).collect();
+            let modelled: Vec<(Ipv4Prefix, Action, Nanos)> =
+                model.rules.iter().map(|(p, m)| (*p, m.action, m.expires_at)).collect();
+            prop_assert_eq!(listed, modelled);
+            prop_assert_eq!(table.len(), model.rules.len());
+            prop_assert_eq!(table.is_empty(), model.rules.is_empty());
+            prop_assert_eq!(
+                (table.inserts(), table.evictions(), table.expirations()),
+                (model.inserts, model.evictions, model.expirations)
+            );
+            // Probe each base, each rule's first and last address, and
+            // their neighbours just outside.
+            let mut probes: Vec<u32> = bases.clone();
+            for p in model.rules.keys() {
+                let last = p.addr() | !Ipv4Prefix::mask(p.len());
+                probes.extend([p.addr(), p.addr().wrapping_sub(1), last, last.wrapping_add(1)]);
+            }
+            for addr in probes {
+                let got = table.lookup(addr).map(|r| r.prefix);
+                let naive = model
+                    .rules
+                    .keys()
+                    .filter(|p| p.contains_addr(addr))
+                    .max_by_key(|p| p.len())
+                    .copied();
+                prop_assert_eq!(got, naive, "lookup({addr:#x}) disagrees with naive scan");
+            }
+        }
+    }
+
     /// Cap: a table under arbitrary insert pressure never exceeds its
     /// cap, and every refused insert really did rank below the whole
     /// table.
@@ -181,6 +282,66 @@ proptest! {
                 prop_assert_eq!(table.len(), cap, "refusal only happens at cap");
             }
         }
+    }
+}
+
+fn action_of(sev: u8) -> Action {
+    match sev {
+        0 => Action::Watch,
+        1 => Action::RateLimit { bps: 1_000_000 },
+        _ => Action::Block,
+    }
+}
+
+/// What the model keeps of a rule.
+struct ModelRule {
+    action: Action,
+    weight: u64,
+    expires_at: Nanos,
+}
+
+/// The rule table as an ordered map, with the documented cap and
+/// eviction order spelled out: less severe, then lighter, then the
+/// smaller prefix is evicted first.
+#[derive(Default)]
+struct Model {
+    rules: BTreeMap<Ipv4Prefix, ModelRule>,
+    cap: usize,
+    inserts: u64,
+    evictions: u64,
+    expirations: u64,
+}
+
+impl Model {
+    fn insert(
+        &mut self,
+        prefix: Ipv4Prefix,
+        action: Action,
+        weight: u64,
+        expires_at: Nanos,
+    ) -> bool {
+        if self.rules.len() >= self.cap {
+            let rank = |p: &Ipv4Prefix, m: &ModelRule| (m.action.severity(), m.weight, *p);
+            let victim = self.rules.iter().map(|(p, m)| rank(p, m)).min().expect("cap >= 1");
+            if (action.severity(), weight, prefix) <= victim {
+                return false;
+            }
+            self.rules.remove(&victim.2);
+            self.evictions += 1;
+        }
+        self.rules.insert(prefix, ModelRule { action, weight, expires_at });
+        self.inserts += 1;
+        true
+    }
+
+    fn expire(&mut self, now: Nanos) -> Vec<Ipv4Prefix> {
+        let lapsed: Vec<Ipv4Prefix> =
+            self.rules.iter().filter(|(_, m)| m.expires_at <= now).map(|(p, _)| *p).collect();
+        for p in &lapsed {
+            self.rules.remove(p);
+        }
+        self.expirations += lapsed.len() as u64;
+        lapsed
     }
 }
 
@@ -257,9 +418,10 @@ fn closed_loop_in_process() {
 fn empty_table_is_transparent() {
     let eng = PolicyEngine::new(PolicyConfig::default());
     let mut gate = TableGate::new(eng.table());
-    for i in 0..1_000u64 {
-        let p = PacketRecord::new(Nanos::from_micros(i), i as u32, 1, 100);
-        assert!(gate.admit(&p));
-    }
+    let packets: Vec<PacketRecord> =
+        (0..1_000u64).map(|i| PacketRecord::new(Nanos::from_micros(i), i as u32, 1, 100)).collect();
+    let mut chunk = packets.clone();
+    gate.admit_chunk(&mut chunk);
+    assert_eq!(chunk, packets);
     assert_eq!(gate.totals().packets_dropped, 0);
 }

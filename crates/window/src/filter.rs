@@ -1,9 +1,10 @@
 //! Packet filtering upstream of the engines: a [`RuleFilter`] wraps
-//! any packet [`Source`] and consults a [`PacketGate`] per packet,
-//! delivering only the admitted ones downstream — the seam where a
-//! mitigation rule table (or any other drop/limit policy) plugs into a
-//! running pipeline *before* the shard partition, the way a real
-//! deployment filters at the edge rather than inside the detector.
+//! any packet [`Source`] and hands each pulled chunk to a
+//! [`PacketGate`], delivering only the admitted packets downstream —
+//! the seam where a mitigation rule table (or any other drop/limit
+//! policy) plugs into a running pipeline *before* the shard partition,
+//! the way a real deployment filters at the edge rather than inside
+//! the detector.
 //!
 //! The gate is deliberately a trait, not a concrete rule table: the
 //! window crate knows how to thread a verdict through the chunked
@@ -14,21 +15,24 @@
 use crate::source::Source;
 use hhh_nettypes::PacketRecord;
 
-/// A per-packet admit/drop decision point. `&mut self` because real
-/// gates keep state: token buckets, per-rule drop counters, hit
-/// statistics.
+/// An admit/drop decision point, fed a chunk at a time so a gate over
+/// shared state pays its synchronisation once per chunk, not once per
+/// packet. `&mut self` because real gates keep state: token buckets,
+/// per-rule drop counters, hit statistics.
 pub trait PacketGate {
-    /// Decide one packet's fate: `true` admits it downstream, `false`
-    /// drops it. Called in stream order, so trace-time bucket refills
-    /// may trust non-decreasing timestamps.
-    fn admit(&mut self, packet: &PacketRecord) -> bool;
+    /// Decide the fate of every packet in `chunk`: keep the admitted
+    /// ones, in order, and remove the dropped ones. Chunks arrive in
+    /// stream order, so trace-time bucket refills may trust
+    /// non-decreasing timestamps; where a stream is cut into chunks
+    /// must not change any verdict.
+    fn admit_chunk(&mut self, chunk: &mut Vec<PacketRecord>);
 }
 
 /// Every `FnMut(&PacketRecord) -> bool` is a gate — the test- and
-/// ad-hoc-filter shape.
+/// ad-hoc-filter shape: `true` admits the packet.
 impl<F: FnMut(&PacketRecord) -> bool> PacketGate for F {
-    fn admit(&mut self, packet: &PacketRecord) -> bool {
-        self(packet)
+    fn admit_chunk(&mut self, chunk: &mut Vec<PacketRecord>) {
+        chunk.retain(|p| self(p));
     }
 }
 
@@ -74,15 +78,14 @@ where
     type Item = PacketRecord;
 
     fn pull_chunk(&mut self, buf: &mut Vec<PacketRecord>) -> bool {
-        let had = buf.len();
         loop {
             self.scratch.clear();
             if !self.inner.pull_chunk(&mut self.scratch) {
-                return buf.len() > had;
+                return false;
             }
-            let gate = &mut self.gate;
-            buf.extend(self.scratch.drain(..).filter(|p| gate.admit(p)));
-            if buf.len() > had {
+            self.gate.admit_chunk(&mut self.scratch);
+            if !self.scratch.is_empty() {
+                buf.append(&mut self.scratch);
                 return true;
             }
         }
@@ -144,12 +147,14 @@ mod tests {
             dropped: u64,
         }
         impl PacketGate for Counting {
-            fn admit(&mut self, p: &PacketRecord) -> bool {
-                if p.src == 0 {
-                    self.dropped += 1;
-                    return false;
-                }
-                true
+            fn admit_chunk(&mut self, chunk: &mut Vec<PacketRecord>) {
+                chunk.retain(|p| {
+                    if p.src == 0 {
+                        self.dropped += 1;
+                        return false;
+                    }
+                    true
+                });
             }
         }
         let pkts: Vec<PacketRecord> = (0..50).map(|i| pkt(i, i as u32 % 2)).collect();

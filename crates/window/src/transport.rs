@@ -647,8 +647,9 @@ pub fn http_get(addr: &str, path: &str) -> Result<(u16, Vec<u8>), String> {
     let mut stream = TcpStream::connect(addr).map_err(err)?;
     stream.set_read_timeout(Some(Duration::from_secs(10))).map_err(err)?;
     stream.set_write_timeout(Some(Duration::from_secs(10))).map_err(err)?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .map_err(err)?;
+    // One write: a server that reads a request once sees all of it.
+    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes()).map_err(err)?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).map_err(err)?;
     let head_end = raw
