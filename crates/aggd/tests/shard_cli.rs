@@ -4,10 +4,9 @@
 //! Without `--connect` a shard's stream goes to stdout, and it must be
 //! the very bytes `scenario::shard_stream_on` returns for every kind in
 //! both wire formats: that identity is what lets the file smoke, the
-//! socket smoke and the daemon fold share their goldens. The TDBF
-//! streams at the deployed geometry are pinned by digest. A command line
-//! that cannot do what it says exits 2 and names the problem before
-//! any trace is generated.
+//! socket smoke and the daemon fold share their goldens. Every kind's
+//! stream is pinned by digest. A command line that cannot do what it
+//! says exits 2 and names the problem before any trace is generated.
 
 use hhh_aggd::scenario::{self, Kind};
 use hhh_core::snapshot::binary::fnv1a;
@@ -45,35 +44,46 @@ fn stdout_is_the_library_stream_for_every_kind_in_both_formats() {
     }
 }
 
-/// FNV-1a-64 digests of `aggd-shard tdbf-hhh 2 <shard> 30` stdout, as
-/// `(shard, format, bytes, digest)`. A TDBF stream at the deployed
-/// geometry (5 levels × 4096 × 4 cells, 512 candidates per level):
-/// shard 0's host-level candidate table fills up at about 27 s, so the
-/// eviction scan shapes the last frame. Any change to observe, merge,
+/// FNV-1a-64 digests of `aggd-shard <kind> 2 <shard> 30` stdout, as
+/// `(kind, shard, format, bytes, digest)`. Every kind is pinned in v1,
+/// the format that carries each report line next to the state, so any
+/// change that moves a reported HHH, estimate or discounted count moves
+/// a digest. TDBF runs at the deployed geometry (5 levels × 4096 × 4
+/// cells, 512 candidates per level) and is pinned in v2 too: shard 0's
+/// host-level candidate table fills up at about 27 s, so the eviction
+/// scan shapes the last frame, and any change to observe, merge,
 /// eviction or the cell encoder that moves a byte moves a digest.
-const TDBF_DEPLOYED_DIGESTS: [(&str, WireFormat, usize, u64); 4] = [
-    ("0", WireFormat::Json, 4_932_739, 0x6ADE_F992_9E59_DF98),
-    ("0", WireFormat::Binary, 612_712, 0xDA19_F785_B895_1F4E),
-    ("1", WireFormat::Json, 4_861_140, 0x9ECD_8940_341D_0945),
-    ("1", WireFormat::Binary, 567_325, 0x6250_FD03_210C_9BCA),
+const DEPLOYED_DIGESTS: [(Kind, &str, WireFormat, usize, u64); 12] = [
+    (Kind::Exact, "0", WireFormat::Json, 65_432, 0xE3BE_CDEC_AF0A_CB6D),
+    (Kind::Exact, "1", WireFormat::Json, 60_259, 0xF0DB_C9D0_E786_EA03),
+    (Kind::SsHhh, "0", WireFormat::Json, 164_349, 0xC156_3773_B9DA_9691),
+    (Kind::SsHhh, "1", WireFormat::Json, 155_659, 0xD64D_AB57_0BFD_DDA4),
+    (Kind::Rhhh, "0", WireFormat::Json, 138_584, 0x721B_5E43_977A_CC91),
+    (Kind::Rhhh, "1", WireFormat::Json, 131_233, 0xD52B_4368_E536_15AD),
+    (Kind::Tdbf, "0", WireFormat::Json, 4_932_739, 0x6ADE_F992_9E59_DF98),
+    (Kind::Tdbf, "0", WireFormat::Binary, 612_712, 0xDA19_F785_B895_1F4E),
+    (Kind::Tdbf, "1", WireFormat::Json, 4_861_140, 0x9ECD_8940_341D_0945),
+    (Kind::Tdbf, "1", WireFormat::Binary, 567_325, 0x6250_FD03_210C_9BCA),
+    (Kind::MvPipe, "0", WireFormat::Json, 85_825, 0xFD59_D63C_9678_FF66),
+    (Kind::MvPipe, "1", WireFormat::Json, 79_403, 0x1668_4353_0B5A_EB4E),
 ];
 
 #[test]
-fn deployed_geometry_tdbf_streams_are_pinned() {
-    let runs: Vec<_> = TDBF_DEPLOYED_DIGESTS
+fn deployed_streams_are_pinned() {
+    let runs: Vec<_> = DEPLOYED_DIGESTS
         .iter()
-        .map(|&(shard, format, ..)| {
+        .map(|&(kind, shard, format, ..)| {
             Command::new(env!("CARGO_BIN_EXE_aggd-shard"))
-                .args([Kind::Tdbf.label(), "2", shard, "30", "--format", format.label()])
+                .args([kind.label(), "2", shard, "30", "--format", format.label()])
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped())
                 .spawn()
                 .expect("aggd-shard starts")
         })
         .collect();
-    for (run, &(shard, format, len, digest)) in runs.into_iter().zip(&TDBF_DEPLOYED_DIGESTS) {
+    for (run, &(kind, shard, format, len, digest)) in runs.into_iter().zip(&DEPLOYED_DIGESTS) {
         let out = run.wait_with_output().expect("aggd-shard runs");
-        let what = format!("tdbf-hhh shard {shard} {}", format.label());
+        let what = format!("{} shard {shard} {}", kind.label(), format.label());
         assert!(out.status.success(), "{what}: {}", String::from_utf8_lossy(&out.stderr));
         assert_eq!(out.stdout.len(), len, "{what}: stream length");
         assert_eq!(fnv1a(&out.stdout), digest, "{what}: stream digest");

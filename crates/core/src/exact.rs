@@ -2,71 +2,17 @@
 //!
 //! Keeps every distinct item's count in a hash map (memory ∝ distinct
 //! items — affordable offline, which is exactly how the paper ran its
-//! own analysis) and computes the HHH set bottom-up at report time.
-//!
-//! The bottom-up discount in [`discount_bottom_up`] is shared by the
-//! approximate detectors, which substitute their per-level *estimates*
-//! for the exact per-level counts.
+//! own analysis) and computes the HHH set bottom-up at report time:
+//! the item counts become level-0 rows of the one report routine the
+//! approximate detectors share, fed with their per-level *estimates*.
 
 use crate::detector::{HhhDetector, MergeableDetector};
 use crate::kind::Kind;
-use crate::report::{HhhReport, Threshold};
+use crate::report::{closed_report, HhhReport, Threshold};
 use crate::snapshot::{Body, DetectorSnapshot, ExactBody, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::Nanos;
 use std::collections::HashMap;
-
-/// Bottom-up exclude-all-HHH-descendants discounting over per-level
-/// count maps (level 0 = most specific). Returns reports sorted by
-/// (level, prefix).
-///
-/// `level_counts[l]` must map every prefix at level `l` that has any
-/// traffic to its (estimated) total count. The recursion:
-///
-/// * level 0: `discounted(p) = count(p)`;
-/// * level l+1: `discounted(p) = count(p) − Σ counts of p's maximal
-///   HHH descendants`, where an HHH found at a lower level charges its
-///   *full* count to every ancestor, and charges of non-HHH prefixes
-///   pass upward unchanged.
-pub fn discount_bottom_up<H: Hierarchy>(
-    h: &H,
-    level_counts: &[HashMap<H::Prefix, u64>],
-    threshold_abs: u64,
-) -> Vec<HhhReport<H::Prefix>> {
-    let mut reports = Vec::new();
-    // charge[p] = total estimate of maximal HHH descendants of p found
-    // so far, for p at the level currently being processed.
-    let mut charge: HashMap<H::Prefix, u64> = HashMap::new();
-    for (level, counts) in level_counts.iter().enumerate() {
-        let mut next_charge: HashMap<H::Prefix, u64> = HashMap::new();
-        let is_root_level = level + 1 == level_counts.len();
-        for (&p, &count) in counts {
-            let charged = charge.get(&p).copied().unwrap_or(0);
-            // Estimated counts from sketches are not guaranteed to be
-            // superadditive; saturate rather than wrap.
-            let discounted = count.saturating_sub(charged);
-            if discounted >= threshold_abs {
-                reports.push(HhhReport {
-                    prefix: p,
-                    level,
-                    estimate: count,
-                    discounted,
-                    lower_bound: discounted,
-                });
-                if !is_root_level {
-                    let parent = h.parent(p).expect("non-root level has parents");
-                    *next_charge.entry(parent).or_default() += count;
-                }
-            } else if charged > 0 && !is_root_level {
-                let parent = h.parent(p).expect("non-root level has parents");
-                *next_charge.entry(parent).or_default() += charged;
-            }
-        }
-        charge = next_charge;
-    }
-    reports.sort_by(|a, b| a.level.cmp(&b.level).then(a.prefix.cmp(&b.prefix)));
-    reports
-}
 
 /// Exact windowed HHH detector (and plain heavy-hitter oracle).
 #[derive(Clone, Debug)]
@@ -117,17 +63,20 @@ impl<H: Hierarchy> ExactHhh<H> {
             .sum()
     }
 
-    /// Build the per-level count maps (exposed for the analysis crate,
-    /// which also wants raw level counts for Jaccard denominators).
-    pub fn level_counts(&self) -> Vec<HashMap<H::Prefix, u64>> {
-        let levels = self.hierarchy.levels();
-        let mut maps: Vec<HashMap<H::Prefix, u64>> = vec![HashMap::new(); levels];
-        for (&item, &c) in &self.counts {
-            for (level, map) in maps.iter_mut().enumerate() {
-                *map.entry(self.hierarchy.generalize(item, level)).or_default() += c;
-            }
-        }
-        maps
+    /// The exact HHH set of item counts summing to `total`, in (level,
+    /// prefix) order: the items become level-0 rows, each level above
+    /// sums the one below, and the bottom-up discount runs over the
+    /// result. [`report`](HhhDetector::report) is this over the
+    /// detector's own counts; engines that keep rolling counts of their
+    /// own report through it too.
+    pub fn report_counts(
+        hierarchy: &H,
+        counts: &HashMap<H::Item, u64>,
+        total: u64,
+        threshold: Threshold,
+    ) -> Vec<HhhReport<H::Prefix>> {
+        let rows = counts.iter().map(|(&item, &c)| (hierarchy.item_prefix(item), c)).collect();
+        closed_report(hierarchy, vec![rows], threshold.absolute(total))
     }
 }
 
@@ -150,8 +99,7 @@ impl<H: Hierarchy> HhhDetector<H> for ExactHhh<H> {
     }
 
     fn report(&self, threshold: Threshold) -> Vec<HhhReport<H::Prefix>> {
-        let t = threshold.absolute(self.total);
-        discount_bottom_up(&self.hierarchy, &self.level_counts(), t)
+        Self::report_counts(&self.hierarchy, &self.counts, self.total, threshold)
     }
 
     fn reset(&mut self) {
@@ -267,8 +215,9 @@ impl<H: Hierarchy> ExactHhh<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hhh_hierarchy::Ipv4Hierarchy;
+    use hhh_hierarchy::{Ipv4Hierarchy, Ipv6Hierarchy};
     use hhh_nettypes::Ipv4Prefix;
+    use proptest::prelude::*;
 
     fn ip(s: &str) -> u32 {
         s.parse::<Ipv4Prefix>().unwrap().addr()
@@ -431,5 +380,80 @@ mod tests {
         let r = d.report(Threshold::percent(50.0));
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].prefix, px("10.1.1.1/32"));
+    }
+
+    /// The HHH definition read directly, with no level maps and no
+    /// charges: bottom up, a prefix's discounted count is the sum of
+    /// the counts of items under it that no HHH already found strictly
+    /// below it contains, and the prefix is an HHH when that sum
+    /// reaches the absolute threshold.
+    fn by_definition<H: Hierarchy>(
+        h: &H,
+        items: &[(H::Item, u64)],
+        threshold: Threshold,
+    ) -> Vec<HhhReport<H::Prefix>> {
+        let t = threshold.absolute(items.iter().map(|e| e.1).sum());
+        let mut found: Vec<HhhReport<H::Prefix>> = Vec::new();
+        for level in 0..h.levels() {
+            let mut prefixes: Vec<_> = items.iter().map(|&(i, _)| h.generalize(i, level)).collect();
+            prefixes.sort();
+            prefixes.dedup();
+            let below = found.len();
+            for p in prefixes {
+                let under = items.iter().filter(|&&(i, _)| h.contains(p, h.item_prefix(i)));
+                let estimate = under.clone().map(|e| e.1).sum();
+                let discounted = under
+                    .filter(|&&(i, _)| {
+                        !found[..below].iter().any(|r| h.contains(r.prefix, h.item_prefix(i)))
+                    })
+                    .map(|e| e.1)
+                    .sum();
+                if discounted >= t {
+                    let lower_bound = discounted;
+                    found.push(HhhReport { prefix: p, level, estimate, discounted, lower_bound });
+                }
+            }
+        }
+        found
+    }
+
+    fn report_matches_definition<H: Hierarchy>(h: H, items: &[(H::Item, u64)], t: Threshold) {
+        let mut d = ExactHhh::new(h.clone());
+        for &(item, w) in items {
+            d.observe(item, w);
+        }
+        assert_eq!(d.report(t), by_definition(&h, items, t), "at {t} over {items:?}");
+    }
+
+    /// Items packed from four small fields, so that they share
+    /// prefixes at every granularity and HHHs nest; weights are skewed.
+    type Draw = ((u32, u32, u32, u32), u64);
+
+    fn draws() -> impl Strategy<Value = Vec<Draw>> {
+        prop::collection::vec(((0u32..4, 0u32..4, 0u32..4, 0u32..8), 0u64..40), 1..80)
+    }
+
+    fn v4((a, b, c, d): (u32, u32, u32, u32)) -> u32 {
+        a << 30 | b << 20 | c << 9 | d
+    }
+
+    proptest! {
+        #[test]
+        fn report_is_the_definition_on_ipv4(draws in draws(), t in 0.001f64..0.6) {
+            let items: Vec<(u32, u64)> = draws.iter().map(|&(f, w)| (v4(f), 1 + w * w)).collect();
+            let t = Threshold::fraction(t);
+            report_matches_definition(Ipv4Hierarchy::bytes(), &items, t);
+            report_matches_definition(Ipv4Hierarchy::bits(), &items, t);
+            report_matches_definition(Ipv4Hierarchy::new(12), &items, t);
+        }
+
+        #[test]
+        fn report_is_the_definition_on_ipv6(draws in draws(), t in 0.001f64..0.6) {
+            let items: Vec<(u128, u64)> = draws
+                .iter()
+                .map(|&(f, w)| ((v4(f) as u128) << 96 | (f.3 as u128) << 40 | f.2 as u128, 1 + w * w))
+                .collect();
+            report_matches_definition(Ipv6Hierarchy::hextets(), &items, Threshold::fraction(t));
+        }
     }
 }

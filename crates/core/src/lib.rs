@@ -38,9 +38,15 @@
 //! All detectors in this crate use the *exclude-all-HHH-descendants*
 //! discount (the definition quoted in the paper's introduction):
 //! bottom-up over levels, a prefix is an HHH iff its count minus the
-//! counts of its maximal HHH descendants reaches the threshold. The
-//! exact reference implementation is [`ExactHhh::report`]; every
-//! approximate detector is tested against it.
+//! counts of its maximal HHH descendants reaches the threshold. Every
+//! HHH kind reports through one routine (`report.rs`): its per-level
+//! counts or estimates, sorted by prefix, are closed upward (each
+//! ancestor at least the sum of its tracked children; TDBF instead
+//! gives a missing parent its own filter estimate) and then discounted
+//! bottom-up, both by merge-joins with no hashing. The exact reference
+//! is [`ExactHhh::report`] ([`ExactHhh::report_counts`] over any item
+//! counts), tested against the definition itself; every approximate
+//! detector is tested against it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +65,7 @@ mod tdbf_hhh;
 mod univmon;
 
 pub use detector::{ContinuousDetector, HhhDetector, MergeableDetector};
-pub use exact::{discount_bottom_up, ExactHhh};
+pub use exact::ExactHhh;
 pub use hashpipe::HashPipe;
 pub use kind::Kind;
 pub use memento::MementoHhh;

@@ -12,11 +12,9 @@
 //! CoNEXT 2018) argues for.
 
 use crate::detector::{HhhDetector, MergeableDetector};
-use crate::exact::discount_bottom_up;
-use crate::report::{HhhReport, Threshold};
+use crate::report::{closed_report, HhhReport, Threshold};
 use hhh_hierarchy::Hierarchy;
 use hhh_sketches::SlidingSummary;
-use std::collections::HashMap;
 
 /// Per-level sliding-summary HHH detector over the last `window`
 /// packets.
@@ -70,28 +68,6 @@ impl<H: Hierarchy> MementoHhh<H> {
     pub fn windowed_total(&self) -> u64 {
         self.levels.last().expect("at least one level").estimate(&self.hierarchy.root())
     }
-
-    /// Per-level estimate maps closed upward, same algebraic safety as
-    /// the other per-level detectors: an ancestor of a tracked prefix
-    /// gets at least the sum of its tracked children so the discount
-    /// never drops a charge on a missing parent.
-    fn level_maps(&self) -> Vec<HashMap<H::Prefix, u64>> {
-        let n = self.levels.len();
-        let mut maps: Vec<HashMap<H::Prefix, u64>> =
-            self.levels.iter().map(|s| s.live_entries().collect()).collect();
-        for level in 0..n - 1 {
-            let mut child_sums: HashMap<H::Prefix, u64> = HashMap::new();
-            for (&p, &c) in &maps[level] {
-                let parent = self.hierarchy.parent(p).expect("non-root");
-                *child_sums.entry(parent).or_default() += c;
-            }
-            for (parent, sum) in child_sums {
-                let e = maps[level + 1].entry(parent).or_insert(0);
-                *e = (*e).max(sum);
-            }
-        }
-        maps
-    }
 }
 
 impl<H: Hierarchy> HhhDetector<H> for MementoHhh<H> {
@@ -131,15 +107,11 @@ impl<H: Hierarchy> HhhDetector<H> for MementoHhh<H> {
     /// threshold applies to the *windowed* total, not the lifetime
     /// total — this detector's reports are always about the window.
     fn report(&self, threshold: Threshold) -> Vec<HhhReport<H::Prefix>> {
-        let t = threshold.absolute(self.windowed_total());
-        let mut reports = discount_bottom_up(&self.hierarchy, &self.level_maps(), t);
         // Estimates are under-estimates (Misra-Gries side of the
-        // mirror): the reported discounted mass is itself a lower
-        // bound on the frame-aligned truth.
-        for r in &mut reports {
-            r.lower_bound = r.discounted;
-        }
-        reports
+        // mirror), so each discounted mass, which the routine also
+        // reports as the lower bound, is one on the frame-aligned truth.
+        let rows = self.levels.iter().map(|s| s.live_entries().collect());
+        closed_report(&self.hierarchy, rows.collect(), threshold.absolute(self.windowed_total()))
     }
 
     fn reset(&mut self) {

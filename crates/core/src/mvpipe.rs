@@ -20,14 +20,12 @@
 //! weight above half their bucket's traffic are guaranteed monitored.
 
 use crate::detector::{HhhDetector, MergeableDetector};
-use crate::exact::discount_bottom_up;
 use crate::kind::Kind;
-use crate::report::{HhhReport, Threshold};
+use crate::report::{closed_report, HhhReport, Threshold};
 use crate::snapshot::{Body, DetectorSnapshot, MvPipeBody, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::Nanos;
 use hhh_sketches::hash::hash_of;
-use std::collections::HashMap;
 
 /// Seed of the bucket-placement hash. Fixed so a key occupies the same
 /// bucket in every process — bucket-wise merge and snapshot restore
@@ -100,28 +98,6 @@ impl<H: Hierarchy> MvPipeHhh<H> {
         self.buckets.iter().filter(|b| b.count > 0)
     }
 
-    /// Build per-level estimate maps lazily from the bottom pipe:
-    /// level 0 holds the monitored candidates' bucket totals; each
-    /// higher level is the previous one generalized one step and
-    /// summed. This is the only place the hierarchy is touched — the
-    /// update path never sees it.
-    fn level_maps(&self) -> Vec<HashMap<H::Prefix, u64>> {
-        let n = self.hierarchy.levels();
-        let mut maps: Vec<HashMap<H::Prefix, u64>> = Vec::with_capacity(n);
-        maps.push(
-            self.bucket_entries().map(|b| (self.hierarchy.item_prefix(b.key), b.count)).collect(),
-        );
-        for level in 0..n - 1 {
-            let mut parents: HashMap<H::Prefix, u64> = HashMap::with_capacity(maps[level].len());
-            for (&p, &c) in &maps[level] {
-                let parent = self.hierarchy.parent(p).expect("non-root");
-                *parents.entry(parent).or_default() += c;
-            }
-            maps.push(parents);
-        }
-        maps
-    }
-
     /// The wire body: the bucket count and sorted, self-describing
     /// `(prefix, count, vote)` rows. Rows sort by the prefix's display
     /// form, so equal pipes (as bucket sets) export identical rows;
@@ -185,8 +161,12 @@ impl<H: Hierarchy> HhhDetector<H> for MvPipeHhh<H> {
     }
 
     fn report(&self, threshold: Threshold) -> Vec<HhhReport<H::Prefix>> {
-        let t = threshold.absolute(self.total);
-        let mut reports = discount_bottom_up(&self.hierarchy, &self.level_maps(), t);
+        // The hierarchy is touched only here, never on the update path:
+        // level 0 holds the monitored candidates' bucket totals, and
+        // each level above sums the one below.
+        let h = &self.hierarchy;
+        let rows = self.bucket_entries().map(|b| (h.item_prefix(b.key), b.count)).collect();
+        let mut reports = closed_report(h, vec![rows], threshold.absolute(self.total));
         // Lower bounds: a bucket's candidate holds at least its vote
         // margin, so a report's slack is the count-minus-vote sum of
         // its monitored descendants' buckets.

@@ -16,16 +16,14 @@
 //! exactly what the detector-comparison experiment (E3) measures.
 
 use crate::detector::{HhhDetector, MergeableDetector};
-use crate::exact::discount_bottom_up;
 use crate::kind::Kind;
-use crate::report::{HhhReport, Threshold};
+use crate::report::{closed_report, HhhReport, Threshold};
 use crate::snapshot::{Body, DetectorSnapshot, RhhhBody, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::Nanos;
 use hhh_sketches::SpaceSaving;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// The randomized constant-time HHH detector.
 #[derive(Clone, Debug)]
@@ -70,30 +68,6 @@ impl<H: Hierarchy> Rhhh<H> {
     /// ≈ packets/V each).
     pub fn updates_per_level(&self) -> &[u64] {
         &self.updates_per_level
-    }
-
-    fn level_maps(&self) -> Vec<HashMap<H::Prefix, u64>> {
-        let v = self.v();
-        let n = self.levels.len();
-        let mut maps: Vec<HashMap<H::Prefix, u64>> = self
-            .levels
-            .iter()
-            .map(|ss| ss.entries().map(|e| (e.key, e.count * v)).collect())
-            .collect();
-        // Close upward so charges never land on a missing parent (same
-        // algebraic safety as SpaceSavingHhh).
-        for level in 0..n - 1 {
-            let mut child_sums: HashMap<H::Prefix, u64> = HashMap::new();
-            for (&p, &c) in &maps[level] {
-                let parent = self.hierarchy.parent(p).expect("non-root");
-                *child_sums.entry(parent).or_default() += c;
-            }
-            for (parent, sum) in child_sums {
-                let e = maps[level + 1].entry(parent).or_insert(0);
-                *e = (*e).max(sum);
-            }
-        }
-        maps
     }
 
     /// Two-sigma additive sampling uncertainty on a scaled estimate.
@@ -142,10 +116,12 @@ impl<H: Hierarchy> HhhDetector<H> for Rhhh<H> {
     }
 
     fn report(&self, threshold: Threshold) -> Vec<HhhReport<H::Prefix>> {
-        let t = threshold.absolute(self.total);
-        let mut reports = discount_bottom_up(&self.hierarchy, &self.level_maps(), t);
-        let sampling = self.sampling_error();
         let v = self.v();
+        let rows =
+            self.levels.iter().map(|ss| ss.entries().map(|e| (e.key, e.count * v)).collect());
+        let mut reports =
+            closed_report(&self.hierarchy, rows.collect(), threshold.absolute(self.total));
+        let sampling = self.sampling_error();
         for r in &mut reports {
             let ss_err =
                 self.levels[r.level].estimate(&r.prefix).map(|e| e.error * v).unwrap_or(r.estimate);

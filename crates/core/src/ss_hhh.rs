@@ -10,16 +10,14 @@
 //! packet.
 
 use crate::detector::{HhhDetector, MergeableDetector};
-use crate::exact::discount_bottom_up;
 use crate::kind::Kind;
-use crate::report::{HhhReport, Threshold};
+use crate::report::{closed_report, HhhReport, Threshold};
 use crate::snapshot::{
     Body, DetectorSnapshot, SnapshotError, SnapshotFrame, SsBody, SsLevelBody, MAX_WIRE_CAPACITY,
 };
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::Nanos;
 use hhh_sketches::SpaceSaving;
-use std::collections::HashMap;
 
 /// Per-level Space-Saving HHH detector.
 #[derive(Clone, Debug)]
@@ -51,30 +49,6 @@ impl<H: Hierarchy> SpaceSavingHhh<H> {
     /// Space-Saving counters per level (the construction parameter).
     pub fn capacity(&self) -> usize {
         self.levels[0].capacity()
-    }
-
-    /// Build per-level estimate maps from the monitored entries, closed
-    /// upward: an ancestor of a monitored prefix is guaranteed an entry
-    /// with an estimate at least the sum of its monitored children (so
-    /// the discount algebra never drops a charge on a missing parent).
-    fn level_maps(&self) -> Vec<HashMap<H::Prefix, u64>> {
-        let n = self.levels.len();
-        let mut maps: Vec<HashMap<H::Prefix, u64>> = Vec::with_capacity(n);
-        for ss in &self.levels {
-            maps.push(ss.entries().map(|e| (e.key, e.count)).collect());
-        }
-        for level in 0..n - 1 {
-            let mut child_sums: HashMap<H::Prefix, u64> = HashMap::new();
-            for (&p, &c) in &maps[level] {
-                let parent = self.hierarchy.parent(p).expect("non-root");
-                *child_sums.entry(parent).or_default() += c;
-            }
-            for (parent, sum) in child_sums {
-                let e = maps[level + 1].entry(parent).or_insert(0);
-                *e = (*e).max(sum);
-            }
-        }
-        maps
     }
 }
 
@@ -114,8 +88,9 @@ impl<H: Hierarchy> HhhDetector<H> for SpaceSavingHhh<H> {
     }
 
     fn report(&self, threshold: Threshold) -> Vec<HhhReport<H::Prefix>> {
-        let t = threshold.absolute(self.total);
-        let mut reports = discount_bottom_up(&self.hierarchy, &self.level_maps(), t);
+        let rows = self.levels.iter().map(|ss| ss.entries().map(|e| (e.key, e.count)).collect());
+        let mut reports =
+            closed_report(&self.hierarchy, rows.collect(), threshold.absolute(self.total));
         // Lower bounds: subtract the per-level Space-Saving error.
         for r in &mut reports {
             if let Some(e) = self.levels[r.level].estimate(&r.prefix) {

@@ -25,9 +25,8 @@
 //! bounded by that fraction of the total.
 
 use crate::detector::{ContinuousDetector, MergeableDetector};
-use crate::exact::discount_bottom_up;
 use crate::kind::Kind;
-use crate::report::{HhhReport, Threshold};
+use crate::report::{close_upward, discount, HhhReport, Threshold};
 use crate::snapshot::{
     Body, DetectorSnapshot, SnapshotError, SnapshotFrame, TdbfBody, MAX_WIRE_CAPACITY,
 };
@@ -227,29 +226,28 @@ impl<H: Hierarchy> ContinuousDetector<H> for TdbfHhh<H> {
             return Vec::new();
         }
         let t_abs = ((threshold.as_fraction() * total).ceil() as u64).max(1);
-        let n = self.filters.len();
-        let mut maps: Vec<HashMap<H::Prefix, u64>> = Vec::with_capacity(n);
-        for (level, table) in self.candidates.iter().enumerate() {
-            let filter = &self.filters[level];
-            maps.push(
-                table.keys().map(|&p| (p, filter.estimate(&p, now).round() as u64)).collect(),
-            );
-        }
+        let mut levels: Vec<_> = self
+            .candidates
+            .iter()
+            .zip(&self.filters)
+            .map(|(table, filter)| {
+                table.keys().map(|&p| (p, filter.estimate(&p, now).round() as u64)).collect()
+            })
+            .collect();
         // Close upward (same algebraic safety as the windowed
-        // detectors): every parent of a candidate is present with at
-        // least its own filter estimate.
-        for level in 0..n - 1 {
-            let parents: Vec<H::Prefix> =
-                maps[level].keys().map(|&p| self.hierarchy.parent(p).expect("non-root")).collect();
-            for parent in parents {
-                if !maps[level + 1].contains_key(&parent) {
-                    let est = self.filters[level + 1].estimate(&parent, now);
-                    let est = if est.is_finite() { est.round() as u64 } else { 0 };
-                    maps[level + 1].insert(parent, est);
+        // detectors): a parent of a candidate that is not a candidate
+        // itself gets its own filter estimate.
+        close_upward(&self.hierarchy, &mut levels, |level, parent, _, own| {
+            own.unwrap_or_else(|| {
+                let est = self.filters[level].estimate(&parent, now);
+                if est.is_finite() {
+                    est.round() as u64
+                } else {
+                    0
                 }
-            }
-        }
-        discount_bottom_up(&self.hierarchy, &maps, t_abs)
+            })
+        });
+        discount(&self.hierarchy, &levels, t_abs)
     }
 
     fn state_bytes(&self) -> usize {

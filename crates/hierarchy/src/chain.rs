@@ -17,6 +17,10 @@ use core::hash::Hash;
 /// 3. `level_of(generalize(item, l)) == l`.
 /// 4. `contains(generalize(item, l2), generalize(item, l1))` for
 ///    `l1 <= l2` (higher levels contain lower levels of the same item).
+/// 5. Within one level, `p <= q` implies `parent(p) <= parent(q)`:
+///    `parent` keeps prefix order, so the parents of a level's sorted
+///    prefixes come out sorted, and `hhh-core` reports by merge-joining
+///    sorted levels instead of hashing them.
 ///
 /// Implementations are small value types (a granularity and little
 /// else), so the trait takes `&self` everywhere and implementations are

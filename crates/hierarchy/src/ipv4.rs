@@ -245,7 +245,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn contract_holds(item in any::<u32>(), g in 1u8..=32) {
+        fn contract_holds(item in any::<u32>(), other in any::<u32>(), g in 1u8..=32) {
             let h = Ipv4Hierarchy::new(g);
             let root_level = h.levels() - 1;
             prop_assert_eq!(h.generalize(item, root_level), h.root());
@@ -257,6 +257,9 @@ mod tests {
                     prop_assert_eq!(h.parent(p).unwrap(), h.generalize(item, l + 1));
                     prop_assert!(h.contains(h.generalize(item, l + 1), p));
                 }
+                let q = h.generalize(other, l);
+                let (lo, hi) = if p <= q { (p, q) } else { (q, p) };
+                prop_assert!(h.parent(lo) <= h.parent(hi), "parent breaks the order of {lo} <= {hi}");
             }
         }
 

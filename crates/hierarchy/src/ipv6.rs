@@ -163,7 +163,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn contract_holds(item in any::<u128>(), g in prop::sample::select(vec![1u8, 4, 8, 16, 32, 64, 128])) {
+        fn contract_holds(item in any::<u128>(), other in any::<u128>(), g in prop::sample::select(vec![1u8, 4, 8, 16, 32, 64, 128])) {
             let h = Ipv6Hierarchy::new(g);
             prop_assert_eq!(h.generalize(item, h.levels() - 1), h.root());
             for l in 0..h.levels() {
@@ -173,6 +173,9 @@ mod tests {
                 if l + 1 < h.levels() {
                     prop_assert_eq!(h.parent(p).unwrap(), h.generalize(item, l + 1));
                 }
+                let q = h.generalize(other, l);
+                let (lo, hi) = if p <= q { (p, q) } else { (q, p) };
+                prop_assert!(h.parent(lo) <= h.parent(hi), "parent breaks the order of {lo} <= {hi}");
             }
         }
 

@@ -51,7 +51,7 @@ use crate::report::WindowReport;
 use crate::sharded::{with_shards, ShardPool, DEFAULT_BATCH};
 use crate::sink::{CollectSink, ReportSink};
 use crate::source::Source;
-use hhh_core::{discount_bottom_up, ContinuousDetector, HhhDetector, MergeableDetector, Threshold};
+use hhh_core::{ContinuousDetector, ExactHhh, HhhDetector, MergeableDetector, Threshold};
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::{Nanos, PacketRecord, TimeSpan};
 use std::collections::{HashMap, VecDeque};
@@ -182,34 +182,6 @@ fn for_each_item<S: Source>(mut source: S, mut f: impl FnMut(S::Item) -> bool) {
                 return;
             }
         }
-    }
-}
-
-/// Build an exact [`WindowReport`] from an item-count map (the sliding
-/// and micro-varied engines keep exact rolling counts rather than a
-/// detector).
-fn exact_report<H: Hierarchy>(
-    hierarchy: &H,
-    counts: &HashMap<H::Item, u64>,
-    total: u64,
-    threshold: Threshold,
-    index: u64,
-    start: Nanos,
-    end: Nanos,
-) -> WindowReport<H::Prefix> {
-    let levels = hierarchy.levels();
-    let mut maps: Vec<HashMap<H::Prefix, u64>> = vec![HashMap::new(); levels];
-    for (&item, &c) in counts.iter() {
-        for (level, map) in maps.iter_mut().enumerate() {
-            *map.entry(hierarchy.generalize(item, level)).or_default() += c;
-        }
-    }
-    WindowReport {
-        index,
-        start,
-        end,
-        total,
-        hhhs: discount_bottom_up(hierarchy, &maps, threshold.absolute(total)),
     }
 }
 
@@ -408,20 +380,12 @@ where
                 }
             }
             if window_epochs.len() == epw as usize {
-                let position = cur_epoch + 1 - epw;
+                let (index, total) = (cur_epoch + 1 - epw, *rolling_total);
+                let start = Nanos::ZERO + step * index;
                 for (ti, t) in thresholds.iter().enumerate() {
-                    sink.accept(
-                        ti,
-                        exact_report(
-                            hierarchy,
-                            rolling,
-                            *rolling_total,
-                            *t,
-                            position,
-                            Nanos::ZERO + step * position,
-                            Nanos::ZERO + step * position + window,
-                        ),
-                    );
+                    let hhhs = ExactHhh::report_counts(hierarchy, rolling, total, *t);
+                    let end = start + window;
+                    sink.accept(ti, WindowReport { index, start, end, total, hhhs });
                 }
             }
         };
@@ -544,7 +508,8 @@ where
                      sink: &mut K| {
             let start = Nanos::ZERO + base * cur;
             let end = start + base;
-            sink.accept(0, exact_report(hierarchy, counts, *total, threshold, cur, start, end));
+            let hhhs = ExactHhh::report_counts(hierarchy, counts, *total, threshold);
+            sink.accept(0, WindowReport { index: cur, start, end, total: *total, hhhs });
             // Subtract tail packets incrementally, smallest delta
             // first: each delta removes the packets in
             // (prev, delta] of offset-from-end.
@@ -572,18 +537,10 @@ where
                         break;
                     }
                 }
-                sink.accept(
-                    1 + vi,
-                    exact_report(
-                        hierarchy,
-                        &variant_counts,
-                        variant_total,
-                        threshold,
-                        cur,
-                        start,
-                        end - delta,
-                    ),
-                );
+                let hhhs =
+                    ExactHhh::report_counts(hierarchy, &variant_counts, variant_total, threshold);
+                let (end, total) = (end - delta, variant_total);
+                sink.accept(1 + vi, WindowReport { index: cur, start, end, total, hhhs });
             }
             counts.clear();
             *total = 0;
@@ -817,7 +774,7 @@ where
 /// `window/step` of them in one ring, so the state at any position is
 /// the merge of the ring.
 ///
-/// With [`ExactHhh`](hhh_core::ExactHhh) shard detectors the output is
+/// With [`ExactHhh`] shard detectors the output is
 /// report-for-report identical to [`SlidingExact`]; approximate
 /// mergeable detectors trade exactness for bounded state exactly as
 /// they do in disjoint windows.
