@@ -60,10 +60,10 @@ const DEPLOYED_DIGESTS: [(Kind, &str, WireFormat, usize, u64); 12] = [
     (Kind::SsHhh, "1", WireFormat::Json, 155_659, 0xD64D_AB57_0BFD_DDA4),
     (Kind::Rhhh, "0", WireFormat::Json, 138_584, 0x721B_5E43_977A_CC91),
     (Kind::Rhhh, "1", WireFormat::Json, 131_233, 0xD52B_4368_E536_15AD),
-    (Kind::Tdbf, "0", WireFormat::Json, 4_932_739, 0x6ADE_F992_9E59_DF98),
-    (Kind::Tdbf, "0", WireFormat::Binary, 612_712, 0xDA19_F785_B895_1F4E),
-    (Kind::Tdbf, "1", WireFormat::Json, 4_861_140, 0x9ECD_8940_341D_0945),
-    (Kind::Tdbf, "1", WireFormat::Binary, 567_325, 0x6250_FD03_210C_9BCA),
+    (Kind::Tdbf, "0", WireFormat::Json, 4_597_730, 0x06F2_A211_0B87_606A),
+    (Kind::Tdbf, "0", WireFormat::Binary, 459_181, 0x3065_8A9E_E0BF_7864),
+    (Kind::Tdbf, "1", WireFormat::Json, 4_540_437, 0x1225_00AB_8D39_E01B),
+    (Kind::Tdbf, "1", WireFormat::Binary, 420_367, 0x8EF7_BE4B_8FBE_F231),
     (Kind::MvPipe, "0", WireFormat::Json, 85_825, 0xFD59_D63C_9678_FF66),
     (Kind::MvPipe, "1", WireFormat::Json, 79_403, 0x1668_4353_0B5A_EB4E),
 ];

@@ -53,9 +53,13 @@ impl<H: Hierarchy> ExactHhh<H> {
         out
     }
 
-    /// Exact total count of an arbitrary prefix (sums matching items).
+    /// Exact total count of an arbitrary prefix (sums matching items);
+    /// 0 for a prefix at no level of the hierarchy, which no item
+    /// generalizes to.
     pub fn prefix_count(&self, prefix: H::Prefix) -> u64 {
-        let level = self.hierarchy.level_of(prefix);
+        let Some(level) = self.hierarchy.level_of(prefix) else {
+            return 0;
+        };
         self.counts
             .iter()
             .filter(|(item, _)| self.hierarchy.generalize(**item, level) == prefix)

@@ -23,7 +23,7 @@
 //! | [`Rhhh`] | approximate, windowed | randomized constant-time HHH (Ben Basat et al., SIGCOMM 2017) — the state of the art the calibration note positions this poster against |
 //! | [`MementoHhh`] | approximate, **window-native** | per-level Memento-style sliding summaries (Ben-Basat et al., CoNEXT 2018): the detector maintains its own packet window with O(1) slide, so reports always cover the last `W` packets without engine resets or per-position merges |
 //! | [`MvPipeHhh`] | approximate, windowed | single bottom-level pipe of majority-vote buckets (MVPipe, Tang et al., 2021): deterministic O(1) per packet regardless of hierarchy depth, ancestors aggregated lazily at report time |
-//! | [`TdbfHhh`] | approximate, **windowless** | the paper's §3 proposal: per-level on-demand time-decaying Bloom filters + decayed candidate tables |
+//! | [`TdbfHhh`] | approximate, **windowless** | the paper's §3 proposal: per-level on-demand time-decaying Bloom filters (forward-decayed cells against one landmark) + candidate tables |
 //! | [`HashPipe`] | HH baseline | "Heavy-Hitter Detection Entirely in the Data Plane" (SOSR 2017), the paper's ref. \[5\] |
 //! | [`UnivMonLite`] | HH baseline | UnivMon-style universal sketch (SIGCOMM 2016), the paper's ref. \[4\] |
 //!

@@ -205,7 +205,7 @@ impl<H: Hierarchy> Rhhh<H> {
         total: u64,
     ) -> Result<Self, SnapshotError> {
         let capacity = crate::ss_hhh::wire_capacity(capacity)?;
-        let levels = crate::ss_hhh::levels_from_rows(rows, capacity, hierarchy.levels())?;
+        let levels = crate::ss_hhh::levels_from_rows(&hierarchy, rows, capacity)?;
         if updates_per_level.len() != levels.len() {
             return Err(SnapshotError::Invalid {
                 field: "updates",

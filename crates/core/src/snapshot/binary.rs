@@ -38,12 +38,13 @@
 //!   IEEE-754 bits, so restored floats are **bit-identical** — the
 //!   same guarantee v1's shortest-form rendering makes.
 //! * **delta-encoded TDBF cells** — each filter level stores a
-//!   *baseline* cell (the most common `(value, last_ns)` pair, usually
-//!   the never-touched `(0.0, 0)`) and only the cells that differ, as
-//!   `(index-gap varint, f64 bits, zigzag Δns)` triples. A
-//!   mostly-decayed or sparsely touched filter shrinks by orders of
-//!   magnitude; a saturated one pays ≤ 2 bytes/cell over the dense
-//!   form.
+//!   *baseline* cell (the most common `(value, ns)` pair, usually the
+//!   never-touched `(0.0, L)`) and only the cells that differ, as
+//!   `(index-gap varint, f64 bits, zigzag Δns)` triples. A live
+//!   detector stamps every cell with its landmark `L`, so each Δns is a
+//!   single zero byte; a sparsely touched filter shrinks by orders of
+//!   magnitude. Frames of the older lazy-decay writer carry each
+//!   cell's last touch there, and still decode.
 //!
 //! Report records ride in v2 streams as frames of kind `report` whose
 //! body is the verbatim UTF-8 of the v1 report line — reports are
@@ -386,10 +387,74 @@ pub(super) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// One filter level's cells as the wire carries them: `(value,
+/// time stamp)` pairs, kept as a value array and the stamps apart.
+///
+/// A live detector's forward-decayed cells all share its landmark, so
+/// it lends its value array with one stamp. A decoded level keeps the
+/// stamps it read — one shared stamp until a cell's differs, then one
+/// per cell — so transcoding maps every pair through unchanged, and a
+/// level whose stamps all agree decodes straight into its values.
+pub(crate) struct WireCells<'a> {
+    /// The cell values, in cell order.
+    pub values: Cow<'a, [f64]>,
+    /// The cells' time stamps (ns).
+    pub stamps: Stamps,
+}
+
+/// The time stamps of a [`WireCells`] level.
+pub(crate) enum Stamps {
+    /// Every cell's stamp.
+    All(u64),
+    /// One stamp per cell.
+    Each(Vec<u64>),
+}
+
+impl Stamps {
+    /// Set cell `i`'s stamp, in a level of `n` cells: a shared stamp
+    /// splits into one per cell when a cell's first differs.
+    pub(crate) fn set(&mut self, i: usize, n: usize, ns: u64) {
+        match self {
+            Stamps::All(all) if *all == ns => {}
+            Stamps::All(all) => {
+                let mut each = vec![*all; n];
+                each[i] = ns;
+                *self = Stamps::Each(each);
+            }
+            Stamps::Each(each) => each[i] = ns,
+        }
+    }
+
+    /// Cell `i`'s stamp.
+    pub(crate) fn of(&self, i: usize) -> u64 {
+        match self {
+            Stamps::All(ns) => *ns,
+            Stamps::Each(each) => each[i],
+        }
+    }
+
+    /// The latest stamp.
+    pub(crate) fn latest(&self) -> u64 {
+        match self {
+            Stamps::All(ns) => *ns,
+            Stamps::Each(each) => each.iter().copied().max().unwrap_or(0),
+        }
+    }
+}
+
+impl WireCells<'_> {
+    /// The cells as `(value, stamp)` pairs.
+    pub(crate) fn pairs(&self) -> impl ExactSizeIterator<Item = (f64, u64)> + Clone + '_ {
+        self.values.iter().enumerate().map(|(i, &v)| (v, self.stamps.of(i)))
+    }
+}
+
 /// Delta-encode one filter level's cells against a baseline: the most
-/// common `(value bits, last_ns)` pair (the first one met, on a tie) is
+/// common `(value bits, stamp)` pair (the first one met, on a tie) is
 /// stored once, then only the cells that differ, as `(index gap, f64
-/// bits, zigzag Δns)` triples.
+/// bits, zigzag Δns)` triples. A level whose stamps all agree — every
+/// live detector's, whose cells share its landmark — writes each Δns
+/// as a single zero byte.
 ///
 /// The baseline is found without hashing when it can be: a Boyer–Moore
 /// majority vote names one candidate pair in a pass, and a second pass
@@ -397,15 +462,16 @@ pub(super) fn put_str(out: &mut Vec<u8>, s: &str) {
 /// most common one, so it is the baseline. Only a level with no
 /// majority pair (a densely written one) has its pairs counted in a
 /// map.
-pub(super) fn encode_cells(out: &mut Vec<u8>, cells: &[(f64, u64)]) -> Result<(), SnapshotError> {
-    put_uv(out, cells.len() as u64);
-    let (base, base_count) = baseline(cells);
+pub(super) fn encode_cells(out: &mut Vec<u8>, cells: &WireCells<'_>) -> Result<(), SnapshotError> {
+    let pairs = cells.pairs();
+    put_uv(out, pairs.len() as u64);
+    let (base, base_count) = baseline(pairs.clone());
     out.extend_from_slice(&base.0.to_le_bytes());
     put_uv(out, base.1);
 
-    put_uv(out, (cells.len() - base_count) as u64);
+    put_uv(out, (pairs.len() - base_count) as u64);
     let mut prev = None;
-    for (i, &(v, ns)) in cells.iter().enumerate() {
+    for (i, (v, ns)) in pairs.enumerate() {
         if cell_bits((v, ns)) == base {
             continue;
         }
@@ -429,42 +495,39 @@ fn cell_bits((v, ns): (f64, u64)) -> (u64, u64) {
 
 /// [`encode_cells`]'s baseline as bits, with the number of cells that
 /// hold it; `(0.0, 0)` for no cells.
-fn baseline(cells: &[(f64, u64)]) -> ((u64, u64), usize) {
+fn baseline<I: ExactSizeIterator<Item = (f64, u64)> + Clone>(cells: I) -> ((u64, u64), usize) {
+    let n = cells.len();
     let mut candidate = cell_bits((0.0, 0));
     let mut votes = 0usize;
-    for &c in cells {
+    for c in cells.clone() {
         let c = cell_bits(c);
         if votes == 0 {
             candidate = c;
         }
         votes = if c == candidate { votes + 1 } else { votes - 1 };
     }
-    let held = cells.iter().filter(|&&c| cell_bits(c) == candidate).count();
-    if held * 2 > cells.len() {
+    let held = cells.clone().filter(|&c| cell_bits(c) == candidate).count();
+    if held * 2 > n {
         return (candidate, held);
     }
     // No majority: count every pair, and take the first-encountered
     // most common one (deterministic whatever the map's order).
-    let mut counts: HashMap<(u64, u64), usize> = HashMap::with_capacity(cells.len().min(1024));
-    for &c in cells {
+    let mut counts: HashMap<(u64, u64), usize> = HashMap::with_capacity(n.min(1024));
+    for c in cells.clone() {
         *counts.entry(cell_bits(c)).or_insert(0) += 1;
     }
     let max = counts.values().copied().max().unwrap_or(0);
-    cells
-        .iter()
-        .map(|&c| cell_bits(c))
-        .find(|c| counts[c] == max)
-        .map_or((cell_bits((0.0, 0)), 0), |c| (c, max))
+    cells.map(cell_bits).find(|c| counts[c] == max).map_or((cell_bits((0.0, 0)), 0), |c| (c, max))
 }
 
-/// Invert [`encode_cells`]: rebuild the full cell array. `expected` is
-/// the cell count the frame's own configuration implies — the caller
-/// has already bounded it, so a hostile claimed count can never drive
-/// an allocation past the configured geometry.
+/// Invert [`encode_cells`]: rebuild the full level. `expected` is the
+/// cell count the frame's own configuration implies — the caller has
+/// already bounded it, so a hostile claimed count can never drive an
+/// allocation past the configured geometry.
 pub(super) fn decode_cells(
     r: &mut ByteReader<'_>,
     expected: usize,
-) -> Result<Vec<(f64, u64)>, SnapshotError> {
+) -> Result<WireCells<'static>, SnapshotError> {
     let n_cells = r.uv("filters")? as usize;
     if n_cells != expected {
         return Err(SnapshotError::Invalid {
@@ -474,7 +537,8 @@ pub(super) fn decode_cells(
     }
     let base_v = r.f64_("filters")?;
     let base_ns = r.uv("filters")?;
-    let mut cells = vec![(base_v, base_ns); n_cells];
+    let mut values = vec![base_v; n_cells];
+    let mut stamps = Stamps::All(base_ns);
     let n_explicit = r.count("filters", 10)?;
     if n_explicit > n_cells {
         return Err(SnapshotError::Invalid {
@@ -503,9 +567,10 @@ pub(super) fn decode_cells(
         let ns = u64::try_from(base_ns as i128 + delta as i128).map_err(|_| {
             SnapshotError::Invalid { field: "filters", what: "cell timestamp out of range" }
         })?;
-        cells[idx] = (v, ns);
+        values[idx] = v;
+        stamps.set(idx, n_cells, ns);
     }
-    Ok(cells)
+    Ok(WireCells { values: Cow::Owned(values), stamps })
 }
 
 #[cfg(test)]
@@ -597,6 +662,19 @@ mod tests {
         ));
     }
 
+    /// A level of `pairs`, built as the decoders build one.
+    fn level(pairs: &[(f64, u64)]) -> WireCells<'static> {
+        let mut stamps = Stamps::All(pairs.first().map_or(0, |p| p.1));
+        for (i, &(_, ns)) in pairs.iter().enumerate() {
+            stamps.set(i, pairs.len(), ns);
+        }
+        WireCells { values: Cow::Owned(pairs.iter().map(|p| p.0).collect()), stamps }
+    }
+
+    fn pairs_of(cells: &WireCells<'_>) -> Vec<(f64, u64)> {
+        cells.pairs().collect()
+    }
+
     #[test]
     fn cells_delta_encoding_shrinks_sparse_levels() {
         // 4096 cells, 3 touched: the encoded form is tiny.
@@ -605,11 +683,11 @@ mod tests {
         cells[8] = (2.5, 2_000_000);
         cells[4000] = (0.25, 3_000_000);
         let mut out = Vec::new();
-        encode_cells(&mut out, &cells).unwrap();
+        encode_cells(&mut out, &level(&cells)).unwrap();
         assert!(out.len() < 100, "sparse level must shrink, got {} bytes", out.len());
         let mut r = ByteReader::new(&out);
         let back = decode_cells(&mut r, cells.len()).unwrap();
-        assert_eq!(back, cells);
+        assert_eq!(pairs_of(&back), cells);
     }
 
     #[test]
@@ -619,11 +697,11 @@ mod tests {
         cells[0] = (0.0, 0);
         cells[63] = (1.0, 9_000);
         let mut out = Vec::new();
-        encode_cells(&mut out, &cells).unwrap();
+        encode_cells(&mut out, &level(&cells)).unwrap();
         // 2 explicit cells only.
         let mut r = ByteReader::new(&out);
         let back = decode_cells(&mut r, cells.len()).unwrap();
-        assert_eq!(back, cells);
+        assert_eq!(pairs_of(&back), cells);
         assert!(out.len() < 64, "baseline must absorb the common pair, got {}", out.len());
     }
 
@@ -700,18 +778,25 @@ mod tests {
                 })
                 .collect();
             let (want_base, want) = encode_cells_by_counting(&cells);
-            let (base, held) = baseline(&cells);
+            let (base, held) = baseline(cells.iter().copied());
             prop_assert_eq!(base, want_base);
             let held_by = |pair: (u64, u64)| {
                 cells.iter().filter(|&&(v, ns)| (v.to_bits(), ns) == pair).count()
             };
             prop_assert_eq!(held, held_by(base));
             let mut got = Vec::new();
-            encode_cells(&mut got, &cells).unwrap();
+            encode_cells(&mut got, &level(&cells)).unwrap();
             prop_assert_eq!(&got, &want);
             let back = decode_cells(&mut ByteReader::new(&got), n).unwrap();
             let bits = |cs: &[(f64, u64)]| cs.iter().map(|&(v, ns)| (v.to_bits(), ns)).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&back), bits(&cells));
+            prop_assert_eq!(bits(&pairs_of(&back)), bits(&cells));
+            // One shared stamp encodes as those pairs do.
+            let values = Cow::Owned(cells.iter().map(|c| c.0).collect());
+            let shared = WireCells { values, stamps: Stamps::All(5_000) };
+            let mut one = Vec::new();
+            encode_cells(&mut one, &shared).unwrap();
+            let as_pairs: Vec<(f64, u64)> = cells.iter().map(|c| (c.0, 5_000)).collect();
+            prop_assert_eq!(&one, &encode_cells_by_counting(&as_pairs).1);
         }
     }
 

@@ -27,6 +27,7 @@
 
 use super::binary::{
     decode_cells, digest_mismatch, encode_cells, fnv1a, put_str, put_uv, ByteReader, SnapshotFrame,
+    Stamps, WireCells,
 };
 use super::json::Json;
 use super::{
@@ -36,7 +37,6 @@ use super::{
 use crate::Kind;
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::Nanos;
-use hhh_sketches::DecayedCounter;
 use std::borrow::Cow;
 
 /// A kind's wire state, one variant per snapshot-capable detector.
@@ -470,24 +470,14 @@ pub(crate) struct TdbfBody<'a> {
     pub admit_fraction: f64,
     pub seed: u64,
     pub observed: u64,
-    /// The scalar decayed total.
-    pub total: DecayedCounter,
-    /// Per level, the full cell array: borrowed from a live detector
-    /// (it is megabytes at the deployed geometry), owned when parsed.
-    pub filters: Vec<Cow<'a, [DecayedCounter]>>,
+    /// The decayed total as a `(value, ns)` pair.
+    pub total: (f64, u64),
+    /// Per level, the full cell array: a live detector's values are
+    /// borrowed (they are megabytes at the deployed geometry), parsed
+    /// ones owned.
+    pub filters: Vec<WireCells<'a>>,
     /// Per level, `(prefix, last-touch ns)` candidate rows.
     pub candidates: Vec<Vec<(String, u64)>>,
-}
-
-/// A decayed counter as the wire carries it: `(raw value, last-touch
-/// ns)`.
-fn raw_cell(c: &DecayedCounter) -> (f64, u64) {
-    let (v, last) = c.raw();
-    (v, last.as_nanos())
-}
-
-fn counter((v, ns): (f64, u64)) -> DecayedCounter {
-    DecayedCounter::from_raw(v, Nanos::from_nanos(ns))
 }
 
 impl TdbfBody<'_> {
@@ -499,16 +489,12 @@ impl TdbfBody<'_> {
         out.extend_from_slice(&self.admit_fraction.to_le_bytes());
         out.extend_from_slice(&self.seed.to_le_bytes());
         put_uv(out, self.observed);
-        let (total_v, total_ns) = raw_cell(&self.total);
-        out.extend_from_slice(&total_v.to_le_bytes());
-        put_uv(out, total_ns);
+        out.extend_from_slice(&self.total.0.to_le_bytes());
+        put_uv(out, self.total.1);
 
         put_uv(out, self.filters.len() as u64);
-        let mut raw = Vec::new();
         for cells in &self.filters {
-            raw.clear();
-            raw.extend(cells.iter().map(raw_cell));
-            encode_cells(out, &raw)?;
+            encode_cells(out, cells)?;
         }
         put_uv(out, self.candidates.len() as u64);
         for table in &self.candidates {
@@ -529,7 +515,7 @@ impl TdbfBody<'_> {
         let admit_fraction = r.f64_("admit_fraction")?;
         let seed = r.u64_le("seed")?;
         let observed = r.uv("observed")?;
-        let total = counter((r.f64_("total")?, r.uv("total")?));
+        let total = (r.f64_("total")?, r.uv("total")?);
 
         // The per-level cell arrays are the one place a tiny frame can
         // legitimately expand into a large allocation (delta-encoded
@@ -553,8 +539,7 @@ impl TdbfBody<'_> {
         }
         let mut filters = Vec::with_capacity(n_levels);
         for _ in 0..n_levels {
-            let cells = decode_cells(r, expected_cells as usize)?;
-            filters.push(Cow::Owned(cells.into_iter().map(counter).collect()));
+            filters.push(decode_cells(r, expected_cells as usize)?);
         }
         let n_cand = r.count("candidates", 1)?;
         let mut candidates = Vec::with_capacity(n_cand);
@@ -604,11 +589,18 @@ impl TdbfBody<'_> {
                 field: "filters",
                 what: "level is not an array",
             })?;
-            let cells = cells_json
-                .iter()
-                .map(|c| cell_pair(c, "filters").map(counter))
-                .collect::<Result<Vec<_>, _>>()?;
-            filters.push(Cow::Owned(cells));
+            let n = cells_json.len();
+            let mut values = Vec::with_capacity(n);
+            let mut stamps = Stamps::All(0);
+            for (i, cell) in cells_json.iter().enumerate() {
+                let (v, ns) = cell_pair(cell, "filters")?;
+                if i == 0 {
+                    stamps = Stamps::All(ns);
+                }
+                values.push(v);
+                stamps.set(i, n, ns);
+            }
+            filters.push(WireCells { values: Cow::Owned(values), stamps });
         }
         let candidates_json = req_arr(state, "candidates")?;
         let mut candidates = Vec::with_capacity(candidates_json.len());
@@ -643,17 +635,14 @@ impl TdbfBody<'_> {
             admit_fraction: req_f64(state, "admit_fraction")?,
             seed: req_u64(state, "seed")?,
             observed: req_u64(state, "observed")?,
-            total: counter(cell_pair(req(state, "total")?, "total")?),
+            total: cell_pair(req(state, "total")?, "total")?,
             filters,
             candidates,
         })
     }
 
     fn to_json(&self) -> Json {
-        let cell = |c: &DecayedCounter| {
-            let (v, ns) = raw_cell(c);
-            Json::Arr(vec![Json::f64(v), Json::u64(ns)])
-        };
+        let cell = |(v, ns): (f64, u64)| Json::Arr(vec![Json::f64(v), Json::u64(ns)]);
         Json::Obj(vec![
             ("cells_per_level".into(), Json::u64(self.cells_per_level)),
             ("hashes".into(), Json::u64(self.hashes)),
@@ -662,13 +651,13 @@ impl TdbfBody<'_> {
             ("admit_fraction".into(), Json::f64(self.admit_fraction)),
             ("seed".into(), Json::u64(self.seed)),
             ("observed".into(), Json::u64(self.observed)),
-            ("total".into(), cell(&self.total)),
+            ("total".into(), cell(self.total)),
             (
                 "filters".into(),
                 Json::Arr(
                     self.filters
                         .iter()
-                        .map(|cells| Json::Arr(cells.iter().map(cell).collect()))
+                        .map(|cells| Json::Arr(cells.pairs().map(cell).collect()))
                         .collect(),
                 ),
             ),
@@ -771,7 +760,6 @@ where
                     admit_fraction: b.admit_fraction,
                     seed: b.seed,
                 };
-                let filters = b.filters.into_iter().map(Cow::into_owned).collect();
                 let candidates = b
                     .candidates
                     .iter()
@@ -789,7 +777,7 @@ where
                     cfg,
                     b.observed,
                     b.total,
-                    filters,
+                    b.filters,
                     candidates,
                     total,
                 )

@@ -40,7 +40,7 @@
 //! | `ss-hhh` | `{"capacity":C,"levels":[{"total":N,"entries":[[prefix,count,error],…]},…]}` |
 //! | `rhhh` | the `ss-hhh` body plus `"updates":[u₀,…]` |
 //! | `mvpipe` | `{"buckets":B,"entries":[[prefix,count,vote],…]}`, rows sorted by prefix rendering (bucket indexes re-derived from the keys) |
-//! | `tdbf-hhh` | config fields plus `"total":[v,last_ns]`, `"filters"` (per-level `[v,last_ns]` cell arrays) and `"candidates"` (per-level `[prefix,ts_ns]` rows) |
+//! | `tdbf-hhh` | config fields plus `"total":[v,landmark_ns]`, `"filters"` (per-level `[v,landmark_ns]` cell arrays of forward-decayed values) and `"candidates"` (per-level `[prefix,ts_ns]` rows) |
 //!
 //! A missing `"v"` is read as version 1; unknown versions are
 //! rejected, never guessed at. State lines also carry the report

@@ -164,7 +164,7 @@ impl<H: Hierarchy> SpaceSavingHhh<H> {
         envelope_total: u64,
     ) -> Result<Self, SnapshotError> {
         let capacity = wire_capacity(capacity)?;
-        let levels = levels_from_rows(rows, capacity, hierarchy.levels())?;
+        let levels = levels_from_rows(&hierarchy, rows, capacity)?;
         Ok(SpaceSavingHhh { hierarchy, levels, total: envelope_total, scratch: Vec::new() })
     }
 }
@@ -199,16 +199,15 @@ pub(crate) type WireLevelRows<P> = Vec<(u64, Vec<(P, u64, u64)>)>;
 /// The validated decode core both wire formats share: rebuild
 /// per-level summaries from already-parsed `(total, [(prefix, count,
 /// error)])` rows, rejecting level-count mismatches, over-capacity
-/// levels, `error > count`, and duplicate prefixes.
-pub(crate) fn levels_from_rows<P>(
-    rows: WireLevelRows<P>,
+/// levels, prefixes at another level than their row's, `error >
+/// count`, and duplicate prefixes.
+pub(crate) fn levels_from_rows<H: Hierarchy>(
+    hierarchy: &H,
+    rows: WireLevelRows<H::Prefix>,
     capacity: usize,
-    expected_levels: usize,
-) -> Result<Vec<SpaceSaving<P>>, SnapshotError>
-where
-    P: Copy + Eq + std::hash::Hash,
-{
+) -> Result<Vec<SpaceSaving<H::Prefix>>, SnapshotError> {
     use hhh_sketches::SsEntry;
+    let expected_levels = hierarchy.levels();
     if rows.len() != expected_levels {
         return Err(SnapshotError::Mismatch(format!(
             "snapshot has {} levels, hierarchy has {expected_levels}",
@@ -216,7 +215,7 @@ where
         )));
     }
     let mut levels = Vec::with_capacity(rows.len());
-    for (total, row) in rows {
+    for (level, (total, row)) in rows.into_iter().enumerate() {
         if row.len() > capacity {
             return Err(SnapshotError::Invalid {
                 field: "entries",
@@ -226,6 +225,12 @@ where
         let mut entries = Vec::with_capacity(row.len());
         let mut seen = std::collections::HashSet::with_capacity(row.len());
         for (key, count, error) in row {
+            if hierarchy.level_of(key) != Some(level) {
+                return Err(SnapshotError::Invalid {
+                    field: "entries",
+                    what: "prefix is not at its row's level",
+                });
+            }
             if error > count {
                 return Err(SnapshotError::Invalid {
                     field: "entries",

@@ -269,7 +269,7 @@ fn decay_fixed(value: u64, elapsed_ticks: u64, factor_per_tick: u64) -> u64 {
 mod tests {
     use super::*;
     use hhh_core::HashPipe;
-    use hhh_sketches::{DecayFactors, OnDemandTdbf};
+    use hhh_sketches::{Landmark, OnDemandTdbf};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -314,18 +314,19 @@ mod tests {
     fn dp_tdbf_tracks_float_reference() {
         let rate = DecayRate::from_half_life(TimeSpan::from_secs(5));
         let mut dp = DpTdbf::new(1024, 3, rate, TimeSpan::from_millis(1), 9);
-        let mut reference = OnDemandTdbf::<u32>::new(1024, 3, rate, 9);
+        let mut reference = OnDemandTdbf::<u32>::new(1024, 3, 9);
+        let landmark = Landmark::new(rate, Nanos::ZERO);
         let mut t = Nanos::ZERO;
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..30_000 {
             let key = 1 + rng.gen_range(0..50u32);
             dp.insert(key, 100, t).unwrap();
-            reference.insert(&key, 100.0, t, &mut DecayFactors::new(rate));
+            reference.insert(&key, 100.0 * landmark.growth(t));
             t += TimeSpan::from_micros(300);
         }
         for key in 1..=50u32 {
             let a = dp.estimate(key, t);
-            let b = reference.estimate(&key, t);
+            let b = reference.estimate(&key) * landmark.decay(t);
             if b > 100.0 {
                 let rel = (a - b).abs() / b;
                 assert!(

@@ -14,7 +14,7 @@ use core::hash::Hash;
 /// 2. For `l + 1 < levels()`,
 ///    `parent(generalize(item, l)) == Some(generalize(item, l + 1))`,
 ///    and `parent(root()) == None`.
-/// 3. `level_of(generalize(item, l)) == l`.
+/// 3. `level_of(generalize(item, l)) == Some(l)`.
 /// 4. `contains(generalize(item, l2), generalize(item, l1))` for
 ///    `l1 <= l2` (higher levels contain lower levels of the same item).
 /// 5. Within one level, `p <= q` implies `parent(p) <= parent(q)`:
@@ -40,8 +40,9 @@ pub trait Hierarchy: Clone {
     /// The prefix of `item` at `level`. Panics if `level >= levels()`.
     fn generalize(&self, item: Self::Item, level: usize) -> Self::Prefix;
 
-    /// The level a prefix sits at.
-    fn level_of(&self, p: Self::Prefix) -> usize;
+    /// The level a prefix sits at, or `None` for a prefix whose length
+    /// is no level of this hierarchy (a `/12` among byte levels).
+    fn level_of(&self, p: Self::Prefix) -> Option<usize>;
 
     /// The next more-general prefix, or `None` at the root.
     fn parent(&self, p: Self::Prefix) -> Option<Self::Prefix>;

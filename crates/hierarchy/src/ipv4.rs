@@ -74,20 +74,16 @@ impl Ipv4Hierarchy {
         self.masks[level]
     }
 
-    /// The level of a given prefix length. Panics if `len` is not one of
-    /// this hierarchy's lengths.
+    /// The level of a given prefix length, or `None` if `len` is not
+    /// one of this hierarchy's lengths.
     #[inline]
-    pub fn level_for_len(&self, len: u8) -> usize {
+    pub fn level_for_len(&self, len: u8) -> Option<usize> {
         if len == 0 {
-            return self.levels() - 1;
+            return Some(self.levels() - 1);
         }
-        let drop = 32 - len as u32;
-        assert!(
-            drop.is_multiple_of(self.granularity as u32),
-            "prefix length /{len} is not a level of the g={} hierarchy",
-            self.granularity
-        );
-        (drop / self.granularity as u32) as usize
+        let drop = 32u32.checked_sub(len as u32)?;
+        let g = self.granularity as u32;
+        drop.is_multiple_of(g).then_some((drop / g) as usize)
     }
 }
 
@@ -123,7 +119,7 @@ impl Hierarchy for Ipv4Hierarchy {
     }
 
     #[inline]
-    fn level_of(&self, p: Ipv4Prefix) -> usize {
+    fn level_of(&self, p: Ipv4Prefix) -> Option<usize> {
         self.level_for_len(p.len())
     }
 
@@ -160,7 +156,7 @@ mod tests {
         let want = ["10.1.2.3/32", "10.1.2.0/24", "10.1.0.0/16", "10.0.0.0/8", "0.0.0.0/0"];
         for (l, w) in want.iter().enumerate() {
             assert_eq!(h.generalize(item, l).to_string(), *w);
-            assert_eq!(h.level_of(h.generalize(item, l)), l);
+            assert_eq!(h.level_of(h.generalize(item, l)), Some(l));
         }
     }
 
@@ -237,10 +233,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a level")]
-    fn level_of_foreign_prefix_panics() {
+    fn a_foreign_prefix_has_no_level() {
         let h = Ipv4Hierarchy::bytes();
-        let _ = h.level_of("10.0.0.0/9".parse().unwrap());
+        assert_eq!(h.level_of("10.0.0.0/9".parse().unwrap()), None);
+        assert_eq!(h.level_of("10.16.0.0/12".parse().unwrap()), None);
+        assert_eq!(h.level_for_len(33), None);
     }
 
     proptest! {
@@ -251,7 +248,7 @@ mod tests {
             prop_assert_eq!(h.generalize(item, root_level), h.root());
             for l in 0..h.levels() {
                 let p = h.generalize(item, l);
-                prop_assert_eq!(h.level_of(p), l);
+                prop_assert_eq!(h.level_of(p), Some(l));
                 prop_assert!(p.contains_addr(item));
                 if l + 1 < h.levels() {
                     prop_assert_eq!(h.parent(p).unwrap(), h.generalize(item, l + 1));

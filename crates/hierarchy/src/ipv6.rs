@@ -82,18 +82,13 @@ impl Hierarchy for Ipv6Hierarchy {
     }
 
     #[inline]
-    fn level_of(&self, p: Ipv6Prefix) -> usize {
+    fn level_of(&self, p: Ipv6Prefix) -> Option<usize> {
         if p.is_root() {
-            return self.levels() - 1;
+            return Some(self.levels() - 1);
         }
         let drop = 128 - p.len() as u32;
-        assert!(
-            drop.is_multiple_of(self.granularity as u32),
-            "prefix length /{} is not a level of the g={} hierarchy",
-            p.len(),
-            self.granularity
-        );
-        (drop / self.granularity as u32) as usize
+        let g = self.granularity as u32;
+        drop.is_multiple_of(g).then_some((drop / g) as usize)
     }
 
     #[inline]
@@ -168,7 +163,7 @@ mod tests {
             prop_assert_eq!(h.generalize(item, h.levels() - 1), h.root());
             for l in 0..h.levels() {
                 let p = h.generalize(item, l);
-                prop_assert_eq!(h.level_of(p), l);
+                prop_assert_eq!(h.level_of(p), Some(l));
                 prop_assert!(p.contains_addr(item));
                 if l + 1 < h.levels() {
                     prop_assert_eq!(h.parent(p).unwrap(), h.generalize(item, l + 1));

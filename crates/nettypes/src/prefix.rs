@@ -196,10 +196,39 @@ impl Ipv4Prefix {
     }
 }
 
+/// Append `v`'s decimal digits to `buf` at `*at`.
+fn push_decimal(buf: &mut [u8], at: &mut usize, v: u8) {
+    if v >= 100 {
+        buf[*at] = b'0' + v / 100;
+        *at += 1;
+    }
+    if v >= 10 {
+        buf[*at] = b'0' + v / 10 % 10;
+        *at += 1;
+    }
+    buf[*at] = b'0' + v % 10;
+    *at += 1;
+}
+
 impl fmt::Display for Ipv4Prefix {
+    /// `a.b.c.d/len`, the digits written by hand into a stack buffer
+    /// and handed over in one `write_str`: wire rows and `/hhh` renders
+    /// print many prefixes, and the formatting machinery costs several
+    /// times this.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let b = self.bits.to_be_bytes();
-        write!(f, "{}.{}.{}.{}/{}", b[0], b[1], b[2], b[3], self.len)
+        let mut buf = [0u8; 18]; // "255.255.255.255/32"
+        let mut at = 0;
+        for (i, octet) in self.bits.to_be_bytes().into_iter().enumerate() {
+            if i > 0 {
+                buf[at] = b'.';
+                at += 1;
+            }
+            push_decimal(&mut buf, &mut at, octet);
+        }
+        buf[at] = b'/';
+        at += 1;
+        push_decimal(&mut buf, &mut at, self.len);
+        f.write_str(core::str::from_utf8(&buf[..at]).expect("ASCII digits"))
     }
 }
 
@@ -384,6 +413,7 @@ impl FromStr for Ipv6Prefix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -524,5 +554,15 @@ mod tests {
     fn ipv6_host_bits_masked() {
         let a = Ipv6Prefix::new(u128::MAX, 64);
         assert_eq!(a.addr(), 0xFFFF_FFFF_FFFF_FFFF_0000_0000_0000_0000);
+    }
+
+    proptest! {
+        /// The hand-written text is `std`'s address form plus `/len`.
+        #[test]
+        fn ipv4_display_is_the_std_address_form(bits in any::<u32>(), len in 0u8..=32) {
+            let p = Ipv4Prefix::new(bits, len);
+            let want = format!("{}/{}", std::net::Ipv4Addr::from(p.addr()), len);
+            prop_assert_eq!(p.to_string(), want);
+        }
     }
 }

@@ -15,6 +15,48 @@
 //! conversion. The half-life `t½ = ln2/λ` plays the role the window
 //! length played: [`DecayRate::from_half_life`] is how experiments pick
 //! λ comparable to a window size.
+//!
+//! ## Forward decay
+//!
+//! The counters here keep `C` by *forward decay* (Cormode, Shkapenyuk,
+//! Srivastava, Xu, "Forward Decay", ICDE 2009). For any fixed instant
+//! `L`, the *landmark*,
+//!
+//! ```text
+//! C(t) = e^(−λ·(t − L)) · c,        c = Σᵢ wᵢ · e^(λ·(tᵢ − L))
+//! ```
+//!
+//! and the forward value `c` does not depend on `t`. So:
+//!
+//! * an arrival adds `w · e^(λ·(t − L))` to `c` — one `exp` that every
+//!   counter the arrival touches shares ([`Landmark::growth`]), and the
+//!   same formula either side of `L`, so a late arrival needs no branch;
+//! * the decayed count at any `now` is `c` times one factor,
+//!   `e^(−λ·(now − L))` ([`Landmark::decay`]), shared by every counter
+//!   read at that instant;
+//! * comparisons between counters need no factor at all: `C` is `c`
+//!   times the same positive number for all of them;
+//! * two counters against one landmark over disjoint arrivals merge by
+//!   adding their forward values, since `c` is a plain sum.
+//!
+//! **The pair `(c, L)` is the lazy counter.** The on-demand counter of
+//! Bianchi et al. stores `(v, last)` and reads `v·e^(−λ·(t − last))` at
+//! any `t ≥ last`; read the same way, `(c, L)` gives
+//! `c·e^(−λ·(t − L)) = C(t)`. So a forward value travels on the wire as
+//! the pair `(c, L)`, in the lazy counter's format, and a lazy pair
+//! `(v, last)` becomes the forward value `v·e^(−λ·(L − last))` against any
+//! landmark `L ≥ last`.
+//!
+//! **The landmark moves.** `e^(λ·(t − L))` grows without bound, so
+//! before an arrival would raise `λ·(t − L)` above
+//! [`Landmark::EXPONENT_CAP`] (512, well inside `f64`'s `e^709`), the
+//! owner moves `L` to `t` rounded down to a fixed grid of trace time
+//! (multiples of the span whose exponent is half the cap, from trace
+//! time zero: [`Landmark::grid_point`]) and multiplies every forward
+//! value by `e^(−λ·Δ)` ([`Landmark::move_to`], a [`Shrink`]). That is
+//! one move per ≈ 256/λ of trace (≈ 30 min at a 2.5 s half-life), and
+//! detectors fed one clock that move within one grid step land on the
+//! same landmark, so they still merge by addition.
 
 use hhh_nettypes::{Nanos, TimeSpan};
 
@@ -47,11 +89,6 @@ impl DecayRate {
         self.lambda_per_sec
     }
 
-    /// The half-life ln2/λ.
-    pub fn half_life(&self) -> TimeSpan {
-        TimeSpan::from_secs_f64(core::f64::consts::LN_2 / self.lambda_per_sec)
-    }
-
     /// The multiplicative decay over an elapsed span: `exp(−λ·Δt)`.
     #[inline]
     pub fn factor(&self, elapsed: TimeSpan) -> f64 {
@@ -65,141 +102,120 @@ impl DecayRate {
     }
 }
 
-/// One exponentially decayed scalar with *lazy* (on-demand) decay:
-/// instead of a background sweep, the value is brought forward to `now`
-/// whenever it is touched. This is precisely the "on-demand" mechanism
-/// of Bianchi et al. 2011 that the paper adopts.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DecayedCounter {
-    value: f64,
-    last: Nanos,
-}
-
-impl DecayedCounter {
-    /// A zero counter.
-    pub const fn new() -> Self {
-        DecayedCounter { value: 0.0, last: Nanos::ZERO }
-    }
-
-    /// Add `weight` at time `now` (decaying the stored value first).
-    ///
-    /// A late arrival (`now` before the last update, as a capture file
-    /// can hold) is exact too: its weight is decayed forward to the
-    /// last update, `weight · e^(−λ·(last − now))`, and `last` stays.
-    #[inline]
-    pub fn add(&mut self, rate: DecayRate, now: Nanos, weight: f64) {
-        self.add_with(now, weight, &mut DecayFactors::new(rate));
-    }
-
-    /// [`add`](Self::add) at the rate of `factors`, taking the decay
-    /// factor from them: how the counters one packet updates share
-    /// their `exp` calls. No factor is needed for a zero counter or a
-    /// zero span.
-    #[inline]
-    pub fn add_with(&mut self, now: Nanos, weight: f64, factors: &mut DecayFactors) {
-        if now < self.last {
-            self.value += weight * factors.factor(self.last - now);
-            return;
-        }
-        self.value = self.decayed(now, |span| factors.factor(span)) + weight;
-        self.last = now;
-    }
-
-    /// The decayed value as of `now`, without mutating.
-    ///
-    /// A zero counter reads zero, and a read at or before the last
-    /// update reads the stored value: neither calls `exp`, and both are
-    /// the bits a multiply by `e^0 = 1` would give.
-    #[inline]
-    pub fn peek(&self, rate: DecayRate, now: Nanos) -> f64 {
-        self.decayed(now, |span| rate.factor(span))
-    }
-
-    /// [`peek`](Self::peek) with the decay factor taken from `factor`.
-    #[inline]
-    fn decayed(&self, now: Nanos, factor: impl FnOnce(TimeSpan) -> f64) -> f64 {
-        if self.value == 0.0 {
-            0.0
-        } else if now <= self.last {
-            self.value
-        } else {
-            self.value * factor(now - self.last)
-        }
-    }
-
-    /// The raw stored (un-decayed) value and its timestamp.
-    pub fn raw(&self) -> (f64, Nanos) {
-        (self.value, self.last)
-    }
-
-    /// Rebuild from a raw `(value, last)` pair — the deserialization
-    /// surface, inverse of [`raw`](Self::raw). Both halves round-trip
-    /// bit-exactly over the snapshot wire (shortest-form float
-    /// rendering), so a restored counter decays, merges and peeks
-    /// identically to the original.
-    pub const fn from_raw(value: f64, last: Nanos) -> Self {
-        DecayedCounter { value, last }
-    }
-
-    /// Fold another counter (same decay rate, disjoint arrivals) into
-    /// this one: both values are decayed to the *later* of the two
-    /// timestamps and summed. Exact — `C(t)` is a sum over arrivals, so
-    /// partitioning the arrivals and merging commutes with decay.
-    #[inline]
-    pub fn merge(&mut self, rate: DecayRate, other: &Self) {
-        let now = self.last.max(other.last);
-        self.value = self.peek(rate, now) + other.peek(rate, now);
-        self.last = now;
-    }
-
-    /// Reset to zero.
-    pub fn clear(&mut self) {
-        self.value = 0.0;
-        self.last = Nanos::ZERO;
-    }
-}
-
-/// Decay factors `e^(−λ·span)` at one rate, each distinct span
-/// computed once: a memo for the counters one packet updates.
+/// A factor `e^(−x)`, `x ≥ 0`, that forward values are multiplied by
+/// when they move to a later landmark.
 ///
-/// Those counters were mostly last touched together, by the same
-/// earlier packet — a key's `k` filter cells by the key's previous
-/// packet, the decayed total and the root level's cells by the
-/// previous packet of all — so their spans repeat, and one `exp` serves
-/// each span. The memo holds the first four distinct spans; any later
-/// one is computed every time it is asked for.
-#[derive(Clone, Debug)]
-pub struct DecayFactors {
-    rate: DecayRate,
-    seen: [(TimeSpan, f64); 4],
-    len: usize,
+/// It is applied as two multiplies by `e^(−x/2)`, so every product
+/// that is a normal float comes out right even where `e^(−x)` alone
+/// would underflow (`x` past 708): after a long gap in the trace a
+/// value keeps its precision for as long as it is representable.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Shrink {
+    half: f64,
 }
 
-impl DecayFactors {
-    /// An empty memo at `rate`.
-    #[inline]
-    pub fn new(rate: DecayRate) -> Self {
-        DecayFactors { rate, seen: [(TimeSpan::ZERO, 1.0); 4], len: 0 }
+impl Shrink {
+    /// The identity: both sides of a move share their landmark.
+    pub const ONE: Shrink = Shrink { half: 1.0 };
+
+    /// The factor `e^(−x)`.
+    pub fn of(x: f64) -> Self {
+        Shrink { half: (-0.5 * x).exp() }
     }
 
-    /// The rate the factors are computed at.
-    pub(crate) fn rate(&self) -> DecayRate {
+    /// `v·e^(−x)`.
+    #[inline]
+    pub fn apply(self, v: f64) -> f64 {
+        v * self.half * self.half
+    }
+}
+
+/// The landmark `L` forward-decayed values are measured against, at a
+/// decay rate: it turns arrival times into growth factors and query
+/// times into decay factors (the [module docs](self) derive it).
+///
+/// A landmark holds no counters. Its owner keeps the forward values and,
+/// when [`is_due`](Self::is_due) says an arrival would pass the
+/// exponent cap, moves it with [`move_to`](Self::move_to) and rescales
+/// every value by the factor that returns.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Landmark {
+    rate: DecayRate,
+    at: Nanos,
+}
+
+impl Landmark {
+    /// The largest exponent `λ·(t − L)` an arrival may be weighted with:
+    /// `e^512 ≈ 2·10^222` leaves `f64` room for weights and sums up to
+    /// `10^86`.
+    pub const EXPONENT_CAP: f64 = 512.0;
+
+    /// The landmark `at`, at `rate`.
+    pub const fn new(rate: DecayRate, at: Nanos) -> Self {
+        Landmark { rate, at }
+    }
+
+    /// The decay rate.
+    pub fn rate(&self) -> DecayRate {
         self.rate
     }
 
-    /// [`DecayRate::factor`] of `span`, bit for bit; `exp` runs only
-    /// for a span not seen before.
+    /// The landmark instant `L`.
+    pub fn at(&self) -> Nanos {
+        self.at
+    }
+
+    /// `λ·(t − L)`, negative for `t` before the landmark.
     #[inline]
-    pub fn factor(&mut self, span: TimeSpan) -> f64 {
-        if let Some(&(_, f)) = self.seen[..self.len].iter().find(|&&(s, _)| s == span) {
-            return f;
-        }
-        let f = self.rate.factor(span);
-        if let Some(slot) = self.seen.get_mut(self.len) {
-            *slot = (span, f);
-            self.len += 1;
-        }
-        f
+    fn exponent(&self, t: Nanos) -> f64 {
+        let ns = t.as_nanos().wrapping_sub(self.at.as_nanos()) as i64;
+        self.rate.lambda_per_sec * (ns as f64 / 1e9)
+    }
+
+    /// The forward weight of an arrival at `t`: `e^(λ·(t − L))`, exact on
+    /// either side of the landmark.
+    #[inline]
+    pub fn growth(&self, t: Nanos) -> f64 {
+        self.exponent(t).exp()
+    }
+
+    /// The factor that turns forward values into decayed counts as of
+    /// `now`: `e^(−λ·(now − L))`.
+    #[inline]
+    pub fn decay(&self, now: Nanos) -> f64 {
+        (-self.exponent(now)).exp()
+    }
+
+    /// Whether an arrival at `t` would be weighted past
+    /// [`EXPONENT_CAP`](Self::EXPONENT_CAP): the landmark must move to
+    /// [`grid_point`](Self::grid_point)`(t)` first.
+    #[inline]
+    pub fn is_due(&self, t: Nanos) -> bool {
+        self.exponent(t) > Self::EXPONENT_CAP
+    }
+
+    /// `t` rounded down to the landmark grid: multiples, from trace time
+    /// zero, of the span whose exponent is half the cap. An arrival at
+    /// `t` is weighted below `e^256` against it.
+    pub fn grid_point(&self, t: Nanos) -> Nanos {
+        let span = Self::EXPONENT_CAP / 2.0 / self.rate.lambda_per_sec * 1e9;
+        let step = (span as u64).max(1);
+        Nanos::from_nanos(t.as_nanos() / step * step)
+    }
+
+    /// The factor `e^(−λ·(to − L))`, for `to` at or after the landmark,
+    /// that turns a forward value against this landmark into one
+    /// against `to`.
+    pub fn shrink_to(&self, to: Nanos) -> Shrink {
+        Shrink::of(self.exponent(to))
+    }
+
+    /// Move the landmark to `to`, at or after it, and return
+    /// [`shrink_to`](Self::shrink_to)`(to)`.
+    pub fn move_to(&mut self, to: Nanos) -> Shrink {
+        let shrink = self.shrink_to(to);
+        self.at = to;
+        shrink
     }
 }
 
@@ -207,23 +223,39 @@ impl DecayFactors {
 mod tests {
     use super::*;
 
-    #[test]
-    fn half_life_halves() {
-        let rate = DecayRate::from_half_life(TimeSpan::from_secs(10));
-        let mut c = DecayedCounter::new();
-        c.add(rate, Nanos::ZERO, 100.0);
-        let v = c.peek(rate, Nanos::from_secs(10));
-        assert!((v - 50.0).abs() < 1e-9, "after one half-life: {v}");
-        let v = c.peek(rate, Nanos::from_secs(20));
-        assert!((v - 25.0).abs() < 1e-9, "after two half-lives: {v}");
+    /// `C(at)` from its definition: every arrival decayed on its own.
+    fn closed_form(rate: DecayRate, arrivals: &[(Nanos, f64)], at: Nanos) -> f64 {
+        arrivals
+            .iter()
+            .map(|&(t, w)| {
+                let age = at.as_nanos() as f64 - t.as_nanos() as f64;
+                w * (-rate.lambda() * age / 1e9).exp()
+            })
+            .sum()
+    }
+
+    /// A forward counter: the value, against `landmark`, moved as an
+    /// owner moves it.
+    fn forward(landmark: &mut Landmark, arrivals: &[(Nanos, f64)]) -> f64 {
+        let mut c = 0.0;
+        for &(t, w) in arrivals {
+            if landmark.is_due(t) {
+                c = landmark.move_to(landmark.grid_point(t)).apply(c);
+            }
+            c += w * landmark.growth(t);
+        }
+        c
     }
 
     #[test]
-    fn rate_roundtrip() {
-        let r = DecayRate::per_second(0.1);
-        let hl = r.half_life();
-        let r2 = DecayRate::from_half_life(hl);
-        assert!((r.lambda() - r2.lambda()).abs() < 1e-9);
+    fn half_life_halves() {
+        let rate = DecayRate::from_half_life(TimeSpan::from_secs(10));
+        let mut l = Landmark::new(rate, Nanos::ZERO);
+        let c = forward(&mut l, &[(Nanos::ZERO, 100.0)]);
+        let v = c * l.decay(Nanos::from_secs(10));
+        assert!((v - 50.0).abs() < 1e-9, "after one half-life: {v}");
+        let v = c * l.decay(Nanos::from_secs(20));
+        assert!((v - 25.0).abs() < 1e-9, "after two half-lives: {v}");
     }
 
     #[test]
@@ -238,109 +270,64 @@ mod tests {
         // A flow adding 1.0 every 10 ms (rate 100/s) under λ = 2/s
         // should converge to ~50.
         let r = DecayRate::per_second(2.0);
-        let mut c = DecayedCounter::new();
-        let mut t = Nanos::ZERO;
-        for _ in 0..10_000 {
-            c.add(r, t, 1.0);
-            t += TimeSpan::from_millis(10);
-        }
-        let v = c.peek(r, t);
+        let mut l = Landmark::new(r, Nanos::ZERO);
+        let arrivals: Vec<_> = (0..10_000u64).map(|i| (Nanos::from_millis(i * 10), 1.0)).collect();
+        let v = forward(&mut l, &arrivals) * l.decay(Nanos::from_secs(100));
         let expect = r.steady_state(100.0);
         assert!((v - expect).abs() / expect < 0.02, "steady state {v} should be near {expect}");
     }
 
     #[test]
-    fn add_accumulates_at_same_instant() {
-        let r = DecayRate::per_second(1.0);
-        let mut c = DecayedCounter::new();
-        c.add(r, Nanos::from_secs(1), 3.0);
-        c.add(r, Nanos::from_secs(1), 4.0);
-        assert!((c.peek(r, Nanos::from_secs(1)) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn late_arrivals_decay_from_their_own_time() {
-        // The closed form C(t) = Σ wᵢ·e^(−λ·(t − tᵢ)) does not depend on
-        // the order of the arrivals, so every order must read it.
+        // The closed form does not depend on the order of the arrivals,
+        // so every order must read it.
         let r = DecayRate::from_half_life(TimeSpan::from_secs(5));
-        let arrivals = [(10u64, 100.0), (5, 1.0), (7, 3.0), (12, 2.0), (0, 8.0)];
+        let arrivals = [(10u64, 100.0), (5, 1.0), (7, 3.0), (12, 2.0), (0, 8.0)]
+            .map(|(t, w)| (Nanos::from_secs(t), w));
         let at = Nanos::from_secs(20);
-        let exact: f64 =
-            arrivals.iter().map(|&(t, w)| w * r.factor(at - Nanos::from_secs(t))).sum();
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
+        let exact = closed_form(r, &arrivals, at);
+        let mut order = arrivals.to_vec();
         for _ in 0..arrivals.len() {
             order.rotate_left(1);
             for seq in [order.clone(), order.iter().rev().copied().collect()] {
-                let mut c = DecayedCounter::new();
-                for &i in &seq {
-                    let (t, w) = arrivals[i];
-                    c.add(r, Nanos::from_secs(t), w);
-                }
-                let v = c.peek(r, at);
+                let mut l = Landmark::new(r, Nanos::ZERO);
+                let v = forward(&mut l, &seq) * l.decay(at);
                 assert!((v - exact).abs() < 1e-9, "order {seq:?}: {v} vs {exact}");
             }
         }
-        // The documented case: 100 at 10 s, then 1 that is 5 s late.
-        let mut c = DecayedCounter::new();
-        c.add(r, Nanos::from_secs(10), 100.0);
-        c.add(r, Nanos::from_secs(5), 1.0);
-        assert!((c.peek(r, at) - 25.125).abs() < 1e-9, "{}", c.peek(r, at));
-        assert_eq!(c.raw().1, Nanos::from_secs(10), "a late arrival does not move `last`");
+        // 100 at 10 s, then 1 that is 5 s late.
+        let mut l = Landmark::new(r, Nanos::ZERO);
+        let c = forward(&mut l, &arrivals[..2]);
+        assert!((c * l.decay(at) - 25.125).abs() < 1e-9);
     }
 
     #[test]
-    fn decay_factors_are_the_rate_s_bits_for_any_span() {
-        let r = DecayRate::from_half_life(TimeSpan::from_millis(700));
-        let mut factors = DecayFactors::new(r);
-        // More distinct spans than the memo holds, each asked for twice.
-        for round in 0..2 {
-            for ms in [0u64, 3, 3, 9, 1, 250, 9, 4_000, 17, 3] {
-                let span = TimeSpan::from_millis(ms);
-                assert_eq!(
-                    factors.factor(span).to_bits(),
-                    r.factor(span).to_bits(),
-                    "{round}/{ms}"
-                );
-            }
-        }
-        // A shared memo updates counters exactly as `add` does.
-        let (mut a, mut b) = (DecayedCounter::new(), DecayedCounter::new());
-        for (t, w) in [(5u64, 2.0), (9, 1.0), (7, 4.0), (9, 0.5), (30, 8.0)] {
-            a.add(r, Nanos::from_secs(t), w);
-            b.add_with(Nanos::from_secs(t), w, &mut factors);
-            assert_eq!(a.raw().0.to_bits(), b.raw().0.to_bits());
-            assert_eq!(a.raw().1, b.raw().1);
-        }
-    }
-
-    #[test]
-    fn peek_at_the_last_update_is_the_stored_value() {
-        let r = DecayRate::per_second(3.0);
-        let mut c = DecayedCounter::new();
-        c.add(r, Nanos::from_secs(2), 0.1);
-        let (v, last) = c.raw();
-        assert_eq!(c.peek(r, last).to_bits(), v.to_bits());
-        assert_eq!(c.peek(r, Nanos::from_secs(1)).to_bits(), v.to_bits(), "reads before `last`");
-        assert_eq!(
-            c.peek(r, Nanos::from_secs(3)).to_bits(),
-            (v * r.factor(TimeSpan::from_secs(1))).to_bits()
-        );
-    }
-
-    #[test]
-    fn zero_counter_stays_zero() {
-        let r = DecayRate::per_second(5.0);
-        let c = DecayedCounter::new();
-        assert_eq!(c.peek(r, Nanos::from_secs(1_000_000)), 0.0);
-    }
-
-    #[test]
-    fn clear_resets() {
+    fn the_landmark_moves_on_the_grid_before_the_cap() {
+        // λ = 1/s: the cap is 512 s past the landmark, the grid 256 s.
         let r = DecayRate::per_second(1.0);
-        let mut c = DecayedCounter::new();
-        c.add(r, Nanos::from_secs(1), 10.0);
-        c.clear();
-        assert_eq!(c.peek(r, Nanos::from_secs(2)), 0.0);
+        let mut l = Landmark::new(r, Nanos::ZERO);
+        assert!(!l.is_due(Nanos::from_secs(512)));
+        assert!(l.is_due(Nanos::from_secs(513)));
+        assert_eq!(l.grid_point(Nanos::from_secs(513)), Nanos::from_secs(512));
+        assert_eq!(l.grid_point(Nanos::from_secs(767)), Nanos::from_secs(512));
+        let f = l.move_to(Nanos::from_secs(512));
+        assert!((f.apply(1.0) - (-512.0f64).exp()).abs() < 1e-230);
+        assert!(!l.is_due(Nanos::from_secs(1000)));
+        // Two owners fed one clock land on the same landmark.
+        let mut a = Landmark::new(r, Nanos::ZERO);
+        let mut b = Landmark::new(r, Nanos::ZERO);
+        a.move_to(a.grid_point(Nanos::from_millis(700_001)));
+        b.move_to(b.grid_point(Nanos::from_millis(767_999)));
+        assert_eq!(a.at(), b.at());
+    }
+
+    #[test]
+    fn a_shrink_past_the_float_range_keeps_normal_products() {
+        // e^(−800) underflows; 1e300·e^(−800) ≈ 1.8e−48 does not.
+        let v = Shrink::of(800.0).apply(1e300);
+        let want = (300.0 * 10f64.ln() - 800.0).exp();
+        assert!((v - want).abs() <= 1e-12 * want, "{v} vs {want}");
+        assert!(Shrink::of(0.0) == Shrink::ONE && Shrink::ONE.apply(3.5) == 3.5);
     }
 
     #[test]

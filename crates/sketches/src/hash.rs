@@ -9,11 +9,13 @@
 //!   on `u64`. The workhorse for integer keys.
 //! * [`SeededHasher`] — a seedable `core::hash::Hasher` (FxHash-style
 //!   compression, `mix64` finalization) for arbitrary `Hash` keys.
+//! * [`SeededState`] — the `BuildHasher` of [`SeededHasher`]s under one
+//!   seed, for hash maps keyed by sketch keys.
 //! * [`hash_of`] — convenience: hash any `Hash` value under a seed.
 //! * [`seed_sequence`] — derive `n` independent row seeds from one master
 //!   seed (SplitMix64 stream), used by multi-row sketches.
 
-use core::hash::{Hash, Hasher};
+use core::hash::{BuildHasher, Hash, Hasher};
 
 /// SplitMix64 finalizer: bijective, full avalanche, ~3 ns.
 ///
@@ -118,6 +120,29 @@ impl Hasher for SeededHasher {
     #[inline]
     fn write_usize(&mut self, i: usize) {
         self.push(i as u64);
+    }
+}
+
+/// Builds [`SeededHasher`]s under one seed: a hash map keyed by sketch
+/// keys hashes them as the sketch does — a few multiplies where std's
+/// SipHash pays tens of nanoseconds — and iterates in the same order on
+/// every run.
+#[derive(Clone, Copy, Debug)]
+pub struct SeededState(u64);
+
+impl SeededState {
+    /// The state whose hashers start from `seed`.
+    pub const fn new(seed: u64) -> Self {
+        SeededState(seed)
+    }
+}
+
+impl BuildHasher for SeededState {
+    type Hasher = SeededHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> SeededHasher {
+        SeededHasher::new(self.0)
     }
 }
 

@@ -951,9 +951,9 @@ where
 
 /// Sharded counterpart of [`Continuous`]: ingestion hash-partitioned by
 /// key across one worker thread per windowless shard detector; at each
-/// probe instant the shard states are merged (decaying both sides to a
-/// common time) and the merged detector answers — plus its v2 frame,
-/// for a sink that keeps state.
+/// probe instant the shard states are merged (forward-decayed values
+/// against one landmark add) and the merged detector answers — plus
+/// its v2 frame, for a sink that keeps state.
 ///
 /// Requires a continuous detector that is also mergeable, e.g.
 /// [`TdbfHhh`](hhh_core::TdbfHhh). Key-partitioning keeps per-prefix

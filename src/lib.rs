@@ -93,7 +93,7 @@ pub mod prelude {
     };
     pub use hhh_hierarchy::{Hierarchy, Ipv4Hierarchy, Ipv6Hierarchy};
     pub use hhh_nettypes::{Ipv4Prefix, Nanos, PacketRecord, Proto, TimeSpan};
-    pub use hhh_sketches::{DecayFactors, DecayRate, OnDemandTdbf, SpaceSaving};
+    pub use hhh_sketches::{DecayRate, Landmark, OnDemandTdbf, SpaceSaving};
     pub use hhh_trace::{scenarios, TraceGenerator, TraceStats, TrafficModel};
     pub use hhh_window::{
         bounded, with_shards, CollectLimits, CollectSink, Continuous, Disjoint, Engine, FnSink,

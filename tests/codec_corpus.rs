@@ -59,6 +59,44 @@ fn every_good_corpus_file_decodes_and_the_formats_agree() {
     }
 }
 
+/// The `tdbf-hhh` corpus as the lazy-decay writer wrote it, kept
+/// outside the regenerated corpus directory: every cell a `(value, last
+/// touch)` pair.
+fn legacy(name: &str) -> Vec<u8> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/legacy").join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+#[test]
+fn the_lazy_decay_corpus_restores_and_reports_like_the_forward_one() {
+    // Restore turns each lazy pair into a forward value against the
+    // body's latest time stamp, so the old files report what the
+    // regenerated corpus state reports, at its instant and later.
+    let h = Ipv4Hierarchy::bytes();
+    let state = |bytes: &[u8]| {
+        let mut src = SnapshotSource::new(bytes);
+        let state = src.next().expect("one state record");
+        assert!(src.error().is_none(), "{:?}", src.error());
+        state
+    };
+    let fresh = state(&read("tdbf-hhh.v2.bin"));
+    let want = RestoredDetector::from_wire(&h, &fresh).expect("the corpus restores");
+    for name in ["tdbf-hhh.v1.jsonl", "tdbf-hhh.v2.bin"] {
+        let old = state(&legacy(name));
+        assert_eq!(
+            (old.at(), old.start(), old.total()),
+            (fresh.at(), fresh.start(), fresh.total())
+        );
+        let got = RestoredDetector::from_wire(&h, &old).expect("the legacy state restores");
+        for at in [fresh.at(), fresh.at() + TimeSpan::from_secs(3)] {
+            for pct in [1.0, 5.0, 20.0] {
+                let t = Threshold::percent(pct);
+                assert_eq!(got.report(at, t), want.report(at, t), "{name}: {pct}% at {at:?}");
+            }
+        }
+    }
+}
+
 #[test]
 fn transcoding_maps_the_committed_files_onto_each_other() {
     for kind in Kind::ALL.map(Kind::label) {

@@ -31,11 +31,12 @@ fn dp_tdbf_tracks_reference_on_real_traffic() {
     let pkts = traffic(10);
     let rate = DecayRate::from_half_life(TimeSpan::from_secs(5));
     let mut dp = DpTdbf::new(8192, 4, rate, TimeSpan::from_millis(1), 9);
-    let mut reference = OnDemandTdbf::<u32>::new(8192, 4, rate, 9);
+    let mut reference = OnDemandTdbf::<u32>::new(8192, 4, 9);
+    let landmark = Landmark::new(rate, Nanos::ZERO);
     let mut last = Nanos::ZERO;
     for p in &pkts {
         dp.insert(p.src, p.wire_len as u64, p.ts).expect("discipline violation");
-        reference.insert(&p.src, p.wire_len as f64, p.ts, &mut DecayFactors::new(rate));
+        reference.insert(&p.src, p.wire_len as f64 * landmark.growth(p.ts));
         last = p.ts;
     }
     // Every source whose decayed estimate is non-trivial must agree
@@ -43,7 +44,7 @@ fn dp_tdbf_tracks_reference_on_real_traffic() {
     let sources: std::collections::HashSet<u32> = pkts.iter().map(|p| p.src).collect();
     let mut checked = 0;
     for s in sources {
-        let float = reference.estimate(&s, last);
+        let float = reference.estimate(&s) * landmark.decay(last);
         if float > 10_000.0 {
             let fixed = dp.estimate(s, last);
             let rel = (fixed - float).abs() / float;

@@ -454,6 +454,61 @@ fn hostile_wire_capacity_is_a_typed_error_not_an_abort() {
     assert!(matches!(err, SnapshotError::Invalid { .. }), "got {err:?}");
 }
 
+/// `snap` with its first `10.1.1.1/32` row moved to `wrong`: the root
+/// (another level's prefix) and a `/12` (no level of the byte
+/// hierarchy). Each edit must restore to `refused`.
+fn refuses_rows_at_the_wrong_level(snap: &DetectorSnapshot, refused: SnapshotError) {
+    assert!(RestoredDetector::from_snapshot(&h(), snap).is_ok(), "the unedited state restores");
+    for wrong in ["0.0.0.0/0", "10.16.0.0/12"] {
+        let state_json = snap.state_json.replacen("\"10.1.1.1/32\"", &format!("\"{wrong}\""), 1);
+        assert_ne!(state_json, snap.state_json, "the state holds a 10.1.1.1/32 row");
+        let edited = DetectorSnapshot { state_json, ..snap.clone() };
+        let err = RestoredDetector::from_snapshot(&h(), &edited).unwrap_err();
+        assert_eq!(err, refused, "{wrong}");
+    }
+}
+
+fn host_heavy_items() -> impl Iterator<Item = (u32, u64)> {
+    (0..400u32).map(|i| (if i % 2 == 0 { 0x0A01_0101 } else { 0x1400_0000 | i }, 100))
+}
+
+#[test]
+fn an_ss_hhh_row_at_the_wrong_level_is_a_typed_error() {
+    let mut d = SpaceSavingHhh::new(h(), 16);
+    for (item, w) in host_heavy_items() {
+        HhhDetector::<Ipv4Hierarchy>::observe(&mut d, item, w);
+    }
+    refuses_rows_at_the_wrong_level(
+        &MergeableDetector::snapshot(&d).unwrap(),
+        SnapshotError::Invalid { field: "entries", what: "prefix is not at its row's level" },
+    );
+}
+
+#[test]
+fn an_rhhh_row_at_the_wrong_level_is_a_typed_error() {
+    let mut d = Rhhh::new(h(), 16, 7);
+    for (item, w) in host_heavy_items() {
+        HhhDetector::<Ipv4Hierarchy>::observe(&mut d, item, w);
+    }
+    refuses_rows_at_the_wrong_level(
+        &MergeableDetector::snapshot(&d).unwrap(),
+        SnapshotError::Invalid { field: "entries", what: "prefix is not at its row's level" },
+    );
+}
+
+#[test]
+fn a_tdbf_candidate_at_the_wrong_level_is_a_typed_error() {
+    let cfg = TdbfHhhConfig { cells_per_level: 64, hashes: 2, ..TdbfHhhConfig::default() };
+    let mut d = TdbfHhh::new(h(), cfg);
+    for (i, (item, w)) in host_heavy_items().enumerate() {
+        ContinuousDetector::<Ipv4Hierarchy>::observe(&mut d, Nanos::from_millis(i as u64), item, w);
+    }
+    refuses_rows_at_the_wrong_level(
+        &MergeableDetector::snapshot(&d).unwrap(),
+        SnapshotError::Invalid { field: "candidates", what: "prefix is not at its table's level" },
+    );
+}
+
 #[test]
 fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
     use hidden_hhh::core::snapshot::json::Json;

@@ -75,8 +75,8 @@ fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 #[test]
 fn a_small_state_claiming_a_large_geometry_is_refused_before_it_is_allocated() {
-    // 5 levels × 262144 cells × 4 hashes of 16-byte counters would be
-    // 80 MiB; the state supplies no filter level at all.
+    // 5 levels × 262144 cells × 4 hashes of 8-byte cells would be
+    // 40 MiB; the state supplies no filter level at all.
     let line = "{\"type\":\"state\",\"at_ns\":0,\"start_ns\":0,\"snapshot\":{\"v\":1,\
                 \"kind\":\"tdbf-hhh\",\"total\":0,\"state\":{\"cells_per_level\":262144,\
                 \"hashes\":4,\"half_life_ns\":5000000000,\"candidates_per_level\":512,\
