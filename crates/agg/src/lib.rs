@@ -12,8 +12,8 @@
 //! ```text
 //!   shard process 0 ─┐
 //!   shard process 1 ─┼─ snapshot stream ──► hhh-agg ──► merged reports
-//!   shard process K ─┘   (files, pipes, or      │
-//!                         TCP via --listen)     └──► merged state stream
+//!   shard process K ─┘   (files or pipes)       │
+//!                                               └──► merged state stream
 //!                                                    (feeds another tier)
 //! ```
 //!
@@ -30,34 +30,28 @@
 //! a valid input stream: aggregation tiers compose — in either format.
 //!
 //! The library API is a handful of calls: [`read_stream`] (file/pipe
-//! stream → [`WireSnapshot`]s), [`collect_socket_streams`] (N TCP
-//! shard connections → streams in shard order, via the `FrameHub`
-//! barrier in `hhh-window`), [`fold_streams`] (group + fold, through
-//! [`FoldState`]), [`render_merged`] / [`write_merged`] (merged
-//! points → output in a chosen format; binary states re-encode
-//! **natively**, no JSON), and [`transcode`] (re-encode a whole
-//! stream v1 ⇄ v2, byte-identically round-trippable). The `hhh-agg`
-//! binary wraps them for files, pipes, and `--listen ADDR` sockets —
-//! a socket fold is byte-identical to the file fold of the same
-//! shards, and a single stream folds the same way. Failures are typed
-//! end to end: [`AggError`] `source()`-chains to [`SnapshotError`] or
-//! [`TransportError`] (and through it to the underlying
-//! [`std::io::Error`]).
+//! stream → [`WireSnapshot`]s), [`fold_streams`] (group + fold,
+//! through [`FoldState`]), [`render_merged`] / [`write_merged`]
+//! (merged points → output in a chosen format; binary states re-encode
+//! **natively**, no JSON), and [`transcode`] (re-encode a whole stream
+//! v1 ⇄ v2, byte-identically round-trippable). The `hhh-agg` binary
+//! wraps them for files and pipes, and a single stream folds the same
+//! way as many. Shard streams that arrive over TCP are folded by
+//! `hhh-aggd`, which runs the same [`FoldState`] incrementally: its
+//! `/hhh?all=1&state=1` answer is byte-identical to `hhh-agg
+//! --emit-state` over the same shards' files. Decode and fold failures
+//! are typed: [`AggError`] `source()`-chains to [`SnapshotError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use hhh_core::snapshot::binary::SnapshotFrame;
-use hhh_core::snapshot::binary::REPORT_KIND;
 use hhh_core::{
     RestoredDetector, SnapshotError, StampedSnapshot, Threshold, WireFormat, WireSnapshot,
 };
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::Nanos;
-use hhh_window::{
-    render_report_line, CollectLimits, FrameHub, SnapshotSource, StreamRecord, TransportError,
-    WindowReport, HELLO_KIND,
-};
+use hhh_window::{render_report_line, SnapshotSource, StreamRecord, WindowReport};
 use std::collections::BTreeMap;
 use std::fmt::{self, Display};
 use std::io::{BufRead, Write};
@@ -86,8 +80,6 @@ pub enum AggError {
     },
     /// An input file could not be opened, read, or written.
     Io(String),
-    /// The socket read side (`FrameHub`) failed.
-    Transport(TransportError),
 }
 
 impl Display for AggError {
@@ -98,29 +90,18 @@ impl Display for AggError {
             }
             AggError::Fold { at, error } => write!(f, "fold at {at}: {error}"),
             AggError::Io(what) => write!(f, "I/O: {what}"),
-            AggError::Transport(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for AggError {
     /// Chain to the typed cause: decode and fold failures source the
-    /// [`SnapshotError`], transport failures the [`TransportError`]
-    /// (which itself sources the underlying [`std::io::Error`]) — so
-    /// `hhh-agg: transport accept failed: …` callers can walk all the
-    /// way down to the I/O kind.
+    /// [`SnapshotError`].
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             AggError::Decode { error, .. } | AggError::Fold { error, .. } => Some(error),
-            AggError::Transport(e) => Some(e),
             AggError::Io(_) => None,
         }
-    }
-}
-
-impl From<TransportError> for AggError {
-    fn from(e: TransportError) -> Self {
-        AggError::Transport(e)
     }
 }
 
@@ -135,37 +116,6 @@ pub fn read_stream<R: BufRead>(stream: usize, input: R) -> Result<Vec<WireSnapsh
         return Err(AggError::Decode { stream, line: *line, error: error.clone() });
     }
     Ok(snapshots)
-}
-
-/// Receive N shard streams **over TCP** and hand them back in fold
-/// order — the socket counterpart of calling [`read_stream`] on N
-/// files.
-///
-/// Runs `hub` to its [`collect_streams`](FrameHub::collect_streams)
-/// barrier: blocks until `expect` distinct shard streams (identified
-/// by their hello frames) have delivered their whole stream, under
-/// `limits`, then returns the streams **sorted by shard id** — the
-/// same deterministic order a file-based invocation lists its
-/// arguments in, which is what makes `hhh-agg --listen` output
-/// byte-identical to the file-based fold of the same shards. Report
-/// and hello frames are dropped (folding never needs them); state
-/// frames stay undecoded until the fold.
-pub fn collect_socket_streams(
-    hub: FrameHub,
-    expect: usize,
-    limits: CollectLimits,
-) -> Result<Vec<Vec<WireSnapshot>>, AggError> {
-    let streams = hub.collect_streams(expect, limits)?;
-    Ok(streams
-        .into_iter()
-        .map(|s| {
-            s.frames
-                .into_iter()
-                .filter(|f| f.kind != REPORT_KIND && f.kind != HELLO_KIND)
-                .map(WireSnapshot::Binary)
-                .collect()
-        })
-        .collect())
 }
 
 /// One report point after aggregation: every snapshot taken at `at`

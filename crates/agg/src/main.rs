@@ -4,7 +4,6 @@
 //! ```text
 //! hhh-agg [--hierarchy ipv4-bytes|ipv4-bits] [--threshold PCT]...
 //!         [--emit-state] [--format json|binary] [--transcode]
-//!         [--listen ADDR --expect K [--listen-timeout SECS]]
 //!         [FILE|- ...]
 //! ```
 //!
@@ -15,50 +14,31 @@
 //! another aggregation tier) go to stdout in the `--format` encoding
 //! (default `json`).
 //!
-//! With `--listen ADDR`, the streams arrive **over TCP** instead of
-//! files: the aggregator runs a `FrameHub` (the read side `hhh-aggd`
-//! uses) to a barrier — it admits shard connections with the hello/ack
-//! handshake (each hello names its shard id) until `--expect K` streams
-//! have finished, folds them in shard-id order, and emits the merged
-//! output — byte-identical to folding the same shards' stream files.
-//! Plain and spooled (`aggd-shard --spool`) writers both work.
-//! Three time limits guard the wait (any may be combined; first to
-//! fire wins): `--listen-timeout` is the **whole-fold deadline** in
-//! seconds, counted from startup regardless of progress;
-//! `--accept-idle` gives up when fewer streams than expected have
-//! joined and no new one joins for that many seconds (a shard never
-//! started); `--read-idle` gives up when no frame arrives on any
-//! connection for that many seconds (a shard connected, then wedged).
-//! The idle limits reset on progress, so slow-but-live topologies
-//! don't need a worst-case whole-fold budget.
+//! Shard streams that arrive over TCP are `hhh-aggd`'s to fold: its
+//! `GET /hhh?all=1&state=1` answer is byte-identical to `hhh-agg
+//! --emit-state` over the same shards' files, and piping it through
+//! `hhh-agg --transcode --format binary` gives the v2 stream.
 //!
 //! `--transcode` skips folding entirely: every input stream is
 //! re-encoded record-for-record into `--format` on stdout — v1 → v2 →
 //! v1 reproduces the original bytes.
 
-use hhh_agg::{
-    collect_socket_streams, fold_streams, read_stream, transcode, write_merged, AggError,
-};
+use hhh_agg::{fold_streams, read_stream, transcode, write_merged, AggError};
 use hhh_core::{Threshold, WireFormat};
 use hhh_hierarchy::Ipv4Hierarchy;
-use hhh_window::{CollectLimits, FrameHub};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::process::ExitCode;
-use std::time::Duration;
 
 const USAGE: &str = "usage: hhh-agg [--hierarchy ipv4-bytes|ipv4-bits] [--threshold PCT]... \
                      [--emit-state] [--format json|binary] [--transcode]\n\
-                     \x20              [--listen ADDR --expect K [--listen-timeout SECS] \
-                     [--accept-idle SECS] [--read-idle SECS]] [FILE|- ...]\n\
+                     \x20              [FILE|- ...]\n\
                      \n\
                      Folds N snapshot streams (written by hhh-window's SnapshotSink in either\n\
                      wire format, or by hhh-agg --emit-state itself) into merged HHH reports\n\
                      on stdout; --format picks the output encoding. With --transcode, streams\n\
-                     are re-encoded into --format instead of folded. With --listen, streams\n\
-                     arrive as v2 frames over TCP from --expect shard streams instead of\n\
-                     files, and fold in shard-id order (byte-identical to the file fold);\n\
-                     --accept-idle counts joined streams, not raw connections.\n\
+                     are re-encoded into --format instead of folded. Streams that arrive over\n\
+                     TCP are folded by hhh-aggd.\n\
                      Defaults: --hierarchy ipv4-bytes, --threshold 1, --format json, stdin as\n\
                      the only stream.";
 
@@ -68,11 +48,6 @@ struct Args {
     emit_state: bool,
     format: WireFormat,
     transcode: bool,
-    listen: Option<String>,
-    expect: Option<usize>,
-    listen_timeout: Option<Duration>,
-    accept_idle: Option<Duration>,
-    read_idle: Option<Duration>,
     inputs: Vec<String>,
 }
 
@@ -83,11 +58,6 @@ fn parse_args() -> Result<Args, String> {
         emit_state: false,
         format: WireFormat::Json,
         transcode: false,
-        listen: None,
-        expect: None,
-        listen_timeout: None,
-        accept_idle: None,
-        read_idle: None,
         inputs: Vec::new(),
     };
     let mut argv = std::env::args().skip(1);
@@ -117,35 +87,6 @@ fn parse_args() -> Result<Args, String> {
                     WireFormat::parse(&v).ok_or(format!("unknown format `{v}` (json|binary)"))?;
             }
             "--transcode" => args.transcode = true,
-            "--listen" => {
-                args.listen = Some(argv.next().ok_or("--listen needs an address")?);
-            }
-            "--expect" => {
-                let v = argv.next().ok_or("--expect needs a stream count")?;
-                let n: usize = v.parse().map_err(|_| format!("--expect `{v}` is not a count"))?;
-                if n == 0 {
-                    return Err("--expect must be at least 1".to_string());
-                }
-                args.expect = Some(n);
-            }
-            "--listen-timeout" => {
-                let v = argv.next().ok_or("--listen-timeout needs seconds")?;
-                let secs: u64 =
-                    v.parse().map_err(|_| format!("--listen-timeout `{v}` is not seconds"))?;
-                args.listen_timeout = Some(Duration::from_secs(secs));
-            }
-            "--accept-idle" => {
-                let v = argv.next().ok_or("--accept-idle needs seconds")?;
-                let secs: u64 =
-                    v.parse().map_err(|_| format!("--accept-idle `{v}` is not seconds"))?;
-                args.accept_idle = Some(Duration::from_secs(secs));
-            }
-            "--read-idle" => {
-                let v = argv.next().ok_or("--read-idle needs seconds")?;
-                let secs: u64 =
-                    v.parse().map_err(|_| format!("--read-idle `{v}` is not seconds"))?;
-                args.read_idle = Some(Duration::from_secs(secs));
-            }
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
             file => args.inputs.push(file.to_string()),
@@ -153,24 +94,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.thresholds.is_empty() {
         args.thresholds.push(Threshold::percent(1.0));
-    }
-    if args.listen.is_some() {
-        if !args.inputs.is_empty() {
-            return Err("--listen replaces FILE inputs; list one or the other".to_string());
-        }
-        if args.transcode {
-            return Err("--listen cannot be combined with --transcode".to_string());
-        }
-        if args.expect.is_none() {
-            return Err("--listen needs --expect K (the shard stream count)".to_string());
-        }
-    } else if args.expect.is_some()
-        || args.listen_timeout.is_some()
-        || args.accept_idle.is_some()
-        || args.read_idle.is_some()
-    {
-        return Err("--expect/--listen-timeout/--accept-idle/--read-idle only apply with --listen"
-            .to_string());
     }
     if args.inputs.is_empty() {
         args.inputs.push("-".to_string());
@@ -195,26 +118,7 @@ fn open(path: &str) -> Result<Box<dyn BufRead>, AggError> {
 fn run(args: &Args) -> Result<(), AggError> {
     let stdout = io::stdout();
     let mut out = io::BufWriter::new(stdout.lock());
-    if let Some(addr) = &args.listen {
-        let expect = args.expect.expect("validated in parse_args");
-        // Socket failures stay typed end to end (AggError::Transport →
-        // TransportError → io::Error via source()), bind included.
-        let typed =
-            |op| move |e| AggError::Transport(hhh_window::TransportError::Io { op, source: e });
-        let hub = FrameHub::bind(addr).map_err(typed("bind"))?;
-        eprintln!(
-            "hhh-agg: listening on {} for {expect} shard stream(s)…",
-            hub.local_addr().map_err(typed("bind"))?
-        );
-        let limits = CollectLimits {
-            timeout: args.listen_timeout,
-            accept_idle: args.accept_idle,
-            read_idle: args.read_idle,
-        };
-        let streams = collect_socket_streams(hub, expect, limits)?;
-        let points = fold_streams(&args.hierarchy, streams)?;
-        write_merged(&mut out, &points, &args.thresholds, args.emit_state, args.format)?;
-    } else if args.transcode {
+    if args.transcode {
         for (i, path) in args.inputs.iter().enumerate() {
             transcode(i, open(path)?, &mut out, args.format)?;
         }

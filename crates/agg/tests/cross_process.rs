@@ -196,10 +196,17 @@ fn binary_format_shards_fold_to_the_same_merged_output() {
 
 #[test]
 fn binary_rejects_unknown_flags_with_usage() {
-    let out = Command::new(env!("CARGO_BIN_EXE_hhh-agg"))
-        .arg("--frobnicate")
-        .output()
-        .expect("spawn hhh-agg");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    // The socket flags are unknown too: shard streams that arrive over
+    // TCP are hhh-aggd's to fold, and hhh-agg takes files and stdin.
+    for name in ["frobnicate", "listen", "expect", "listen-timeout", "accept-idle", "read-idle"] {
+        let flag = format!("--{name}");
+        let out = Command::new(env!("CARGO_BIN_EXE_hhh-agg"))
+            .args([&flag, "1", "shard0.jsonl"])
+            .output()
+            .expect("spawn hhh-agg");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains("usage:"), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{flag}: {stderr}");
+    }
 }

@@ -17,8 +17,8 @@
 //! Without `--connect` the stream goes to stdout, as v1 JSON lines by
 //! default or as v2 frames with `--format binary`; CI spawns K of these
 //! and pipes the files into `hhh-agg`. With `--connect` the shard
-//! streams v2 frames over TCP to `hhh-aggd` or `hhh-agg --listen`, and
-//! that determinism is what makes restarts exact:
+//! streams v2 frames over TCP to `hhh-aggd`, and that determinism is
+//! what makes restarts exact:
 //!
 //! * `--spool PATH` journals every frame to a spool file; on restart
 //!   the transport recovers the spool, claims it in a resume hello,

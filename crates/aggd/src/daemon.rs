@@ -320,7 +320,7 @@ fn apply_event(ev: HubEvent, registry: &Registry, metrics: &Metrics, log: bool) 
             registry.note_frame(id, pos);
             metrics.frame();
         }
-        HubEvent::Left { id, clean, .. } => {
+        HubEvent::Left { id, clean } => {
             registry.left(id);
             if log {
                 let how = if clean { "cleanly" } else { "mid-frame" };

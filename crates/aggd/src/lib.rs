@@ -1,12 +1,11 @@
 //! # hhh-aggd
 //!
-//! The **long-running aggregation daemon** — the serving side of the
-//! cross-process fold. `hhh-agg --listen` runs the same
-//! [`hhh_window::FrameHub`] to a one-shot barrier (wait for exactly K
-//! finished streams, fold, exit); `hhh-aggd` keeps it up indefinitely:
+//! The **long-running aggregation daemon** — the one program that
+//! folds shard streams arriving over TCP (`hhh-agg` folds files and
+//! pipes). It keeps an [`hhh_window::FrameHub`] up indefinitely:
 //!
 //! * shards join and leave at runtime over the [`hhh_window::FrameHub`]
-//!   hello/ack protocol — no fixed `--expect K`;
+//!   hello/ack protocol — no fixed shard count;
 //! * a killed shard **resumes exactly**: a spooled transport
 //!   ([`hhh_window::TcpTransport::with_spool`]) replays from the hub's
 //!   ack, a plain deterministic shard replays from zero and the hub's
@@ -21,7 +20,12 @@
 //! `fold_streams` also runs, here incrementally: dirty report points
 //! refold in canonical stream order, so the daemon's answers stay
 //! byte-identical to the batch fold no matter the interleaving,
-//! restarts included.
+//! restarts included. `GET /hhh?all=1&state=1` is the daemon's whole
+//! fold, byte-identical to `hhh-agg --emit-state` over the same shard
+//! files. A run that streams known shards in-process
+//! ([`spawn_daemon`]) knows when they have all arrived:
+//! [`Registry::settled`] holds once every stream delivered its frames
+//! and left, and the fold refolded them.
 //!
 //! Two binaries ship with the crate: `hhh-aggd` (the daemon) and
 //! `aggd-shard`, the one scenario shard writer. It writes a

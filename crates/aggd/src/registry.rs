@@ -105,4 +105,18 @@ impl Registry {
     pub fn connected(&self) -> usize {
         self.streams.lock().expect("streams lock").values().filter(|s| s.connected).count()
     }
+
+    /// Has each `(id, frames)` stream delivered at least `frames`
+    /// frames and left, and has the fold refolded every one of them?
+    /// The fold takes a frame before the stream's delivered count
+    /// moves, so a fold with no dirty point, read after the counts,
+    /// holds every frame the streams delivered. Whether they delivered
+    /// exactly `frames`, and whether the answer is right, is for the
+    /// caller to compare once this holds.
+    pub fn settled(&self, want: &[(u64, u64)]) -> bool {
+        let streams = self.streams();
+        want.iter()
+            .all(|(id, n)| streams.get(id).is_some_and(|s| s.delivered >= *n && !s.connected))
+            && self.fold.lock().expect("fold lock").dirty_count() == 0
+    }
 }

@@ -6,9 +6,10 @@
 //! cargo run --release -p hhh-experiments --bin distagg -- run [smoke|quick|paper]
 //!
 //! # the same K-shard parity check end-to-end over localhost TCP:
-//! # K shard pipelines stream natively encoded v2 frames into one
-//! # FrameHub barrier; the fold must be byte-identical to the
-//! # file-based fold and the in-process sharded run:
+//! # K shard pipelines stream natively encoded v2 frames into an
+//! # in-process hhh-aggd; once every frame is folded, its
+//! # /hhh?all=1&state=1 answer must be byte-identical to the
+//! # file-based fold and its states to the in-process sharded run:
 //! cargo run --release -p hhh-experiments --bin distagg -- socket [scale]
 //!
 //! # snapshot encode/decode + aggregator fold throughput, v1 vs v2

@@ -1,27 +1,25 @@
 //! E-scale — the shard-count sweep over the batched, mergeable
-//! ingestion pipeline, the sliding-window pkts/s scoreboard, the
-//! daemon end-to-end benchmark, and the same-memory fairness
-//! shoot-out.
+//! ingestion pipeline, the sliding-window pkts/s scoreboard, and the
+//! same-memory fairness shoot-out.
 //!
 //! ```text
 //! cargo run --release -p hhh-experiments --bin scale -- [smoke|quick|paper] [out.json]
 //! cargo run --release -p hhh-experiments --bin scale -- sliding [smoke|quick|paper] [out.json]
-//! cargo run --release -p hhh-experiments --bin scale -- aggd [smoke|quick|paper] [out.json]
 //! cargo run --release -p hhh-experiments --bin scale -- fairness [smoke|quick|paper] [out.json]
 //! ```
 //!
 //! Prints the throughput/fidelity table; with an output path, also
 //! writes the rows as JSON lines (the formats committed as
-//! `BENCH_pr1.json`, `BENCH_pr6.json`, `BENCH_pr7.json` and
-//! `BENCH_pr8.json`). The closed-loop sweeps behind `BENCH_pr9.json`
-//! and `BENCH_pr10.json` are `hhh-loadgen <scale> [--mitigate] --out
-//! FILE`.
+//! `BENCH_pr1.json`, `BENCH_pr6.json` and `BENCH_pr8.json`). The
+//! closed-loop sweeps behind `BENCH_pr9.json` and `BENCH_pr10.json`
+//! are `hhh-loadgen <scale> [--mitigate] --out FILE`; the daemon's
+//! ingest, fold and query costs are the benchmark's (`perfbench/`)
+//! `aggd.*` layers.
 
-use hhh_experiments::aggd_e2e::{aggd_json, aggd_table, run_aggd};
 use hhh_experiments::fairness::fairness;
 use hhh_experiments::{shard_sweep, sliding_scoreboard, Scale};
 
-const USAGE: &str = "usage: scale [sliding|aggd|fairness] [smoke|quick|paper] [out.json]";
+const USAGE: &str = "usage: scale [sliding|fairness] [smoke|quick|paper] [out.json]";
 
 /// Name an argument the command line does not take, print usage and
 /// exit 2.
@@ -33,7 +31,7 @@ fn reject(arg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mode, rest) = match args.first().map(String::as_str) {
-        Some(m @ ("sliding" | "aggd" | "fairness")) => (m, &args[1..]),
+        Some(m @ ("sliding" | "fairness")) => (m, &args[1..]),
         _ => ("sweep", &args[..]),
     };
     let scale = match rest.first() {
@@ -48,7 +46,6 @@ fn main() {
         "{} at scale '{}' on {} hardware thread(s)…",
         match mode {
             "sliding" => "sliding scoreboard",
-            "aggd" => "daemon e2e",
             "fairness" => "fairness shoot-out",
             _ => "shard sweep",
         },
@@ -59,10 +56,6 @@ fn main() {
         "sliding" => {
             let results = sliding_scoreboard(scale);
             (results.table(), results.json_lines())
-        }
-        "aggd" => {
-            let rows = vec![run_aggd(scale, 4)];
-            (aggd_table(&rows), aggd_json(&rows))
         }
         "fairness" => {
             let results = fairness(scale);

@@ -36,13 +36,14 @@
 //! [`Scale`]-aware runs, verdict tables, and the codec bench.
 
 use crate::Scale;
-use hhh_agg::{collect_socket_streams, fold_streams, read_stream, write_merged, MergedPoint};
+use hhh_agg::{read_stream, write_merged};
 use hhh_aggd::scenario::shard_source_into;
+use hhh_aggd::{spawn_daemon, DaemonConfig};
 use hhh_analysis::{fmt_f, jaccard, Table};
 use hhh_core::WireFormat;
-use hhh_hierarchy::Ipv4Hierarchy;
 use hhh_nettypes::{Nanos, PacketRecord, TimeSpan};
-use hhh_window::{CollectLimits, FrameHub, TcpTransport, TransportSink};
+use hhh_window::{http_get, read_frame_from, TcpTransport, TransportSink};
+use std::time::{Duration, Instant};
 
 pub use hhh_aggd::scenario::{
     distagg_threshold, fold_shard_streams, hierarchy, inprocess_sharded_jsonl_on, probes,
@@ -214,20 +215,20 @@ pub fn distagg_table(rows: &[DistAggRow]) -> String {
 
 /// One `(kind, K)` verdict of the **socket** scenario (`distagg
 /// socket`): the K-shard parity check run end-to-end over localhost
-/// TCP.
+/// TCP into an in-process `hhh-aggd`.
 #[derive(Clone, Debug)]
 pub struct SocketRow {
     /// Detector kind.
     pub detector: Kind,
     /// Shard (connection) count.
     pub shards: usize,
-    /// Report points folded from the socket streams.
+    /// Report points the daemon folded from the socket streams.
     pub points: usize,
     /// Snapshots folded across all connections.
     pub folded: usize,
-    /// Is the socket fold's rendered output (merged reports + re-
-    /// emitted states) **byte-identical** to folding the same shards'
-    /// stream files?
+    /// Is the daemon's `GET /hhh?all=1&state=1` answer (merged reports
+    /// and re-emitted states) **byte-identical** to folding the same
+    /// shards' stream files?
     pub socket_eq_file: bool,
     /// Does every socket-folded state re-serialize byte-identically to
     /// the in-process K-shard run's merged state line?
@@ -236,7 +237,7 @@ pub struct SocketRow {
 
 /// Run the socket scenario at `scale` for every kind at each shard
 /// count in `ks`: K shard pipelines stream natively encoded v2 frames
-/// over localhost TCP into one `FrameHub` barrier, the socket fold is
+/// over localhost TCP into one in-process `hhh-aggd`, whose fold is
 /// compared byte-for-byte against the file-based fold and the
 /// in-process sharded run.
 pub fn run_socket(scale: Scale, ks: &[usize]) -> Vec<SocketRow> {
@@ -244,6 +245,11 @@ pub fn run_socket(scale: Scale, ks: &[usize]) -> Vec<SocketRow> {
 }
 
 /// [`run_socket`] over an explicit trace and kind subset.
+///
+/// Once the shard writers finish, the runner waits until the daemon's
+/// registry shows each stream delivered as many frames as its file
+/// stream holds and the fold has no dirty point, then compares once:
+/// a wrong fold shows as a mismatch, never as a timeout.
 pub fn run_socket_on(
     trace: &[PacketRecord],
     horizon: TimeSpan,
@@ -253,21 +259,22 @@ pub fn run_socket_on(
     let mut rows = Vec::new();
     for &kind in kinds {
         for &k in ks {
-            let hub = FrameHub::bind("127.0.0.1:0").expect("bind localhost hub");
-            let addr = hub.local_addr().expect("bound address").to_string();
-            let limits = CollectLimits {
-                timeout: Some(std::time::Duration::from_secs(600)),
-                ..CollectLimits::default()
-            };
+            let daemon = spawn_daemon(DaemonConfig {
+                thresholds: vec![distagg_threshold()],
+                retain: None,
+                ..DaemonConfig::default()
+            })
+            .expect("daemon spawns on localhost");
+            let addr = daemon.frame_addr.to_string();
 
             // K concurrent shard pipelines, each its own connection —
             // exactly what K `aggd-shard --connect` processes do.
-            let streams = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..k)
+            std::thread::scope(|s| {
+                let shards: Vec<_> = (0..k)
                     .map(|i| {
-                        let addr = addr.clone();
+                        let addr = &addr;
                         s.spawn(move || {
-                            let transport = TcpTransport::connect(&addr)
+                            let transport = TcpTransport::connect(addr)
                                 .with_hello(i as u64, shard_label(kind, k, i));
                             let packets = shard_packets(trace, k, i);
                             let sink = TransportSink::new(transport);
@@ -275,29 +282,40 @@ pub fn run_socket_on(
                         })
                     })
                     .collect();
-                let streams = collect_socket_streams(hub, k, limits).expect("socket streams");
-                for h in handles {
-                    if let Some(e) = h.join().expect("shard thread") {
+                for shard in shards {
+                    if let Some(e) = shard.join().expect("shard thread") {
                         panic!("shard transport: {e}");
                     }
                 }
-                streams
             });
-            let folded: usize = streams.iter().map(Vec::len).sum();
-            let socket_points = fold_streams(&hierarchy(), streams).expect("socket streams fold");
 
-            // Byte-identity vs the file-based fold of the same shards.
+            // Wait until every stream has left and the fold holds every
+            // frame it delivered, then compare once. A stream that
+            // delivered more frames than its file stream holds is a
+            // mismatch, not a longer wait.
             let file_streams: Vec<Vec<u8>> = (0..k)
                 .map(|i| shard_stream_on(kind, trace, horizon, k, i, WireFormat::Binary))
                 .collect();
+            let want: Vec<(u64, u64)> =
+                file_streams.iter().enumerate().map(|(i, b)| (i as u64, frame_count(b))).collect();
+            let deadline = Instant::now() + Duration::from_secs(600);
+            while !daemon.registry.settled(&want) {
+                let late = Instant::now() >= deadline;
+                assert!(!late, "frames never arrived: {:?}", daemon.registry.streams());
+                std::thread::sleep(Duration::from_millis(5));
+            }
+
+            // Byte-identity of the daemon's answer vs the file-based
+            // fold of the same shards.
             let file_points = fold_shard_streams(&file_streams).expect("file streams fold");
-            let render = |points: &[MergedPoint<Ipv4Hierarchy>]| {
-                let mut out = Vec::new();
-                write_merged(&mut out, points, &[distagg_threshold()], true, WireFormat::Json)
-                    .expect("merged points render");
-                out
-            };
-            let socket_eq_file = render(&socket_points) == render(&file_points);
+            let (mut file_fold, thresholds) = (Vec::new(), [distagg_threshold()]);
+            write_merged(&mut file_fold, &file_points, &thresholds, true, WireFormat::Json)
+                .expect("merged points render");
+            let answer =
+                http_get(&daemon.http_addr.to_string(), "/hhh?all=1&state=1").expect("GET /hhh");
+            let streams = daemon.registry.streams();
+            let delivered_as_filed = want.iter().all(|(id, n)| streams[id].delivered == *n);
+            let socket_eq_file = delivered_as_filed && answer == (200, file_fold);
 
             // Byte-identity vs the in-process K-shard run.
             let reference =
@@ -306,6 +324,8 @@ pub fn run_socket_on(
             let state_of = |r: &hhh_core::WireSnapshot| {
                 r.to_stamped().expect("reference state decodes").snapshot.to_json()
             };
+            let fold = daemon.registry.fold.lock().expect("fold lock");
+            let socket_points: Vec<_> = fold.points().collect();
             let state_identical = reference.len() == socket_points.len()
                 && socket_points.iter().zip(&reference).all(|(p, r)| {
                     p.at == r.at()
@@ -317,13 +337,22 @@ pub fn run_socket_on(
                 detector: kind,
                 shards: k,
                 points: socket_points.len(),
-                folded,
+                folded: socket_points.iter().map(|p| p.folded).sum(),
                 socket_eq_file,
                 state_identical,
             });
         }
     }
     rows
+}
+
+/// Frames in an encoded v2 stream.
+fn frame_count(mut stream: &[u8]) -> u64 {
+    let mut frames = 0;
+    while read_frame_from(&mut stream).expect("own stream frames decode").is_some() {
+        frames += 1;
+    }
+    frames
 }
 
 /// Render socket scenario rows as an aligned text table.

@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod aggd_e2e;
 pub mod compare;
 pub mod corpus;
 pub mod distagg;
@@ -33,6 +32,5 @@ mod scale;
 pub mod workloads;
 
 pub use scale::{
-    shard_sweep, sliding_scoreboard, Scale, ShardSweepResults, ShardSweepRow,
-    SlidingScoreboardResults, SHARD_COUNTS,
+    shard_sweep, sliding_scoreboard, Scale, ShardSweepRow, SweepResults, SHARD_COUNTS,
 };

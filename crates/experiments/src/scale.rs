@@ -127,16 +127,20 @@ pub struct ShardSweepRow {
     pub jaccard_vs_reference: f64,
 }
 
-/// Results of [`shard_sweep`].
+/// Results of [`shard_sweep`] or [`sliding_scoreboard`]: the same row
+/// shape, told apart by the `"experiment"` label of their JSON lines.
 #[derive(Clone, Debug)]
-pub struct ShardSweepResults {
+pub struct SweepResults {
+    /// The JSON lines' `"experiment"` label (`shard_sweep` or
+    /// `sliding_scoreboard`).
+    pub experiment: &'static str,
     /// One row per (detector, mode).
     pub rows: Vec<ShardSweepRow>,
     /// Scale the sweep ran at.
     pub scale: Scale,
 }
 
-impl ShardSweepResults {
+impl SweepResults {
     /// The row for a detector and mode label, if measured.
     pub fn row(&self, detector: &str, mode: &str) -> Option<&ShardSweepRow> {
         self.rows.iter().find(|r| r.detector == detector && r.mode == mode)
@@ -161,15 +165,17 @@ impl ShardSweepResults {
         t.render()
     }
 
-    /// Render as JSON lines (one object per row), for baseline files
-    /// like `BENCH_pr1.json`.
+    /// Render as JSON lines (one object per row), the formats committed
+    /// as `BENCH_pr1.json` (shard sweep) and `BENCH_pr6.json` (sliding
+    /// scoreboard).
     pub fn json_lines(&self) -> String {
         let mut out = String::new();
         for r in &self.rows {
             out.push_str(&format!(
-                "{{\"experiment\": \"shard_sweep\", \"scale\": \"{}\", \"detector\": \"{}\", \
+                "{{\"experiment\": \"{}\", \"scale\": \"{}\", \"detector\": \"{}\", \
                  \"mode\": \"{}\", \"shards\": {}, \"packets\": {}, \"seconds\": {:.6}, \
                  \"pkts_per_sec\": {:.1}, \"jaccard_vs_reference\": {:.6}}}\n",
+                self.experiment,
                 self.scale.label(),
                 r.detector,
                 r.mode,
@@ -217,7 +223,7 @@ fn mean_jaccard<P: Ord + Copy>(a: &[WindowReport<P>], b: &[WindowReport<P>]) -> 
 /// it, so `exact` reads 1.0 at any K (merge is lossless), and an
 /// approximate row's score is its own error plus any merge error —
 /// never agreement with another approximate run.
-pub fn shard_sweep(scale: Scale) -> ShardSweepResults {
+pub fn shard_sweep(scale: Scale) -> SweepResults {
     let horizon = scale.compare_duration();
     let window = TimeSpan::from_secs(5);
     let thresholds = [Threshold::percent(1.0)];
@@ -243,7 +249,7 @@ pub fn shard_sweep(scale: Scale) -> ShardSweepResults {
         Rhhh::new(h, 512, 0x5EED_0000 + shard as u64)
     });
 
-    ShardSweepResults { rows, scale }
+    SweepResults { experiment: "shard_sweep", rows, scale }
 }
 
 /// One family's rows of [`shard_sweep`], each scored against `oracle`;
@@ -335,65 +341,6 @@ where
     observed
 }
 
-/// Results of [`sliding_scoreboard`] — same row shape as the shard
-/// sweep, different experiment tag in the JSON lines.
-#[derive(Clone, Debug)]
-pub struct SlidingScoreboardResults {
-    /// One row per (detector kind, sliding mode).
-    pub rows: Vec<ShardSweepRow>,
-    /// Scale the scoreboard ran at.
-    pub scale: Scale,
-}
-
-impl SlidingScoreboardResults {
-    /// The row for a detector and mode label, if measured.
-    pub fn row(&self, detector: &str, mode: &str) -> Option<&ShardSweepRow> {
-        self.rows.iter().find(|r| r.detector == detector && r.mode == mode)
-    }
-
-    /// Render as an aligned text table.
-    pub fn table(&self) -> String {
-        let mut t = Table::new(vec![
-            "detector", "mode", "shards", "packets", "seconds", "pkts/s", "jaccard",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.detector.to_string(),
-                r.mode.clone(),
-                r.shards.to_string(),
-                r.packets.to_string(),
-                fmt_f(r.seconds, 3),
-                format!("{:.0}", r.pkts_per_sec),
-                fmt_f(r.jaccard_vs_reference, 4),
-            ]);
-        }
-        t.render()
-    }
-
-    /// Render as JSON lines (one object per row), the format committed
-    /// as `BENCH_pr6.json`.
-    pub fn json_lines(&self) -> String {
-        let mut out = String::new();
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{{\"experiment\": \"sliding_scoreboard\", \"scale\": \"{}\", \
-                 \"detector\": \"{}\", \"mode\": \"{}\", \"shards\": {}, \"packets\": {}, \
-                 \"seconds\": {:.6}, \"pkts_per_sec\": {:.1}, \
-                 \"jaccard_vs_reference\": {:.6}}}\n",
-                self.scale.label(),
-                r.detector,
-                r.mode,
-                r.shards,
-                r.packets,
-                r.seconds,
-                r.pkts_per_sec,
-                r.jaccard_vs_reference,
-            ));
-        }
-        out
-    }
-}
-
 /// Per-detector-kind pkts/s scoreboard on the **sliding-window path**:
 /// window 5 s, step 100 ms (50 epochs per window), on a
 /// high-cardinality trace (10 000 sources — so per-epoch state is a
@@ -419,7 +366,7 @@ impl SlidingScoreboardResults {
 ///
 /// Jaccard is against the [`SlidingExact`] reference per position; the
 /// exact rows must score 1.0.
-pub fn sliding_scoreboard(scale: Scale) -> SlidingScoreboardResults {
+pub fn sliding_scoreboard(scale: Scale) -> SweepResults {
     let horizon = scale.compare_duration();
     let window = TimeSpan::from_secs(5);
     let step = TimeSpan::from_millis(100);
@@ -575,7 +522,7 @@ pub fn sliding_scoreboard(scale: Scale) -> SlidingScoreboardResults {
         });
     }
 
-    SlidingScoreboardResults { rows, scale }
+    SweepResults { experiment: "sliding_scoreboard", rows, scale }
 }
 
 #[cfg(test)]

@@ -1,13 +1,10 @@
 //! Getting reports *into* the engine: parse the `/hhh` ndjson wire
-//! format back into [`WindowReport`]s, or tee reports straight from a
-//! running pipeline via [`PolicySink`].
+//! format back into [`WindowReport`]s.
 
-use crate::policy::PolicyEngine;
 use hhh_core::snapshot::json::Json;
 use hhh_core::HhhReport;
 use hhh_nettypes::{Ipv4Prefix, Nanos};
-use hhh_window::{ReportSink, WindowReport};
-use std::sync::{Arc, Mutex};
+use hhh_window::WindowReport;
 
 /// Parse `/hhh` (or `hhh-agg`) ndjson report lines into full
 /// [`WindowReport`]s, in window order. Non-`report` lines (state
@@ -58,39 +55,9 @@ pub fn parse_policy_windows(body: &str) -> Result<Vec<WindowReport<Ipv4Prefix>>,
     Ok(out)
 }
 
-/// A [`ReportSink`] tee: feed series-0 reports to a shared
-/// [`PolicyEngine`] as a pipeline runs — the in-process alternative to
-/// polling `/hhh`. Output is the engine handle back.
-pub struct PolicySink {
-    engine: Arc<Mutex<PolicyEngine>>,
-}
-
-impl PolicySink {
-    /// Tee into `engine`.
-    pub fn new(engine: Arc<Mutex<PolicyEngine>>) -> Self {
-        PolicySink { engine }
-    }
-}
-
-impl ReportSink<Ipv4Prefix> for PolicySink {
-    type Output = Arc<Mutex<PolicyEngine>>;
-
-    fn accept(&mut self, series: usize, report: WindowReport<Ipv4Prefix>) {
-        // One threshold drives policy; extra series would double-count.
-        if series == 0 {
-            self.engine.lock().expect("policy engine lock poisoned").ingest(&report);
-        }
-    }
-
-    fn finish(self) -> Self::Output {
-        self.engine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyConfig;
 
     #[test]
     fn parses_report_lines_and_skips_states() {
@@ -121,21 +88,5 @@ mod tests {
              \"hhhs\":[{\"prefix\":\"not-a-prefix\",\"estimate\":1}]}"
         )
         .is_err());
-    }
-
-    #[test]
-    fn sink_feeds_only_series_zero() {
-        let engine = Arc::new(Mutex::new(PolicyEngine::new(PolicyConfig::default())));
-        let mut sink = PolicySink::new(Arc::clone(&engine));
-        let report = WindowReport {
-            index: 0,
-            start: Nanos::ZERO,
-            end: Nanos::from_secs(5),
-            total: 100,
-            hhhs: vec![],
-        };
-        sink.accept(0, report.clone());
-        sink.accept(1, report);
-        assert_eq!(engine.lock().unwrap().stats().windows, 1);
     }
 }

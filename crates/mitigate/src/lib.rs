@@ -5,12 +5,12 @@
 //!
 //! Detection alone doesn't defend anything. This crate turns the
 //! repo's HHH reports — polled from `hhh-aggd`'s `/hhh` endpoint or
-//! teed in-process off a pipeline via [`PolicySink`] — into a live
-//! table of per-prefix actions, and applies that table to packets
+//! handed to [`PolicyEngine::ingest`] in-process — into a live table
+//! of per-prefix actions, and applies that table to packets
 //! *upstream* of the detectors through `hhh_window::RuleFilter`:
 //!
 //! ```text
-//!            reports (/hhh or ReportSink)
+//!            reports (/hhh or in-process)
 //!                      |
 //!                      v
 //!   packets --> [PolicyEngine] --edits--> [RuleTable] <--LPM-- [TableGate]
@@ -54,7 +54,7 @@ pub mod rule;
 pub mod table;
 
 pub use gate::{GateTotals, TableGate};
-pub use ingest::{parse_policy_windows, PolicySink};
+pub use ingest::parse_policy_windows;
 pub use policy::{FiredRule, PolicyConfig, PolicyEngine, PolicyStats};
 pub use render::{rules_json, rules_text};
 pub use rule::{Action, Rule};

@@ -37,11 +37,10 @@
 //! * **Transport** ([`transport`]) — the snapshot stream over TCP:
 //!   [`TcpTransport`] writes frames with reconnect-with-backoff behind
 //!   [`FrameWrite`], [`TransportSink`] is its pipeline face, and
-//!   [`FrameHub`] reads them with multi-client accept, hello/ack
-//!   admission and a one-shot
-//!   [`collect_streams`](FrameHub::collect_streams) barrier. Frames are
-//!   encoded straight from each detector's wire body — no JSON between
-//!   a shard's state and the aggregator's fold.
+//!   [`FrameHub`] reads them with multi-client accept and hello/ack
+//!   admission, for `hhh-aggd`'s fold. Frames are encoded straight
+//!   from each detector's wire body — no JSON between a shard's state
+//!   and the aggregator's fold.
 //!
 //! ## Exactness of the sliding engines
 //!
@@ -80,7 +79,7 @@ pub use source::{
     StreamRecord, DEFAULT_CHUNK,
 };
 pub use transport::{
-    ack_frame, hello_frame, http_get, parse_ack, read_frame_from, resume_hello_frame,
-    CollectLimits, FrameHub, FrameSpool, FrameStream, FrameWrite, HubEvent, HubHandle,
-    TcpTransport, TransportError, TransportSink, ACK_KIND, HELLO_KIND,
+    ack_frame, hello_frame, http_get, parse_ack, read_frame_from, resume_hello_frame, FrameHub,
+    FrameSpool, FrameWrite, HubEvent, HubHandle, TcpTransport, TransportError, TransportSink,
+    ACK_KIND, HELLO_KIND,
 };

@@ -4,7 +4,7 @@
 //! | medium | write side | read side |
 //! |---|---|---|
 //! | byte stream (file, pipe, `Vec<u8>`) | [`SnapshotSink`](crate::SnapshotSink) | [`SnapshotSource`](crate::SnapshotSource) |
-//! | TCP socket | [`TcpTransport`]: connect + reconnect-with-backoff | [`FrameHub`]: multi-client accept |
+//! | TCP socket | [`TcpTransport`]: connect + reconnect-with-backoff | [`FrameHub`]: multi-client accept, behind `hhh-aggd` |
 //!
 //! A frame on a socket is **the same bytes** as a frame in a file: the
 //! length-delimited v2 encoding (`hhh_core::snapshot::binary`) already
@@ -23,13 +23,13 @@
 //! * Each connection opens with one handshake: the writer sends a
 //!   [`hello_frame`] (kind [`HELLO_KIND`], carrying its **stream id**
 //!   — the shard index — and label) and reads the [`FrameHub`]'s
-//!   [`ack_frame`] before its first frame. The hub groups frames by
-//!   stream id, and its [`collect_streams`](FrameHub::collect_streams)
-//!   barrier returns streams sorted by it, so a socket fold applies
-//!   merges in the same deterministic shard order as a file fold —
-//!   which is what makes the two byte-identical. Reading the ack also
-//!   means no writer closes with unread bytes, which would make the
-//!   kernel reset the connection and discard the stream's own tail.
+//!   [`ack_frame`] before its first frame. The hub keys every frame by
+//!   stream id, and `hhh-aggd` folds in stream-id order, so a socket
+//!   fold applies merges in the same deterministic shard order as a
+//!   file fold — which is what makes the two byte-identical. Reading
+//!   the ack also means no writer closes with unread bytes, which would
+//!   make the kernel reset the connection and discard the stream's own
+//!   tail.
 //! * The write side reconnects with exponential backoff — on initial
 //!   connect (shards may start before the aggregator binds) and on
 //!   mid-stream failures, re-sending the frame whose write failed on
@@ -55,13 +55,13 @@ use hhh_core::snapshot::SnapshotFrame;
 use hhh_core::SnapshotError;
 use hhh_nettypes::Nanos;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt::{self, Display};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a transport operation failed. Implements
 /// [`std::error::Error::source`]: I/O failures chain to the underlying
@@ -69,10 +69,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub enum TransportError {
     /// The underlying medium failed (socket reset, disk full, peer
-    /// hung up, connect/accept exhausted its retries).
+    /// hung up, connect exhausted its retries).
     Io {
-        /// What the transport was doing (`bind`, `connect`, `accept`,
-        /// `read`, `write`).
+        /// What the transport was doing (`connect`, `read`, `write`).
         op: &'static str,
         /// The I/O failure.
         source: io::Error,
@@ -470,11 +469,10 @@ impl TcpTransport {
     ///
     /// Like every connection, the handshake needs
     /// [`with_hello`](Self::with_hello) (a stream identity) and a
-    /// [`FrameHub`] peer — `hhh-aggd` or the `hhh-agg --listen`
-    /// barrier. `write_frame` calls are deduplicated by position: if
-    /// the spool already holds frames a previous run produced, a
-    /// deterministic producer regenerating them from scratch re-sends
-    /// nothing.
+    /// [`FrameHub`] peer, `hhh-aggd`. `write_frame` calls are
+    /// deduplicated by position: if the spool already holds frames a
+    /// previous run produced, a deterministic producer regenerating
+    /// them from scratch re-sends nothing.
     pub fn with_spool(mut self, spool: FrameSpool) -> Self {
         self.spool = Some(spool);
         self
@@ -705,9 +703,6 @@ pub enum HubEvent {
         id: u64,
         /// Clean EOF (vs torn tail / read error).
         clean: bool,
-        /// Whole frames this connection carried, duplicates the hub
-        /// dropped included.
-        frames: u64,
     },
     /// A connection claimed a resume position **ahead** of the frames
     /// the hub holds — a frame was lost in flight and the writer
@@ -724,40 +719,6 @@ pub enum HubEvent {
     },
 }
 
-/// One writer's finished frame stream, as collected by
-/// [`FrameHub::collect_streams`].
-#[derive(Debug)]
-pub struct FrameStream {
-    /// The stream id from the writer's [`hello_frame`] (shard index).
-    pub id: u64,
-    /// The writer's label.
-    pub label: String,
-    /// Every frame the hub delivered for the stream, across all of the
-    /// writer's connections, in stream order (hello frames excluded).
-    pub frames: Vec<SnapshotFrame>,
-}
-
-/// The three limits a [`FrameHub::collect_streams`] barrier waits
-/// under. Each is off when `None`; they compose, and the first to fire
-/// fails the wait with [`TransportError::Io`] (`op` `"accept"`, kind
-/// `TimedOut`) naming the limit and listing any recorded gaps.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CollectLimits {
-    /// The **whole-wait deadline**, counted from the start of the wait
-    /// regardless of progress.
-    pub timeout: Option<Duration>,
-    /// Give up if, while fewer streams than expected have joined, no
-    /// stream joins for this long — a shard that never started. Resets
-    /// on every join, so slow-but-live topologies don't need a
-    /// worst-case whole-wait budget.
-    pub accept_idle: Option<Duration>,
-    /// Give up if the hub reports nothing — no join, frame or leave —
-    /// for this long: a shard that connected and then wedged. Resets on
-    /// every frame, so the total wait stays unbounded as long as bytes
-    /// keep flowing.
-    pub read_idle: Option<Duration>,
-}
-
 /// The socket read side: accepts any number of writer connections,
 /// acks every hello with the frame count it holds (the other half of
 /// every [`TcpTransport`] handshake, and the replay position of
@@ -767,9 +728,9 @@ pub struct CollectLimits {
 /// `hhh-aggd` runs the hub for as long as it lives ([`start`](Self::start)):
 /// shards join, leave, crash, and resume at any time, and gaps are
 /// per-connection refusals (recoverable by writer restart) instead of
-/// fold-fatal errors. `hhh-agg --listen` runs it to a one-shot barrier
-/// ([`collect_streams`](Self::collect_streams)): wait for exactly
-/// `expect` finished streams, then return them.
+/// fold-fatal errors. The hub never decides that a stream is finished:
+/// a consumer that wants a whole stream knows how many frames it holds
+/// and waits for that many.
 #[derive(Debug)]
 pub struct FrameHub {
     listener: TcpListener,
@@ -845,102 +806,6 @@ impl FrameHub {
         });
         Ok((HubHandle { stop, thread: Some(thread) }, rx))
     }
-
-    /// Run the hub to a one-shot **barrier**: wait until `expect`
-    /// streams have each left cleanly once, then stop accepting and
-    /// return them **sorted by id** — the deterministic fold order a
-    /// file-based aggregation uses.
-    ///
-    /// The hub delivers each stream position once, in order, so a
-    /// stream's frames are its [`HubEvent::Frame`]s appended as they
-    /// come, and a writer that reconnects mid-stream resumes its own
-    /// stream. A stream is done at its first clean [`HubEvent::Left`]
-    /// of a connection that carried a frame: a writer whose ack read
-    /// timed out leaves its hello-only connection behind, and that one
-    /// ends cleanly while the writer's retry still delivers. Every
-    /// [`HubEvent::Gap`] is recorded and listed ("gap detected")
-    /// if one of `limits` fires. A stream that joined but has not left
-    /// cleanly when `expect` others have is an error as well
-    /// ([`TransportError::Io`], kind `InvalidData`): the barrier never
-    /// returns a partial stream. Stray connections that never send a
-    /// valid hello are dropped by the hub and never reach the barrier.
-    pub fn collect_streams(
-        self,
-        expect: usize,
-        limits: CollectLimits,
-    ) -> Result<Vec<FrameStream>, TransportError> {
-        assert!(expect > 0, "expect at least one stream");
-        let (_hub, events) = self.start().map_err(|e| TransportError::io("accept", e))?;
-        let started = Instant::now();
-        let (mut last_join, mut last_event) = (started, started);
-        let mut streams: BTreeMap<u64, FrameStream> = BTreeMap::new();
-        let mut done = BTreeSet::new();
-        let mut gaps = Vec::new();
-        while done.len() < expect {
-            match events.recv_timeout(Duration::from_millis(2)) {
-                Ok(event) => {
-                    last_event = Instant::now();
-                    match event {
-                        HubEvent::Joined { id, label, .. } => {
-                            last_join = last_event;
-                            let stream = FrameStream { id, label, frames: Vec::new() };
-                            streams.entry(id).or_insert(stream);
-                        }
-                        HubEvent::Frame { id, frame, .. } => streams
-                            .get_mut(&id)
-                            .expect("the hub emits Joined before a stream's frames")
-                            .frames
-                            .push(frame),
-                        HubEvent::Left { id, clean: true, frames } if frames > 0 => {
-                            done.insert(id);
-                        }
-                        HubEvent::Left { .. } => {}
-                        HubEvent::Gap { id, claimed, received } => gaps.push(format!(
-                            "stream {id}: hello claims {claimed} frames delivered, hub holds \
-                             {received}"
-                        )),
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    let ended = io::Error::new(io::ErrorKind::BrokenPipe, "hub accept loop ended");
-                    return Err(TransportError::io("accept", ended));
-                }
-            }
-            let limit = if limits.timeout.is_some_and(|t| started.elapsed() > t) {
-                Some("the timeout".to_string())
-            } else if let Some(idle) = limits
-                .accept_idle
-                .filter(|&idle| streams.len() < expect && last_join.elapsed() > idle)
-            {
-                Some(format!(
-                    "the accept-idle limit ({} streams joined, none for {idle:?})",
-                    streams.len()
-                ))
-            } else {
-                limits
-                    .read_idle
-                    .filter(|&idle| last_event.elapsed() > idle)
-                    .map(|idle| format!("the read-idle limit (no frame for {idle:?})"))
-            };
-            if let Some(why) = limit {
-                let mut detail =
-                    format!("{} of {expect} streams complete before {why}", done.len());
-                if !gaps.is_empty() {
-                    detail += "; gap detected (frame lost in flight?): ";
-                    detail += &gaps.join("; ");
-                }
-                let timed_out = io::Error::new(io::ErrorKind::TimedOut, detail);
-                return Err(TransportError::io("accept", timed_out));
-            }
-        }
-        if let Some(id) = streams.keys().find(|id| !done.contains(*id)) {
-            let detail = format!("stream {id} joined but never finished ({expect} expected)");
-            let unfinished = io::Error::new(io::ErrorKind::InvalidData, detail);
-            return Err(TransportError::io("accept", unfinished));
-        }
-        Ok(streams.into_values().collect())
-    }
 }
 
 /// One hub connection: handshake (hello in, ack out), then frames
@@ -993,7 +858,7 @@ fn hub_connection(conn: TcpStream, tx: &mpsc::Sender<HubEvent>, held: &Mutex<Has
             Err(_) => break false,
         }
     };
-    let _ = tx.send(HubEvent::Left { id: hello.id, clean, frames: pos - base });
+    let _ = tx.send(HubEvent::Left { id: hello.id, clean });
 }
 
 // ---------------------------------------------------------------------
@@ -1062,7 +927,9 @@ impl<P: Display, T: FrameWrite> ReportSink<P> for TransportSink<T> {
 mod tests {
     use super::*;
     use hhh_core::snapshot::DetectorSnapshot;
+    use std::collections::BTreeMap;
     use std::sync::Barrier;
+    use std::time::Instant;
 
     fn state_frame(at_secs: u64, total: u64) -> SnapshotFrame {
         let snap = DetectorSnapshot {
@@ -1165,23 +1032,33 @@ mod tests {
     }
 
     /// Drain hub events until each of `want` streams has delivered
-    /// `per_stream` frames, returning (id -> frame positions in
-    /// delivery order).
-    fn drain_frames(
-        rx: &mpsc::Receiver<HubEvent>,
-        want: usize,
-        per_stream: u64,
-    ) -> BTreeMap<u64, Vec<u64>> {
-        let mut got: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    /// `per_stream` frames, returning every event read, in arrival
+    /// order.
+    fn drain_frames(rx: &mpsc::Receiver<HubEvent>, want: usize, per_stream: u64) -> Vec<HubEvent> {
+        let mut got: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut events = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(30);
-        while got.len() < want || got.values().any(|v| (v.len() as u64) < per_stream) {
+        while got.len() < want || got.values().any(|&n| n < per_stream) {
             match rx.recv_timeout(deadline - Instant::now()) {
-                Ok(HubEvent::Frame { id, pos, .. }) => got.entry(id).or_default().push(pos),
-                Ok(_) => {}
-                Err(e) => panic!("hub events dried up: {e} (got {got:?})"),
+                Ok(event) => {
+                    if let HubEvent::Frame { id, .. } = event {
+                        *got.entry(id).or_default() += 1;
+                    }
+                    events.push(event);
+                }
+                Err(e) => panic!("hub events dried up: {e} (frames per stream {got:?})"),
             }
         }
-        got
+        events
+    }
+
+    /// `(position, total)` of each of stream `id`'s frames in `events`.
+    fn frames_of(events: &[HubEvent], id: u64) -> Vec<(u64, u64)> {
+        let frame = |e: &HubEvent| match e {
+            HubEvent::Frame { id: got, pos, frame } if *got == id => Some((*pos, frame.total)),
+            _ => None,
+        };
+        events.iter().filter_map(frame).collect()
     }
 
     #[test]
@@ -1197,8 +1074,7 @@ mod tests {
         }
         // Wait until the hub has admitted both frames, so the restart
         // below races nothing.
-        let first = drain_frames(&rx, 1, 2);
-        assert_eq!(first[&0], vec![0, 1]);
+        assert_eq!(frames_of(&drain_frames(&rx, 1, 2), 0), [(0, 100), (1, 101)]);
         // Second life: the restarted process regenerates the whole
         // stream from scratch (delivered claim 0) — the hub must drop
         // the replayed prefix and deliver only positions 2 and 3.
@@ -1208,8 +1084,8 @@ mod tests {
                 t.write_frame(&state_frame(i as u64 + 1, *total)).unwrap();
             }
         }
-        let second = drain_frames(&rx, 1, 2);
-        assert_eq!(second[&0], vec![2, 3], "replayed prefix deduped by position");
+        let second = frames_of(&drain_frames(&rx, 1, 2), 0);
+        assert_eq!(second, [(2, 102), (3, 103)], "replayed prefix deduped by position");
         handle.shutdown();
     }
 
@@ -1233,7 +1109,7 @@ mod tests {
             assert_eq!(t.acked(), 0, "first handshake acked an empty stream");
             assert_eq!(t.spooled(), 3);
         }
-        assert_eq!(drain_frames(&rx, 1, 3)[&0], vec![0, 1, 2]);
+        assert_eq!(frames_of(&drain_frames(&rx, 1, 3), 0), [(0, 100), (1, 101), (2, 102)]);
         // Second life: reopen the spool; the regenerated prefix is
         // deduped against it (not re-appended, not re-sent — the hub's
         // ack says it already holds 3), and two new frames follow.
@@ -1248,29 +1124,10 @@ mod tests {
             assert_eq!(t.acked(), 3, "resume handshake learned the hub's position");
             assert_eq!(t.spooled(), 5);
         }
-        assert_eq!(drain_frames(&rx, 1, 2)[&0], vec![3, 4], "only the new tail went out");
+        let tail = frames_of(&drain_frames(&rx, 1, 2), 0);
+        assert_eq!(tail, [(3, 103), (4, 104)], "only the new tail went out");
         handle.shutdown();
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn hub_refuses_a_resume_claim_ahead_of_what_it_holds() {
-        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
-        let addr = hub.local_addr().unwrap();
-        let (handle, rx) = hub.start().unwrap();
-        // A plain hello claiming 5 delivered frames against an empty
-        // stream: unstitchable — must surface as a Gap event, not
-        // silently shorten the stream.
-        let mut conn = TcpStream::connect(addr).unwrap();
-        conn.write_all(&hello_frame(0, "shard-0", 5).encode()).unwrap();
-        conn.write_all(&state_frame(6, 105).encode()).unwrap();
-        match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
-            HubEvent::Gap { id, claimed, received } => {
-                assert_eq!((id, claimed, received), (0, 5, 0));
-            }
-            other => panic!("expected a gap event, got {other:?}"),
-        }
-        handle.shutdown();
     }
 
     /// A raw writer's connection to `addr`, its hello written and the
@@ -1290,10 +1147,6 @@ mod tests {
             assert!(Instant::now() < deadline, "the hub never admitted stream {id}");
             std::thread::sleep(Duration::from_millis(50));
         }
-    }
-
-    fn within(timeout: Duration) -> CollectLimits {
-        CollectLimits { timeout: Some(timeout), ..CollectLimits::default() }
     }
 
     #[test]
@@ -1335,15 +1188,16 @@ mod tests {
     }
 
     #[test]
-    fn stray_connections_beside_real_writers_never_reach_the_barrier() {
+    fn stray_connections_beside_real_writers_never_yield_an_event() {
         let hub = FrameHub::bind("127.0.0.1:0").unwrap();
         let addr = hub.local_addr().unwrap();
+        let (handle, rx) = hub.start().unwrap();
         let frames = |id: u64| -> Vec<SnapshotFrame> {
             (0..20).map(|i| state_frame(i + 1, (id + 1) * 100 + i)).collect()
         };
         // Both writers stop halfway until the hub has read and dropped
-        // every stray, so the barrier cannot finish before the hub has
-        // judged them all.
+        // every stray, so any event a stray yielded arrives before the
+        // writers' last frames.
         let (halfway, strays_dropped) = (Arc::new(Barrier::new(3)), Arc::new(Barrier::new(3)));
         let writers: Vec<_> = [0u64, 1]
             .into_iter()
@@ -1387,27 +1241,44 @@ mod tests {
             }
             strays_dropped.wait();
         });
-        let streams = hub.collect_streams(2, within(Duration::from_secs(30))).unwrap();
+        let events = drain_frames(&rx, 2, 20);
         for w in writers {
             w.join().unwrap();
         }
         strays.join().unwrap();
-        assert_eq!(streams.iter().map(|s| s.id).collect::<Vec<_>>(), vec![0, 1]);
-        for s in &streams {
-            let file: Vec<u8> = frames(s.id).iter().flat_map(SnapshotFrame::encode).collect();
-            let socket: Vec<u8> = s.frames.iter().flat_map(SnapshotFrame::encode).collect();
-            assert_eq!(socket, file, "stream {} matches its file stream", s.id);
+        handle.shutdown();
+        let writer_event = |e: &HubEvent| {
+            matches!(
+                e,
+                HubEvent::Joined { id: 0 | 1, .. }
+                    | HubEvent::Frame { id: 0 | 1, .. }
+                    | HubEvent::Left { id: 0 | 1, .. }
+            )
+        };
+        assert!(events.iter().all(writer_event), "a stray yielded an event: {events:?}");
+        for id in [0, 1] {
+            let file: Vec<u8> = frames(id).iter().flat_map(SnapshotFrame::encode).collect();
+            let socket: Vec<u8> = events
+                .iter()
+                .filter_map(|e| match e {
+                    HubEvent::Frame { id: got, frame, .. } if *got == id => Some(frame.encode()),
+                    _ => None,
+                })
+                .flatten()
+                .collect();
+            assert_eq!(socket, file, "stream {id} matches its file stream");
         }
     }
 
     #[test]
-    fn a_connection_that_carried_no_frame_does_not_finish_its_stream() {
+    fn a_connection_that_carried_no_frame_leaves_the_stream_to_its_retry() {
         // A writer whose ack read timed out leaves a connection that
         // sent only its hello; the hub may admit it late, and it ends
-        // cleanly while the writer's retry is still delivering. That
-        // clean leave must not complete the stream.
+        // cleanly while the writer's retry is still delivering. The
+        // retry must deliver every position once.
         let hub = FrameHub::bind("127.0.0.1:0").unwrap();
         let addr = hub.local_addr().unwrap();
+        let (handle, rx) = hub.start().unwrap();
         let writer = std::thread::spawn(move || {
             drop(admitted(addr, 0, 0));
             std::thread::sleep(Duration::from_millis(100));
@@ -1416,86 +1287,17 @@ mod tests {
                 t.write_frame(&state_frame(i + 1, i)).unwrap();
             }
         });
-        let streams = hub.collect_streams(1, within(Duration::from_secs(30))).unwrap();
+        let events = drain_frames(&rx, 1, 5);
         writer.join().unwrap();
-        let totals: Vec<u64> = streams[0].frames.iter().map(|f| f.total).collect();
-        assert_eq!(totals, vec![0, 1, 2, 3, 4]);
+        handle.shutdown();
+        assert_eq!(frames_of(&events, 0), [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
     }
 
     #[test]
-    fn accept_idle_fires_when_a_shard_never_connects() {
+    fn tcp_hub_keys_frames_by_hello_id() {
         let hub = FrameHub::bind("127.0.0.1:0").unwrap();
         let addr = hub.local_addr().unwrap();
-        // One of two expected shards connects and completes; the other
-        // never dials in — the accept-idle limit must end the wait.
-        let writer = std::thread::spawn(move || {
-            let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0");
-            t.write_frame(&state_frame(1, 42)).unwrap();
-        });
-        let limits =
-            CollectLimits { accept_idle: Some(Duration::from_millis(200)), ..Default::default() };
-        let err = hub.collect_streams(2, limits).unwrap_err();
-        writer.join().unwrap();
-        match err {
-            TransportError::Io { op: "accept", source } => {
-                assert_eq!(source.kind(), io::ErrorKind::TimedOut);
-                assert!(source.to_string().contains("accept-idle"), "{source}");
-            }
-            other => panic!("expected an accept-idle timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn read_idle_fires_when_a_connected_shard_wedges() {
-        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
-        let addr = hub.local_addr().unwrap();
-        // The shard connects, sends its hello and one frame, then
-        // wedges with the connection open — only read-idle catches it.
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let writer = std::thread::spawn(move || {
-            let mut conn = admitted(addr, 0, 0);
-            conn.write_all(&state_frame(1, 42).encode()).unwrap();
-            let _ = done_rx.recv(); // hold the connection open, silent
-        });
-        let limits =
-            CollectLimits { read_idle: Some(Duration::from_millis(200)), ..Default::default() };
-        let err = hub.collect_streams(1, limits).unwrap_err();
-        drop(done_tx);
-        writer.join().unwrap();
-        match err {
-            TransportError::Io { op: "accept", source } => {
-                assert_eq!(source.kind(), io::ErrorKind::TimedOut);
-                assert!(source.to_string().contains("read-idle"), "{source}");
-            }
-            other => panic!("expected a read-idle timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn read_idle_does_not_fire_while_frames_flow() {
-        // Frames arriving every ~40 ms must keep a 250 ms read-idle
-        // limit from firing even though the whole stream takes longer
-        // than the limit.
-        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
-        let addr = hub.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0");
-            for i in 0..10u64 {
-                t.write_frame(&state_frame(i + 1, i)).unwrap();
-                std::thread::sleep(Duration::from_millis(40));
-            }
-        });
-        let limits =
-            CollectLimits { read_idle: Some(Duration::from_millis(250)), ..Default::default() };
-        let streams = hub.collect_streams(1, limits).unwrap();
-        writer.join().unwrap();
-        assert_eq!(streams[0].frames.len(), 10);
-    }
-
-    #[test]
-    fn tcp_listener_collects_streams_sorted_by_hello_id() {
-        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
-        let addr = hub.local_addr().unwrap();
+        let (handle, rx) = hub.start().unwrap();
         // Connect in reverse id order to prove arrival order is
         // irrelevant.
         let writers: Vec<_> = [2u64, 1, 0]
@@ -1510,27 +1312,28 @@ mod tests {
                 })
             })
             .collect();
-        let streams = hub.collect_streams(3, within(Duration::from_secs(30))).unwrap();
+        let events = drain_frames(&rx, 3, 3);
         for w in writers {
             w.join().unwrap();
         }
-        assert_eq!(streams.len(), 3);
-        assert_eq!(streams.iter().map(|s| s.id).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(streams[1].label, "shard-1");
-        for s in &streams {
-            assert_eq!(s.frames.len(), 3);
-            assert_eq!(s.frames[0].total, (s.id + 1) * 100);
+        handle.shutdown();
+        let labelled =
+            |e: &HubEvent| matches!(e, HubEvent::Joined { id: 1, label, .. } if label == "shard-1");
+        assert!(events.iter().any(labelled), "stream 1 joined under its own label");
+        for id in 0..3u64 {
+            let base = (id + 1) * 100;
+            assert_eq!(frames_of(&events, id), [(0, base), (1, base + 1), (2, base + 2)]);
         }
     }
 
     #[test]
     fn tcp_torn_peer_yields_clean_error_and_reconnect_resumes_the_stream() {
         // A writer that dies mid-frame must (a) end its connection as a
-        // torn tail, not a finished stream, and (b) not poison the
-        // barrier: the reconnecting writer re-sends the torn frame and
-        // completes the stream.
+        // torn tail, and (b) not poison the stream: the reconnecting
+        // writer re-sends the torn frame and completes the stream.
         let hub = FrameHub::bind("127.0.0.1:0").unwrap();
         let addr = hub.local_addr().unwrap();
+        let (handle, rx) = hub.start().unwrap();
         let torn = {
             let bytes = state_frame(2, 43).encode();
             bytes[..bytes.len() - 5].to_vec()
@@ -1549,11 +1352,15 @@ mod tests {
             conn.write_all(&state_frame(2, 43).encode()).unwrap();
             conn.write_all(&state_frame(3, 44).encode()).unwrap();
         });
-        let streams = hub.collect_streams(1, within(Duration::from_secs(30))).unwrap();
+        let mut events = drain_frames(&rx, 1, 3);
         writer.join().unwrap();
-        assert_eq!(streams.len(), 1);
-        let totals: Vec<u64> = streams[0].frames.iter().map(|f| f.total).collect();
-        assert_eq!(totals, vec![42, 43, 44], "torn tail dropped, stream resumed in order");
+        let torn_leave = |e: &HubEvent| matches!(e, HubEvent::Left { id: 0, clean: false });
+        while !events.iter().any(torn_leave) {
+            events.push(rx.recv_timeout(Duration::from_secs(30)).expect("torn connection leaves"));
+        }
+        handle.shutdown();
+        let totals: Vec<u64> = frames_of(&events, 0).into_iter().map(|(_, total)| total).collect();
+        assert_eq!(totals, [42, 43, 44], "torn tail dropped, stream resumed in order");
     }
 
     #[test]
@@ -1561,10 +1368,11 @@ mod tests {
         // The silent-loss scenario: the writer's kernel accepted a
         // frame that never arrived before the connection died, so the
         // reconnect's hello claims 1 delivered while the hub holds 0.
-        // The stream must stay incomplete and surface a typed gap
-        // error — never fold one frame short.
+        // The hub must refuse the connection with a typed gap — never
+        // deliver the frame one position early.
         let hub = FrameHub::bind("127.0.0.1:0").unwrap();
         let addr = hub.local_addr().unwrap();
+        let (handle, rx) = hub.start().unwrap();
         let writer = std::thread::spawn(move || {
             let mut conn = TcpStream::connect(addr).unwrap();
             conn.write_all(&hello_frame(0, "shard-0", 1).encode()).unwrap();
@@ -1572,15 +1380,35 @@ mod tests {
             let refused = !matches!(read_frame_from(&mut conn), Ok(Some(_)));
             assert!(refused, "the hub closes a gapped connection without an ack");
         });
-        let err = hub.collect_streams(1, within(Duration::from_secs(2))).unwrap_err();
-        writer.join().unwrap();
-        match err {
-            TransportError::Io { op: "accept", source } => {
-                assert_eq!(source.kind(), io::ErrorKind::TimedOut);
-                assert!(source.to_string().contains("gap detected"), "{source}");
+        match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
+            HubEvent::Gap { id, claimed, received } => {
+                assert_eq!((id, claimed, received), (0, 1, 0))
             }
-            other => panic!("expected a timeout gap error, got {other:?}"),
+            other => panic!("expected a gap event, got {other:?}"),
         }
+        writer.join().unwrap();
+        handle.shutdown();
+        assert!(rx.try_recv().is_err(), "a refused connection delivers no frame");
+    }
+
+    #[test]
+    fn hub_refuses_a_resume_claim_ahead_of_what_it_holds() {
+        let hub = FrameHub::bind("127.0.0.1:0").unwrap();
+        let addr = hub.local_addr().unwrap();
+        let (handle, rx) = hub.start().unwrap();
+        // A plain hello claiming 5 delivered frames against an empty
+        // stream: unstitchable — must surface as a Gap event, not
+        // silently shorten the stream.
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(&hello_frame(0, "shard-0", 5).encode()).unwrap();
+        conn.write_all(&state_frame(6, 105).encode()).unwrap();
+        match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
+            HubEvent::Gap { id, claimed, received } => {
+                assert_eq!((id, claimed, received), (0, 5, 0));
+            }
+            other => panic!("expected a gap event, got {other:?}"),
+        }
+        handle.shutdown();
     }
 
     #[test]
@@ -1599,11 +1427,11 @@ mod tests {
                 t.write_frame(&state_frame(1, 7)).unwrap();
             });
         std::thread::sleep(Duration::from_millis(300));
-        let hub = FrameHub::bind(addr).unwrap();
-        let streams = hub.collect_streams(1, within(Duration::from_secs(30))).unwrap();
+        let (handle, rx) = FrameHub::bind(addr).unwrap().start().unwrap();
+        let events = drain_frames(&rx, 1, 1);
         writer.join().unwrap();
-        assert_eq!(streams[0].frames.len(), 1);
-        assert_eq!(streams[0].frames[0].total, 7);
+        handle.shutdown();
+        assert_eq!(frames_of(&events, 0), [(0, 7)]);
     }
 
     #[test]

@@ -13,17 +13,18 @@
 //!    to the byte-identical merged state;
 //! 4. stream the shards over **transports** instead of buffers — both
 //!    shard pipelines write natively encoded v2 frames over localhost
-//!    TCP into one `FrameHub` barrier (the `aggd-shard --connect` /
-//!    `hhh-agg --listen` path) — and show the socket fold is
-//!    byte-identical to the file fold: a frame on a socket is the
-//!    same bytes as a frame in a file.
+//!    TCP into an in-process `hhh-aggd` (the `aggd-shard --connect`
+//!    path) — and show the daemon's fold is byte-identical to the file
+//!    fold: a frame on a socket is the same bytes as a frame in a file.
 //!
 //! Run with: `cargo run --release --example dist_agg`
 
-use hidden_hhh::agg::{collect_socket_streams, fold_streams, read_stream};
+use hidden_hhh::agg::{fold_streams, read_stream, render_merged};
+use hidden_hhh::aggd::{spawn_daemon, DaemonConfig};
 use hidden_hhh::core::WireFormat;
 use hidden_hhh::prelude::*;
-use hidden_hhh::window::{shard_of, CollectLimits, FrameHub, SnapshotSink};
+use hidden_hhh::window::{http_get, shard_of, SnapshotSink};
+use std::time::{Duration, Instant};
 
 fn main() {
     let h = Ipv4Hierarchy::bytes();
@@ -107,12 +108,12 @@ fn main() {
 
     // --- 4. the same shards over a live transport: each pipeline
     // streams v2 frames encoded straight from detector state (no JSON
-    // on the shard side) over localhost TCP; the hub's barrier returns
-    // them in hello-id order. `aggd-shard --connect` / `hhh-agg
-    // --listen` run exactly this across real processes and hosts.
-    let hub = FrameHub::bind("127.0.0.1:0").expect("bind an ephemeral localhost port");
-    let addr = hub.local_addr().expect("bound address").to_string();
-    let streamed = std::thread::scope(|s| {
+    // on the shard side) over localhost TCP into a daemon, which folds
+    // them in hello-id order. `aggd-shard --connect` and `hhh-aggd` run
+    // exactly this across real processes and hosts.
+    let daemon = spawn_daemon(DaemonConfig::default()).expect("bind ephemeral localhost ports");
+    let addr = daemon.frame_addr.to_string();
+    std::thread::scope(|s| {
         for shard in 0..2usize {
             let addr = addr.clone();
             let packets = &packets;
@@ -132,24 +133,23 @@ fn main() {
                 assert!(err.is_none(), "localhost TCP writes succeed: {err:?}");
             });
         }
-        let limits = CollectLimits {
-            timeout: Some(std::time::Duration::from_secs(60)),
-            ..CollectLimits::default()
-        };
-        collect_socket_streams(hub, 2, limits).expect("both shard streams complete")
     });
-    let merged_socket = fold_streams(&h, streamed).expect("socket shards fold");
-    assert_eq!(merged.len(), merged_socket.len(), "socket fold must cover every report point");
-    for (a, b) in merged.iter().zip(&merged_socket) {
-        assert_eq!(
-            a.detector.snapshot().to_json(),
-            b.detector.snapshot().to_json(),
-            "the socket fold must land on the identical merged state"
-        );
+    // Each v1 line is one frame on the wire: wait until the daemon has
+    // folded every one, then ask it once.
+    let lines = |stream: &[u8]| stream.iter().filter(|&&b| b == b'\n').count() as u64;
+    let want = [(0, lines(&streams[0])), (1, lines(&streams[1]))];
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !daemon.registry.settled(&want) {
+        assert!(Instant::now() < deadline, "the daemon never received every frame");
+        std::thread::sleep(Duration::from_millis(5));
     }
+    let (status, body) =
+        http_get(&daemon.http_addr.to_string(), "/hhh?all=1&state=1").expect("GET /hhh");
+    let file_fold = render_merged(&merged, &[threshold], true).join("\n") + "\n";
+    assert_eq!((status, body), (200, file_fold.into_bytes()), "the daemon serves the file fold");
     println!(
-        "2 shard pipelines -> TCP {addr} -> folded: byte-identical to the file fold \
-         ({} report points)",
-        merged_socket.len()
+        "2 shard pipelines -> TCP {addr} -> hhh-aggd: GET /hhh?all=1&state=1 is byte-identical \
+         to the file fold ({} report points)",
+        merged.len()
     );
 }

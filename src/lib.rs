@@ -96,10 +96,9 @@ pub mod prelude {
     pub use hhh_sketches::{DecayRate, Landmark, OnDemandTdbf, SpaceSaving};
     pub use hhh_trace::{scenarios, TraceGenerator, TraceStats, TrafficModel};
     pub use hhh_window::{
-        bounded, with_shards, CollectLimits, CollectSink, Continuous, Disjoint, Engine, FnSink,
-        FrameHub, MicroVaried, PacketSource, Pipeline, ReportSink, ShardedContinuous,
-        ShardedDisjoint, ShardedSliding, SlidingExact, SnapshotSink, TcpTransport, TransportSink,
-        WindowReport,
+        bounded, with_shards, CollectSink, Continuous, Disjoint, Engine, FnSink, FrameHub,
+        MicroVaried, PacketSource, Pipeline, ReportSink, ShardedContinuous, ShardedDisjoint,
+        ShardedSliding, SlidingExact, SnapshotSink, TcpTransport, TransportSink, WindowReport,
     };
 }
 

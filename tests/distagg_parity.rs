@@ -103,7 +103,7 @@ fn all_kinds_fold_to_the_inprocess_state_at_k3() {
 fn mvpipe_folds_bitexactly_at_k1_and_k4_in_both_wire_formats() {
     // PR-8 acceptance: the MVPipe cross-process fold must be
     // byte-identical to the in-process sharded run at K ∈ {1, 4}, over
-    // the v1 JSONL fold *and* the native v2 socket fold. (The CI
+    // the v1 JSONL fold *and* the daemon's native v2 socket fold. (The CI
     // distagg smoke re-checks the full 1.36M-packet trace in release.)
     use hhh_experiments::distagg::run_socket_on;
     let horizon = TimeSpan::from_secs(15);
@@ -135,10 +135,10 @@ fn mvpipe_folds_bitexactly_at_k1_and_k4_in_both_wire_formats() {
 fn socket_fold_is_byte_identical_to_the_file_fold_for_all_kinds() {
     // The PR-5 transport contract on a debug-affordable trace: K
     // concurrent shard pipelines streaming natively encoded v2 frames
-    // over localhost TCP must fold to output byte-identical to the
-    // file-based fold and state-identical to the in-process sharded
-    // run. (`distagg socket smoke` and the CI socket smoke re-check
-    // the full 1.36M-packet trace in release.)
+    // over localhost TCP into an in-process hhh-aggd must fold to an
+    // answer byte-identical to the file-based fold and state-identical
+    // to the in-process sharded run. (`distagg socket smoke` and the
+    // CI socket smoke re-check the full 1.36M-packet trace in release.)
     use hhh_experiments::distagg::run_socket_on;
     let horizon = TimeSpan::from_secs(15);
     let trace: Vec<PacketRecord> =

@@ -16,8 +16,8 @@ use hidden_hhh::core::snapshot::binary::SnapshotFrame;
 use hidden_hhh::core::{DetectorSnapshot, WireFormat, WireSnapshot};
 use hidden_hhh::prelude::*;
 use hidden_hhh::window::{
-    read_frame_from, CollectLimits, FrameHub, FrameWrite, SnapshotSink, SnapshotSource,
-    TcpTransport, TransportError, TransportSink,
+    read_frame_from, FrameHub, FrameWrite, HubEvent, SnapshotSink, SnapshotSource, TcpTransport,
+    TransportError, TransportSink,
 };
 use proptest::prelude::*;
 
@@ -73,6 +73,7 @@ fn tcp_transport_carries_the_file_bytes() {
 
     let hub = FrameHub::bind("127.0.0.1:0").unwrap();
     let addr = hub.local_addr().unwrap().to_string();
+    let (handle, events) = hub.start().unwrap();
     let producer = std::thread::spawn({
         let packets = packets.clone();
         move || {
@@ -81,12 +82,26 @@ fn tcp_transport_carries_the_file_bytes() {
             assert!(err.is_none(), "{err:?}");
         }
     });
-    let limits =
-        CollectLimits { timeout: Some(std::time::Duration::from_secs(120)), ..Default::default() };
-    let streams = hub.collect_streams(1, limits).unwrap();
     producer.join().unwrap();
-    assert_eq!(streams.len(), 1);
-    let streamed: Vec<u8> = streams[0].frames.iter().flat_map(SnapshotFrame::encode).collect();
+    let mut want = 0;
+    let mut file = reference.as_slice();
+    while read_frame_from(&mut file).unwrap().is_some() {
+        want += 1;
+    }
+    // Every frame the file holds, then the writer's clean leave: a
+    // frame past that count lands in `streamed` too.
+    let (mut streamed, mut frames) = (Vec::new(), 0);
+    loop {
+        match events.recv_timeout(std::time::Duration::from_secs(120)).expect("hub events flow") {
+            HubEvent::Frame { id: 0, frame, .. } => {
+                streamed.extend(frame.encode());
+                frames += 1;
+            }
+            HubEvent::Left { clean: true, .. } if frames >= want => break,
+            _ => {}
+        }
+    }
+    handle.shutdown();
     assert_eq!(streamed, reference, "a frame on a socket is the same bytes as in a file");
 }
 
