@@ -15,15 +15,13 @@ use crate::http::{self, HttpShared};
 use crate::metrics::Metrics;
 use crate::registry::Registry;
 use hhh_core::snapshot::binary::REPORT_KIND;
-use hhh_core::{Kind, Threshold, WireSnapshot};
+use hhh_core::{Threshold, WireSnapshot};
 use hhh_hierarchy::Ipv4Hierarchy;
-use hhh_mitigate::{Action, PolicyConfig, PolicyEngine};
-use hhh_nettypes::{Ipv4Prefix, Nanos};
-use hhh_window::{FrameHub, HubEvent, HubHandle, WindowReport, ACK_KIND, HELLO_KIND};
+use hhh_window::{FrameHub, HubEvent, HubHandle, ACK_KIND, HELLO_KIND};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// How the daemon should run. `Default` binds both sockets to
@@ -46,41 +44,6 @@ pub struct DaemonConfig {
     pub http_max_inflight: usize,
     /// Log joins/leaves/gaps to stderr.
     pub log: bool,
-    /// Run the mitigation policy engine over one kind's merged
-    /// reports (`None` = `/rules` is a 404 and no mitigate metrics).
-    pub mitigate: Option<MitigateConfig>,
-}
-
-/// Daemon-side mitigation: which reports drive the policy, with what
-/// knobs, and (optionally) which prefixes count as ground-truth
-/// attack for classifying matched bytes.
-#[derive(Clone, Debug)]
-pub struct MitigateConfig {
-    /// The detector kind whose merged points feed the engine.
-    pub kind: Kind,
-    /// Policy knobs.
-    pub policy: PolicyConfig,
-    /// Planted attack prefixes; when non-empty, matched bytes are
-    /// classed `attack`/`legit` in `/metrics`.
-    pub truth: Vec<Ipv4Prefix>,
-}
-
-/// What the HTTP layer and the fold loop share when mitigation is on:
-/// the engine (fold loop writes, `/rules` reads) and the Prometheus
-/// counters derived from it.
-pub(crate) struct MitigateShared {
-    pub engine: Mutex<PolicyEngine>,
-    pub truth: Vec<Ipv4Prefix>,
-    /// Gauge: rules currently installed.
-    pub rules_active: AtomicU64,
-    /// Counter: total table membership churn (inserts + evictions +
-    /// expirations).
-    pub churn_total: AtomicU64,
-    /// Counters: reported bytes matched by a non-watch rule, classed
-    /// against `truth`. An *estimate* from report discounts — the
-    /// measured drop counts live in the data plane's gate.
-    pub matched_attack_bytes: AtomicU64,
-    pub matched_legit_bytes: AtomicU64,
 }
 
 impl Default for DaemonConfig {
@@ -96,7 +59,6 @@ impl Default for DaemonConfig {
             // slow-loris swarm tops out at ~128 parked threads.
             http_max_inflight: 128,
             log: false,
-            mitigate: None,
         }
     }
 }
@@ -158,36 +120,13 @@ pub fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
 
     let (hub_handle, events) = hub.start()?;
 
-    let mitigate = config.mitigate.map(|m| {
-        let shared = Arc::new(MitigateShared {
-            engine: Mutex::new(PolicyEngine::new(m.policy)),
-            truth: m.truth,
-            rules_active: AtomicU64::new(0),
-            churn_total: AtomicU64::new(0),
-            matched_attack_bytes: AtomicU64::new(0),
-            matched_legit_bytes: AtomicU64::new(0),
-        });
-        // Policy runs at the daemon's first (primary) threshold.
-        let threshold = config.thresholds.first().copied().unwrap_or(Threshold::percent(1.0));
-        MitigateCtx { shared, kind: m.kind, threshold }
-    });
-
     let fold_registry = Arc::clone(&registry);
     let fold_metrics = Arc::clone(&metrics);
     let fold_stop = Arc::clone(&stop);
     let hierarchy = config.hierarchy;
     let log = config.log;
-    let fold_mitigate = mitigate.clone();
     let fold_thread = std::thread::spawn(move || {
-        fold_loop(
-            &events,
-            &fold_registry,
-            &fold_metrics,
-            &hierarchy,
-            &fold_stop,
-            log,
-            fold_mitigate,
-        );
+        fold_loop(&events, &fold_registry, &fold_metrics, &hierarchy, &fold_stop, log);
     });
 
     let shared = Arc::new(HttpShared {
@@ -196,7 +135,6 @@ pub fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
         thresholds: config.thresholds,
         max_inflight: config.http_max_inflight.max(1),
         inflight: std::sync::atomic::AtomicUsize::new(0),
-        mitigate: mitigate.map(|m| m.shared),
     });
     let http_stop = Arc::clone(&stop);
     let http_thread = std::thread::spawn(move || http::serve(http_listener, shared, http_stop));
@@ -212,15 +150,6 @@ pub fn spawn_daemon(config: DaemonConfig) -> io::Result<DaemonHandle> {
     })
 }
 
-/// The fold loop's handle on the mitigation engine: which kind's
-/// merged points to feed it, at what threshold.
-#[derive(Clone)]
-struct MitigateCtx {
-    shared: Arc<MitigateShared>,
-    kind: Kind,
-    threshold: Threshold,
-}
-
 /// Drain events in bursts, refold once per burst.
 fn fold_loop(
     events: &mpsc::Receiver<HubEvent>,
@@ -229,11 +158,7 @@ fn fold_loop(
     hierarchy: &Ipv4Hierarchy,
     stop: &AtomicBool,
     log: bool,
-    mitigate: Option<MitigateCtx>,
 ) {
-    // Windows whose report point is at or before this instant have
-    // already been fed to the policy engine.
-    let mut policy_seen_through = Nanos::ZERO;
     while !stop.load(Ordering::Relaxed) {
         let first = match events.recv_timeout(Duration::from_millis(100)) {
             Ok(ev) => ev,
@@ -245,58 +170,10 @@ fn fold_loop(
             apply_event(ev, registry, metrics, log);
         }
         refold(registry, metrics, hierarchy);
-        if let Some(ctx) = &mitigate {
-            feed_policy(registry, ctx, &mut policy_seen_through);
-        }
     }
     // A final refold so anything pushed by the last burst is visible
     // to a test that queries right up to shutdown.
     refold(registry, metrics, hierarchy);
-    if let Some(ctx) = &mitigate {
-        feed_policy(registry, ctx, &mut policy_seen_through);
-    }
-}
-
-/// Feed merged report points newer than `seen_through` (for the
-/// configured kind, in window order) into the policy engine, then
-/// refresh the derived mitigate metrics.
-fn feed_policy(registry: &Registry, ctx: &MitigateCtx, seen_through: &mut Nanos) {
-    let windows: Vec<WindowReport<Ipv4Prefix>> = {
-        let fold = registry.fold.lock().expect("fold lock");
-        let mut points: Vec<_> =
-            fold.points().filter(|p| p.kind == ctx.kind.label() && p.at > *seen_through).collect();
-        points.sort_by_key(|p| p.at);
-        points.iter().map(|p| p.report(0, ctx.threshold)).collect()
-    };
-    if windows.is_empty() {
-        return;
-    }
-    let mut engine = ctx.shared.engine.lock().expect("policy engine lock");
-    for window in &windows {
-        engine.ingest(window);
-        *seen_through = (*seen_through).max(window.end);
-        // Matched-bytes estimate: reported (discounted) bytes covered
-        // by a non-watch rule, classed against ground truth. Residual
-        // discounts keep nested HHH entries from double-counting.
-        let table = engine.table();
-        let table = table.lock().expect("rule table lock");
-        for hhh in &window.hhhs {
-            let rule = hhh.prefix.self_and_ancestors().find_map(|a| table.get(a));
-            let Some(rule) = rule else { continue };
-            if rule.action == Action::Watch {
-                continue;
-            }
-            let attack = ctx.shared.truth.iter().any(|t| t.contains(hhh.prefix));
-            let counter = if attack {
-                &ctx.shared.matched_attack_bytes
-            } else {
-                &ctx.shared.matched_legit_bytes
-            };
-            counter.fetch_add(hhh.discounted, Ordering::Relaxed);
-        }
-        ctx.shared.rules_active.store(table.len() as u64, Ordering::Relaxed);
-        ctx.shared.churn_total.store(table.churn(), Ordering::Relaxed);
-    }
 }
 
 fn apply_event(ev: HubEvent, registry: &Registry, metrics: &Metrics, log: bool) {

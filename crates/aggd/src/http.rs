@@ -12,7 +12,6 @@
 //! | `GET /healthz` | `ok` |
 //! | `GET /metrics` | Prometheus text exposition ([`crate::metrics`]) |
 //! | `GET /hhh` | merged HHH report lines (v1 JSONL, exactly what `hhh-agg` prints) |
-//! | `GET /rules` | the mitigation rule table (JSON; `?text=1` for the CLI render) — 404 unless the daemon runs a policy engine |
 //!
 //! `/hhh` query parameters: `kind=<label>` filters to one detector
 //! kind (a label that names no kind is a 400); `all=1` renders every
@@ -23,7 +22,6 @@
 //! percent-decoded (`%XX` and `+`) before matching; a malformed escape
 //! is a 400.
 
-use crate::daemon::MitigateShared;
 use crate::metrics::Metrics;
 use crate::registry::Registry;
 use hhh_agg::{write_merged, MergedPoint};
@@ -56,10 +54,6 @@ pub(crate) struct HttpShared {
     pub max_inflight: usize,
     /// Handler threads currently running (admitted, not yet finished).
     pub inflight: AtomicUsize,
-    /// Mitigation state when the daemon runs a policy engine
-    /// (`/rules` and the `mitigate_*` metric families); `None` makes
-    /// `/rules` a 404.
-    pub mitigate: Option<Arc<MitigateShared>>,
 }
 
 /// Holds one admission slot; releases it when the handler returns, on
@@ -228,10 +222,7 @@ fn handle(conn: TcpStream, shared: &HttpShared) {
                 (fold.points().count(), fold.dirty_count())
             };
             let inflight = shared.inflight.load(Ordering::Relaxed);
-            let mut body = shared.metrics.render(&streams, held, dirty, inflight);
-            if let Some(m) = &shared.mitigate {
-                render_mitigate_metrics(&mut body, m);
-            }
+            let body = shared.metrics.render(&streams, held, dirty, inflight);
             respond(
                 &mut conn,
                 200,
@@ -246,77 +237,7 @@ fn handle(conn: TcpStream, shared: &HttpShared) {
                 respond(&mut conn, 400, "Bad Request", "text/plain", format!("{msg}\n").as_bytes())
             }
         },
-        "/rules" => match render_rules(shared, query) {
-            Ok((body, content_type)) => respond(&mut conn, 200, "OK", content_type, &body),
-            Err(RulesError::Disabled) => respond(
-                &mut conn,
-                404,
-                "Not Found",
-                "text/plain",
-                b"mitigation is not enabled on this daemon\n",
-            ),
-            Err(RulesError::BadQuery(msg)) => {
-                respond(&mut conn, 400, "Bad Request", "text/plain", format!("{msg}\n").as_bytes())
-            }
-        },
         _ => respond(&mut conn, 404, "Not Found", "text/plain", b"not found\n"),
-    }
-}
-
-enum RulesError {
-    Disabled,
-    BadQuery(String),
-}
-
-/// Append the `mitigate_*` families to a `/metrics` body. The
-/// dropped-bytes family only appears when ground truth is attached —
-/// without truth there is no attack/legit split to report.
-fn render_mitigate_metrics(body: &mut String, m: &MitigateShared) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        body,
-        "# HELP mitigate_rules_active Mitigation rules currently installed.\n\
-         # TYPE mitigate_rules_active gauge\n\
-         mitigate_rules_active {}\n\
-         # HELP mitigate_rule_churn_total Rule table membership changes \
-         (inserts + evictions + expirations).\n\
-         # TYPE mitigate_rule_churn_total counter\n\
-         mitigate_rule_churn_total {}\n",
-        m.rules_active.load(Ordering::Relaxed),
-        m.churn_total.load(Ordering::Relaxed),
-    );
-    if !m.truth.is_empty() {
-        let _ = write!(
-            body,
-            "# HELP mitigate_dropped_bytes_total Reported bytes matched by a non-watch \
-             rule, classed against attached ground truth (estimate from report \
-             discounts; measured drops live in the data-plane gate).\n\
-             # TYPE mitigate_dropped_bytes_total counter\n\
-             mitigate_dropped_bytes_total{{class=\"attack\"}} {}\n\
-             mitigate_dropped_bytes_total{{class=\"legit\"}} {}\n",
-            m.matched_attack_bytes.load(Ordering::Relaxed),
-            m.matched_legit_bytes.load(Ordering::Relaxed),
-        );
-    }
-}
-
-/// Render `/rules`: the policy engine's table as JSON (default) or
-/// the CLI's aligned text (`?text=1`).
-fn render_rules(shared: &HttpShared, query: &str) -> Result<(Vec<u8>, &'static str), RulesError> {
-    let Some(mitigate) = &shared.mitigate else {
-        return Err(RulesError::Disabled);
-    };
-    let params = parse_query(query, &["text"]).map_err(RulesError::BadQuery)?;
-    let text = params.get("text").is_some_and(|v| v == "1");
-    let engine = mitigate.engine.lock().expect("policy engine lock");
-    let table = engine.table();
-    let table = table.lock().expect("rule table lock");
-    if text {
-        Ok((hhh_mitigate::rules_text(&table).into_bytes(), "text/plain; charset=utf-8"))
-    } else {
-        let mut body = hhh_mitigate::rules_json(&table).into_bytes();
-        body.push(b'\n');
-        Ok((body, "application/json"))
     }
 }
 
@@ -325,7 +246,7 @@ fn render_rules(shared: &HttpShared, query: &str) -> Result<(Vec<u8>, &'static s
 /// snapshots, thresholds, and flags — `curl | diff` against a
 /// file-based fold is the daemon's acceptance check.
 fn render_hhh(shared: &HttpShared, query: &str) -> Result<Vec<u8>, String> {
-    let params = parse_query(query, &["kind", "all", "state", "threshold"])?;
+    let params = parse_query(query)?;
     let kind = params.get("kind").map(String::as_str).map(parse_kind).transpose()?;
     let all = params.get("all").is_some_and(|v| v == "1");
     let state = params.get("state").is_some_and(|v| v == "1");
@@ -404,7 +325,10 @@ fn percent_decode(component: &str) -> Result<String, String> {
 /// parsing.
 const MAX_QUERY_LEN: usize = 1024;
 
-fn parse_query(query: &str, allowed: &[&str]) -> Result<BTreeMap<String, String>, String> {
+/// The query keys `/hhh` accepts; any other key is a 400.
+const HHH_KEYS: &[&str] = &["kind", "all", "state", "threshold"];
+
+fn parse_query(query: &str) -> Result<BTreeMap<String, String>, String> {
     if query.len() > MAX_QUERY_LEN {
         return Err(format!("query string longer than {MAX_QUERY_LEN} bytes"));
     }
@@ -415,7 +339,7 @@ fn parse_query(query: &str, allowed: &[&str]) -> Result<BTreeMap<String, String>
         // `threshold=2%2E5` is `threshold=2.5`.
         let k = percent_decode(k)?;
         let v = percent_decode(v)?;
-        if !allowed.contains(&k.as_str()) {
+        if !HHH_KEYS.contains(&k.as_str()) {
             return Err(format!("unknown query parameter `{k}`"));
         }
         // A duplicate key is ambiguous — refusing beats silently
@@ -441,34 +365,29 @@ fn respond(conn: &mut TcpStream, code: u16, reason: &str, content_type: &str, bo
 mod tests {
     use super::*;
 
-    const HHH_KEYS: &[&str] = &["kind", "all", "state", "threshold"];
-
     #[test]
     fn query_strings_parse_and_reject_unknown_keys() {
-        let p = parse_query("kind=exact&all=1&state=1&threshold=2.5", HHH_KEYS).expect("parses");
+        let p = parse_query("kind=exact&all=1&state=1&threshold=2.5").expect("parses");
         assert_eq!(p.get("kind").map(String::as_str), Some("exact"));
         assert_eq!(p.get("all").map(String::as_str), Some("1"));
         assert_eq!(p.get("threshold").map(String::as_str), Some("2.5"));
-        assert!(parse_query("", HHH_KEYS).expect("empty ok").is_empty());
+        assert!(parse_query("").expect("empty ok").is_empty());
         // Bare keys default to "1" (curl's ?all shorthand).
-        let p = parse_query("all", HHH_KEYS).expect("parses");
+        let p = parse_query("all").expect("parses");
         assert_eq!(p.get("all").map(String::as_str), Some("1"));
-        assert!(parse_query("nope=1", HHH_KEYS).is_err());
-        // Per-endpoint allow-lists: /rules takes `text`, /hhh doesn't.
-        assert!(parse_query("text=1", &["text"]).is_ok());
-        assert!(parse_query("text=1", HHH_KEYS).is_err());
+        assert!(parse_query("nope=1").is_err());
     }
 
     #[test]
     fn query_strings_percent_decode_keys_and_values() {
         // The doc contract's own example: an escaped dot in a number.
-        let p = parse_query("threshold=2%2E5", HHH_KEYS).expect("escaped value parses");
+        let p = parse_query("threshold=2%2E5").expect("escaped value parses");
         assert_eq!(p.get("threshold").map(String::as_str), Some("2.5"));
         // Escapes in the *key* decode before key matching.
-        let p = parse_query("%6bind=exact", HHH_KEYS).expect("escaped key parses");
+        let p = parse_query("%6bind=exact").expect("escaped key parses");
         assert_eq!(p.get("kind").map(String::as_str), Some("exact"));
         // `+` is a space.
-        let p = parse_query("kind=a+b", HHH_KEYS).expect("plus decodes");
+        let p = parse_query("kind=a+b").expect("plus decodes");
         assert_eq!(p.get("kind").map(String::as_str), Some("a b"));
         // Upper- and lower-case hex both work.
         assert_eq!(percent_decode("%2e%2E").expect("hex case-insensitive"), "..");
@@ -477,25 +396,25 @@ mod tests {
     #[test]
     fn malformed_percent_escapes_are_errors() {
         for bad in ["threshold=2%", "threshold=2%2", "threshold=2%zz", "kind=%ff%fe"] {
-            assert!(parse_query(bad, HHH_KEYS).is_err(), "{bad} must be rejected");
+            assert!(parse_query(bad).is_err(), "{bad} must be rejected");
         }
     }
 
     #[test]
     fn duplicate_keys_are_errors_not_last_wins() {
-        let err = parse_query("kind=a&kind=b", HHH_KEYS).expect_err("duplicates rejected");
+        let err = parse_query("kind=a&kind=b").expect_err("duplicates rejected");
         assert!(err.contains("duplicate"), "got: {err}");
         // Even when the duplicate is spelled via an escape.
-        assert!(parse_query("kind=a&%6bind=b", HHH_KEYS).is_err());
+        assert!(parse_query("kind=a&%6bind=b").is_err());
     }
 
     #[test]
     fn overlong_query_strings_are_errors() {
         let long = format!("kind={}", "x".repeat(MAX_QUERY_LEN));
-        let err = parse_query(&long, HHH_KEYS).expect_err("overlong rejected");
+        let err = parse_query(&long).expect_err("overlong rejected");
         assert!(err.contains("longer than"), "got: {err}");
         // Right at the cap still parses.
         let edge = format!("kind={}", "x".repeat(MAX_QUERY_LEN - 5));
-        assert!(parse_query(&edge, HHH_KEYS).is_ok());
+        assert!(parse_query(&edge).is_ok());
     }
 }

@@ -43,6 +43,6 @@ pub mod metrics;
 pub mod registry;
 pub mod scenario;
 
-pub use daemon::{spawn_daemon, DaemonConfig, DaemonHandle, MitigateConfig};
+pub use daemon::{spawn_daemon, DaemonConfig, DaemonHandle};
 pub use metrics::Metrics;
 pub use registry::{Registry, StreamInfo};

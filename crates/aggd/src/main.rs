@@ -4,18 +4,13 @@
 //! hhh-aggd [--listen ADDR] [--http ADDR] [--hierarchy ipv4-bytes|ipv4-bits]
 //!          [--threshold PCT]... [--retain POINTS|none]
 //!          [--http-inflight N] [--quiet]
-//!          [--mitigate KIND] [--mitigate-hysteresis M]
-//!          [--mitigate-ttl SECONDS] [--mitigate-max-rules N]
-//!          [--mitigate-truth PREFIX]...
 //! ```
 //!
 //! Shard pipelines connect their `TcpTransport`s to `--listen` and
 //! stream v2 snapshot frames; queries and scrapes go to `--http`
-//! (`GET /hhh`, `/healthz`, `/metrics`). `--mitigate KIND` runs the
-//! `hhh-mitigate` policy engine over KIND's merged reports and serves
-//! its rule table on `GET /rules`; `--mitigate-truth` attaches planted
-//! attack prefixes so `/metrics` classes matched bytes as attack or
-//! legit. The daemon runs until killed; on startup it prints one
+//! (`GET /hhh`, `/healthz`, `/metrics`). The daemon only folds and
+//! serves: `hhh-mitigate watch` follows its `/hhh` answers with the
+//! policy engine. It runs until killed; on startup it prints one
 //! parseable line to stdout:
 //!
 //! ```text
@@ -25,11 +20,9 @@
 //! so scripts (and the integration tests) can bind port 0 and discover
 //! the real addresses.
 
-use hhh_aggd::{spawn_daemon, DaemonConfig, MitigateConfig};
-use hhh_core::{Kind, Threshold};
+use hhh_aggd::{spawn_daemon, DaemonConfig};
+use hhh_core::Threshold;
 use hhh_hierarchy::Ipv4Hierarchy;
-use hhh_mitigate::PolicyConfig;
-use hhh_nettypes::TimeSpan;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -37,19 +30,13 @@ const USAGE: &str = "usage: hhh-aggd [--listen ADDR] [--http ADDR] \
                      [--hierarchy ipv4-bytes|ipv4-bits]\n\
                      \x20               [--threshold PCT]... [--retain POINTS|none]\n\
                      \x20               [--http-inflight N] [--quiet]\n\
-                     \x20               [--mitigate KIND] [--mitigate-hysteresis M]\n\
-                     \x20               [--mitigate-ttl SECONDS] [--mitigate-max-rules N]\n\
-                     \x20               [--mitigate-truth PREFIX]...\n\
                      \n\
                      Long-running aggregation daemon: accepts shard snapshot streams (v2\n\
                      frames with hello/ack resume) on --listen, serves merged HHH queries\n\
                      (GET /hhh), health (GET /healthz) and Prometheus text metrics\n\
                      (GET /metrics) on --http. Shards may join, leave, crash, and resume\n\
                      at any time; restarted shards replay from their last acked frame.\n\
-                     --mitigate KIND runs the hhh-mitigate policy engine over KIND's\n\
-                     merged reports (a detector kind label, e.g. exact) and serves the\n\
-                     rule table on GET /rules; --mitigate-truth attaches planted attack\n\
-                     prefixes so /metrics classes matched bytes attack vs legit.\n\
+                     hhh-mitigate watch follows /hhh with the mitigation policy engine.\n\
                      Defaults: --listen 127.0.0.1:4710, --http 127.0.0.1:4711,\n\
                      --hierarchy ipv4-bytes, --threshold 1, --retain 720,\n\
                      --http-inflight 128.";
@@ -62,9 +49,6 @@ fn parse_args() -> Result<DaemonConfig, String> {
         log: true,
         ..DaemonConfig::default()
     };
-    let mut mitigate_kind: Option<Kind> = None;
-    let mut policy = PolicyConfig::default();
-    let mut truth: Vec<hhh_nettypes::Ipv4Prefix> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -110,58 +94,12 @@ fn parse_args() -> Result<DaemonConfig, String> {
                 config.http_max_inflight = n;
             }
             "--quiet" => config.log = false,
-            "--mitigate" => {
-                let v = argv.next().ok_or("--mitigate needs a kind label")?;
-                let kind =
-                    Kind::parse(&v).ok_or_else(|| format!("--mitigate: unknown kind `{v}`"))?;
-                mitigate_kind = Some(kind);
-            }
-            "--mitigate-hysteresis" => {
-                let v = argv.next().ok_or("--mitigate-hysteresis needs a window count")?;
-                let m: u32 =
-                    v.parse().map_err(|_| format!("--mitigate-hysteresis `{v}` is not a count"))?;
-                if m == 0 {
-                    return Err("--mitigate-hysteresis must be at least 1".into());
-                }
-                policy.hysteresis = m;
-            }
-            "--mitigate-ttl" => {
-                let v = argv.next().ok_or("--mitigate-ttl needs whole seconds")?;
-                let s: u64 =
-                    v.parse().map_err(|_| format!("--mitigate-ttl `{v}` is not a number"))?;
-                if s == 0 {
-                    return Err("--mitigate-ttl must be at least 1 second".into());
-                }
-                policy.ttl = TimeSpan::from_secs(s);
-            }
-            "--mitigate-max-rules" => {
-                let v = argv.next().ok_or("--mitigate-max-rules needs a rule count")?;
-                let n: usize =
-                    v.parse().map_err(|_| format!("--mitigate-max-rules `{v}` is not a count"))?;
-                if n == 0 {
-                    return Err("--mitigate-max-rules must keep at least one rule".into());
-                }
-                policy.max_rules = n;
-            }
-            "--mitigate-truth" => {
-                let v = argv.next().ok_or("--mitigate-truth needs an IPv4 prefix")?;
-                let prefix =
-                    v.parse().map_err(|e| format!("--mitigate-truth `{v}`: bad prefix: {e}"))?;
-                truth.push(prefix);
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     if config.thresholds.is_empty() {
         config.thresholds.push(Threshold::percent(1.0));
-    }
-    match mitigate_kind {
-        Some(kind) => config.mitigate = Some(MitigateConfig { kind, policy, truth }),
-        None if !truth.is_empty() => {
-            return Err("--mitigate-truth needs --mitigate KIND".into());
-        }
-        None => {}
     }
     Ok(config)
 }

@@ -4,9 +4,9 @@
 //! handler cap must answer 503 instead of spawning past its bound
 //! (also to a request that arrives in pieces), an accept-churn storm
 //! must leave the server alive (the old accept loop died on the first
-//! transient error), query percent-escapes must decode end-to-end, and
-//! a kind label that names no kind is refused by `/hhh` and by
-//! `hhh-aggd --mitigate`.
+//! transient error), query percent-escapes must decode end-to-end, a
+//! kind label that names no kind is refused by `/hhh`, and the binary
+//! refuses flags it does not have.
 
 use hhh_aggd::{spawn_daemon, DaemonConfig, DaemonHandle};
 use hhh_window::http_get;
@@ -180,52 +180,6 @@ fn query_edge_cases_are_400_not_silently_ignored() {
 }
 
 #[test]
-fn rules_endpoint_is_404_without_mitigation() {
-    let handle = daemon(16);
-    let addr = handle.http_addr.to_string();
-    let (status, body) = get(&addr, "/rules");
-    assert_eq!(status, 404, "no policy engine -> /rules must 404");
-    assert!(body.contains("mitigation"), "the 404 should say why, got {body:?}");
-    handle.shutdown();
-}
-
-#[test]
-fn rules_endpoint_serves_json_and_text_when_enabled() {
-    use hhh_aggd::MitigateConfig;
-    let handle = spawn_daemon(DaemonConfig {
-        retain: None,
-        mitigate: Some(MitigateConfig {
-            kind: hhh_core::Kind::Exact,
-            policy: hhh_mitigate::PolicyConfig::default(),
-            truth: vec!["38.2.0.0/16".parse().expect("prefix")],
-        }),
-        ..DaemonConfig::default()
-    })
-    .expect("daemon spawns");
-    let addr = handle.http_addr.to_string();
-    // Empty table, but the document must be well-formed either way.
-    let (status, body) = get(&addr, "/rules");
-    assert_eq!(status, 200);
-    assert!(body.contains("\"rules\":[]"), "empty table renders an empty list, got {body:?}");
-    assert!(body.contains("\"cap\":"), "document carries the cap");
-    let (status, body) = get(&addr, "/rules?text=1");
-    assert_eq!(status, 200);
-    assert!(body.contains("0 rule(s)"), "text render, got {body:?}");
-    // /rules has its own allow-list: /hhh keys are foreign here.
-    let (status, _) = get(&addr, "/rules?kind=exact");
-    assert_eq!(status, 400);
-    // Mitigation metrics appear in /metrics, classed because truth is
-    // attached.
-    let (status, body) = get(&addr, "/metrics");
-    assert_eq!(status, 200);
-    assert!(body.contains("mitigate_rules_active 0"));
-    assert!(body.contains("mitigate_rule_churn_total 0"));
-    assert!(body.contains("mitigate_dropped_bytes_total{class=\"attack\"}"));
-    assert!(body.contains("mitigate_dropped_bytes_total{class=\"legit\"}"));
-    handle.shutdown();
-}
-
-#[test]
 fn query_percent_escapes_decode_end_to_end() {
     let handle = daemon(16);
     let addr = handle.http_addr.to_string();
@@ -244,14 +198,26 @@ fn query_percent_escapes_decode_end_to_end() {
 }
 
 #[test]
-fn unknown_mitigate_kind_fails_at_argument_parsing() {
-    // The unusable --listen port makes a daemon that wrongly accepted
-    // the kind exit on bind instead of serving forever.
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hhh-aggd"))
-        .args(["--listen", "127.0.0.1:99999", "--mitigate", "mvpip"])
-        .output()
-        .expect("hhh-aggd runs");
-    assert!(!out.status.success(), "an unknown --mitigate kind must not start the daemon");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("`mvpip`"), "the error names the label: {stderr}");
+fn unknown_flags_fail_at_argument_parsing() {
+    // The policy engine runs beside its gate or in `hhh-mitigate
+    // watch`, never in the daemon: each `--mitigate*` flag is a usage
+    // error. The unusable --listen port makes a daemon that wrongly
+    // accepted one exit 1 on bind instead of serving forever.
+    let suffixes = [
+        ("", "exact"),
+        ("-hysteresis", "2"),
+        ("-ttl", "5"),
+        ("-max-rules", "8"),
+        ("-truth", "38.2.0.0/16"),
+    ];
+    for (suffix, value) in suffixes {
+        let flag = format!("--mitigate{suffix}");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hhh-aggd"))
+            .args(["--listen", "127.0.0.1:99999", &flag, value])
+            .output()
+            .expect("hhh-aggd runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{flag}: {stderr}");
+    }
 }

@@ -237,8 +237,10 @@ fn killed_shard_resumes_byte_exactly() {
 #[test]
 fn http_surface_rejects_what_it_should() {
     let daemon = spawn_daemon();
-    let (status, _) = get(&daemon.http, "/nope");
-    assert_eq!(status, 404);
+    for unknown in ["/nope", "/rules"] {
+        let (status, _) = get(&daemon.http, unknown);
+        assert_eq!(status, 404, "{unknown}");
+    }
     let (status, body) = get(&daemon.http, "/hhh?bogus=1");
     assert_eq!(status, 400);
     assert!(String::from_utf8_lossy(&body).contains("bogus"));

@@ -94,19 +94,37 @@ pub struct ScenarioRun {
 type PollLog = Vec<(f64, BTreeSet<Ipv4Prefix>)>;
 
 /// The daemon to drive: in-process (owned) or external (addresses).
-enum Target {
+pub(crate) enum Target {
     Spawned(DaemonHandle),
     External { frames: String, http: String },
 }
 
 impl Target {
-    fn frame_addr(&self) -> String {
+    /// The external daemon `opts` names, or a fresh in-process one.
+    pub(crate) fn acquire(opts: &DriveOptions) -> Result<Target, String> {
+        Ok(match &opts.external {
+            Some((frames, http)) => Target::External { frames: frames.clone(), http: http.clone() },
+            None => Target::Spawned(
+                spawn_daemon(DaemonConfig {
+                    frame_addr: "127.0.0.1:0".into(),
+                    http_addr: "127.0.0.1:0".into(),
+                    hierarchy: hierarchy(),
+                    thresholds: vec![distagg_threshold()],
+                    retain: None,
+                    log: false,
+                    ..DaemonConfig::default()
+                })
+                .map_err(|e| format!("spawn daemon: {e}"))?,
+            ),
+        })
+    }
+    pub(crate) fn frame_addr(&self) -> String {
         match self {
             Target::Spawned(h) => h.frame_addr.to_string(),
             Target::External { frames, .. } => frames.clone(),
         }
     }
-    fn http_addr(&self) -> String {
+    pub(crate) fn http_addr(&self) -> String {
         match self {
             Target::Spawned(h) => h.http_addr.to_string(),
             Target::External { http, .. } => http.clone(),
@@ -120,21 +138,7 @@ impl Target {
 /// errors.
 pub fn run_scenario(scenario: &Scenario, opts: &DriveOptions) -> Result<ScenarioRun, String> {
     let k = opts.shards.max(1);
-    let target = match &opts.external {
-        Some((frames, http)) => Target::External { frames: frames.clone(), http: http.clone() },
-        None => Target::Spawned(
-            spawn_daemon(DaemonConfig {
-                frame_addr: "127.0.0.1:0".into(),
-                http_addr: "127.0.0.1:0".into(),
-                hierarchy: hierarchy(),
-                thresholds: vec![distagg_threshold()],
-                retain: None,
-                log: false,
-                ..DaemonConfig::default()
-            })
-            .map_err(|e| format!("spawn daemon: {e}"))?,
-        ),
-    };
+    let target = Target::acquire(opts)?;
     let frame_addr = target.frame_addr();
     let http_addr = target.http_addr();
 

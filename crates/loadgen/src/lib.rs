@@ -531,8 +531,7 @@ impl MitigateResults {
                      \"collateral_ratio\": {:.6}, \"time_to_mitigate_s\": {}, \
                      \"mitigated\": {}, \"first_rule_action\": {}, \
                      \"rules_fired\": {}, \"rules_expired\": {}, \"rule_churn\": {}, \
-                     \"max_rules_active\": {}, \"daemon_rule_churn\": {}, \
-                     \"packets\": {}, \"packets_dropped\": {}, \
+                     \"max_rules_active\": {}, \"packets\": {}, \"packets_dropped\": {}, \
                      \"drive_seconds\": {:.6}, \"threshold_pct\": {}{}}}",
                     self.scale.label(),
                     row.scenario_name,
@@ -556,7 +555,6 @@ impl MitigateResults {
                     ks.rules_expired,
                     ks.rule_churn,
                     ks.max_rules_active,
-                    json_ratio(ks.daemon_rule_churn),
                     ks.packets,
                     ks.packets_dropped,
                     ks.drive_seconds,

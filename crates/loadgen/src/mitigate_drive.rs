@@ -3,7 +3,9 @@
 //! control plane closed — every packet passes a
 //! [`RuleFilter`]/[`TableGate`] stage fed by a [`PolicyEngine`] that
 //! ingests the daemon's own `/hhh` answers, so a rule fired from window
-//! *w*'s report drops window *w+1*'s packets.
+//! *w*'s report drops window *w+1*'s packets. The engine lives here,
+//! beside the gate that reads its table and renews its rules with the
+//! gate's drops; the daemon only folds and serves.
 //!
 //! The loop is **window-synchronous**, which is what makes the scores
 //! deterministic in trace time: for each report window the driver
@@ -23,13 +25,10 @@
 //! time-to-mitigate is trace time from the earliest planted onset to
 //! the first planted-covering rule fire.
 
-use crate::drive::DriveOptions;
+use crate::drive::{DriveOptions, Target};
 use crate::scenario::Scenario;
 use crate::score::{metric_value, stream_metric_value, MitigateKindScore};
-use hhh_aggd::scenario::{
-    distagg_threshold, shard_label, shard_packets, stream_id, Kind, DISTAGG_WINDOW,
-};
-use hhh_aggd::{spawn_daemon, DaemonConfig, DaemonHandle, MitigateConfig};
+use hhh_aggd::scenario::{shard_label, shard_packets, stream_id, Kind, DISTAGG_WINDOW};
 use hhh_mitigate::{parse_policy_windows, GateTotals, PolicyConfig, PolicyEngine, TableGate};
 use hhh_nettypes::{Ipv4Prefix, Nanos, PacketRecord};
 use hhh_window::source::{bounded, Source};
@@ -43,10 +42,8 @@ pub struct MitigateRun {
 }
 
 /// Drive `scenario` through the mitigation closed loop, one detector
-/// kind at a time. Spawns a fresh in-process daemon per kind (with the
-/// daemon-side policy engine enabled, so `/rules` and the `mitigate_*`
-/// metrics are exercised too) unless `opts.external` points at a
-/// running one.
+/// kind at a time. Spawns a fresh in-process daemon per kind unless
+/// `opts.external` points at a running one.
 pub fn run_mitigate_scenario(
     scenario: &Scenario,
     opts: &DriveOptions,
@@ -73,46 +70,6 @@ pub fn run_mitigate_scenario(
     Ok(MitigateRun { kinds })
 }
 
-/// The spawned-or-external daemon a kind talks to.
-struct Target {
-    spawned: Option<DaemonHandle>,
-    frame_addr: String,
-    http_addr: String,
-}
-
-impl Target {
-    fn acquire(
-        opts: &DriveOptions,
-        kind: Kind,
-        policy: &PolicyConfig,
-        truth: &[Ipv4Prefix],
-    ) -> Result<Target, String> {
-        match &opts.external {
-            Some((frames, http)) => {
-                Ok(Target { spawned: None, frame_addr: frames.clone(), http_addr: http.clone() })
-            }
-            None => {
-                let handle = spawn_daemon(DaemonConfig {
-                    thresholds: vec![distagg_threshold()],
-                    retain: None,
-                    mitigate: Some(MitigateConfig {
-                        kind,
-                        policy: policy.clone(),
-                        truth: truth.to_vec(),
-                    }),
-                    ..DaemonConfig::default()
-                })
-                .map_err(|e| format!("spawn daemon: {e}"))?;
-                Ok(Target {
-                    frame_addr: handle.frame_addr.to_string(),
-                    http_addr: handle.http_addr.to_string(),
-                    spawned: Some(handle),
-                })
-            }
-        }
-    }
-}
-
 /// Does `prefix` cover or sit inside any planted prefix?
 fn covers_planted(truth: &[Ipv4Prefix], prefix: Ipv4Prefix) -> bool {
     truth.iter().any(|t| t.contains(prefix) || prefix.contains(*t))
@@ -128,7 +85,8 @@ fn drive_kind(
     truth: &[Ipv4Prefix],
 ) -> Result<MitigateKindScore, String> {
     let (k, label, n_windows) = (opts.shards, kind.label(), by_window.len());
-    let target = Target::acquire(opts, kind, policy, truth)?;
+    let target = Target::acquire(opts)?;
+    let http_addr = target.http_addr();
     let all_query = format!("/hhh?kind={label}&all=1&threshold={}", scenario.threshold_pct);
 
     let mut engine = PolicyEngine::new(policy.clone());
@@ -141,7 +99,7 @@ fn drive_kind(
     for shard in 0..k {
         let (feeder, source) = bounded(4, 1024);
         feeders.push(feeder);
-        let (frame_addr, horizon) = (target.frame_addr.clone(), scenario.horizon);
+        let (frame_addr, horizon) = (target.frame_addr(), scenario.horizon);
         pipes.push(std::thread::spawn(move || {
             let transport = TcpTransport::connect(&frame_addr)
                 .with_hello(stream_id(kind, k, shard), shard_label(kind, k, shard));
@@ -197,7 +155,7 @@ fn drive_kind(
         let need = 2.0 * (w as f64 + 1.0);
         let deadline = Instant::now() + opts.converge_timeout;
         loop {
-            let (code, body) = http_get(&target.http_addr, "/metrics")?;
+            let (code, body) = http_get(&http_addr, "/metrics")?;
             let body = String::from_utf8_lossy(&body);
             if code == 200 {
                 let delivered = (0..k).all(|shard| {
@@ -218,7 +176,7 @@ fn drive_kind(
 
         // 4. Close the loop: ingest window w's report. Rules fired
         // here gate window w+1.
-        let (code, body) = http_get(&target.http_addr, &all_query)?;
+        let (code, body) = http_get(&http_addr, &all_query)?;
         if code != 200 {
             return Err(format!("{label}: GET {all_query} -> {code}"));
         }
@@ -254,17 +212,7 @@ fn drive_kind(
     }
     let drive_seconds = t0.elapsed().as_secs_f64();
 
-    // Daemon-side view: exercise `/rules` and pick up the daemon
-    // engine's churn counter (present only when mitigation is on —
-    // always true for spawned daemons, optional for external ones).
-    let (code, _) = http_get(&target.http_addr, "/rules?text=1")?;
-    if target.spawned.is_some() && code != 200 {
-        return Err(format!("{label}: GET /rules -> {code} on a mitigation-enabled daemon"));
-    }
-    let (_, metrics_body) = http_get(&target.http_addr, "/metrics")?;
-    let daemon_rule_churn =
-        metric_value(&String::from_utf8_lossy(&metrics_body), "mitigate_rule_churn_total");
-    if let Some(handle) = target.spawned {
+    if let Target::Spawned(handle) = target {
         handle.shutdown();
     }
 
@@ -304,7 +252,6 @@ fn drive_kind(
         rules_expired: stats.expired,
         rule_churn: table.churn(),
         max_rules_active,
-        daemon_rule_churn,
         packets: sum.packets_offered,
         packets_dropped: sum.packets_dropped,
         drive_seconds,

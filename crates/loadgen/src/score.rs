@@ -24,9 +24,10 @@ pub struct ReportWindow {
 }
 
 /// Parse the daemon's `/hhh` body (one JSON object per line) into
-/// report windows sorted by start, ignoring non-`report` lines: the
-/// projection of [`parse_policy_windows`]'s full reports onto what the
-/// scorer compares.
+/// report windows sorted by start, ignoring non-`report` lines and
+/// every series but the first threshold's: the projection of
+/// [`parse_policy_windows`]'s full reports onto what the scorer
+/// compares.
 pub fn parse_report_windows(body: &str) -> Result<Vec<ReportWindow>, String> {
     let windows = parse_policy_windows(body)?;
     Ok(windows
@@ -132,9 +133,6 @@ pub struct MitigateKindScore {
     pub rule_churn: u64,
     /// Peak concurrently-installed rules.
     pub max_rules_active: u64,
-    /// The daemon-side engine's `mitigate_rule_churn_total`, when the
-    /// daemon ran with mitigation enabled.
-    pub daemon_rule_churn: Option<f64>,
     /// Packets offered to the gate.
     pub packets: u64,
     /// Packets the gate dropped.

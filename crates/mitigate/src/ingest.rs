@@ -7,15 +7,19 @@ use hhh_nettypes::{Ipv4Prefix, Nanos};
 use hhh_window::WindowReport;
 
 /// Parse `/hhh` (or `hhh-agg`) ndjson report lines into full
-/// [`WindowReport`]s, in window order. Non-`report` lines (state
-/// snapshots) are skipped. The wire format carries no lower bound, so
-/// `lower_bound` is set to `discounted` (they coincide for the
-/// deterministic detectors anyway).
+/// [`WindowReport`]s, in window order. Only series 0, the first
+/// threshold's report, is kept (a line without `series` is series 0),
+/// so each window appears once however many thresholds the daemon
+/// renders. Non-`report` lines (state snapshots) are skipped. The wire
+/// format carries no lower bound, so `lower_bound` is set to
+/// `discounted` (they coincide for the deterministic detectors anyway).
 pub fn parse_policy_windows(body: &str) -> Result<Vec<WindowReport<Ipv4Prefix>>, String> {
     let mut out = Vec::new();
     for line in body.lines().filter(|l| !l.trim().is_empty()) {
         let v = Json::parse(line).map_err(|e| format!("bad report line: {e}: {line}"))?;
-        if v.get("type").and_then(Json::as_str) != Some("report") {
+        if v.get("type").and_then(Json::as_str) != Some("report")
+            || v.get("series").and_then(Json::as_u64).unwrap_or(0) != 0
+        {
             continue;
         }
         let field = |name: &str| {
@@ -78,6 +82,28 @@ mod tests {
         assert_eq!(hhh.estimate, 300);
         assert_eq!(hhh.discounted, 280);
         assert_eq!(hhh.lower_bound, 280);
+    }
+
+    #[test]
+    fn keeps_only_series_zero() {
+        let line = |series: u64, index: u64, prefix: &str| {
+            format!(
+                "{{\"type\":\"report\",\"series\":{series},\"index\":{index},\
+                 \"start_ns\":{},\"end_ns\":{},\"total\":1000,\"hhhs\":[\
+                 {{\"prefix\":\"{prefix}\",\"estimate\":300}}]}}\n",
+                index * 5_000_000_000,
+                (index + 1) * 5_000_000_000,
+            )
+        };
+        let body: String =
+            (0..2).flat_map(|i| [line(0, i, "38.2.0.0/16"), line(1, i, "38.0.0.0/8")]).collect();
+        let windows = parse_policy_windows(&body).expect("parses");
+        assert_eq!(windows.len(), 2, "one window per index, not one per series");
+        for (i, w) in windows.iter().enumerate() {
+            assert_eq!(w.index, i as u64);
+            let prefixes: Vec<String> = w.hhhs.iter().map(|h| h.prefix.to_string()).collect();
+            assert_eq!(prefixes, ["38.2.0.0/16"], "window {i} carries series 0's HHHs");
+        }
     }
 
     #[test]

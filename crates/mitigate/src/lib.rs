@@ -36,12 +36,15 @@
 //!   chunk of packets, a verdict per packet, token buckets in trace
 //!   time kept with their rules, drops credited in place, ground-truth
 //!   byte classification for collateral scoring.
-//! * [`ingest`] / [`render`] — the `/hhh` wire format in, the
-//!   `/rules` JSON and CLI table out.
+//! * [`ingest`] / [`render`] — the `/hhh` wire format in, the CLI
+//!   table out.
 //!
-//! `hhh-loadgen --mitigate` drives the whole loop against the planted
-//! scenario suite and scores attack bytes dropped vs legitimate
-//! collateral per detector kind.
+//! An engine that enforces lives beside the gate that reads its table,
+//! as in `hhh-loadgen --mitigate`, which drives the whole loop against
+//! the planted scenario suite and scores attack bytes dropped vs
+//! legitimate collateral per detector kind. `hhh-mitigate watch`
+//! follows a live `hhh-aggd`'s `/hhh` answers with one engine and
+//! prints its table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,6 +59,6 @@ pub mod table;
 pub use gate::{GateTotals, TableGate};
 pub use ingest::parse_policy_windows;
 pub use policy::{FiredRule, PolicyConfig, PolicyEngine, PolicyStats};
-pub use render::{rules_json, rules_text};
+pub use render::rules_text;
 pub use rule::{Action, Rule};
 pub use table::RuleTable;

@@ -1,6 +1,6 @@
 //! `hhh-mitigate` — the mitigation CLI: follow a live `hhh-aggd`,
-//! run the policy engine against its `/hhh` answers, and render the
-//! resulting rule table; or just fetch a daemon's own `/rules`.
+//! run the policy engine against one kind's `/hhh` answers, and
+//! render the resulting rule table.
 
 use hhh_core::Kind;
 use hhh_mitigate::{parse_policy_windows, rules_text, PolicyConfig, PolicyEngine};
@@ -15,23 +15,17 @@ usage: hhh-mitigate <command> [options]
 commands:
   watch   poll /hhh on a live hhh-aggd, run the policy engine locally,
           and print rule transitions as they happen
-  rules   fetch a daemon's /rules (the daemon-side engine's table)
-
-common options:
-  --daemon-http ADDR   the daemon's HTTP address (required)
 
 watch options:
-  --kind LABEL         follow one detector kind (e.g. exact);
-                       default: whichever kinds the daemon serves
+  --daemon-http ADDR   the daemon's HTTP address (required)
+  --kind LABEL         the detector kind to follow (required, e.g. exact)
   --threshold PCT      re-threshold reports at PCT percent
+                       (default: the daemon's first threshold)
   --interval MS        poll interval (default 1000)
   --cycles N           stop after N polls (default: run until killed)
   --hysteresis M       consecutive windows before a rule fires (default 2)
   --ttl SECONDS        rule lifetime (default 15)
   --max-rules N        rule table cap (default 256)
-
-rules options:
-  --json               print the raw /rules JSON instead of the table
 ";
 
 fn fail(msg: &str) -> ExitCode {
@@ -49,6 +43,9 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
+    if command != "watch" {
+        return fail(&format!("unknown command `{command}`\n{USAGE}"));
+    }
 
     let mut daemon_http: Option<String> = None;
     let mut kind: Option<Kind> = None;
@@ -56,7 +53,6 @@ fn main() -> ExitCode {
     let mut interval_ms: u64 = 1_000;
     let mut cycles: Option<u64> = None;
     let mut cfg = PolicyConfig::default();
-    let mut json = false;
 
     let mut rest = args;
     while let Some(arg) = rest.next() {
@@ -96,7 +92,6 @@ fn main() -> ExitCode {
                 Ok(Ok(n)) if n >= 1 => cfg.max_rules = n,
                 _ => return fail("--max-rules needs a positive integer"),
             },
-            "--json" => json = true,
             other => return fail(&format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
@@ -104,40 +99,21 @@ fn main() -> ExitCode {
     let Some(addr) = daemon_http else {
         return fail(&format!("--daemon-http is required\n{USAGE}"));
     };
-
-    match command.as_str() {
-        "rules" => {
-            let path = if json { "/rules" } else { "/rules?text=1" };
-            match http_get(&addr, path) {
-                Ok((200, body)) => {
-                    print!("{}", String::from_utf8_lossy(&body));
-                    ExitCode::SUCCESS
-                }
-                Ok((status, body)) => fail(&format!(
-                    "{path} -> {status}: {}",
-                    String::from_utf8_lossy(&body).trim_end()
-                )),
-                Err(e) => fail(&e),
-            }
-        }
-        "watch" => watch(&addr, kind, threshold, interval_ms, cycles, cfg),
-        other => fail(&format!("unknown command `{other}`\n{USAGE}")),
-    }
+    let Some(kind) = kind else {
+        return fail(&format!("--kind is required\n{USAGE}"));
+    };
+    watch(&addr, kind, threshold, interval_ms, cycles, cfg)
 }
 
 fn watch(
     addr: &str,
-    kind: Option<Kind>,
+    kind: Kind,
     threshold: Option<f64>,
     interval_ms: u64,
     cycles: Option<u64>,
     cfg: PolicyConfig,
 ) -> ExitCode {
-    let mut path = String::from("/hhh?all=1");
-    if let Some(k) = kind {
-        path.push_str("&kind=");
-        path.push_str(k.label());
-    }
+    let mut path = format!("/hhh?all=1&kind={}", kind.label());
     if let Some(t) = threshold {
         path.push_str(&format!("&threshold={t}"));
     }

@@ -1,56 +1,11 @@
-//! Rendering the rule table outward: the `/rules` JSON document and
-//! the aligned text table the CLI prints. One definition of each,
-//! shared by the daemon endpoint and the `hhh-mitigate` binary.
+//! Rendering the rule table outward: the aligned text table that
+//! `hhh-mitigate watch` prints.
 
 use crate::rule::Action;
 use crate::table::RuleTable;
 
-/// The `/rules` JSON document: the installed rules (prefix order)
-/// plus the table's occupancy and churn counters.
-///
-/// `ewma_bytes` is rounded to a whole byte count — it is an eviction
-/// weight, not a measurement, and whole numbers keep the hand-rolled
-/// JSON trivially parseable.
-pub fn rules_json(table: &RuleTable) -> String {
-    let mut out = String::from("{\"rules\":[");
-    for (i, rule) in table.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"prefix\":\"{}\",\"action\":\"{}\"",
-            rule.prefix,
-            rule.action.label()
-        ));
-        if let Action::RateLimit { bps } = rule.action {
-            out.push_str(&format!(",\"limit_bps\":{bps}"));
-        }
-        out.push_str(&format!(
-            ",\"fired_at_ns\":{},\"expires_at_ns\":{},\"renewals\":{},\"ewma_bytes\":{},\
-             \"dropped_bytes\":{},\"dropped_packets\":{}}}",
-            rule.fired_at.as_nanos(),
-            rule.expires_at.as_nanos(),
-            rule.renewals,
-            rule.ewma_bytes.round().max(0.0) as u64,
-            rule.dropped_bytes,
-            rule.dropped_packets,
-        ));
-    }
-    out.push_str(&format!(
-        "],\"active\":{},\"cap\":{},\"inserts\":{},\"evictions\":{},\"expirations\":{},\
-         \"churn\":{}}}",
-        table.len(),
-        table.cap(),
-        table.inserts(),
-        table.evictions(),
-        table.expirations(),
-        table.churn(),
-    ));
-    out
-}
-
-/// The aligned text render (`hhh-mitigate rules`, and
-/// `/rules?text=1`). Trace-time stamps are printed in seconds.
+/// The aligned text render (`hhh-mitigate watch`). Trace-time stamps
+/// are printed in seconds.
 pub fn rules_text(table: &RuleTable) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -97,7 +52,6 @@ pub fn rules_text(table: &RuleTable) -> String {
 mod tests {
     use super::*;
     use crate::rule::Rule;
-    use hhh_core::snapshot::json::Json;
     use hhh_nettypes::{Ipv4Prefix, Nanos};
 
     fn sample() -> RuleTable {
@@ -120,25 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_the_parser() {
-        let table = sample();
-        let doc = Json::parse(&rules_json(&table)).expect("valid JSON");
-        assert_eq!(doc.get("active").and_then(Json::as_u64), Some(2));
-        assert_eq!(doc.get("cap").and_then(Json::as_u64), Some(8));
-        assert_eq!(doc.get("churn").and_then(Json::as_u64), Some(2));
-        let rules = doc.get("rules").and_then(Json::as_arr).expect("rules array");
-        assert_eq!(rules.len(), 2);
-        // Prefix order: the /16 sorts before the /24 (shorter first).
-        assert_eq!(rules[0].get("prefix").and_then(Json::as_str), Some("38.2.0.0/16"));
-        assert_eq!(rules[0].get("action").and_then(Json::as_str), Some("block"));
-        assert!(rules[0].get("limit_bps").is_none());
-        assert_eq!(rules[1].get("action").and_then(Json::as_str), Some("limit"));
-        assert_eq!(rules[1].get("limit_bps").and_then(Json::as_u64), Some(2_000_000));
-        assert_eq!(rules[0].get("ewma_bytes").and_then(Json::as_u64), Some(123_457));
-        assert_eq!(rules[0].get("expires_at_ns").and_then(Json::as_u64), Some(30_000_000_000));
-    }
-
-    #[test]
     fn text_render_lists_every_rule() {
         let table = sample();
         let text = rules_text(&table);
@@ -150,7 +85,6 @@ mod tests {
     #[test]
     fn empty_table_renders_cleanly() {
         let table = RuleTable::with_cap(4);
-        assert!(Json::parse(&rules_json(&table)).is_ok());
         assert!(rules_text(&table).contains("0 rule(s)"));
     }
 }

@@ -6,8 +6,8 @@ use hhh_nettypes::{Ipv4Prefix, Nanos};
 /// What happens to traffic matching a rule's prefix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
-    /// Observe only: the rule exists (and renews, and shows up in
-    /// `/rules`) but every packet is admitted.
+    /// Observe only: the rule exists (and renews, and shows up in the
+    /// rule table render) but every packet is admitted.
     Watch,
     /// Admit up to `bps` bits per second of matching traffic (trace
     /// time, token bucket); drop the excess.
@@ -30,7 +30,7 @@ impl Action {
         }
     }
 
-    /// The wire label used in `/rules` JSON and the CLI render.
+    /// The label the CLI render and `hhh-loadgen`'s records use.
     pub fn label(self) -> &'static str {
         match self {
             Action::Watch => "watch",
